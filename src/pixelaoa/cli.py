@@ -135,10 +135,6 @@ def _window_grid(area: SensingArea, step_deg: float, margin_steps: int = 2) -> A
     return AngleGrid(t0, t1, p0, p1, step_deg)
 
 
-def _codeword_patterns(dataset, codebook, cw, feednet):
-    return overall_patterns(dataset, cw.config, feednet).patterns
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -265,7 +261,7 @@ def cmd_crlb_map(args) -> int:
                 key = (cw.config.feed_ports, cw.config.connections)
                 pats = pattern_cache.get(key)
                 if pats is None:
-                    pats = _codeword_patterns(ds, cb, cw, feednet)
+                    pats = overall_patterns(ds, cw.config, feednet).patterns
                     pattern_cache[key] = pats
                 r = crlb_map(pats, SensingArea(th, th, ph, ph), snr,
                              fd_step_deg=args.fd_step_deg)
@@ -299,7 +295,7 @@ def _worst_for_source(ds, cb, area, snr, feednet, fd_step, upa=None, spacing=0.5
         return crlb_map(pats, area, snr, fd_step_deg=fd_step).worst
     cw = codebook_lookup(cb, (0.5 * (area.theta_min_deg + area.theta_max_deg),
                               0.5 * (area.phi_min_deg + area.phi_max_deg)))
-    pats = _codeword_patterns(ds, cb, cw, feednet)
+    pats = overall_patterns(ds, cw.config, feednet).patterns
     return crlb_map(pats, area, snr, fd_step_deg=fd_step).worst
 
 
@@ -368,7 +364,7 @@ def cmd_montecarlo(args) -> int:
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
         cw = codebook_lookup(cb, angles[0])
-        pats = _codeword_patterns(ds, cb, cw, feednet)
+        pats = overall_patterns(ds, cw.config, feednet).patterns
 
     grid = pats.grid
     hw = args.search_halfwidth_deg

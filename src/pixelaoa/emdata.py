@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -238,6 +239,11 @@ class EMDataset:
 
     def quadrature(self) -> np.ndarray:
         return self.grid.weights(bool(self.metadata.get("include_sin_theta", True)))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Read-only (P, P) pattern Gram matrix under the dataset quadrature."""
+        return _readonly(pattern_gram(self.e_oc, self.quadrature()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,41 +1,16 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorised over batches in numpy.
 
 The two inner loops that dominate runtime are (a) the per-grid-point Fisher
 information sweep behind every CRLB map and (b) the per-candidate subspace
-projection scores of the ML angle search.  Both exist twice: an @njit
-version and a vectorised numpy version with identical semantics.
-
-Backend selection: environment variable PIXELAOA_BACKEND = "numba" |
-"numpy".  Default is numba when importable, else numpy.  The choice is
-fixed at import time; benchmarks/bench_kernels.py compares both.
+projection scores of the ML angle search.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_requested = os.environ.get("PIXELAOA_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"PIXELAOA_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-
-_HAVE_NUMBA = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-_USE_NUMBA = _HAVE_NUMBA and _requested != "numpy"
 
 # Re{F} is declared rank deficient when det <= RANK_TOL * scale^2.
 RANK_TOL = 1e-12
-
-
-def backend_name() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +23,14 @@ def backend_name() -> str:
 # sqrt(c_tt + c_pp), and a singularity flag per point.
 # ---------------------------------------------------------------------------
 
-def _fim_sweep_numpy(e, it, ip, itp, itm, inv_dt, ipp, ipm, inv_dp, snr):
+def fim_sweep(e, it, ip, itp, itm, inv_dt, ipp, ipm, inv_dp, snr):
+    """CRLB entries at a batch of grid points.
+
+    e: (2N, n_theta, n_phi) complex128 stacked [theta-pol ports; phi-pol
+    ports].  it/ip: centre indices; itp/itm/ipp/ipm: differencing neighbour
+    indices; inv_dt/inv_dp: per-point 1/denominator in 1/rad.
+    """
+    e = np.ascontiguousarray(e, dtype=np.complex128)
     f = e[:, it, ip]                                  # (2N, S)
     dth = (e[:, itp, ip] - e[:, itm, ip]) * inv_dt    # (2N, S)
     dph = (e[:, it, ipp] - e[:, it, ipm]) * inv_dp
@@ -79,114 +61,9 @@ def _fim_sweep_numpy(e, it, ip, itp, itm, inv_dt, ipp, ipm, inv_dp, snr):
     return c_tt, c_tp, c_pp, obj, singular
 
 
-if _USE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _fim_sweep_numba(e, it, ip, itp, itm, inv_dt, ipp, ipm, inv_dp, snr):  # pragma: no cover
-        S = it.shape[0]
-        twoN = e.shape[0]
-        c_tt = np.empty(S)
-        c_tp = np.empty(S)
-        c_pp = np.empty(S)
-        obj = np.empty(S)
-        singular = np.zeros(S, dtype=np.bool_)
-        for s in range(S):
-            nf2 = 0.0
-            a = 0.0 + 0.0j
-            b = 0.0 + 0.0j
-            g00 = 0.0
-            g11 = 0.0
-            g01 = 0.0 + 0.0j
-            for n in range(twoN):
-                fc = e[n, it[s], ip[s]]
-                dth = (e[n, itp[s], ip[s]] - e[n, itm[s], ip[s]]) * inv_dt[s]
-                dph = (e[n, it[s], ipp[s]] - e[n, it[s], ipm[s]]) * inv_dp[s]
-                nf2 += fc.real * fc.real + fc.imag * fc.imag
-                a += fc * dth
-                b += fc * dph
-                g00 += dth.real * dth.real + dth.imag * dth.imag
-                g11 += dph.real * dph.real + dph.imag * dph.imag
-                g01 += np.conj(dth) * dph
-            if nf2 > 0.0:
-                inv_nf2 = 1.0 / nf2
-            else:
-                inv_nf2 = 0.0
-            r00 = g00 - (a.real * a.real + a.imag * a.imag) * inv_nf2
-            r11 = g11 - (b.real * b.real + b.imag * b.imag) * inv_nf2
-            r01 = (np.conj(a) * b * inv_nf2)
-            r01v = g01.real - r01.real
-            det = r00 * r11 - r01v * r01v
-            scale = max(max(abs(r00), abs(r11)), abs(r01v))
-            if nf2 <= 0.0 or scale <= 0.0 or det <= RANK_TOL * scale * scale:
-                singular[s] = True
-                c_tt[s] = np.inf
-                c_tp[s] = np.inf
-                c_pp[s] = np.inf
-                obj[s] = np.inf
-            else:
-                denom = det * 2.0 * snr
-                c_tt[s] = r11 / denom
-                c_tp[s] = -r01v / denom
-                c_pp[s] = r00 / denom
-                tr = c_tt[s] + c_pp[s]
-                obj[s] = np.sqrt(tr) if tr > 0.0 else 0.0
-        return c_tt, c_tp, c_pp, obj, singular
-
-
-def fim_sweep(e, it, ip, itp, itm, inv_dt, ipp, ipm, inv_dp, snr):
-    """CRLB entries at a batch of grid points.
-
-    e: (2N, n_theta, n_phi) complex128 stacked [theta-pol ports; phi-pol
-    ports].  it/ip: centre indices; itp/itm/ipp/ipm: differencing neighbour
-    indices; inv_dt/inv_dp: per-point 1/denominator in 1/rad.
-    """
-    e = np.ascontiguousarray(e, dtype=np.complex128)
-    args = (
-        np.ascontiguousarray(it, dtype=np.int64),
-        np.ascontiguousarray(ip, dtype=np.int64),
-        np.ascontiguousarray(itp, dtype=np.int64),
-        np.ascontiguousarray(itm, dtype=np.int64),
-        np.ascontiguousarray(inv_dt, dtype=np.float64),
-        np.ascontiguousarray(ipp, dtype=np.int64),
-        np.ascontiguousarray(ipm, dtype=np.int64),
-        np.ascontiguousarray(inv_dp, dtype=np.float64),
-        float(snr),
-    )
-    if _USE_NUMBA:
-        return _fim_sweep_numba(e, *args)
-    return _fim_sweep_numpy(e, *args)
-
-
 # ---------------------------------------------------------------------------
 # ML projection scores
 # ---------------------------------------------------------------------------
-
-def _ml_scores_numpy(basis, rank, y):
-    proj = np.einsum("gnr,n->gr", basis.conj(), y)
-    scores = np.abs(proj[:, 0]) ** 2
-    scores += np.where(rank > 1, np.abs(proj[:, 1]) ** 2, 0.0)
-    return np.where(rank > 0, scores, -1.0)
-
-
-if _USE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _ml_scores_numba(basis, rank, y):  # pragma: no cover
-        G, N, _ = basis.shape
-        scores = np.empty(G)
-        for g in range(G):
-            if rank[g] == 0:
-                scores[g] = -1.0
-                continue
-            acc = 0.0
-            for r in range(rank[g]):
-                c = 0.0 + 0.0j
-                for n in range(N):
-                    c += np.conj(basis[g, n, r]) * y[n]
-                acc += c.real * c.real + c.imag * c.imag
-            scores[g] = acc
-        return scores
-
 
 def ml_scores(basis, rank, y):
     """Squared norm of the projection of y onto each candidate subspace.
@@ -194,9 +71,7 @@ def ml_scores(basis, rank, y):
     basis: (G, N, 2) orthonormal columns (unused columns zero), rank: (G,)
     in {0, 1, 2}.  Rank-0 candidates score -1 so they are never selected.
     """
-    basis = np.ascontiguousarray(basis, dtype=np.complex128)
-    rank = np.ascontiguousarray(rank, dtype=np.int64)
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    if _USE_NUMBA:
-        return _ml_scores_numba(basis, rank, y)
-    return _ml_scores_numpy(basis, rank, y)
+    proj = np.einsum("gnr,n->gr", basis.conj(), y)
+    scores = np.abs(proj[:, 0]) ** 2
+    scores += np.where(rank > 1, np.abs(proj[:, 1]) ** 2, 0.0)
+    return np.where(rank > 0, scores, -1.0)

@@ -4,20 +4,22 @@ A geometry is a pair (active feed-port set, binary pixel-connection
 vector).  Muted feed ports are open-circuited and drop out of the network
 in the infinite-impedance limit; switched pixel links are short (0 ohm,
 bit 0) or quasi-open (z_oc, bit 1) loads that are eliminated through a
-Schur complement.  The module produces the effective feed impedance
-matrix, loaded open-circuit patterns, coupled patterns including source
-mismatch, per-port radiation efficiencies, and the overall patterns used
-by the CRLB engine.
+Schur complement.  solve_network is the one solver: it returns the
+effective feed impedance matrix, the per-port map V with overall patterns
+E = e_oc . V, and the per-port radiation efficiencies.  The full-grid
+pipeline (open_circuit_feed_patterns, coupled_patterns,
+radiation_efficiency) is kept as its quadrature oracle.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .emdata import EMDataset, PatternSet, ETA0, pattern_gram
+from .emdata import EMDataset, PatternSet, ETA0
 from .errors import ConfigError, NonPhysicalConfigError, NumericalError
 
 CONDITION_WARN_THRESHOLD = 1e12
@@ -114,8 +116,6 @@ class ActiveNetwork:
     config: GeometryConfig
     feednet: FeedNetworkConfig
     z_feed: np.ndarray                # (N, N) effective feed impedance
-    oc_feed_patterns: PatternSet      # loaded open-circuit patterns of active ports
-    coupled_patterns: PatternSet      # including source mismatch/coupling
     efficiencies: np.ndarray          # (N,) radiation efficiencies
     patterns: PatternSet              # overall = coupled * sqrt(efficiency)
     provenance: dict = field(default_factory=dict)
@@ -371,30 +371,59 @@ def pattern_power(patterns: PatternSet, quadrature: np.ndarray) -> np.ndarray:
     return np.einsum("pnij,ij->n", (d.conj() * d).real, w)
 
 
-def overall_patterns(dataset: EMDataset, config: GeometryConfig,
-                     feednet: FeedNetworkConfig = FeedNetworkConfig(),
-                     normalize_before_scaling: bool = False) -> ActiveNetwork:
-    """Full pipeline: feed impedance, loaded patterns, coupling, efficiency scaling.
+class NetworkSolution(NamedTuple):
+    z_feed: np.ndarray                # (N, N) effective feed impedance
+    V: np.ndarray                     # (P, N) overall patterns E = e_oc . V
+    efficiencies: np.ndarray          # (N,) radiation efficiencies
 
-    The overall patterns are E = E_F diag(sqrt(lambda)).  With
-    normalize_before_scaling each coupled pattern is first rescaled to unit
-    integrated power (off by default).
+
+def solve_network(Z: np.ndarray, gram: np.ndarray, n_feed: int, n_loaded: int,
+                  config: GeometryConfig,
+                  feednet: FeedNetworkConfig = FeedNetworkConfig()) -> NetworkSolution:
+    """One loaded-port network solve of a geometry.
+
+    Folds the loaded ports in through the Schur complement, couples in the
+    sources and scales by sqrt(efficiency).  Radiated power comes from the
+    pattern Gram matrix (EMDataset.gram), which is algebraically the
+    full-grid quadrature of radiation_efficiency.
     """
-    z_feed = feed_impedance(dataset, config, feednet)
-    oc_feed = open_circuit_feed_patterns(dataset, config, feednet)
-    coupled = coupled_patterns(oc_feed, z_feed, feednet)
-    w = dataset.quadrature()
-    lam = radiation_efficiency(coupled, z_feed, feednet, w)
+    config.validate_against(n_feed, n_loaded)
+    N = config.n_active
+    W = load_correction(Z, n_feed, n_loaded, config, feednet, "solve_network")
+    perm = build_permutation(config.feed_ports, n_feed, n_loaded)
+    Z_AA = Z[np.ix_(perm.active, perm.active)]
+    if n_loaded:
+        Z_AL = Z[np.ix_(perm.active, perm.loaded)]
+        z_feed = Z_AA - Z_AL @ W
+    else:
+        z_feed = Z_AA.copy()
 
-    base = coupled.data
-    if normalize_before_scaling:
-        power = pattern_power(coupled, w)
-        scale = np.where(power > 0, 1.0 / np.sqrt(np.where(power > 0, power, 1.0)), 0.0)
-        base = base * scale[None, :, None, None]
-    overall = PatternSet(dataset.grid, base * np.sqrt(lam)[None, :, None, None])
+    I = source_currents(z_feed, feednet)
+    accepted = np.real(np.conj(np.diagonal(I)) * np.diagonal(z_feed @ I))
+    if np.any(accepted <= 0):
+        raise NonPhysicalConfigError("non-positive accepted power")
+
+    T = np.zeros((n_feed + n_loaded, N), dtype=np.complex128)
+    for j, fp in enumerate(config.feed_ports):
+        T[fp, j] = 1.0
+    if n_loaded:
+        T[n_feed:, :] = -W
+    S = T @ I
+    radiated = np.real(np.einsum("pn,pn->n", S.conj(), gram @ S))
+    lam = radiated / (2.0 * ETA0 * accepted)
+    if np.any(lam < 0) or not np.all(np.isfinite(lam)):
+        raise NonPhysicalConfigError("invalid efficiency")
+    return NetworkSolution(z_feed, S * np.sqrt(lam)[None, :], lam)
+
+
+def overall_patterns(dataset: EMDataset, config: GeometryConfig,
+                     feednet: FeedNetworkConfig = FeedNetworkConfig()) -> ActiveNetwork:
+    """solve_network plus the full-grid projection E = e_oc . V."""
+    sol = solve_network(dataset.Z, dataset.gram, dataset.n_feed, dataset.n_loaded,
+                        config, feednet)
+    pats = np.tensordot(sol.V, dataset.e_oc, axes=([0], [1]))     # (N, 2, nt, np)
     return ActiveNetwork(
-        config=config, feednet=feednet, z_feed=z_feed,
-        oc_feed_patterns=oc_feed, coupled_patterns=coupled,
-        efficiencies=lam, patterns=overall,
+        config=config, feednet=feednet, z_feed=sol.z_feed, efficiencies=sol.efficiencies,
+        patterns=PatternSet(dataset.grid, np.moveaxis(pats, 0, 1)),
         provenance={"dataset": dataset.metadata.get("provenance", "unknown")},
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .crlb import SensingArea, _step_multiple, fd_stencil
-from .emdata import ETA0, EMDataset, PortLayout, pattern_gram
+from .emdata import EMDataset, PortLayout
 from .errors import (
     ConfigError,
     CoverageError,
@@ -34,7 +33,7 @@ from .errors import (
     NumericalError,
     ScheduleError,
 )
-from .network import FeedNetworkConfig, GeometryConfig, build_permutation, load_correction
+from .network import FeedNetworkConfig, GeometryConfig, solve_network
 
 CODEBOOK_FILE_VERSION = 1
 
@@ -216,8 +215,7 @@ class ConfigEvaluator:
         self.misses = 0
         self._cache: dict = {}
         self._supports: dict = {}
-        w = dataset.quadrature()
-        self._gram = pattern_gram(dataset.e_oc, w)
+        self._gram = dataset.gram
 
     # -- area support -------------------------------------------------------
 
@@ -254,55 +252,17 @@ class ConfigEvaluator:
 
     # -- single evaluation ----------------------------------------------------
 
-    def efficiencies(self, config: GeometryConfig) -> np.ndarray:
-        """Per-port radiation efficiencies via the dataset Gram matrix.
-
-        Agrees with network.radiation_efficiency on the full-grid coupled
-        patterns up to floating-point reassociation.
-        """
-        _, lam = self._network_solution(config)
-        return lam
-
-    def _combined_port_map(self, config: GeometryConfig):
-        V, _ = self._network_solution(config)
-        return V
-
-    def _network_solution(self, config: GeometryConfig):
-        """V (P, N): overall pattern = e_oc . V, plus the efficiencies."""
+    def _solve(self, config: GeometryConfig):
         ds = self.dataset
-        M, Q = ds.n_feed, ds.n_loaded
-        config.validate_against(M, Q)
-        N = config.n_active
-        W = load_correction(ds.Z, M, Q, config, self.feednet, "evaluate_config")
-        perm = build_permutation(config.feed_ports, M, Q)
-        Z_AA = ds.Z[np.ix_(perm.active, perm.active)]
-        if Q:
-            Z_AL = ds.Z[np.ix_(perm.active, perm.loaded)]
-            z_feed = Z_AA - Z_AL @ W
-        else:
-            z_feed = Z_AA.copy()
+        return solve_network(ds.Z, self._gram, ds.n_feed, ds.n_loaded, config, self.feednet)
 
-        A = self.feednet.source_matrix(N) + z_feed
-        I = np.linalg.solve(A, np.eye(N, dtype=np.complex128))
-        accepted = np.real(np.conj(np.diagonal(I)) * np.diagonal(z_feed @ I))
-        if np.any(accepted <= 0):
-            raise NonPhysicalConfigError("non-positive accepted power")
-
-        T = np.zeros((ds.n_ports, N), dtype=np.complex128)
-        for j, fp in enumerate(config.feed_ports):
-            T[fp, j] = 1.0
-        if Q:
-            T[M:, :] = -W
-        S = T @ I
-        radiated = np.real(np.einsum("pn,pn->n", S.conj(), self._gram @ S))
-        lam = radiated / (2.0 * ETA0 * accepted)
-        if np.any(lam < 0) or not np.all(np.isfinite(lam)):
-            raise NonPhysicalConfigError("invalid efficiency")
-        return S * np.sqrt(lam)[None, :], lam
+    def efficiencies(self, config: GeometryConfig) -> np.ndarray:
+        """Per-port radiation efficiencies via the dataset Gram matrix."""
+        return self._solve(config).efficiencies
 
     def _evaluate(self, config: GeometryConfig, area: SensingArea) -> float:
         try:
-            V = self._combined_port_map(config)
+            V = self._solve(config).V
         except (NonPhysicalConfigError, NumericalError):
             return math.inf
         sup = self._support(area)
@@ -355,32 +315,14 @@ class ConfigEvaluator:
         return [self._cache[k] for k in keys]
 
 
-_EVALUATORS: "weakref.WeakKeyDictionary[EMDataset, dict]" = weakref.WeakKeyDictionary()
-
-
-def get_evaluator(dataset: EMDataset, snr_linear: float,
-                  feednet: FeedNetworkConfig = FeedNetworkConfig(),
-                  fd_step_deg: float | None = None, threads: int = 1) -> ConfigEvaluator:
-    """Shared per-dataset evaluator so repeated calls reuse the cache."""
-    per_ds = _EVALUATORS.get(dataset)
-    if per_ds is None:
-        per_ds = {}
-        _EVALUATORS[dataset] = per_ds
-    key = (float(snr_linear), complex(feednet.source_impedance_ohm),
-           float(feednet.z_open_ohm), fd_step_deg)
-    ev = per_ds.get(key)
-    if ev is None:
-        ev = ConfigEvaluator(dataset, snr_linear, feednet, fd_step_deg, threads)
-        per_ds[key] = ev
-    ev.threads = max(1, int(threads))
-    return ev
-
-
 def evaluate_config(dataset: EMDataset, config: GeometryConfig, area: SensingArea,
                     snr_linear: float, feednet: FeedNetworkConfig = FeedNetworkConfig(),
                     fd_step_deg: float | None = None) -> float:
-    """Worst-case objective sqrt(Tr C) of one geometry over one area (cached)."""
-    return get_evaluator(dataset, snr_linear, feednet, fd_step_deg).objective(config, area)
+    """Worst-case objective sqrt(Tr C) of one geometry over one area.
+
+    Builds a one-shot evaluator; hold a ConfigEvaluator to reuse its cache.
+    """
+    return ConfigEvaluator(dataset, snr_linear, feednet, fd_step_deg).objective(config, area)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +364,7 @@ def ga_optimize_connections(
     in the population the initial population enumerates every vector, which
     makes the result exhaustively optimal.
     """
-    ev = evaluator or get_evaluator(dataset, snr_linear, feednet)
+    ev = evaluator or ConfigEvaluator(dataset, snr_linear, feednet)
     Q = dataset.n_loaded
     if Q == 0:
         cfg = GeometryConfig(fixed_feed_ports, ())
@@ -495,7 +437,7 @@ def sequential_port_update(
     Ties break toward the smallest port index.  Returns the port set and the
     (objective, ports) after each pass.
     """
-    ev = evaluator or get_evaluator(dataset, snr_linear, feednet)
+    ev = evaluator or ConfigEvaluator(dataset, snr_linear, feednet)
     M = dataset.n_feed
     F = list(init_feed_ports)
     g = tuple(fixed_g)
@@ -542,7 +484,7 @@ def alternating_optimize(
     """
     if max_outer < 1:
         raise ConfigError("max_outer must be at least 1")
-    ev = evaluator or get_evaluator(dataset, snr_linear, feednet)
+    ev = evaluator or ConfigEvaluator(dataset, snr_linear, feednet)
     trace = trace if trace is not None else OptimizationTrace()
     label = area_label or area.label()
 

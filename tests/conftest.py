@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from pixelaoa import AngleGrid, DipoleModelParams, PortLayout, generate_synthetic_dataset
+from pixelaoa import (
+    AngleGrid,
+    FeedNetworkConfig,
+    PortLayout,
+    coupled_patterns,
+    feed_impedance,
+    generate_synthetic_dataset,
+    open_circuit_feed_patterns,
+    radiation_efficiency,
+)
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +38,16 @@ def random_symmetric_z(rng: np.random.Generator, n: int) -> np.ndarray:
     X = rng.normal(size=(n, n)) * 5.0
     X = 0.5 * (X + X.T)
     return R + 1j * X
+
+
+def oracle_overall_patterns(dataset, config, feednet=FeedNetworkConfig()):
+    """Full-grid quadrature composition of the network solve.
+
+    Returns (patterns, efficiencies): the coupled patterns scaled by
+    sqrt(efficiency) as a (2, N, n_theta, n_phi) tensor, and the efficiencies.
+    """
+    z_feed = feed_impedance(dataset, config, feednet)
+    coupled = coupled_patterns(open_circuit_feed_patterns(dataset, config, feednet),
+                               z_feed, feednet)
+    lam = radiation_efficiency(coupled, z_feed, feednet, dataset.quadrature())
+    return coupled.data * np.sqrt(lam)[None, :, None, None], lam

@@ -1,60 +1,85 @@
-"""Backend agreement: the numba kernels and the numpy fallbacks must match."""
+"""The batched numpy kernels against slow per-point oracles."""
 
 import numpy as np
 import pytest
 
 from pixelaoa import kernels
-from pixelaoa.crlb import fd_stencil
+from pixelaoa.crlb import (
+    _stacked,
+    fd_stencil,
+    projection_matrix,
+    steering_jacobian,
+    steering_row,
+)
+from pixelaoa.emdata import PatternSet
 from pixelaoa.grid import AngleGrid
 
 
-def _random_pattern(rng, n_ports, grid):
-    shape = (2 * n_ports, grid.n_theta, grid.n_phi)
+def _random_patterns(rng, n_ports, grid):
+    shape = (2, n_ports, grid.n_theta, grid.n_phi)
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def test_fim_sweep_backends_agree():
+def _crlb_oracle(pats, angle, snr, fd_step_deg):
+    """C = Re{J^H D J}^-1 / (2 snr) at one angle, with an explicit 2x2 inverse."""
+    f = steering_row(pats, angle)
+    J = steering_jacobian(pats, angle, fd_step_deg)
+    R = (J.conj().T @ projection_matrix(f) @ J).real
+    det = R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0]
+    return np.array([[R[1, 1], -R[0, 1]], [-R[1, 0], R[0, 0]]]) / (det * 2.0 * snr)
+
+
+@pytest.mark.parametrize("step_mult", [1, 2])
+def test_fim_sweep_matches_per_point_oracle(step_mult):
     rng = np.random.default_rng(42)
     grid = AngleGrid(step_deg=5.0)
-    e = _random_pattern(rng, 3, grid)
-    t_ids = np.arange(0, grid.n_theta, 3)
-    p_ids = np.arange(0, grid.n_phi, 5)
+    assert grid.phi_wraps
+    data = _random_patterns(rng, 3, grid)
+    zero = (7, 11)                                  # one point where every port is silent
+    data[:, :, zero[0], zero[1]] = 0.0
+    pats = PatternSet(grid, data)
+
+    # theta poles, the phi seam on both sides, the zero point and a random interior spread
+    t_ids = np.array([0, step_mult - 1, 7, grid.n_theta // 2, grid.n_theta - 1])
+    p_ids = np.array([0, 1, 11, grid.n_phi // 3, grid.n_phi - 1])
     it = np.repeat(t_ids, p_ids.size)
     ip = np.tile(p_ids, t_ids.size)
-    sten = fd_stencil(grid, it, ip, 1)
-    a = kernels._fim_sweep_numpy(e, it, ip, *sten, 1.0)
-    if kernels.backend_name() == "numba":
-        b = kernels._fim_sweep_numba(np.ascontiguousarray(e), it, ip,
-                                     *[np.ascontiguousarray(x) for x in sten[:2]],
-                                     np.ascontiguousarray(sten[2]),
-                                     *[np.ascontiguousarray(x) for x in sten[3:5]],
-                                     np.ascontiguousarray(sten[5]), 1.0)
-    else:
-        pytest.skip("numba backend not active")
-    for x, y in zip(a, b):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        finite = np.isfinite(x)
-        assert np.array_equal(finite, np.isfinite(y))
-        assert np.allclose(x[finite], y[finite], rtol=1e-12, atol=1e-14)
+    snr = 3.5
+    c_tt, c_tp, c_pp, obj, sing = kernels.fim_sweep(
+        _stacked(pats), it, ip, *fd_stencil(grid, it, ip, step_mult), snr)
+
+    fd_step = step_mult * grid.step_deg
+    for k in range(it.size):
+        angle = (float(grid.theta_deg[it[k]]), float(grid.phi_deg[ip[k]]))
+        if (it[k], ip[k]) == zero:
+            assert sing[k]
+            assert np.isinf([c_tt[k], c_tp[k], c_pp[k], obj[k]]).all()
+            with pytest.raises(ValueError):
+                projection_matrix(steering_row(pats, angle))
+            continue
+        C = _crlb_oracle(pats, angle, snr, fd_step)
+        assert not sing[k]
+        assert c_tt[k] == pytest.approx(C[0, 0], rel=1e-10)
+        assert c_tp[k] == pytest.approx(C[0, 1], rel=1e-10, abs=1e-12 * abs(C[0, 0]))
+        assert c_pp[k] == pytest.approx(C[1, 1], rel=1e-10)
+        assert obj[k] == pytest.approx(np.sqrt(C[0, 0] + C[1, 1]), rel=1e-10)
 
 
-def test_ml_scores_backends_agree():
+def test_ml_scores_matches_projection_norm():
     rng = np.random.default_rng(3)
-    G, N = 50, 6
+    G, N = 60, 6
     basis = np.zeros((G, N, 2), dtype=np.complex128)
-    rank = rng.integers(0, 3, size=G)
+    rank = np.arange(G) % 3                         # every rank 0, 1, 2 present
     for g in range(G):
-        cols = rng.normal(size=(N, 2)) + 1j * rng.normal(size=(N, 2))
-        q, _ = np.linalg.qr(cols)
-        if rank[g] >= 1:
-            basis[g, :, 0] = q[:, 0]
-        if rank[g] == 2:
-            basis[g, :, 1] = q[:, 1]
+        q, _ = np.linalg.qr(rng.normal(size=(N, 2)) + 1j * rng.normal(size=(N, 2)))
+        basis[g, :, : rank[g]] = q[:, : rank[g]]
     y = rng.normal(size=N) + 1j * rng.normal(size=N)
-    a = kernels._ml_scores_numpy(basis, rank, y)
-    if kernels.backend_name() != "numba":
-        pytest.skip("numba backend not active")
-    b = kernels._ml_scores_numba(basis, rank.astype(np.int64), y)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
-    assert np.all(a[rank == 0] == -1.0)
+
+    scores = kernels.ml_scores(basis, rank, y)
+    for g in range(G):
+        if rank[g] == 0:
+            assert scores[g] == -1.0
+            continue
+        B = basis[g, :, : rank[g]]
+        P = B @ B.conj().T
+        assert scores[g] == pytest.approx(np.linalg.norm(P @ y) ** 2, rel=1e-12)

@@ -28,7 +28,7 @@ from pixelaoa.network import (
     source_currents,
 )
 
-from conftest import random_symmetric_z
+from conftest import oracle_overall_patterns, random_symmetric_z
 
 
 def _config(feed_ports, q, bits=None) -> GeometryConfig:
@@ -328,14 +328,35 @@ def test_efficiency_bounds_random_configs(tiny_dataset):
 def test_overall_patterns_sqrt_efficiency_scaling(tiny_dataset):
     cfg = _config([0, 1], 4, (0, 1, 1, 0))
     net = overall_patterns(tiny_dataset, cfg)
-    expected = net.coupled_patterns.data * np.sqrt(net.efficiencies)[None, :, None, None]
+    z_feed = feed_impedance(tiny_dataset, cfg)
+    coupled = coupled_patterns(open_circuit_feed_patterns(tiny_dataset, cfg), z_feed)
+    expected = coupled.data * np.sqrt(net.efficiencies)[None, :, None, None]
     assert np.allclose(net.patterns.data, expected)
 
 
 def test_overall_patterns_unit_efficiency_passthrough(coarse_grid):
     ds = generate_synthetic_dataset(PortLayout(pixel_rows=1, pixel_cols=1), coarse_grid)
-    net = overall_patterns(ds, _config([0], 0))
-    assert np.allclose(net.patterns.data, net.coupled_patterns.data, rtol=1e-6)
+    cfg = _config([0], 0)
+    net = overall_patterns(ds, cfg)
+    z_feed = feed_impedance(ds, cfg)
+    coupled = coupled_patterns(open_circuit_feed_patterns(ds, cfg), z_feed)
+    assert np.allclose(net.patterns.data, coupled.data, rtol=1e-6)
+
+
+def test_overall_patterns_match_full_grid_oracle(small_dataset):
+    rng = np.random.default_rng(31)
+    M, Q = small_dataset.n_feed, small_dataset.n_loaded
+    for _ in range(10):
+        N = int(rng.integers(1, M + 1))
+        F = tuple(int(i) for i in rng.choice(M, size=N, replace=False))
+        cfg = _config(F, Q, tuple(int(b) for b in rng.integers(0, 2, size=Q)))
+        fn = FeedNetworkConfig(source_impedance_ohm=complex(rng.uniform(20, 80),
+                                                            rng.uniform(-10, 10)))
+        net = overall_patterns(small_dataset, cfg, fn)
+        oracle, lam = oracle_overall_patterns(small_dataset, cfg, fn)
+        assert net.efficiencies == pytest.approx(lam, rel=1e-10)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(net.patterns.data - oracle)) <= 1e-10 * scale
 
 
 def test_overall_paper_scale_shapes(coarse_grid):

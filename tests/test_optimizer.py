@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,9 +13,8 @@ from pixelaoa import (
     SensingArea,
     crlb_map,
     generate_synthetic_dataset,
-    overall_patterns,
 )
-from pixelaoa.emdata import EMDataset
+from pixelaoa.emdata import EMDataset, PatternSet
 from pixelaoa.errors import ConfigError, CoverageError, DatasetFormatError, ScheduleError
 from pixelaoa.optimizer import (
     Codebook,
@@ -32,6 +33,8 @@ from pixelaoa.optimizer import (
     sequential_port_update,
     stage_areas,
 )
+
+from conftest import oracle_overall_patterns
 
 AREA = SensingArea(85, 95, -5, 5)
 
@@ -60,7 +63,8 @@ def test_evaluator_matches_public_pipeline(ds2):
     cfg = GeometryConfig((0, 3), (0, 1, 1, 0))
     ev = ConfigEvaluator(ds2, 1.0)
     fast = ev.objective(cfg, AREA)
-    ref = crlb_map(overall_patterns(ds2, cfg).patterns, AREA, 1.0).worst
+    oracle, _ = oracle_overall_patterns(ds2, cfg)
+    ref = crlb_map(PatternSet(ds2.grid, oracle), AREA, 1.0).worst
     assert fast == pytest.approx(ref, rel=1e-10)
 
 
@@ -75,11 +79,20 @@ def test_evaluator_cache_hit_counter(ds2):
     assert ev.misses == misses
 
 
-def test_evaluate_config_module_cache(ds2):
+def test_evaluate_config_matches_evaluator(ds2):
     cfg = GeometryConfig((1, 2), (1, 1, 0, 0))
     a = evaluate_config(ds2, cfg, AREA, 1.0)
     b = evaluate_config(ds2, cfg, AREA, 1.0)
-    assert a == b
+    assert a == b == ConfigEvaluator(ds2, 1.0).objective(cfg, AREA)
+
+
+def test_evaluate_config_leaves_dataset_collectable(grid):
+    ds = generate_synthetic_dataset(PortLayout(pixel_rows=1, pixel_cols=2), grid)
+    evaluate_config(ds, GeometryConfig((0,), (0,)), AREA, 1.0)
+    ref = weakref.ref(ds)
+    del ds
+    gc.collect()
+    assert ref() is None
 
 
 def test_evaluator_scores_nonphysical_as_inf(ds2, grid):
