@@ -185,7 +185,7 @@ def cmd_optimize(args) -> int:
     cb = build_codebook(
         ds, schedule, ga, snr_linear=_db_to_linear(args.snr_db),
         n_active=args.n_active, max_outer=args.max_outer, feednet=feednet,
-        threads=args.threads, fd_step_deg=args.fd_step_deg)
+        fd_step_deg=args.fd_step_deg)
     save_codebook(cb, args.out)
     outputs = [args.out]
     if args.trace:
@@ -203,11 +203,6 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _upa_spec(args):
-    ny, nz = _parse_pixels(args.upa)
-    return ny, nz
-
-
 def cmd_crlb_map(args) -> int:
     started = time.time()
     _resolve_out(args, "crlb_map.csv")
@@ -216,7 +211,7 @@ def cmd_crlb_map(args) -> int:
     inputs = []
 
     if args.upa:
-        ny, nz = _upa_spec(args)
+        ny, nz = _parse_pixels(args.upa)
         grid = _window_grid(area, args.step_deg,
                             margin_steps=max(1, int(round((args.fd_step_deg or args.step_deg)
                                                           / args.step_deg))))
@@ -314,7 +309,7 @@ def cmd_compare(args) -> int:
         baseline_cb = load_codebook(args.baseline_codebook)
         inputs.append(args.baseline_codebook)
     elif args.upa:
-        upa = _upa_spec(args)
+        upa = _parse_pixels(args.upa)
     else:
         raise ConfigError("compare needs --upa or --baseline-codebook as the baseline")
 
@@ -349,7 +344,7 @@ def cmd_montecarlo(args) -> int:
     inputs = []
 
     if args.upa:
-        ny, nz = _upa_spec(args)
+        ny, nz = _parse_pixels(args.upa)
         lo_t = max(0.0, min(a[0] for a in angles) - args.search_halfwidth_deg - 2 * args.step_deg)
         hi_t = min(180.0, max(a[0] for a in angles) + args.search_halfwidth_deg + 2 * args.step_deg)
         lo_p = max(-180.0, min(a[1] for a in angles) - args.search_halfwidth_deg - 2 * args.step_deg)
@@ -400,7 +395,7 @@ def cmd_export_plots(args) -> int:
             raise ConfigError("area-bars needs --codebook and --upa")
         cb = load_codebook(args.codebook)
         inputs.append(args.codebook)
-        ny, nz = _upa_spec(args)
+        ny, nz = _parse_pixels(args.upa)
         rows = []
         for i, cw in enumerate(cb.codewords, 1):
             hrpa = _worst_for_source(ds, cb, cw.area, snr, feednet, args.fd_step_deg)
@@ -479,7 +474,8 @@ def _resolve_out(args, default_name: str) -> str:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snr-db", type=float, default=0.0, help="SNR in dB (default 0)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out-dir", default=None, help="directory for outputs")
     p.add_argument("--z0-ohm", type=complex, default=50.0 + 0.0j,
                    help="source impedance of each active RF chain")
@@ -586,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_upa_flags(p)
     p.add_argument("--snr-db", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--z0-ohm", type=complex, default=50.0 + 0.0j)
     p.add_argument("--fd-step-deg", type=float, default=None)
     p.add_argument("--out-dir", required=True)

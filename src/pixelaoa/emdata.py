@@ -192,9 +192,6 @@ class PatternSet:
         pi = self.grid.phi_index(phi_deg)
         return np.array(self.data[:, :, ti, pi])
 
-    def select_ports(self, idx) -> "PatternSet":
-        return PatternSet(self.grid, np.array(self.data[:, list(idx), :, :]))
-
     def scaled(self, alpha: complex) -> "PatternSet":
         return PatternSet(self.grid, self.data * alpha)
 
@@ -233,9 +230,6 @@ class EMDataset:
     @property
     def n_ports(self) -> int:
         return self.layout.n_ports
-
-    def oc_patterns(self) -> PatternSet:
-        return PatternSet(self.grid, np.array(self.e_oc))
 
     def quadrature(self) -> np.ndarray:
         return self.grid.weights(bool(self.metadata.get("include_sin_theta", True)))

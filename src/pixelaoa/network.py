@@ -171,38 +171,36 @@ def load_matrix(connections, z_open_ohm: float) -> np.ndarray:
 # loaded-port elimination
 # ---------------------------------------------------------------------------
 
-def _loaded_solve(Z: np.ndarray, n_feed: int, n_loaded: int, config: GeometryConfig,
-                  feednet: FeedNetworkConfig, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Solve (Z_LL + Z_L) x = rhs by factorisation, with conditioning checks."""
-    if n_loaded == 0:
-        return np.zeros((0,) + rhs.shape[1:], dtype=np.complex128)
-    perm = build_permutation(config.feed_ports, n_feed, n_loaded)
-    S = Z[np.ix_(perm.loaded, perm.loaded)] + load_matrix(config.connections, feednet.z_open_ohm)
-    try:
-        cond = np.linalg.cond(S)
-        if not np.isfinite(cond) or cond > CONDITION_WARN_THRESHOLD:
-            warnings.warn(
-                f"{context}: loaded-port system condition number {cond:.3g} exceeds "
-                f"{CONDITION_WARN_THRESHOLD:.0e} for config {config.feed_ports}/"
-                f"{config.connection_bitstring()}",
-                RuntimeWarning, stacklevel=3,
-            )
-        return np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"{context}: singular loaded-port system for config feed_ports={config.feed_ports}, "
-            f"connections={config.connection_bitstring()}"
-        ) from exc
-
-
-def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, config: GeometryConfig,
+def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs,
                     feednet: FeedNetworkConfig,
                     context: str = "load_correction") -> np.ndarray:
-    """W = (Z_LL + Z_L)^-1 Z_LA, the (Q, N) loaded-port current coupling."""
-    config.validate_against(n_feed, n_loaded)
-    perm = build_permutation(config.feed_ports, n_feed, n_loaded)
-    Z_LA = Z[np.ix_(perm.loaded, perm.active)]
-    return _loaded_solve(Z, n_feed, n_loaded, config, feednet, Z_LA, context)
+    """W = (Z_LL + Z_L)^-1 Z_LA per config, stacked as (B, Q, N) by one
+    stacked solve; the configs share one active-port count N."""
+    for config in configs:
+        config.validate_against(n_feed, n_loaded)
+    if len({config.n_active for config in configs}) != 1:
+        raise ConfigError(f"{context}: a batch needs one active-port count")
+    fp = np.array([config.feed_ports for config in configs], dtype=np.int64)   # (B, N)
+    if n_loaded == 0:
+        return np.zeros((fp.shape[0], 0, fp.shape[1]), dtype=np.complex128)
+    g = np.array([config.connections for config in configs], dtype=np.float64)
+    S = Z[n_feed:, n_feed:] + feednet.z_open_ohm * g[:, None, :] * np.eye(n_loaded)
+    Z_LA = np.moveaxis(Z[n_feed:][:, fp], 1, 0)                               # (B, Q, N)
+    try:
+        cond = np.linalg.cond(S)
+        for b in np.flatnonzero(~(cond <= CONDITION_WARN_THRESHOLD)):     # inf, nan too
+            warnings.warn(
+                f"{context}: loaded-port system condition number {cond[b]:.3g} exceeds "
+                f"{CONDITION_WARN_THRESHOLD:.0e} for config {configs[b].feed_ports}/"
+                f"{configs[b].connection_bitstring()}",
+                RuntimeWarning, stacklevel=2,
+            )
+        return np.linalg.solve(S, Z_LA)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"{context}: singular loaded-port system in a batch of {len(configs)} from config "
+            f"{configs[0].feed_ports}/{configs[0].connection_bitstring()}"
+        ) from exc
 
 
 def feed_impedance_matrix(Z: np.ndarray, n_feed: int, n_loaded: int, config: GeometryConfig,
@@ -214,7 +212,7 @@ def feed_impedance_matrix(Z: np.ndarray, n_feed: int, n_loaded: int, config: Geo
     if n_loaded == 0:
         return Z_AA.copy()
     Z_AL = Z[np.ix_(perm.active, perm.loaded)]
-    W = load_correction(Z, n_feed, n_loaded, config, feednet, "feed_impedance")
+    W = load_correction(Z, n_feed, n_loaded, [config], feednet, "feed_impedance")[0]
     return Z_AA - Z_AL @ W
 
 
@@ -277,7 +275,7 @@ def approx_loaded_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
                                   feednet: FeedNetworkConfig = FeedNetworkConfig()) -> np.ndarray:
     """i_L = -(Z_LL + Z_L)^-1 Z_LA i_A, the infinite-muted-impedance limit."""
     i_A = np.asarray(i_active, dtype=np.complex128).reshape(-1)
-    W = load_correction(Z, n_feed, n_loaded, config, feednet, "approx_loaded_currents")
+    W = load_correction(Z, n_feed, n_loaded, [config], feednet, "approx_loaded_currents")[0]
     return -(W @ i_A)
 
 
@@ -302,8 +300,8 @@ def open_circuit_feed_patterns(dataset: EMDataset, config: GeometryConfig,
     e_active = dataset.e_oc[:, list(config.feed_ports), :, :]
     if dataset.n_loaded == 0:
         return PatternSet(dataset.grid, np.array(e_active))
-    W = load_correction(dataset.Z, dataset.n_feed, dataset.n_loaded, config, feednet,
-                        "open_circuit_feed_patterns")
+    W = load_correction(dataset.Z, dataset.n_feed, dataset.n_loaded, [config], feednet,
+                        "open_circuit_feed_patterns")[0]
     e_loaded = dataset.e_oc[:, dataset.n_feed:, :, :]
     corr = np.tensordot(W.T, e_loaded, axes=([1], [1]))      # (N, 2, nt, np)
     corr = np.moveaxis(corr, 0, 1)
@@ -327,11 +325,13 @@ def coupled_patterns(oc_feed: PatternSet, z_feed: np.ndarray,
 
 
 def source_currents(z_feed: np.ndarray, feednet: FeedNetworkConfig) -> np.ndarray:
-    """Port currents for canonical unit excitations: columns of (Z_0 + Z_F)^-1."""
-    N = z_feed.shape[0]
-    A = feednet.source_matrix(N) + np.asarray(z_feed, dtype=np.complex128)
+    """Port currents for canonical unit excitations: columns of (Z_0 + Z_F)^-1,
+    for z_feed of shape (..., N, N)."""
+    z_feed = np.asarray(z_feed, dtype=np.complex128)
+    A = feednet.source_matrix(z_feed.shape[-1]) + z_feed
     try:
-        return np.linalg.solve(A, np.eye(N, dtype=np.complex128))
+        return np.linalg.solve(A, np.broadcast_to(np.eye(A.shape[-1], dtype=np.complex128),
+                                                  A.shape))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("source_currents: singular source+feed impedance matrix") from exc
 
@@ -372,58 +372,53 @@ def pattern_power(patterns: PatternSet, quadrature: np.ndarray) -> np.ndarray:
 
 
 class NetworkSolution(NamedTuple):
-    z_feed: np.ndarray                # (N, N) effective feed impedance
-    V: np.ndarray                     # (P, N) overall patterns E = e_oc . V
-    efficiencies: np.ndarray          # (N,) radiation efficiencies
+    z_feed: np.ndarray                # (B, N, N) effective feed impedance
+    V: np.ndarray                     # (B, P, N) overall patterns E = e_oc . V
+    efficiencies: np.ndarray          # (B, N) radiation efficiencies
 
 
 def solve_network(Z: np.ndarray, gram: np.ndarray, n_feed: int, n_loaded: int,
-                  config: GeometryConfig,
-                  feednet: FeedNetworkConfig = FeedNetworkConfig()) -> NetworkSolution:
-    """One loaded-port network solve of a geometry.
+                  configs, feednet: FeedNetworkConfig = FeedNetworkConfig()) -> NetworkSolution:
+    """Loaded-port network solves of a batch of geometries, stacked along B.
 
     Folds the loaded ports in through the Schur complement, couples in the
     sources and scales by sqrt(efficiency).  Radiated power comes from the
     pattern Gram matrix (EMDataset.gram), which is algebraically the
-    full-grid quadrature of radiation_efficiency.
+    full-grid quadrature of radiation_efficiency.  The configs share one
+    active-port count; one non-physical config fails the whole batch.
     """
-    config.validate_against(n_feed, n_loaded)
-    N = config.n_active
-    W = load_correction(Z, n_feed, n_loaded, config, feednet, "solve_network")
-    perm = build_permutation(config.feed_ports, n_feed, n_loaded)
-    Z_AA = Z[np.ix_(perm.active, perm.active)]
-    if n_loaded:
-        Z_AL = Z[np.ix_(perm.active, perm.loaded)]
-        z_feed = Z_AA - Z_AL @ W
-    else:
-        z_feed = Z_AA.copy()
+    W = load_correction(Z, n_feed, n_loaded, configs, feednet, "solve_network")   # (B, Q, N)
+    B, _, N = W.shape
+    fp = np.array([config.feed_ports for config in configs], dtype=np.int64)      # (B, N)
+    Z_AA = Z[fp[:, :, None], fp[:, None, :]]
+    Z_AL = Z[fp[:, :, None], np.arange(n_feed, n_feed + n_loaded)]
+    z_feed = Z_AA - Z_AL @ W
 
     I = source_currents(z_feed, feednet)
-    accepted = np.real(np.conj(np.diagonal(I)) * np.diagonal(z_feed @ I))
+    accepted = np.real(np.conj(np.diagonal(I, axis1=1, axis2=2))
+                       * np.diagonal(z_feed @ I, axis1=1, axis2=2))
     if np.any(accepted <= 0):
         raise NonPhysicalConfigError("non-positive accepted power")
 
-    T = np.zeros((n_feed + n_loaded, N), dtype=np.complex128)
-    for j, fp in enumerate(config.feed_ports):
-        T[fp, j] = 1.0
-    if n_loaded:
-        T[n_feed:, :] = -W
+    T = np.zeros((B, n_feed + n_loaded, N), dtype=np.complex128)
+    T[np.arange(B)[:, None], fp, np.arange(N)] = 1.0
+    T[:, n_feed:, :] = -W
     S = T @ I
-    radiated = np.real(np.einsum("pn,pn->n", S.conj(), gram @ S))
+    radiated = np.real(np.einsum("bpn,bpn->bn", S.conj(), gram @ S))
     lam = radiated / (2.0 * ETA0 * accepted)
     if np.any(lam < 0) or not np.all(np.isfinite(lam)):
         raise NonPhysicalConfigError("invalid efficiency")
-    return NetworkSolution(z_feed, S * np.sqrt(lam)[None, :], lam)
+    return NetworkSolution(z_feed, S * np.sqrt(lam)[:, None, :], lam)
 
 
 def overall_patterns(dataset: EMDataset, config: GeometryConfig,
                      feednet: FeedNetworkConfig = FeedNetworkConfig()) -> ActiveNetwork:
     """solve_network plus the full-grid projection E = e_oc . V."""
     sol = solve_network(dataset.Z, dataset.gram, dataset.n_feed, dataset.n_loaded,
-                        config, feednet)
-    pats = np.tensordot(sol.V, dataset.e_oc, axes=([0], [1]))     # (N, 2, nt, np)
+                        [config], feednet)
+    pats = np.tensordot(sol.V[0], dataset.e_oc, axes=([0], [1]))  # (N, 2, nt, np)
     return ActiveNetwork(
-        config=config, feednet=feednet, z_feed=sol.z_feed, efficiencies=sol.efficiencies,
+        config=config, feednet=feednet, z_feed=sol.z_feed[0], efficiencies=sol.efficiencies[0],
         patterns=PatternSet(dataset.grid, np.moveaxis(pats, 0, 1)),
         provenance={"dataset": dataset.metadata.get("provenance", "unknown")},
     )

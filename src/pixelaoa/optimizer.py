@@ -8,15 +8,14 @@ area's optimization warm-starts from the codeword of the parent area that
 contains it, so child objectives never exceed the parent's on their area.
 
 All randomness is drawn from streams keyed by (seed, generation,
-individual), and fitness evaluation is pure, so results are independent of
-the worker-thread count.
+individual), and fitness evaluation is pure, so results do not depend on
+how a batch of candidates is split up for scoring.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,6 +41,10 @@ _STREAM_SELECT = 0
 _STREAM_CROSSOVER = 1
 _STREAM_MUTATE = 2
 
+# Most pattern values (2N x Tn x Pn per config) one stacked evaluation pass
+# holds; larger batches are scored in chunks.
+_CHUNK_VALUES = 1 << 21
+
 
 # ---------------------------------------------------------------------------
 # parameter types
@@ -59,7 +62,6 @@ class GAParams:
     tournament_size: int = 3
     elite_count: int = 2
     seed: int = 0
-    enumerate_small_spaces: bool = True     # exhaustive init population when 2^Q fits
 
     def __post_init__(self):
         if self.population < 2:
@@ -197,20 +199,20 @@ class ConfigEvaluator:
     Patterns are computed only on the area's grid points plus the
     finite-difference margin; radiated power comes from the dataset-level
     pattern Gram matrix, which is algebraically the full-sphere quadrature.
-    Results are cached by (config, area); evaluation is pure, so many
-    configurations can be scored concurrently.
+    Results are cached by (config, area).  Uncached configs are scored in
+    stacked passes: one network solve, one projection and one FIM sweep
+    per active-port count and chunk.
     """
 
     def __init__(self, dataset: EMDataset, snr_linear: float,
                  feednet: FeedNetworkConfig = FeedNetworkConfig(),
-                 fd_step_deg: float | None = None, threads: int = 1):
+                 fd_step_deg: float | None = None):
         if not (snr_linear > 0):
             raise ConfigError("snr must be positive")
         self.dataset = dataset
         self.snr = float(snr_linear)
         self.feednet = feednet
         self.fd_step_deg = fd_step_deg
-        self.threads = max(1, int(threads))
         self.hits = 0
         self.misses = 0
         self._cache: dict = {}
@@ -242,57 +244,63 @@ class ConfigEvaluator:
         p_map = np.full(grid.n_phi, -1, dtype=np.int64)
         p_map[p_sel] = np.arange(p_sel.size)
 
-        slab = np.ascontiguousarray(self.dataset.e_oc[:, :, t_sel][:, :, :, p_sel])
+        slab = self.dataset.e_oc[:, :, t_sel][:, :, :, p_sel]     # (2, P, Tn, Pn)
         return {
-            "slab": slab,                      # (2, P, Tn, Pn)
+            "slab": np.moveaxis(slab, 1, 0).reshape(slab.shape[1], -1),   # (P, 2*Tn*Pn)
+            "shape": (t_sel.size, p_sel.size),
             "it": t_map[it], "ip": p_map[ip],
             "itp": t_map[itp], "itm": t_map[itm], "inv_dt": inv_dt,
             "ipp": p_map[ipp], "ipm": p_map[ipm], "inv_dp": inv_dp,
         }
 
-    # -- single evaluation ----------------------------------------------------
+    # -- stacked evaluation -------------------------------------------------
 
-    def _solve(self, config: GeometryConfig):
+    def _score(self, configs, sup) -> list[float]:
+        """Objectives of configs that share one active-port count.  Their
+        patterns sit side by side along phi, so one FIM sweep covers them
+        all: config b's phi stencil indices shift by b * Pn."""
         ds = self.dataset
-        return solve_network(ds.Z, self._gram, ds.n_feed, ds.n_loaded, config, self.feednet)
+        V = solve_network(ds.Z, self._gram, ds.n_feed, ds.n_loaded, configs,
+                          self.feednet).V                   # (B, P, N)
+        B, _, N = V.shape
+        Tn, Pn = sup["shape"]
+        pats = np.swapaxes(V, 1, 2) @ sup["slab"]           # (B, N, 2*Tn*Pn)
+        e = pats.reshape(B, N, 2, Tn, Pn).transpose(2, 1, 3, 0, 4).reshape(2 * N, Tn, B * Pn)
+        shift = Pn * np.arange(B)[:, None]
+        _, _, _, obj, _ = kernels.fim_sweep(
+            e, np.tile(sup["it"], B), (sup["ip"] + shift).ravel(),
+            np.tile(sup["itp"], B), np.tile(sup["itm"], B), np.tile(sup["inv_dt"], B),
+            (sup["ipp"] + shift).ravel(), (sup["ipm"] + shift).ravel(),
+            np.tile(sup["inv_dp"], B), self.snr)
+        obj = obj.reshape(B, -1)
+        return obj[np.arange(B), np.argmax(obj, axis=1)].tolist()
+
+    def _score_chunk(self, configs, sup) -> list[float]:
+        """_score, falling back to one config at a time when the batch solve
+        fails, so only the offending configs score +inf."""
+        try:
+            return self._score(configs, sup)
+        except (NonPhysicalConfigError, NumericalError):
+            if len(configs) == 1:
+                return [math.inf]
+            return [v for c in configs for v in self._score_chunk([c], sup)]
 
     def efficiencies(self, config: GeometryConfig) -> np.ndarray:
         """Per-port radiation efficiencies via the dataset Gram matrix."""
-        return self._solve(config).efficiencies
-
-    def _evaluate(self, config: GeometryConfig, area: SensingArea) -> float:
-        try:
-            V = self._solve(config).V
-        except (NonPhysicalConfigError, NumericalError):
-            return math.inf
-        sup = self._support(area)
-        slab = sup["slab"]                                 # (2, P, Tn, Pn)
-        pats = np.tensordot(V, slab, axes=([0], [1]))      # (N, 2, Tn, Pn)
-        e = np.ascontiguousarray(
-            np.moveaxis(pats, 0, 1).reshape(2 * V.shape[1], slab.shape[2], slab.shape[3]))
-        _, _, _, obj, _ = kernels.fim_sweep(
-            e, sup["it"], sup["ip"], sup["itp"], sup["itm"], sup["inv_dt"],
-            sup["ipp"], sup["ipm"], sup["inv_dp"], self.snr)
-        return float(obj[np.argmax(obj)])
+        ds = self.dataset
+        return solve_network(ds.Z, self._gram, ds.n_feed, ds.n_loaded, [config],
+                             self.feednet).efficiencies[0]
 
     # -- public api -----------------------------------------------------------
 
     def objective(self, config: GeometryConfig, area: SensingArea) -> float:
-        key = (config.feed_ports, config.connections, area.bounds())
-        val = self._cache.get(key)
-        if val is not None:
-            self.hits += 1
-            return val
-        self.misses += 1
-        val = self._evaluate(config, area)
-        self._cache[key] = val
-        return val
+        return self.objective_many([config], area)[0]
 
     def objective_many(self, configs, area: SensingArea) -> list[float]:
         """Score a batch; duplicates and cache hits are computed once.
 
-        The result order matches the input order and is independent of the
-        thread count.
+        The result order matches the input order; the chunking does not
+        change any value.
         """
         keys = [(c.feed_ports, c.connections, area.bounds()) for c in configs]
         missing: dict = {}
@@ -300,18 +308,16 @@ class ConfigEvaluator:
             if key not in self._cache and key not in missing:
                 missing[key] = cfg
         if missing:
-            todo = list(missing.values())
-            if self.threads > 1 and len(todo) > 1:
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    vals = list(pool.map(lambda c: self._evaluate(c, area), todo))
-            else:
-                vals = [self._evaluate(c, area) for c in todo]
-            for key, v in zip(missing.keys(), vals):
-                self._cache[key] = v
-            self.misses += len(todo)
-            self.hits += len(keys) - len(todo)
-        else:
-            self.hits += len(keys)
+            sup = self._support(area)
+            for n in sorted({c.n_active for c in missing.values()}):
+                todo = [(k, c) for k, c in missing.items() if c.n_active == n]
+                step = max(1, _CHUNK_VALUES // (n * sup["slab"].shape[1]))
+                for i in range(0, len(todo), step):
+                    chunk = todo[i:i + step]
+                    vals = self._score_chunk([c for _, c in chunk], sup)
+                    self._cache.update(zip((k for k, _ in chunk), vals))
+        self.misses += len(missing)
+        self.hits += len(keys) - len(missing)
         return [self._cache[k] for k in keys]
 
 
@@ -335,7 +341,7 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 def _initial_population(params: GAParams, Q: int, init_g: tuple[int, ...]) -> list[tuple[int, ...]]:
     pop: list[tuple[int, ...]] = [tuple(init_g)]
-    if params.enumerate_small_spaces and Q <= 20 and (1 << Q) <= params.population:
+    if Q <= 20 and (1 << Q) <= params.population:
         for code in range(1 << Q):
             pop.append(tuple((code >> (Q - 1 - b)) & 1 for b in range(Q)))
     seen: set = set()
@@ -591,7 +597,6 @@ def build_codebook(
     n_active: int | None = None,
     max_outer: int = 20,
     feednet: FeedNetworkConfig = FeedNetworkConfig(),
-    threads: int = 1,
     fd_step_deg: float | None = None,
 ) -> Codebook:
     """Optimize one codeword per area, subdividing stage by stage.
@@ -611,7 +616,7 @@ def build_codebook(
         for area in stage:
             area.indices(dataset.grid)          # alignment check up front
 
-    ev = ConfigEvaluator(dataset, snr_linear, feednet, fd_step_deg, threads)
+    ev = ConfigEvaluator(dataset, snr_linear, feednet, fd_step_deg)
     traces: dict[str, OptimizationTrace] = {}
     stages: list[tuple[Codeword, ...]] = []
 

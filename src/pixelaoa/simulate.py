@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,16 +111,17 @@ class _CandidateGrid:
                       skipped, G)
 
 
-_GRID_CACHE: dict = {}
+# {area bounds: _CandidateGrid} per pattern set; an entry lives as long as
+# its pattern set does.
+_GRID_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _candidate_grid(patterns: PatternSet, area: SensingArea) -> _CandidateGrid:
-    key = (id(patterns), area.bounds())
-    got = _GRID_CACHE.get(key)
-    if got is None or got[0] is not patterns:
-        got = (patterns, _CandidateGrid(patterns, area))
-        _GRID_CACHE[key] = got
-    return got[1]
+    grids = _GRID_CACHE.setdefault(patterns, {})
+    got = grids.get(area.bounds())
+    if got is None:
+        got = grids[area.bounds()] = _CandidateGrid(patterns, area)
+    return got
 
 
 def _quadratic_offset(sm: float, s0: float, sp: float) -> float:

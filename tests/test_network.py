@@ -25,6 +25,7 @@ from pixelaoa.network import (
     exact_port_currents_matrix,
     feed_impedance_matrix,
     pattern_power,
+    solve_network,
     source_currents,
 )
 
@@ -368,3 +369,35 @@ def test_overall_paper_scale_shapes(coarse_grid):
     sym = np.max(np.abs(net.z_feed - net.z_feed.T))
     assert sym <= 1e-10 * np.max(np.abs(net.z_feed))
     assert np.all(net.efficiencies <= 1 + 1e-6)
+
+
+def test_solve_network_batch_equals_single_solves(small_dataset):
+    # the stacked solve must give each config exactly its one-config result
+    ds = small_dataset
+    rng = np.random.default_rng(5)
+    M, Q = ds.n_feed, ds.n_loaded
+    cfgs = [_config(tuple(int(i) for i in rng.choice(M, size=3, replace=False)), Q,
+                    tuple(int(b) for b in rng.integers(0, 2, size=Q))) for _ in range(7)]
+    batch = solve_network(ds.Z, ds.gram, M, Q, cfgs)
+    assert batch.V.shape == (7, ds.n_ports, 3)
+    for b, cfg in enumerate(cfgs):
+        one = solve_network(ds.Z, ds.gram, M, Q, [cfg])
+        for got, want in zip(batch, one):
+            assert np.array_equal(got[b], want[0])
+        assert np.array_equal(batch.z_feed[b], feed_impedance(ds, cfg))
+
+
+def test_solve_network_batch_needs_one_port_count(tiny_dataset):
+    cfgs = [_config((0,), 4), _config((0, 1), 4)]
+    with pytest.raises(ConfigError):
+        solve_network(tiny_dataset.Z, tiny_dataset.gram, 4, 4, cfgs)
+
+
+def test_source_currents_stacked_matches_single():
+    rng = np.random.default_rng(8)
+    z = np.stack([random_symmetric_z(rng, 3) for _ in range(4)])
+    fn = FeedNetworkConfig()
+    stacked = source_currents(z, fn)
+    for b in range(4):
+        assert np.array_equal(stacked[b], source_currents(z[b], fn))
+        assert np.allclose((fn.source_matrix(3) + z[b]) @ stacked[b], np.eye(3))

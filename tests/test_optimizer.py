@@ -15,7 +15,15 @@ from pixelaoa import (
     generate_synthetic_dataset,
 )
 from pixelaoa.emdata import EMDataset, PatternSet
-from pixelaoa.errors import ConfigError, CoverageError, DatasetFormatError, ScheduleError
+from pixelaoa import optimizer
+from pixelaoa.errors import (
+    ConfigError,
+    CoverageError,
+    DatasetFormatError,
+    NonPhysicalConfigError,
+    ScheduleError,
+)
+from pixelaoa.network import solve_network
 from pixelaoa.optimizer import (
     Codebook,
     ConfigEvaluator,
@@ -95,17 +103,50 @@ def test_evaluate_config_leaves_dataset_collectable(grid):
     assert ref() is None
 
 
-def test_evaluator_scores_nonphysical_as_inf(ds2, grid):
+def _sick_dataset(ds2, grid):
     Z = np.array(ds2.Z)
     Z[0, 0] = -60.0 + Z[0, 0].imag * 1j          # active negative resistance
-    sick = EMDataset(layout=ds2.layout, grid=grid, Z=Z, e_oc=np.array(ds2.e_oc),
+    return EMDataset(layout=ds2.layout, grid=grid, Z=Z, e_oc=np.array(ds2.e_oc),
                      metadata=dict(ds2.metadata))
-    ev = ConfigEvaluator(sick, 1.0)
+
+
+def test_evaluator_scores_nonphysical_as_inf(ds2, grid):
+    ev = ConfigEvaluator(_sick_dataset(ds2, grid), 1.0)
     assert math.isinf(ev.objective(GeometryConfig((0,), (0, 0, 0, 0)), AREA))
 
 
+@pytest.mark.parametrize("chunk_values", [None, 1])
+def test_evaluator_batch_isolates_rejected_configs(ds2, grid, monkeypatch, chunk_values):
+    # one call mixes healthy and rejected configs with 1 and 2 active ports;
+    # a rejected config must not spoil the others in its stacked solve.
+    # Z[0, 0] enters only configs that drive port 0, so the healthy ones
+    # score exactly as on the unmodified dataset.
+    if chunk_values is not None:
+        monkeypatch.setattr(optimizer, "_CHUNK_VALUES", chunk_values)
+    sick = _sick_dataset(ds2, grid)
+    cfgs = [GeometryConfig(fp, g)
+            for fp in [(0,), (1,), (2,), (0, 1), (1, 3), (3, 0)]
+            for g in [(0, 0, 0, 0), (0, 1, 0, 1)]]
+    rejected = []
+    for c in cfgs:
+        try:
+            solve_network(sick.Z, sick.gram, sick.n_feed, sick.n_loaded, [c])
+            rejected.append(False)
+        except NonPhysicalConfigError:
+            rejected.append(True)
+    assert any(rejected) and not all(rejected)
+    assert {c.n_active for c, r in zip(cfgs, rejected) if r} == {1, 2}
+    got = ConfigEvaluator(sick, 1.0).objective_many(cfgs, AREA)
+    singles = [ConfigEvaluator(sick, 1.0).objective(c, AREA) for c in cfgs]
+    assert got == singles
+    healthy = ConfigEvaluator(ds2, 1.0)
+    for c, val, r in zip(cfgs, got, rejected):
+        assert val == (math.inf if r else healthy.objective(c, AREA))
+    assert all(math.isfinite(v) for v, r in zip(got, rejected) if not r)
+
+
 def test_evaluator_batch_matches_single(ds2):
-    ev = ConfigEvaluator(ds2, 1.0, threads=4)
+    ev = ConfigEvaluator(ds2, 1.0)
     cfgs = [GeometryConfig((0, 1), tuple(int(b) for b in f"{i:04b}")) for i in range(8)]
     batch = ev.objective_many(cfgs, AREA)
     singles = [ConfigEvaluator(ds2, 1.0).objective(c, AREA) for c in cfgs]
@@ -134,7 +175,7 @@ def test_ga_degenerate_returns_best_of_initial_population(ds2):
     ev = ConfigEvaluator(ds2, 1.0)
     F = (0, 3)
     params = GAParams(population=8, generations=4, crossover_prob=0.0,
-                      mutation_prob=0.0, seed=9, enumerate_small_spaces=False)
+                      mutation_prob=0.0, seed=9)
     best_g, _ = ga_optimize_connections(ds2, F, AREA, params, (1, 1, 1, 1), evaluator=ev)
     from pixelaoa.optimizer import _initial_population
     init = _initial_population(params, 4, (1, 1, 1, 1))
@@ -143,14 +184,14 @@ def test_ga_degenerate_returns_best_of_initial_population(ds2):
 
 
 def test_ga_best_so_far_monotone(ds2):
-    params = GAParams(population=10, generations=8, seed=2, enumerate_small_spaces=False)
+    params = GAParams(population=10, generations=8, seed=2)
     _, hist = ga_optimize_connections(ds2, (0, 1), AREA, params, (0, 0, 0, 0))
     objs = [h[0] for h in hist]
     assert all(b <= a + 1e-15 for a, b in zip(objs, objs[1:]))
 
 
 def test_ga_seed_reproducible(ds2):
-    params = GAParams(population=10, generations=5, seed=123, enumerate_small_spaces=False)
+    params = GAParams(population=10, generations=5, seed=123)
     a = ga_optimize_connections(ds2, (0, 1), AREA, params, (0, 0, 0, 0))
     b = ga_optimize_connections(ds2, (0, 1), AREA, params, (0, 0, 0, 0))
     assert a[0] == b[0]

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -108,6 +110,16 @@ def test_rank_deficient_candidates_skipped():
     zero = PatternSet(grid, np.zeros((2, 2, 3, 3), dtype=complex))
     with pytest.raises(EstimationError):
         ml_estimate(np.array([1.0, 1.0], dtype=complex), zero, area)
+
+
+def test_candidate_cache_leaves_patterns_collectable():
+    pats = upa_patterns(2, 2, 0.5, WINDOW)
+    y = simulate_snapshot(pats, (90.0, 0.0), (1.0, 0.0), math.inf, 0).y
+    assert ml_estimate(y, pats, SEARCH) == (90.0, 0.0)
+    ref = weakref.ref(pats)
+    del pats
+    gc.collect()
+    assert ref() is None
 
 
 def test_refinement_moves_somewhere_sensible(upa):
