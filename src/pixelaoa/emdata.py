@@ -35,8 +35,6 @@ from .grid import AngleGrid
 C0 = 299_792_458.0          # speed of light, m/s
 ETA0 = 120.0 * math.pi      # intrinsic impedance of free space, ohm
 
-DATASET_FILE_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # layout
@@ -433,56 +431,35 @@ def validate_dataset(ds: EMDataset, tol: ValidationTolerances = ValidationTolera
 
 
 # ---------------------------------------------------------------------------
-# file I/O (versioned structured-text format)
+# file I/O
 # ---------------------------------------------------------------------------
+#
+# Format v2, the one written: the line b"PIXELAOA-DATASET 2\n", one line of
+# JSON {"grid", "layout", "metadata"} with sorted keys, then Z and E_oc as
+# two .npy arrays (complex128, no pickles) back to back.  Format v1, read
+# only: one JSON document with the same fields plus "version": 1, and the
+# arrays as flat lists of [re, im] pairs.  The reader tells them apart by
+# the leading bytes, not by the file name.
 
-def _pairs(a: np.ndarray) -> list:
-    flat = np.asarray(a, dtype=np.complex128).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
+_MAGIC_PREFIX = b"PIXELAOA-DATASET "
+_MAGIC = _MAGIC_PREFIX + b"2\n"
+_V1_VERSION = 1
 
 
 def save_dataset(ds: EMDataset, path) -> None:
-    """Write the versioned dataset file (JSON; floats at round-trip precision)."""
-    doc = {
-        "version": DATASET_FILE_VERSION,
-        "layout": ds.layout.to_dict(),
-        "grid": {
-            "theta_start_deg": ds.grid.theta_start_deg,
-            "theta_stop_deg": ds.grid.theta_stop_deg,
-            "phi_start_deg": ds.grid.phi_start_deg,
-            "phi_stop_deg": ds.grid.phi_stop_deg,
-            "step_deg": ds.grid.step_deg,
-        },
-        "metadata": ds.metadata,
-        "Z": _pairs(ds.Z),
-        "E_oc": _pairs(ds.e_oc),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    """Write a format-v2 dataset file; equal datasets give byte-identical files."""
+    header = {"layout": ds.layout.to_dict(), "grid": asdict(ds.grid), "metadata": ds.metadata}
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        np.save(fh, ds.Z, allow_pickle=False)
+        np.save(fh, ds.e_oc, allow_pickle=False)
 
 
-def _unpack_pairs(pairs, count: int, what: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != count:
-        raise DimensionMismatchError(
-            f"{what}: expected {count} [re, im] pairs, got payload of shape {arr.shape}"
-        )
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def load_dataset(path, strict: bool = True,
-                 tol: ValidationTolerances = ValidationTolerances()) -> EMDataset:
-    """Load a dataset file; with strict validation, invariant violations raise."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DatasetFormatError(f"{path}: not a valid dataset file ({exc})") from exc
-
+def _parse_header(doc, path) -> tuple[PortLayout, AngleGrid, dict]:
+    """Layout, grid and metadata from the header fields both formats share."""
     if not isinstance(doc, dict):
-        raise DatasetFormatError(f"{path}: top-level document must be an object")
-    if doc.get("version") != DATASET_FILE_VERSION:
-        raise DatasetFormatError(f"{path}: unsupported version {doc.get('version')!r}")
+        raise DatasetFormatError(f"{path}: header must be a JSON object")
     try:
         layout = PortLayout.from_dict(doc["layout"])
         g = doc["grid"]
@@ -493,20 +470,93 @@ def load_dataset(path, strict: bool = True,
             phi_stop_deg=float(g["phi_stop_deg"]),
             step_deg=float(g["step_deg"]),
         )
-        z_pairs = doc["Z"]
-        e_pairs = doc["E_oc"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, LayoutError, GridError) as exc:
         raise DatasetFormatError(f"{path}: missing or malformed field ({exc})") from exc
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DatasetFormatError(f"{path}: metadata must be a JSON object")
+    return layout, grid, dict(metadata)
 
+
+def _read_array(fh, path, what: str, shape: tuple) -> np.ndarray:
+    # The .npy reader behind np.load, without np.load's dispatch on the
+    # leading bytes to a zip archive or a pickle.
+    try:
+        a = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise DatasetFormatError(f"{path}: {what}: unreadable array ({exc})") from exc
+    if a.dtype != np.complex128:
+        raise DatasetFormatError(f"{path}: {what}: expected a complex128 array, got {a.dtype}")
+    if a.shape != shape:
+        raise DimensionMismatchError(f"{path}: {what}: expected shape {shape}, got {a.shape}")
+    return a
+
+
+def _read_v2(fh, path):
+    try:
+        doc = json.loads(fh.readline())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatasetFormatError(f"{path}: malformed header line ({exc})") from exc
+    layout, grid, metadata = _parse_header(doc, path)
     P = layout.n_ports
-    G = grid.n_points
-    Z = _unpack_pairs(z_pairs, P * P, "Z").reshape(P, P)
-    e_oc = _unpack_pairs(e_pairs, 2 * P * G, "E_oc").reshape(2, P, grid.n_theta, grid.n_phi)
+    Z = _read_array(fh, path, "Z", (P, P))
+    e_oc = _read_array(fh, path, "E_oc", (2, P, grid.n_theta, grid.n_phi))
+    if fh.read(1):
+        raise DatasetFormatError(f"{path}: trailing bytes after the E_oc array")
+    return layout, grid, metadata, Z, e_oc
+
+
+def _unpack_pairs(pairs, count: int, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{what}: malformed [re, im] pairs ({exc})") from exc
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != count:
+        raise DimensionMismatchError(
+            f"{what}: expected {count} [re, im] pairs, got payload of shape {arr.shape}"
+        )
+    # Assigned part by part: re + 1j*im turns a -0.0 real or imaginary part into +0.0.
+    out = np.empty(count, dtype=np.complex128)
+    out.real = arr[:, 0]
+    out.imag = arr[:, 1]
+    return out
+
+
+def _read_v1(fh, path):
+    try:
+        doc = json.loads(fh.read())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatasetFormatError(f"{path}: not a valid dataset file ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{path}: top-level document must be an object")
+    if doc.get("version") != _V1_VERSION:
+        raise DatasetFormatError(f"{path}: unsupported version {doc.get('version')!r}")
+    layout, grid, metadata = _parse_header(doc, path)
+    if "Z" not in doc or "E_oc" not in doc:
+        raise DatasetFormatError(f"{path}: missing Z or E_oc payload")
+    P = layout.n_ports
+    Z = _unpack_pairs(doc["Z"], P * P, "Z").reshape(P, P)
+    e_oc = _unpack_pairs(doc["E_oc"], 2 * P * grid.n_points, "E_oc").reshape(
+        2, P, grid.n_theta, grid.n_phi)
+    return layout, grid, metadata, Z, e_oc
+
+
+def load_dataset(path, strict: bool = True,
+                 tol: ValidationTolerances = ValidationTolerances()) -> EMDataset:
+    """Load a v2 or v1 dataset file; with strict validation, invariant violations raise."""
+    with open(path, "rb") as fh:
+        first = fh.readline(len(_MAGIC))
+        if first.startswith(_MAGIC_PREFIX):
+            if first != _MAGIC:
+                raise DatasetFormatError(f"{path}: unsupported dataset format line {first!r}")
+            layout, grid, metadata, Z, e_oc = _read_v2(fh, path)
+        else:
+            fh.seek(0)
+            layout, grid, metadata, Z, e_oc = _read_v1(fh, path)
 
     if not (np.all(np.isfinite(Z.view(np.float64))) and np.all(np.isfinite(e_oc.view(np.float64)))):
         raise FinitenessError(f"{path}: non-finite entries")
 
-    metadata = dict(doc.get("metadata", {}))
     metadata.setdefault("provenance", "imported")
     ds = EMDataset(layout=layout, grid=grid, Z=Z, e_oc=e_oc, metadata=metadata)
     if strict:

@@ -279,12 +279,6 @@ def approx_loaded_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
     return -(W @ i_A)
 
 
-def approx_loaded_currents(dataset: EMDataset, config: GeometryConfig, i_active: np.ndarray,
-                           feednet: FeedNetworkConfig = FeedNetworkConfig()) -> np.ndarray:
-    return approx_loaded_currents_matrix(dataset.Z, dataset.n_feed, dataset.n_loaded,
-                                         config, i_active, feednet)
-
-
 # ---------------------------------------------------------------------------
 # patterns, efficiency, composition
 # ---------------------------------------------------------------------------

@@ -158,10 +158,6 @@ class OptimizationTrace:
                 and (area_label is None or r.area_label == area_label)]
         return np.array(vals)
 
-    def phases(self, area_label: str | None = None) -> list[str]:
-        return [r.phase for r in self.records
-                if area_label is None or r.area_label == area_label]
-
 
 def export_trace(trace: OptimizationTrace, path) -> None:
     """Tabular text dump: iteration, phase, objective (plus the area label)."""

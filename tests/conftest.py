@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,31 @@ def oracle_overall_patterns(dataset, config, feednet=FeedNetworkConfig()):
                                z_feed, feednet)
     lam = radiation_efficiency(coupled, z_feed, feednet, dataset.quadrature())
     return coupled.data * np.sqrt(lam)[None, :, None, None], lam
+
+
+def save_dataset_v1(ds, path):
+    """Write the v1 dataset file (one JSON document of [re, im] pairs).
+
+    The writer of format v1, kept here so that the v1 reader stays covered
+    now that save_dataset writes v2 only.
+    """
+    def pairs(a):
+        flat = np.asarray(a, dtype=np.complex128).reshape(-1)
+        return [[float(v.real), float(v.imag)] for v in flat]
+
+    doc = {
+        "version": 1,
+        "layout": ds.layout.to_dict(),
+        "grid": {
+            "theta_start_deg": ds.grid.theta_start_deg,
+            "theta_stop_deg": ds.grid.theta_stop_deg,
+            "phi_start_deg": ds.grid.phi_start_deg,
+            "phi_stop_deg": ds.grid.phi_stop_deg,
+            "step_deg": ds.grid.step_deg,
+        },
+        "metadata": ds.metadata,
+        "Z": pairs(ds.Z),
+        "E_oc": pairs(ds.e_oc),
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)

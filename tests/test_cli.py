@@ -7,6 +7,8 @@ import pytest
 from pixelaoa.cli import main
 from pixelaoa import load_dataset
 
+from conftest import save_dataset_v1
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -45,7 +47,9 @@ def test_gen_dataset_bad_step_rejected(tmp_path):
 
 def test_validate_ok_and_tampered(tmp_path, ds_file):
     assert run(["validate", "--dataset", ds_file]) == 0
-    doc = json.loads(ds_file.read_text())
+    v1 = tmp_path / "v1.json"
+    save_dataset_v1(load_dataset(ds_file), v1)
+    doc = json.loads(v1.read_text())
     doc["Z"][1][0] += 1.0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

@@ -1,3 +1,7 @@
+import io
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +17,17 @@ from pixelaoa import (
     validate_dataset,
 )
 from pixelaoa.emdata import ETA0, EMDataset, pattern_gram
+from pixelaoa.cli import main as cli_main
 from pixelaoa.errors import (
     DatasetFormatError,
     DimensionMismatchError,
+    FinitenessError,
     LayoutError,
     PassivityError,
     ReciprocityError,
 )
+
+from conftest import save_dataset_v1
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +153,7 @@ def test_validation_catches_nan_pattern(tiny_dataset):
     # EMDataset construction rejects NaNs outright; validate a hand-built doc instead
     import json, tempfile, os
     path = tempfile.mktemp(suffix=".json")
-    save_dataset(tiny_dataset, path)
+    save_dataset_v1(tiny_dataset, path)
     with open(path) as fh:
         doc = json.load(fh)
     doc["E_oc"][0][0] = float("nan")
@@ -170,7 +178,7 @@ def test_roundtrip_bit_exact(tmp_path, tiny_dataset):
 def test_dimension_mismatch_on_load(tmp_path, tiny_dataset):
     import json
     p = tmp_path / "ds.json"
-    save_dataset(tiny_dataset, p)
+    save_dataset_v1(tiny_dataset, p)
     with open(p) as fh:
         doc = json.load(fh)
     doc["Z"] = doc["Z"][:-1]                      # 64 pairs declared for 65... here 8x8-1
@@ -183,7 +191,7 @@ def test_dimension_mismatch_on_load(tmp_path, tiny_dataset):
 def test_reciprocity_violation_on_strict_load(tmp_path, tiny_dataset):
     import json
     p = tmp_path / "ds.json"
-    save_dataset(tiny_dataset, p)
+    save_dataset_v1(tiny_dataset, p)
     with open(p) as fh:
         doc = json.load(fh)
     doc["Z"][1][0] += 1e-3                        # perturb one off-diagonal entry
@@ -200,6 +208,148 @@ def test_malformed_file_rejected(tmp_path):
     p.write_text("this is not json {")
     with pytest.raises(DatasetFormatError):
         load_dataset(p)
+
+
+def test_v1_ragged_pairs_rejected(tmp_path, tiny_dataset):
+    p = tmp_path / "ds.json"
+    save_dataset_v1(tiny_dataset, p)
+    doc = json.loads(p.read_text())
+    doc["E_oc"][5] = [1.0]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError):
+        load_dataset(p)
+    assert cli_main(["validate", "--dataset", str(p)]) == 3
+
+
+def test_reciprocity_violation_on_strict_load_v2(tmp_path, tiny_dataset):
+    Z = np.array(tiny_dataset.Z)
+    Z[1, 0] += 1e-3                               # perturb one off-diagonal entry
+    p = tmp_path / "ds.json"
+    save_dataset(_with_arrays(tiny_dataset, Z=Z), p)
+    with pytest.raises(ReciprocityError):
+        load_dataset(p, strict=True)
+    ds = load_dataset(p, strict=False)
+    assert ds.Z.shape == tiny_dataset.Z.shape
+
+
+def _with_arrays(ds, Z=None, e_oc=None):
+    return EMDataset(layout=ds.layout, grid=ds.grid,
+                     Z=ds.Z if Z is None else Z,
+                     e_oc=ds.e_oc if e_oc is None else e_oc,
+                     metadata=ds.metadata)
+
+
+def _signed_zero_dataset(ds):
+    """ds with real and imaginary parts of -0.0 in Z and E_oc."""
+    Z = np.array(ds.Z)
+    Z[0, 1] = Z[1, 0] = complex(Z[0, 1].real, -0.0)
+    e = np.array(ds.e_oc)
+    e[0, 0, 0, :4] = [complex(1.5, -0.0), complex(-0.0, -0.0), complex(0.0, -0.0),
+                      complex(-0.0, 2.0)]
+    return _with_arrays(ds, Z=Z, e_oc=e)
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_v1_roundtrip_keeps_signed_zeros(tmp_path, tiny_dataset):
+    ds = _signed_zero_dataset(tiny_dataset)
+    p = tmp_path / "ds_v1.json"
+    save_dataset_v1(ds, p)
+    back = load_dataset(p)
+    assert _bits_equal(back.Z, ds.Z)
+    assert _bits_equal(back.e_oc, ds.e_oc)
+
+
+def test_v1_and_v2_load_bit_identical(tmp_path, tiny_dataset):
+    ds = _signed_zero_dataset(tiny_dataset)
+    save_dataset_v1(ds, tmp_path / "v1.json")
+    save_dataset(ds, tmp_path / "v2.json")
+    v1 = load_dataset(tmp_path / "v1.json")
+    v2 = load_dataset(tmp_path / "v2.json")
+    for back in (v1, v2):
+        assert _bits_equal(back.Z, ds.Z)
+        assert _bits_equal(back.e_oc, ds.e_oc)
+    assert v1.layout == v2.layout and v1.grid == v2.grid
+    assert v1.metadata == v2.metadata == ds.metadata
+
+
+def test_save_is_byte_deterministic(tmp_path, tiny_dataset):
+    a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+    save_dataset(tiny_dataset, a)
+    save_dataset(tiny_dataset, b)
+    save_dataset(load_dataset(a), c)
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes() == _v2_file(tiny_dataset)
+
+
+def _npy(a):
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
+def _v2_file(ds, magic=b"PIXELAOA-DATASET 2\n", header=None, Z=None, e_oc=None):
+    """A v2 file assembled by hand from its parts."""
+    if header is None:
+        header = {"layout": ds.layout.to_dict(), "grid": asdict(ds.grid),
+                  "metadata": ds.metadata}
+    return (magic + json.dumps(header, sort_keys=True).encode() + b"\n"
+            + _npy(ds.Z if Z is None else Z) + _npy(ds.e_oc if e_oc is None else e_oc))
+
+
+def _bad_v2(ds, case):
+    if case == "truncated":
+        return _v2_file(ds)[:-100]
+    if case == "header_dims":
+        header = json.loads(_v2_file(ds).split(b"\n")[1])
+        header["layout"]["pixel_rows"] += 1
+        return _v2_file(ds, header=header)
+    if case == "header_grid":
+        header = json.loads(_v2_file(ds).split(b"\n")[1])
+        header["grid"]["step_deg"] = 0.4
+        return _v2_file(ds, header=header)
+    if case == "header_metadata":
+        header = json.loads(_v2_file(ds).split(b"\n")[1])
+        header["metadata"] = [1]
+        return _v2_file(ds, header=header)
+    if case == "complex64":
+        return _v2_file(ds, Z=ds.Z.astype(np.complex64))
+    if case == "float64":
+        return _v2_file(ds, e_oc=ds.e_oc.real.copy())
+    if case == "trailing":
+        return _v2_file(ds) + b"\0"
+    if case == "magic":
+        return _v2_file(ds, magic=b"PIXELAOA-DATASHEET 2\n")
+    if case == "version":
+        return _v2_file(ds, magic=b"PIXELAOA-DATASET 3\n")
+    if case == "nan_e_oc":
+        e = np.array(ds.e_oc)
+        e[1, 2, 3, 4] = complex(np.nan, 0.0)
+        return _v2_file(ds, e_oc=e)
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case,error,code", [
+    ("truncated", DatasetFormatError, 3),
+    ("header_dims", DimensionMismatchError, 3),
+    ("header_grid", DatasetFormatError, 3),
+    ("header_metadata", DatasetFormatError, 3),
+    ("complex64", DatasetFormatError, 3),
+    ("float64", DatasetFormatError, 3),
+    ("trailing", DatasetFormatError, 3),
+    ("magic", DatasetFormatError, 3),
+    ("version", DatasetFormatError, 3),
+    ("nan_e_oc", FinitenessError, 4),
+])
+def test_bad_v2_file_fails_with_documented_error(tmp_path, tiny_dataset, case, error, code):
+    p = tmp_path / "bad.json"
+    p.write_bytes(_bad_v2(tiny_dataset, case))
+    with pytest.raises(error):
+        load_dataset(p)
+    with pytest.raises(error):
+        load_dataset(p, strict=False)
+    assert cli_main(["validate", "--dataset", str(p)]) == code
 
 
 # ---------------------------------------------------------------------------
