@@ -32,6 +32,7 @@ from .crlb import (
     projection_matrix,
     steering_jacobian,
     upa_crlb_closed_form,
+    upa_crlb_closed_form_map,
 )
 from .network import (
     ActiveNetwork,
@@ -68,6 +69,7 @@ __all__ = [
     "projection_matrix",
     "steering_jacobian",
     "upa_crlb_closed_form",
+    "upa_crlb_closed_form_map",
     "ActiveNetwork",
     "FeedNetworkConfig",
     "GeometryConfig",

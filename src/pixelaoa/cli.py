@@ -22,7 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .crlb import SensingArea, crlb_map, export_crlb_map, upa_crlb_closed_form
+from .crlb import (
+    MAP_HEADER,
+    SensingArea,
+    crlb_map,
+    export_crlb_map,
+    upa_crlb_closed_form_map,
+    write_csv,
+)
 from .emdata import (
     DipoleModelParams,
     PortLayout,
@@ -217,25 +224,17 @@ def cmd_crlb_map(args) -> int:
                                                           / args.step_deg))))
         pats = upa_patterns(ny, nz, args.spacing, grid, element=args.element)
         numeric = crlb_map(pats, area, snr, fd_step_deg=args.fd_step_deg)
-        closed = [upa_crlb_closed_form(ny, nz, args.spacing, (th, ph), snr)
-                  for th, ph in zip(numeric.theta_deg, numeric.phi_deg)]
+        closed = upa_crlb_closed_form_map(ny, nz, args.spacing, numeric.theta_deg,
+                                          numeric.phi_deg, snr)[:4]
         if args.mode == "numeric":
             export_crlb_map(numeric, args.out)
         elif args.mode == "closed-form":
-            rows = [(r.angle_deg[0], r.angle_deg[1], r.matrix[0, 0], r.matrix[0, 1],
-                     r.matrix[1, 1], r.objective) for r in closed]
-            _write_rows(args.out, rows)
+            write_csv(args.out, MAP_HEADER, (numeric.theta_deg, numeric.phi_deg, *closed))
         else:
             # numeric and closed-form columns side by side
-            rows = []
-            for i, r in enumerate(closed):
-                rows.append((numeric.theta_deg[i], numeric.phi_deg[i],
-                             numeric.c_tt[i], numeric.c_tp[i], numeric.c_pp[i],
-                             numeric.objective[i],
-                             r.matrix[0, 0], r.matrix[0, 1], r.matrix[1, 1], r.objective))
-            _write_rows(args.out, rows,
-                        header="theta_deg,phi_deg,c_tt,c_tp,c_pp,objective,"
-                               "c_tt_cf,c_tp_cf,c_pp_cf,objective_cf")
+            write_csv(args.out, MAP_HEADER + ",c_tt_cf,c_tp_cf,c_pp_cf,objective_cf",
+                      (numeric.theta_deg, numeric.phi_deg, numeric.c_tt, numeric.c_tp,
+                       numeric.c_pp, numeric.objective, *closed))
         worst = numeric.worst
     else:
         if not (args.dataset and args.codebook):
@@ -245,42 +244,30 @@ def cmd_crlb_map(args) -> int:
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
         t_ids, p_ids = area.indices(ds.grid)
-        rows = []
+        th = np.repeat(ds.grid.theta_deg[t_ids], p_ids.size)
+        ph = np.tile(ds.grid.phi_deg[p_ids], t_ids.size)
+        # points of the area (row-major) grouped by the leaf codeword that covers them
+        groups = {}
+        for k, angle in enumerate(zip(th.tolist(), ph.tolist())):
+            cw = codebook_lookup(cb, angle)
+            groups.setdefault(id(cw), (cw, []))[1].append(k)
+        table = np.empty((4, th.size))           # c_tt, c_tp, c_pp, objective
         pattern_cache = {}
-        worst = 0.0
-        for ti in t_ids:
-            th = float(ds.grid.theta_deg[ti])
-            for pi in p_ids:
-                ph = float(ds.grid.phi_deg[pi])
-                cw = codebook_lookup(cb, (th, ph))
-                key = (cw.config.feed_ports, cw.config.connections)
-                pats = pattern_cache.get(key)
-                if pats is None:
-                    pats = overall_patterns(ds, cw.config, feednet).patterns
-                    pattern_cache[key] = pats
-                r = crlb_map(pats, SensingArea(th, th, ph, ph), snr,
-                             fd_step_deg=args.fd_step_deg)
-                rows.append((th, ph, r.c_tt[0], r.c_tp[0], r.c_pp[0], r.objective[0]))
-                worst = max(worst, r.objective[0])
-        _write_rows(args.out, rows)
+        for cw, ks in groups.values():
+            key = (cw.config.feed_ports, cw.config.connections)
+            if key not in pattern_cache:
+                pattern_cache[key] = overall_patterns(ds, cw.config, feednet).patterns
+            # one sweep over the bounding box of the group's points, then pick them out
+            kt, kp = np.divmod(np.array(ks), p_ids.size)
+            box = SensingArea(th[ks].min(), th[ks].max(), ph[ks].min(), ph[ks].max())
+            m = crlb_map(pattern_cache[key], box, snr, fd_step_deg=args.fd_step_deg)
+            at = (kt - kt.min()) * (kp.max() - kp.min() + 1) + (kp - kp.min())
+            table[:, ks] = m.c_tt[at], m.c_tp[at], m.c_pp[at], m.objective[at]
+        write_csv(args.out, MAP_HEADER, (th, ph, *table))
+        worst = float(table[3].max())
     print(f"worst objective over {area.label()}: {worst:.6g} rad")
     _write_manifest("crlb-map", args, inputs, [args.out], started)
     return EXIT_OK
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def _write_rows(path, rows, header="theta_deg,phi_deg,c_tt,c_tp,c_pp,objective") -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
 def _worst_for_source(ds, cb, area, snr, feednet, fd_step, upa=None, spacing=0.5,
@@ -329,9 +316,8 @@ def cmd_compare(args) -> int:
                      area.phi_max_deg, hrpa, base, improvement))
         print(f"{area.label()}: hrpa {hrpa:.4g}, baseline {base:.4g}, "
               f"improvement {improvement:.1%}")
-    _write_rows(args.out, rows,
-                header="theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
-                       "hrpa_worst,baseline_worst,improvement")
+    write_csv(args.out, "theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
+                        "hrpa_worst,baseline_worst,improvement", zip(*rows))
     _write_manifest("compare", args, inputs, [args.out], started)
     return EXIT_OK
 
@@ -404,8 +390,8 @@ def cmd_export_plots(args) -> int:
             rows.append((i, cw.area.theta_min_deg, cw.area.theta_max_deg,
                          cw.area.phi_min_deg, cw.area.phi_max_deg, hrpa, upa))
         path = outdir / "area_bars.csv"
-        _write_rows(path, rows, header="area_index,theta_min_deg,theta_max_deg,"
-                                       "phi_min_deg,phi_max_deg,hrpa_worst,upa_worst")
+        write_csv(path, "area_index,theta_min_deg,theta_max_deg,"
+                        "phi_min_deg,phi_max_deg,hrpa_worst,upa_worst", zip(*rows))
         outputs.append(path)
 
     elif args.fig == "area-size":
@@ -424,7 +410,7 @@ def cmd_export_plots(args) -> int:
             rows.append((size, worst))
         rows.sort()
         path = outdir / "area_size_sweep.csv"
-        _write_rows(path, rows, header="area_size_deg,worst_objective")
+        write_csv(path, "area_size_deg,worst_objective", zip(*rows))
         outputs.append(path)
 
     elif args.fig == "port-count":
@@ -440,7 +426,7 @@ def cmd_export_plots(args) -> int:
             rows.append((n, worst))
         rows.sort()
         path = outdir / "port_count_tradeoff.csv"
-        _write_rows(path, rows, header="n_active,worst_objective")
+        write_csv(path, "n_active,worst_objective", zip(*rows))
         outputs.append(path)
 
     else:

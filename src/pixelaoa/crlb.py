@@ -268,56 +268,76 @@ def crlb_map(patterns: PatternSet, area: SensingArea, snr_linear: float,
 # closed-form UPA bound
 # ---------------------------------------------------------------------------
 
-def upa_crlb_closed_form(n_y: int, n_z: int, spacing_over_lambda: float,
-                         angle_deg: tuple[float, float], snr_linear: float) -> CRLBResult:
-    """Closed-form CRLB of the N_Y x N_Z uniform planar array.
+def upa_crlb_closed_form_map(n_y: int, n_z: int, spacing_over_lambda: float,
+                             theta_deg, phi_deg, snr_linear: float):
+    """Closed-form CRLB of the N_Y x N_Z uniform planar array at many angles.
 
     c = [[B_Y s^2 cp^2, -B_Y c s cp sp], [., B_Z s^2 + B_Y c^2 sp^2]]
         / (2 k^4 B_Y B_Z s^2 cp^2 SNR),
     with B_Y = N_Y(N_Y^2-1)/12, B_Z = N_Z(N_Z^2-1)/12 and k = 2 pi d/lambda.
     Diverges at endfire (sin(theta) cos(phi) = 0) and for single-row arrays.
+    theta_deg, phi_deg: equal-shape angle arrays in degrees.  Returns
+    (c_tt, c_tp, c_pp, objective, singular) arrays of that shape; singular
+    points hold +inf.
     """
     if not (snr_linear > 0):
         raise ValueError(f"snr must be positive, got {snr_linear}")
-    theta_deg, phi_deg = angle_deg
+    theta_deg = np.asarray(theta_deg, dtype=np.float64)
+    phi_deg = np.asarray(phi_deg, dtype=np.float64)
     B_Y = n_y * (n_y**2 - 1) / 12.0
     B_Z = n_z * (n_z**2 - 1) / 12.0
     k = 2.0 * math.pi * spacing_over_lambda
 
-    endfire = (theta_deg % 180.0 == 0.0) or (abs(phi_deg) % 180.0 == 90.0)
-    if endfire or B_Y == 0.0 or B_Z == 0.0:
-        C = np.full((2, 2), np.inf)
-        return CRLBResult(matrix=C, objective=np.inf, angle_deg=(float(theta_deg), float(phi_deg)),
-                          snr_linear=float(snr_linear), singular=True)
+    singular = ((theta_deg % 180.0 == 0.0) | (np.abs(phi_deg) % 180.0 == 90.0)
+                | (B_Y == 0.0) | (B_Z == 0.0))
+    th = np.radians(theta_deg)
+    ph = np.radians(phi_deg)
+    s, c = np.sin(th), np.cos(th)
+    sp, cp = np.sin(ph), np.cos(ph)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = 2.0 * k**4 * B_Y * B_Z * s * s * cp * cp * snr_linear
+        c_tt = B_Y * s * s * cp * cp / den
+        c_tp = -B_Y * c * s * cp * sp / den
+        c_pp = (B_Z * s * s + B_Y * c * c * sp * sp) / den
+        obj = np.sqrt(c_tt + c_pp)
+    c_tt, c_tp, c_pp, obj = (np.where(singular, np.inf, x) for x in (c_tt, c_tp, c_pp, obj))
+    return c_tt, c_tp, c_pp, obj, singular
 
-    th = math.radians(theta_deg)
-    ph = math.radians(phi_deg)
-    s, c = math.sin(th), math.cos(th)
-    sp, cp = math.sin(ph), math.cos(ph)
-    den = 2.0 * k**4 * B_Y * B_Z * s * s * cp * cp * snr_linear
-    b_tt = B_Y * s * s * cp * cp
-    b_tp = -B_Y * c * s * cp * sp
-    b_pp = B_Z * s * s + B_Y * c * c * sp * sp
-    C = np.array([[b_tt, b_tp], [b_tp, b_pp]]) / den
-    return CRLBResult(matrix=C, objective=objective(C),
+
+def upa_crlb_closed_form(n_y: int, n_z: int, spacing_over_lambda: float,
+                         angle_deg: tuple[float, float], snr_linear: float) -> CRLBResult:
+    """Closed-form CRLB of the N_Y x N_Z uniform planar array at one angle.
+
+    The formula and its singular points are those of upa_crlb_closed_form_map.
+    """
+    theta_deg, phi_deg = angle_deg
+    c_tt, c_tp, c_pp, obj, sing = upa_crlb_closed_form_map(
+        n_y, n_z, spacing_over_lambda, [theta_deg], [phi_deg], snr_linear)
+    C = np.array([[c_tt[0], c_tp[0]], [c_tp[0], c_pp[0]]])
+    return CRLBResult(matrix=C, objective=float(obj[0]),
                       angle_deg=(float(theta_deg), float(phi_deg)),
-                      snr_linear=float(snr_linear), singular=False)
+                      snr_linear=float(snr_linear), singular=bool(sing[0]))
 
 
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
+MAP_HEADER = "theta_deg,phi_deg,c_tt,c_tp,c_pp,objective"
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns as CSV rows under a header line.
+
+    Every cell is the repr of its Python number: integers as digits, floats
+    in their shortest round-trip form, +inf as 'inf'.
+    """
+    cols = [np.asarray(c).tolist() for c in columns]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
 
 
 def export_crlb_map(m: CRLBMap, path) -> None:
     """Tabular text dump: one row per grid point, +inf rendered as 'inf'."""
-    with open(path, "w") as fh:
-        fh.write("theta_deg,phi_deg,c_tt,c_tp,c_pp,objective\n")
-        for i in range(m.n_points):
-            row = (m.theta_deg[i], m.phi_deg[i], m.c_tt[i], m.c_tp[i], m.c_pp[i], m.objective[i])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(path, MAP_HEADER, (m.theta_deg, m.phi_deg, m.c_tt, m.c_tp, m.c_pp, m.objective))

@@ -12,6 +12,10 @@ import numpy as np
 # Re{F} is declared rank deficient when det <= RANK_TOL * scale^2.
 RANK_TOL = 1e-12
 
+# Most bytes of the complex (t x 2G) projection block one ml_scores pass
+# holds; larger snapshot blocks are scored in chunks of t snapshots.
+_ML_CHUNK_BYTES = 1 << 22
+
 
 # ---------------------------------------------------------------------------
 # Fisher information sweep
@@ -68,10 +72,22 @@ def fim_sweep(e, it, ip, itp, itm, inv_dt, ipp, ipm, inv_dp, snr):
 def ml_scores(basis, rank, y):
     """Squared norm of the projection of y onto each candidate subspace.
 
-    basis: (G, N, 2) orthonormal columns (unused columns zero), rank: (G,)
-    in {0, 1, 2}.  Rank-0 candidates score -1 so they are never selected.
+    basis: (G, N, 2) orthonormal columns, rank: (G,) in {0, 1, 2}; the
+    unused columns must be zero, so that they add nothing to a score.
+    y: one snapshot (N,) or a block of snapshots (T, N); the scores are
+    (G,) or (T, G).  Rank-0 candidates score -1 so they are never selected.
     """
-    proj = np.einsum("gnr,n->gr", basis.conj(), y)
-    scores = np.abs(proj[:, 0]) ** 2
-    scores += np.where(rank > 1, np.abs(proj[:, 1]) ** 2, 0.0)
-    return np.where(rank > 0, scores, -1.0)
+    y = np.asarray(y, dtype=np.complex128)
+    G, N, _ = basis.shape
+    bh = basis.transpose(0, 2, 1).reshape(2 * G, N).conj()    # row 2g + r: conj(basis[g, :, r])
+    dead = rank == 0
+    Y = y.reshape(-1, N)
+    scores = np.empty((Y.shape[0], G))
+    step = max(1, _ML_CHUNK_BYTES // (bh.shape[0] * bh.itemsize))     # snapshots per chunk
+    for t0 in range(0, Y.shape[0], step):
+        proj = Y[t0:t0 + step] @ bh.T                               # (t, 2G)
+        parts = proj.view(np.float64).reshape(-1, G, 4)              # re, im of both columns
+        out = scores[t0:t0 + step]
+        np.einsum("tgk,tgk->tg", parts, parts, out=out)
+        out[:, dead] = -1.0
+    return scores if y.ndim == 2 else scores[0]

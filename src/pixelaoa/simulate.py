@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import logging
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .crlb import SensingArea, crlb_matrix
+from .crlb import SensingArea, crlb_matrix, write_csv
 from .emdata import PatternSet
 from .errors import EstimationError
 
@@ -39,13 +38,9 @@ class Snapshot:
     noise_var: float
 
 
-def simulate_snapshot(patterns: PatternSet, angle_deg: tuple[float, float],
-                      source, snr_linear: float, seed) -> Snapshot:
-    """One received snapshot at a grid angle, deterministic per seed.
-
-    Noise variance: sigma^2 = ||E^T s||^2 / (N * snr); snr may be math.inf
-    for the noiseless limit.
-    """
+def _signal(patterns: PatternSet, angle_deg: tuple[float, float], source,
+            snr_linear: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Source vector, noiseless snapshot E^T s and noise variance at a grid angle."""
     s = np.asarray(source, dtype=np.complex128).reshape(2)
     if not np.linalg.norm(s) > 0:
         raise ValueError("source amplitude vector must be nonzero")
@@ -55,10 +50,27 @@ def simulate_snapshot(patterns: PatternSet, angle_deg: tuple[float, float],
     mu = E.T @ s
     N = mu.size
     sig2 = float(np.vdot(mu, mu).real) / (N * snr_linear) if math.isfinite(snr_linear) else 0.0
+    return s, mu, sig2
+
+
+def _noise(n: int, sig2: float, seed) -> np.ndarray:
+    """n samples of circular complex Gaussian noise of variance sig2, deterministic per seed."""
     rng = np.random.default_rng(seed)
-    noise = math.sqrt(sig2 / 2.0) * (rng.standard_normal(N) + 1j * rng.standard_normal(N)) \
-        if sig2 > 0 else np.zeros(N, dtype=np.complex128)
-    return Snapshot(y=mu + noise, truth_deg=(float(angle_deg[0]), float(angle_deg[1])),
+    if not sig2 > 0:
+        return np.zeros(n, dtype=np.complex128)
+    return math.sqrt(sig2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def simulate_snapshot(patterns: PatternSet, angle_deg: tuple[float, float],
+                      source, snr_linear: float, seed) -> Snapshot:
+    """One received snapshot at a grid angle, deterministic per seed.
+
+    Noise variance: sigma^2 = ||E^T s||^2 / (N * snr); snr may be math.inf
+    for the noiseless limit.
+    """
+    s, mu, sig2 = _signal(patterns, angle_deg, source, snr_linear)
+    return Snapshot(y=mu + _noise(mu.size, sig2, seed),
+                    truth_deg=(float(angle_deg[0]), float(angle_deg[1])),
                     source=s, noise_var=sig2)
 
 
@@ -66,23 +78,27 @@ def simulate_snapshot(patterns: PatternSet, angle_deg: tuple[float, float],
 # ML grid search
 # ---------------------------------------------------------------------------
 
-def _orthobasis(A: np.ndarray) -> tuple[np.ndarray, int]:
-    """Orthonormal basis of the column space of an (N, 2) matrix."""
-    basis = np.zeros_like(A)
-    scale = max(np.linalg.norm(A[:, 0]), np.linalg.norm(A[:, 1]))
-    if scale <= 0.0:
-        return basis, 0
-    tol = RANK_TOL_REL * scale
-    rank = 0
-    for col in range(A.shape[1]):
-        v = A[:, col].astype(np.complex128)
-        for r in range(rank):
-            v = v - basis[:, r] * np.vdot(basis[:, r], v)
-        nv = np.linalg.norm(v)
-        if nv > tol:
-            basis[:, rank] = v / nv
-            rank += 1
-    return basis, rank
+def _orthobases(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the column spaces of a (G, N, 2) stack, and their ranks.
+
+    Two-column Gram-Schmidt on every candidate at once.  A column whose
+    residual norm is at most RANK_TOL_REL times the larger column norm of
+    its candidate is dropped; kept columns fill the basis from the left and
+    unused columns are zero.
+    """
+    a0, a1 = A[..., 0], A[..., 1]
+    n0 = np.linalg.norm(a0, axis=1)
+    tol = RANK_TOL_REL * np.maximum(n0, np.linalg.norm(a1, axis=1))
+    keep0 = n0 > tol
+    q0 = np.where(keep0[:, None], a0 / np.where(keep0, n0, 1.0)[:, None], 0.0)
+    v = a1 - q0 * np.sum(q0.conj() * a1, axis=1, keepdims=True)
+    n1 = np.linalg.norm(v, axis=1)
+    keep1 = n1 > tol
+    q1 = np.where(keep1[:, None], v / np.where(keep1, n1, 1.0)[:, None], 0.0)
+    basis = np.zeros(A.shape, dtype=np.complex128)
+    basis[..., 0] = np.where(keep0[:, None], q0, q1)
+    basis[..., 1] = np.where(keep0[:, None], q1, 0.0)
+    return basis, keep0.astype(np.int64) + keep1
 
 
 class _CandidateGrid:
@@ -99,29 +115,34 @@ class _CandidateGrid:
         it = np.repeat(t_ids, p_ids.size)
         ip = np.tile(p_ids, t_ids.size)
         E = patterns.data[:, :, it, ip]                  # (2, N, G)
-        A = np.transpose(E, (2, 1, 0))                   # (G, N, 2)
-        G = A.shape[0]
-        self.basis = np.zeros_like(A)
-        self.rank = np.zeros(G, dtype=np.int64)
-        for gidx in range(G):
-            self.basis[gidx], self.rank[gidx] = _orthobasis(A[gidx])
+        self.basis, self.rank = _orthobases(np.transpose(E, (2, 1, 0)))
         skipped = int(np.count_nonzero(self.rank == 0))
         if skipped:
             log.debug("ML search: %d of %d candidate angles rank-deficient, skipped",
-                      skipped, G)
+                      skipped, self.rank.size)
 
+    def estimate(self, scores: np.ndarray, refine: bool) -> tuple[float, float]:
+        """Angle of the best of one snapshot's (G,) candidate scores.
 
-# {area bounds: _CandidateGrid} per pattern set; an entry lives as long as
-# its pattern set does.
-_GRID_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _candidate_grid(patterns: PatternSet, area: SensingArea) -> _CandidateGrid:
-    grids = _GRID_CACHE.setdefault(patterns, {})
-    got = grids.get(area.bounds())
-    if got is None:
-        got = grids[area.bounds()] = _CandidateGrid(patterns, area)
-    return got
+        Ties break toward the lowest grid index; with refine, a local
+        per-axis quadratic fit interpolates between grid points.
+        """
+        best = int(np.argmax(scores))
+        if scores[best] < 0.0:
+            raise EstimationError("all candidate angles are rank-deficient")
+        nt, npph = self.shape
+        ti, pi = divmod(best, npph)
+        th = float(self.theta_deg[ti])
+        ph = float(self.phi_deg[pi])
+        if refine:
+            smat = scores.reshape(nt, npph)
+            if 0 < ti < nt - 1:
+                th += self.step_deg * _quadratic_offset(
+                    smat[ti - 1, pi], smat[ti, pi], smat[ti + 1, pi])
+            if 0 < pi < npph - 1:
+                ph += self.step_deg * _quadratic_offset(
+                    smat[ti, pi - 1], smat[ti, pi], smat[ti, pi + 1])
+        return th, ph
 
 
 def _quadratic_offset(sm: float, s0: float, sp: float) -> float:
@@ -139,27 +160,11 @@ def ml_estimate(y: np.ndarray, patterns: PatternSet, search_area: SensingArea,
     Score = squared norm of the projection of y onto the column space of
     the (N, 2) candidate pattern matrix; ties break toward the lowest grid
     index; rank-deficient candidates are skipped.  With refine, a local
-    per-axis quadratic fit interpolates between grid points.
+    per-axis quadratic fit interpolates between grid points.  Each call
+    builds the candidate bases anew; monte_carlo_rmse builds them once.
     """
-    cand = _candidate_grid(patterns, search_area)
-    scores = kernels.ml_scores(cand.basis, cand.rank, np.asarray(y, dtype=np.complex128))
-    best = int(np.argmax(scores))
-    if scores[best] < 0.0:
-        raise EstimationError("all candidate angles are rank-deficient")
-
-    nt, npph = cand.shape
-    ti, pi = divmod(best, npph)
-    th = float(cand.theta_deg[ti])
-    ph = float(cand.phi_deg[pi])
-    if refine:
-        smat = scores.reshape(nt, npph)
-        if 0 < ti < nt - 1:
-            th += cand.step_deg * _quadratic_offset(
-                smat[ti - 1, pi], smat[ti, pi], smat[ti + 1, pi])
-        if 0 < pi < npph - 1:
-            ph += cand.step_deg * _quadratic_offset(
-                smat[ti, pi - 1], smat[ti, pi], smat[ti, pi + 1])
-    return th, ph
+    cand = _CandidateGrid(patterns, search_area)
+    return cand.estimate(kernels.ml_scores(cand.basis, cand.rank, y), refine)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +211,8 @@ def monte_carlo_rmse(
     spawn keys, so the report is reproducible and independent of execution
     order.  trials must be at least 100.  source is a fixed 2-vector by
     default; pass "random-unit" to draw an independent unit polarization
-    vector per trial.
+    vector per trial.  The candidate bases are built once per call, and
+    the trials of each (angle, snr) cell are scored as one block.
     """
     if trials < 100:
         raise ValueError(f"at least 100 trials required, got {trials}")
@@ -217,25 +223,30 @@ def monte_carlo_rmse(
     random_source = isinstance(source, str)
     if random_source and source != "random-unit":
         raise ValueError(f"unknown source mode {source!r}")
+    cand = _CandidateGrid(patterns, search_area)
+    Y = np.empty((trials, cand.basis.shape[1]), dtype=np.complex128)
     records = []
     for ai, angle in enumerate(angles_deg):
         angle = (float(angle[0]), float(angle[1]))
         for si, snr in enumerate(snr_list_linear):
-            se_th = 0.0
-            se_ph = 0.0
+            if not random_source:
+                _, mu, sig2 = _signal(patterns, angle, source, snr)
             for t in range(trials):
-                ss = np.random.SeedSequence(entropy=seed, spawn_key=(ai, si, t))
                 if random_source:
                     srng = np.random.default_rng(
                         np.random.SeedSequence(entropy=seed, spawn_key=(ai, si, t, 1)))
                     v = srng.standard_normal(2) + 1j * srng.standard_normal(2)
-                    trial_source = v / np.linalg.norm(v)
-                else:
-                    trial_source = source
-                snap = simulate_snapshot(patterns, angle, trial_source, snr, ss)
-                est = ml_estimate(snap.y, patterns, search_area, refine=refine)
-                se_th += math.radians(est[0] - angle[0]) ** 2
-                se_ph += math.radians(est[1] - angle[1]) ** 2
+                    _, mu, sig2 = _signal(patterns, angle, v / np.linalg.norm(v), snr)
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=(ai, si, t))
+                Y[t] = mu + _noise(mu.size, sig2, ss)
+            # the (trials, G) score block is released before the next cell's
+            estimates = [cand.estimate(row, refine)
+                         for row in kernels.ml_scores(cand.basis, cand.rank, Y)]
+            se_th = 0.0
+            se_ph = 0.0
+            for th, ph in estimates:
+                se_th += math.radians(th - angle[0]) ** 2
+                se_ph += math.radians(ph - angle[1]) ** 2
             mse_th = se_th / trials
             mse_ph = se_ph / trials
             bound = crlb_matrix(patterns, angle, snr, fd_step_deg=fd_step_deg)
@@ -260,19 +271,9 @@ def monte_carlo_rmse(
 
 def export_report(report: MonteCarloReport, path) -> None:
     """Tabular text dump; SNR is written in dB."""
-    with open(path, "w") as fh:
-        fh.write("theta_deg,phi_deg,snr_db,trials,rmse_theta_rad,rmse_phi_rad,"
-                 "crlb_theta_rad,crlb_phi_rad\n")
-        for r in report.records:
-            snr_db = 10.0 * math.log10(r.snr_linear) if math.isfinite(r.snr_linear) else math.inf
-            vals = [r.theta_deg, r.phi_deg, snr_db, r.trials,
-                    r.rmse_theta_rad, r.rmse_phi_rad, r.crlb_theta_rad, r.crlb_phi_rad]
-            out = []
-            for v in vals:
-                if isinstance(v, float) and math.isinf(v):
-                    out.append("inf")
-                elif isinstance(v, int):
-                    out.append(str(v))
-                else:
-                    out.append(repr(float(v)))
-            fh.write(",".join(out) + "\n")
+    rows = [(r.theta_deg, r.phi_deg,
+             10.0 * math.log10(r.snr_linear) if math.isfinite(r.snr_linear) else math.inf,
+             r.trials, r.rmse_theta_rad, r.rmse_phi_rad, r.crlb_theta_rad, r.crlb_phi_rad)
+            for r in report.records]
+    write_csv(path, "theta_deg,phi_deg,snr_db,trials,rmse_theta_rad,rmse_phi_rad,"
+                    "crlb_theta_rad,crlb_phi_rad", zip(*rows))

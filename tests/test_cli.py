@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from pixelaoa import FeedNetworkConfig, SensingArea, crlb_map, load_dataset, overall_patterns
 from pixelaoa.cli import main
-from pixelaoa import load_dataset
+from pixelaoa.optimizer import codebook_lookup, load_codebook
 
 from conftest import save_dataset_v1
 
@@ -111,6 +112,31 @@ def test_crlb_map_codebook_mode(tmp_path, ds_file, cb_file):
     assert len(rows) == 1 + 9  # 5-deg grid: 3x3 points in a 10x10 area
     vals = [float(x) for x in rows[1].split(",")]
     assert math.isfinite(vals[5])
+
+
+def test_crlb_map_codebook_sweeps_equal_per_point_maps(tmp_path, ds_file):
+    # four leaves, so area points on the shared edges go to the upper tiles
+    cb = tmp_path / "cb4.json"
+    assert run(["optimize", "--dataset", ds_file, "--n-active", "2",
+                "--space", "80:100:-10:10", "--schedule", "1,4",
+                "--population", "12", "--generations", "3", "--seed", "2",
+                "--out", cb]) == 0
+    out = tmp_path / "map.csv"
+    assert run(["crlb-map", "--dataset", ds_file, "--codebook", cb,
+                "--area", "80:100:-10:10", "--out", out]) == 0
+    ds, book = load_dataset(ds_file), load_codebook(cb)
+    assert len(book.codewords) == 4
+    # reference: one single-point map per grid point, with its leaf's patterns
+    want = ["theta_deg,phi_deg,c_tt,c_tp,c_pp,objective"]
+    t_ids, p_ids = SensingArea(80, 100, -10, 10).indices(ds.grid)
+    for th in ds.grid.theta_deg[t_ids].tolist():
+        for ph in ds.grid.phi_deg[p_ids].tolist():
+            pats = overall_patterns(ds, codebook_lookup(book, (th, ph)).config,
+                                    FeedNetworkConfig()).patterns
+            r = crlb_map(pats, SensingArea(th, th, ph, ph), 1.0)
+            want.append(",".join(repr(float(v)) for v in (
+                th, ph, r.c_tt[0], r.c_tp[0], r.c_pp[0], r.objective[0])))
+    assert out.read_text() == "\n".join(want) + "\n"
 
 
 def test_compare_self_is_zero_improvement(tmp_path, ds_file, cb_file):

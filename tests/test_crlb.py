@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,10 @@ from pixelaoa import (
     projection_matrix,
     steering_jacobian,
     upa_crlb_closed_form,
+    upa_crlb_closed_form_map,
     upa_patterns,
 )
-from pixelaoa.crlb import export_crlb_map, steering_row
+from pixelaoa.crlb import export_crlb_map, steering_row, write_csv
 from pixelaoa.errors import GridError
 
 
@@ -237,6 +240,67 @@ def test_closed_form_worst_at_corner_by_enumeration():
     assert best_ang in [(85, -5), (85, 5), (95, -5), (95, 5)]
 
 
+def _closed_form_oracle(n_y, n_z, spacing, theta_deg, phi_deg, snr):
+    """Reference closed form at one point, in math-module scalar arithmetic.
+
+    Returns (c_tt, c_tp, c_pp, objective), +inf at singular points.
+    """
+    B_Y = n_y * (n_y**2 - 1) / 12.0
+    B_Z = n_z * (n_z**2 - 1) / 12.0
+    k = 2.0 * math.pi * spacing
+    if (theta_deg % 180.0 == 0.0 or abs(phi_deg) % 180.0 == 90.0
+            or B_Y == 0.0 or B_Z == 0.0):
+        return (math.inf,) * 4
+    th, ph = math.radians(theta_deg), math.radians(phi_deg)
+    s, c = math.sin(th), math.cos(th)
+    sp, cp = math.sin(ph), math.cos(ph)
+    den = 2.0 * k**4 * B_Y * B_Z * s * s * cp * cp * snr
+    c_tt = B_Y * s * s * cp * cp / den
+    c_tp = -B_Y * c * s * cp * sp / den
+    c_pp = (B_Z * s * s + B_Y * c * c * sp * sp) / den
+    return c_tt, c_tp, c_pp, float(np.sqrt(c_tt + c_pp))
+
+
+def _full_grid_points(step_deg):
+    grid = AngleGrid(step_deg=step_deg)          # poles, phi = +-90 endfire, phi seam
+    return np.repeat(grid.theta_deg, grid.n_phi), np.tile(grid.phi_deg, grid.n_theta)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("n_y,n_z", [(4, 4), (1, 4)])
+def test_closed_form_map_bit_equal_to_scalar_oracle_on_full_grid(n_y, n_z):
+    th, ph = _full_grid_points(0.5)
+    got = upa_crlb_closed_form_map(n_y, n_z, 0.5, th, ph, 2.0)
+    want = np.array([_closed_form_oracle(n_y, n_z, 0.5, a, b, 2.0)
+                     for a, b in zip(th.tolist(), ph.tolist())]).T
+    for g, w in zip(got[:4], want):
+        assert np.array_equal(_bits(g), _bits(w))
+    assert np.array_equal(got[4], np.isinf(want[3]))
+    if n_y == 1:                                  # B_Y = 0: singular everywhere
+        assert got[4].all()
+    else:
+        assert got[4].any() and not got[4].all()
+
+
+@pytest.mark.parametrize("n_y,n_z", [(4, 4), (1, 4)])
+def test_closed_form_point_bit_equal_to_map(n_y, n_z):
+    th, ph = _full_grid_points(0.5)
+    special = (np.isin(th, [0.0, 0.5, 90.0, 179.5, 180.0])
+               | np.isin(ph, [-180.0, -90.0, -89.5, 0.0, 89.5, 90.0, 180.0]))
+    pick = np.flatnonzero(special)
+    pick = np.union1d(pick, np.random.default_rng(5).choice(th.size, 2000, replace=False))
+    c_tt, c_tp, c_pp, obj, sing = upa_crlb_closed_form_map(n_y, n_z, 0.5, th, ph, 2.0)
+    for i in pick:
+        r = upa_crlb_closed_form(n_y, n_z, 0.5, (th[i], ph[i]), 2.0)
+        assert np.array_equal(_bits(r.matrix), _bits([[c_tt[i], c_tp[i]], [c_tp[i], c_pp[i]]]))
+        assert _bits(r.objective) == _bits(obj[i])
+        assert r.singular == sing[i]
+        assert r.angle_deg == (th[i], ph[i])
+
+
 # ---------------------------------------------------------------------------
 # scalar objective
 # ---------------------------------------------------------------------------
@@ -312,3 +376,24 @@ def test_crlb_matrix_symmetric_nonnegative_diagonal(coarse_grid):
         if not r.singular:
             assert r.matrix[0, 0] >= 0.0
             assert r.matrix[1, 1] >= 0.0
+
+
+def test_write_csv_cells_match_the_per_cell_formatter(tmp_path):
+    def cell(v):
+        # reference cell rule: +-inf spelled out, integers as digits, else repr(float)
+        if isinstance(v, float) and math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return repr(float(v))
+
+    floats = np.array([0.1, -0.0, np.inf, -np.inf, 5e-324, 1.0 / 3.0, 1e22])
+    columns = (floats, np.arange(7), [2, 1, 0, -1, 10**12, 3, 4],
+               [float(v) for v in floats[::-1]], tuple(np.float64(v) for v in floats))
+    path = tmp_path / "t.csv"
+    write_csv(path, "a,b,c,d,e", columns)
+    want = "a,b,c,d,e\n" + "".join(",".join(cell(v) for v in row) + "\n"
+                                   for row in zip(*columns))
+    assert path.read_text() == want
+    write_csv(path, "a", [])
+    assert path.read_text() == "a\n"

@@ -65,14 +65,20 @@ def test_fim_sweep_matches_per_point_oracle(step_mult):
         assert obj[k] == pytest.approx(np.sqrt(C[0, 0] + C[1, 1]), rel=1e-10)
 
 
-def test_ml_scores_matches_projection_norm():
-    rng = np.random.default_rng(3)
-    G, N = 60, 6
+def _random_bases(rng, G, N):
+    """Orthonormal (G, N, 2) bases with every rank 0, 1, 2 present; unused columns zero."""
     basis = np.zeros((G, N, 2), dtype=np.complex128)
-    rank = np.arange(G) % 3                         # every rank 0, 1, 2 present
+    rank = np.arange(G) % 3
     for g in range(G):
         q, _ = np.linalg.qr(rng.normal(size=(N, 2)) + 1j * rng.normal(size=(N, 2)))
         basis[g, :, : rank[g]] = q[:, : rank[g]]
+    return basis, rank
+
+
+def test_ml_scores_matches_projection_norm():
+    rng = np.random.default_rng(3)
+    G, N = 60, 6
+    basis, rank = _random_bases(rng, G, N)
     y = rng.normal(size=N) + 1j * rng.normal(size=N)
 
     scores = kernels.ml_scores(basis, rank, y)
@@ -83,3 +89,22 @@ def test_ml_scores_matches_projection_norm():
         B = basis[g, :, : rank[g]]
         P = B @ B.conj().T
         assert scores[g] == pytest.approx(np.linalg.norm(P @ y) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("T", [1, 7])
+def test_ml_scores_block_matches_per_row_calls(monkeypatch, T):
+    rng = np.random.default_rng(4)
+    G, N = 60, 6
+    basis, rank = _random_bases(rng, G, N)
+    # three snapshots per chunk, so T = 7 ends in a partial chunk
+    monkeypatch.setattr(kernels, "_ML_CHUNK_BYTES", 3 * 2 * G * 16)
+    Y = rng.normal(size=(T, N)) + 1j * rng.normal(size=(T, N))
+
+    block = kernels.ml_scores(basis, rank, Y)
+    assert block.shape == (T, G)
+    for t in range(T):
+        row = kernels.ml_scores(basis, rank, Y[t])
+        assert row.shape == (G,)
+        np.testing.assert_allclose(block[t], row, rtol=1e-12, atol=0.0)
+        assert np.argmax(block[t]) == np.argmax(row)
+        assert np.all(block[t, rank == 0] == -1.0)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from pixelaoa import AngleGrid, PatternSet, SensingArea, crlb_matrix, upa_patterns
+from pixelaoa import simulate
 from pixelaoa.errors import EstimationError
 from pixelaoa.simulate import (
+    RANK_TOL_REL,
+    _orthobases,
     ml_estimate,
     monte_carlo_rmse,
     simulate_snapshot,
@@ -112,6 +115,72 @@ def test_rank_deficient_candidates_skipped():
         ml_estimate(np.array([1.0, 1.0], dtype=complex), zero, area)
 
 
+def _orthobasis_oracle(A):
+    """Reference Gram-Schmidt of one (N, 2) candidate, column by column."""
+    basis = np.zeros_like(A)
+    scale = max(np.linalg.norm(A[:, 0]), np.linalg.norm(A[:, 1]))
+    if scale <= 0.0:
+        return basis, 0
+    tol = RANK_TOL_REL * scale
+    rank = 0
+    for col in range(A.shape[1]):
+        v = A[:, col].astype(np.complex128)
+        for r in range(rank):
+            v = v - basis[:, r] * np.vdot(basis[:, r], v)
+        nv = np.linalg.norm(v)
+        if nv > tol:
+            basis[:, rank] = v / nv
+            rank += 1
+    return basis, rank
+
+
+def _assert_orthobases_match_oracle(A, exact=None):
+    """Ranks equal the oracle's; bases agree to 1e-14 where exact[g] (default: all)."""
+    basis, rank = _orthobases(A)
+    assert basis.shape == A.shape
+    for g in range(A.shape[0]):
+        want_basis, want_rank = _orthobasis_oracle(A[g])
+        assert rank[g] == want_rank, g
+        if exact is None or exact[g]:
+            assert np.max(np.abs(basis[g] - want_basis)) <= 1e-14, g
+    return rank
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 16])
+def test_orthobases_match_scalar_oracle_on_random_stacks(N):
+    rng = np.random.default_rng(N)
+    A = rng.normal(size=(300, N, 2)) + 1j * rng.normal(size=(300, N, 2))
+    A[::7] *= 1e-150                      # the tolerance is relative to each candidate
+    rank = _assert_orthobases_match_oracle(A)
+    assert np.all(rank == min(N, 2))
+
+
+def test_orthobases_edge_cases_match_scalar_oracle():
+    rng = np.random.default_rng(21)
+    u = rng.normal(size=4) + 1j * rng.normal(size=4)
+    w = rng.normal(size=4) + 1j * rng.normal(size=4)
+    e = w - u * (np.vdot(u, w) / np.vdot(u, u))
+    e /= np.linalg.norm(e)                # unit vector orthogonal to u
+    tiny = RANK_TOL_REL * np.linalg.norm(u)
+    zero = np.zeros(4, dtype=complex)
+    cases = [                             # columns, rank
+        ((zero, zero), 0),                # all-zero candidate
+        ((zero, u), 1),                   # zero first column, nonzero second
+        ((u, zero), 1),
+        ((u, (2.0 - 3.0j) * u), 1),       # parallel columns
+        ((u, u + 0.9 * tiny * e), 1),     # residual just under the tolerance
+        ((0.9 * tiny * e, u), 1),         # first column just under the tolerance
+        ((u, w), 2),
+        # Just over the tolerance the second basis column is the direction of a
+        # residual 1e-12 times smaller than its column, which rounding fixes only
+        # to about 1e-4: ranks must match, bases cannot to 1e-14.
+        ((u, u + 1.1 * tiny * e), 2),
+    ]
+    A = np.stack([np.stack(cols, axis=1) for cols, _ in cases])
+    rank = _assert_orthobases_match_oracle(A, exact=[True] * (len(cases) - 1) + [False])
+    assert rank.tolist() == [r for _, r in cases]
+
+
 def test_candidate_cache_leaves_patterns_collectable():
     pats = upa_patterns(2, 2, 0.5, WINDOW)
     y = simulate_snapshot(pats, (90.0, 0.0), (1.0, 0.0), math.inf, 0).y
@@ -183,6 +252,43 @@ def test_estimator_consistency_with_snr(upa):
         # use the per-angle RMSE as a proxy: chebyshev-style exceedance bound
         probs.append(r.rmse_theta_rad)
     assert probs[0] > probs[1] > probs[2] > probs[3] or probs[2] == probs[3] == 0.0
+
+
+@pytest.mark.parametrize("source", [(1.0, 0.5j), "random-unit"])
+def test_monte_carlo_trials_match_ml_estimate(upa, monkeypatch, source):
+    angles, snrs, trials, seed = [(90.0, 0.0), (86.0, 4.0)], [3.0, 100.0], 100, 9
+    estimate = simulate._CandidateGrid.estimate
+    got = {}
+    for refine in (False, True):
+        seen = got[refine] = []
+
+        def spy(self, scores, refine):
+            seen.append(estimate(self, scores, refine))
+            return seen[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(simulate._CandidateGrid, "estimate", spy)
+            monte_carlo_rmse(upa, angles, snrs, trials, seed, search_area=SEARCH,
+                             source=source, refine=refine)
+    assert len(got[False]) == len(got[True]) == len(angles) * len(snrs) * trials
+
+    k = 0
+    for ai, angle in enumerate(angles):
+        for si, snr in enumerate(snrs):
+            for t in range(trials):
+                src = source
+                if source == "random-unit":
+                    srng = np.random.default_rng(
+                        np.random.SeedSequence(entropy=seed, spawn_key=(ai, si, t, 1)))
+                    v = srng.standard_normal(2) + 1j * srng.standard_normal(2)
+                    src = v / np.linalg.norm(v)
+                y = simulate_snapshot(upa, angle, src, snr, np.random.SeedSequence(
+                    entropy=seed, spawn_key=(ai, si, t))).y
+                assert got[False][k] == ml_estimate(y, upa, SEARCH)
+                fine = ml_estimate(y, upa, SEARCH, refine=True)
+                assert abs(got[True][k][0] - fine[0]) <= 1e-9
+                assert abs(got[True][k][1] - fine[1]) <= 1e-9
+                k += 1
 
 
 def test_export_columns(tmp_path, upa):
