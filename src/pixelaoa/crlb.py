@@ -329,13 +329,13 @@ MAP_HEADER = "theta_deg,phi_deg,c_tt,c_tp,c_pp,objective"
 def write_csv(path, header: str, columns) -> None:
     """Write equal-length columns as CSV rows under a header line.
 
-    Every cell is the repr of its Python number: integers as digits, floats
-    in their shortest round-trip form, +inf as 'inf'.
+    Every cell is the str of its Python value: integers as digits, floats
+    in their shortest round-trip form, +inf as 'inf', strings unquoted.
     """
     cols = [np.asarray(c).tolist() for c in columns]
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
+        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cols))
 
 
 def export_crlb_map(m: CRLBMap, path) -> None:

@@ -7,9 +7,11 @@ covering an angular space is built by recursive subdivision: each child
 area's optimization warm-starts from the codeword of the parent area that
 contains it, so child objectives never exceed the parent's on their area.
 
-All randomness is drawn from streams keyed by (seed, generation,
-individual), and fitness evaluation is pure, so results do not depend on
-how a batch of candidates is split up for scoring.
+The GA holds its population as one (population, Q) uint8 array and draws
+each generation's tournaments, crossovers and mutations from one generator
+keyed by (seed, generation).  Fitness evaluation is pure, so results do not
+depend on how a batch of candidates is split up for scoring or on what the
+evaluator's cache already holds.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .crlb import SensingArea, _step_multiple, fd_stencil
+from .crlb import SensingArea, _step_multiple, fd_stencil, write_csv
 from .emdata import EMDataset, PortLayout
 from .errors import (
     ConfigError,
     CoverageError,
     DatasetFormatError,
+    GridError,
     NonPhysicalConfigError,
     NumericalError,
     ScheduleError,
@@ -35,11 +38,6 @@ from .errors import (
 from .network import FeedNetworkConfig, GeometryConfig, solve_network
 
 CODEBOOK_FILE_VERSION = 1
-
-# rng stream tags
-_STREAM_SELECT = 0
-_STREAM_CROSSOVER = 1
-_STREAM_MUTATE = 2
 
 # Most pattern values (2N x Tn x Pn per config) one stacked evaluation pass
 # holds; larger batches are scored in chunks.
@@ -161,11 +159,10 @@ class OptimizationTrace:
 
 def export_trace(trace: OptimizationTrace, path) -> None:
     """Tabular text dump: iteration, phase, objective (plus the area label)."""
-    with open(path, "w") as fh:
-        fh.write("area,iteration,phase,objective\n")
-        for r in trace.records:
-            obj = "inf" if math.isinf(r.objective) else repr(r.objective)
-            fh.write(f"{r.area_label},{r.iteration},{r.phase},{obj}\n")
+    recs = trace.records
+    write_csv(path, "area,iteration,phase,objective",
+              ([r.area_label for r in recs], [r.iteration for r in recs],
+               [r.phase for r in recs], [r.objective for r in recs]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,21 +328,18 @@ def evaluate_config(dataset: EMDataset, config: GeometryConfig, area: SensingAre
 # genetic algorithm over pixel connections
 # ---------------------------------------------------------------------------
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-def _initial_population(params: GAParams, Q: int, init_g: tuple[int, ...]) -> list[tuple[int, ...]]:
-    pop: list[tuple[int, ...]] = [tuple(init_g)]
+def _initial_population(params: GAParams, Q: int, init_g: tuple[int, ...]) -> np.ndarray:
+    """(population, Q) uint8 genomes: the start vector, then every vector
+    when 2^Q fits in the population, duplicates removed, then random rows."""
+    pop = np.array([init_g], dtype=np.uint8)
     if Q <= 20 and (1 << Q) <= params.population:
-        for code in range(1 << Q):
-            pop.append(tuple((code >> (Q - 1 - b)) & 1 for b in range(Q)))
-    seen: set = set()
-    pop = [g for g in pop if not (g in seen or seen.add(g))]
-    rng = _rng(params.seed, 0, 0, 3)
-    while len(pop) < params.population:
-        pop.append(tuple(int(b) for b in rng.integers(0, 2, size=Q)))
-    return pop[: params.population]
+        codes = np.arange(1 << Q)[:, None] >> np.arange(Q - 1, -1, -1)
+        pop = np.concatenate([pop, (codes & 1).astype(np.uint8)])
+    _, first = np.unique(pop, axis=0, return_index=True)
+    pop = pop[np.sort(first)]
+    rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(0, 0, 3)))
+    fill = rng.integers(0, 2, size=(params.population - len(pop), Q)).astype(np.uint8)
+    return np.concatenate([pop, fill])
 
 
 def ga_optimize_connections(
@@ -364,7 +358,12 @@ def ga_optimize_connections(
 
     The start vector is injected into the initial population; when 2^Q fits
     in the population the initial population enumerates every vector, which
-    makes the result exhaustively optimal.
+    makes the result exhaustively optimal.  Each generation ranks its
+    genomes by (objective, genome), ties going to the lexicographically
+    smaller genome; the elites are the top ranks, and each tournament
+    draws ranks with replacement and keeps the smallest.  If every genome
+    of every generation scores +inf, the start vector is returned with a
+    +inf history.
     """
     ev = evaluator or ConfigEvaluator(dataset, snr_linear, feednet)
     Q = dataset.n_loaded
@@ -374,48 +373,35 @@ def ga_optimize_connections(
 
     mut = params.mutation_prob if params.mutation_prob is not None else 1.0 / Q
     F = tuple(fixed_feed_ports)
+    n_children = params.population - params.elite_count
 
-    population = _initial_population(params, Q, tuple(init_g))
-    best_g: tuple[int, ...] | None = None
+    pop = _initial_population(params, Q, tuple(init_g))
+    best_g = tuple(int(b) for b in init_g)
     best_obj = math.inf
     history: list[tuple[float, tuple[int, ...]]] = []
 
     for gen in range(params.generations):
-        configs = [GeometryConfig(F, g) for g in population]
-        fitness = ev.objective_many(configs, area)
-        order = sorted(range(len(population)), key=lambda i: (fitness[i], population[i]))
-        gen_best = order[0]
-        if fitness[gen_best] < best_obj:
-            best_obj = fitness[gen_best]
-            best_g = population[gen_best]
+        fitness = np.asarray(ev.objective_many(
+            [GeometryConfig(F, g) for g in pop.tolist()], area))
+        order = np.lexsort((*pop.T[::-1], fitness))
+        if fitness[order[0]] < best_obj:
+            best_obj = float(fitness[order[0]])
+            best_g = tuple(pop[order[0]].tolist())
         history.append((best_obj, best_g))
 
         if gen == params.generations - 1:
             break
 
-        next_pop: list[tuple[int, ...]] = [population[i] for i in order[: params.elite_count]]
-        for child in range(params.elite_count, params.population):
-            sel = _rng(params.seed, gen, child, _STREAM_SELECT)
-            picks1 = sel.integers(0, len(population), size=params.tournament_size)
-            picks2 = sel.integers(0, len(population), size=params.tournament_size)
-            p1 = min(picks1, key=lambda i: (fitness[i], i))
-            p2 = min(picks2, key=lambda i: (fitness[i], i))
-            g1, g2 = population[p1], population[p2]
+        rng = np.random.default_rng((params.seed, gen))
+        ranks = rng.integers(0, params.population,
+                             size=(2, n_children, params.tournament_size)).min(axis=2)
+        g1, g2 = pop[order[ranks]]
+        crossed = rng.random(n_children) < params.crossover_prob
+        swap = crossed[:, None] & rng.integers(0, 2, size=(n_children, Q), dtype=bool)
+        flips = rng.random((n_children, Q)) < mut
+        pop = np.concatenate([pop[order[: params.elite_count]],
+                              np.where(swap, g2, g1) ^ flips])
 
-            xo = _rng(params.seed, gen, child, _STREAM_CROSSOVER)
-            if xo.uniform() < params.crossover_prob:
-                mask = xo.integers(0, 2, size=Q)
-                genome = tuple(a if m else b for a, b, m in zip(g1, g2, mask))
-            else:
-                genome = g1
-
-            mu = _rng(params.seed, gen, child, _STREAM_MUTATE)
-            flips = mu.uniform(size=Q) < mut
-            genome = tuple(int(b ^ f) for b, f in zip(genome, flips))
-            next_pop.append(genome)
-        population = next_pop
-
-    assert best_g is not None
     return best_g, history
 
 
@@ -713,19 +699,20 @@ def load_codebook(path) -> Codebook:
             factors=tuple(int(k) for k in doc["schedule"]["factors"]),
             axes=tuple(str(a) for a in doc["schedule"]["axes"]),
         )
+        n_feed, n_loaded = int(doc["n_feed"]), int(doc["n_loaded"])
         cws = []
         for rec in doc["codewords"]:
             cfg = GeometryConfig(
                 feed_ports=tuple(int(i) - 1 for i in rec["feed_ports"]),
                 connections=tuple(int(ch) for ch in rec["connections"]),
             )
+            cfg.validate_against(n_feed, n_loaded)
             cws.append(Codeword(area=_area_from(rec["area"]), config=cfg,
                                 objective=float(rec["objective_rad"]),
                                 iterations_used=int(rec["iterations_used"])))
         return Codebook(
             schedule=schedule, snr_linear=float(doc["snr_linear"]),
-            n_feed=int(doc["n_feed"]), n_loaded=int(doc["n_loaded"]),
-            codewords=tuple(cws),
+            n_feed=n_feed, n_loaded=n_loaded, codewords=tuple(cws),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError, ScheduleError, GridError) as exc:
         raise DatasetFormatError(f"{path}: missing or malformed field ({exc})") from exc

@@ -114,6 +114,30 @@ def test_crlb_map_codebook_mode(tmp_path, ds_file, cb_file):
     assert math.isfinite(vals[5])
 
 
+def _set_first_codeword(key, value):
+    def edit(doc):
+        doc["codewords"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_first_codeword("connections", "2000"),
+    _set_first_codeword("feed_ports", [0, 2]),
+    _set_first_codeword("connections", "000"),
+    lambda doc: doc.update(n_loaded=3),
+    _set_first_codeword("area", {"theta_min_deg": 100, "theta_max_deg": 80,
+                                 "phi_min_deg": -10, "phi_max_deg": 10}),
+    lambda doc: doc["schedule"].update(factors=[2]),
+], ids=["bit_2", "port_0", "short_bits", "header_n_loaded", "empty_area", "bad_schedule"])
+def test_crlb_map_bad_codebook_is_format_error(tmp_path, ds_file, cb_file, edit):
+    doc = json.loads(cb_file.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["crlb-map", "--dataset", ds_file, "--codebook", bad,
+                "--area", "85:95:-5:5", "--out", tmp_path / "map.csv"]) == 3
+
+
 def test_crlb_map_codebook_sweeps_equal_per_point_maps(tmp_path, ds_file):
     # four leaves, so area points on the shared edges go to the upper tiles
     cb = tmp_path / "cb4.json"

@@ -179,8 +179,35 @@ def test_ga_degenerate_returns_best_of_initial_population(ds2):
     best_g, _ = ga_optimize_connections(ds2, F, AREA, params, (1, 1, 1, 1), evaluator=ev)
     from pixelaoa.optimizer import _initial_population
     init = _initial_population(params, 4, (1, 1, 1, 1))
-    init_best = min((ev.objective(GeometryConfig(F, g), AREA), g) for g in init)
+    init_best = min((ev.objective(GeometryConfig(F, g), AREA), g) for g in map(tuple, init.tolist()))
     assert ev.objective(GeometryConfig(F, best_g), AREA) == init_best[0]
+
+
+def test_ga_all_inf_returns_start_vector(ds2, grid):
+    # every connection vector that drives port 0 is rejected on the sick dataset
+    sick = _sick_dataset(ds2, grid)
+    ev = ConfigEvaluator(sick, 1.0)
+    assert all(math.isinf(ev.objective(GeometryConfig((0,), g), AREA))
+               for g in itertools.product((0, 1), repeat=4))
+    params = GAParams(population=4, generations=2)
+    best_g, hist = ga_optimize_connections(sick, (0,), AREA, params, (0, 1, 0, 1), evaluator=ev)
+    assert best_g == (0, 1, 0, 1)
+    assert hist == [(math.inf, (0, 1, 0, 1))] * 2
+
+
+def test_ga_independent_of_cache_and_chunking(ds2, monkeypatch):
+    params = GAParams(population=10, generations=5, seed=3)
+
+    def ga(ev):
+        return ga_optimize_connections(ds2, (0, 1), AREA, params, (0, 0, 0, 0), evaluator=ev)
+
+    fresh = ga(ConfigEvaluator(ds2, 1.0))
+    warm = ConfigEvaluator(ds2, 1.0)
+    warm.objective_many([GeometryConfig((0, 1), tuple(int(b) for b in f"{i:04b}"))
+                         for i in range(0, 16, 3)], AREA)
+    assert ga(warm) == fresh
+    monkeypatch.setattr(optimizer, "_CHUNK_VALUES", 1)
+    assert ga(ConfigEvaluator(ds2, 1.0)) == fresh
 
 
 def test_ga_best_so_far_monotone(ds2):
