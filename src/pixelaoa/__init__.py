@@ -30,7 +30,6 @@ from .crlb import (
     crlb_matrix,
     objective,
     projection_matrix,
-    steering_jacobian,
     upa_crlb_closed_form,
     upa_crlb_closed_form_map,
 )
@@ -38,15 +37,7 @@ from .network import (
     ActiveNetwork,
     FeedNetworkConfig,
     GeometryConfig,
-    build_permutation,
-    coupled_patterns,
-    exact_port_currents,
-    feed_impedance,
-    load_matrix,
-    open_circuit_feed_patterns,
     overall_patterns,
-    partition_impedance,
-    radiation_efficiency,
 )
 
 __all__ = [
@@ -67,19 +58,10 @@ __all__ = [
     "crlb_matrix",
     "objective",
     "projection_matrix",
-    "steering_jacobian",
     "upa_crlb_closed_form",
     "upa_crlb_closed_form_map",
     "ActiveNetwork",
     "FeedNetworkConfig",
     "GeometryConfig",
-    "build_permutation",
-    "coupled_patterns",
-    "exact_port_currents",
-    "feed_impedance",
-    "load_matrix",
-    "open_circuit_feed_patterns",
     "overall_patterns",
-    "partition_impedance",
-    "radiation_efficiency",
 ]

@@ -53,6 +53,7 @@ from .errors import (
 from .grid import AngleGrid
 from .network import FeedNetworkConfig, overall_patterns
 from .optimizer import (
+    Codebook,
     GAParams,
     SubdivisionSchedule,
     build_codebook,
@@ -140,6 +141,16 @@ def _window_grid(area: SensingArea, step_deg: float, margin_steps: int = 2) -> A
     p0 = max(-180.0, area.phi_min_deg - m)
     p1 = min(180.0, area.phi_max_deg + m)
     return AngleGrid(t0, t1, p0, p1, step_deg)
+
+
+def _load_codebook_for(path, ds) -> Codebook:
+    """load_codebook, rejecting a codebook built for another port count than the dataset's."""
+    cb = load_codebook(path)
+    if (cb.n_feed, cb.n_loaded) != (ds.n_feed, ds.n_loaded):
+        raise DatasetFormatError(
+            f"{path}: codebook is for {cb.n_feed} feed + {cb.n_loaded} loaded ports, "
+            f"the dataset has {ds.n_feed} + {ds.n_loaded}")
+    return cb
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +251,7 @@ def cmd_crlb_map(args) -> int:
         if not (args.dataset and args.codebook):
             raise ConfigError("crlb-map needs either --upa or --dataset with --codebook")
         ds = load_dataset(args.dataset)
-        cb = load_codebook(args.codebook)
+        cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
         t_ids, p_ids = area.indices(ds.grid)
@@ -285,7 +296,7 @@ def cmd_compare(args) -> int:
     started = time.time()
     _resolve_out(args, "compare.csv")
     ds = load_dataset(args.dataset)
-    cb = load_codebook(args.codebook)
+    cb = _load_codebook_for(args.codebook, ds)
     inputs = [args.dataset, args.codebook]
     snr = _db_to_linear(args.snr_db)
     feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
@@ -293,7 +304,7 @@ def cmd_compare(args) -> int:
     baseline_cb = None
     upa = None
     if args.baseline_codebook:
-        baseline_cb = load_codebook(args.baseline_codebook)
+        baseline_cb = _load_codebook_for(args.baseline_codebook, ds)
         inputs.append(args.baseline_codebook)
     elif args.upa:
         upa = _parse_pixels(args.upa)
@@ -328,33 +339,30 @@ def cmd_montecarlo(args) -> int:
     angles = _parse_angles(args.angles)
     snr_list = [_db_to_linear(float(x)) for x in args.snr_db_list.split(",")]
     inputs = []
+    hw = args.search_halfwidth_deg
+    # the angles' bounding box widened by the search half-width
+    box = SensingArea(min(a[0] for a in angles) - hw, max(a[0] for a in angles) + hw,
+                      min(a[1] for a in angles) - hw, max(a[1] for a in angles) + hw)
 
     if args.upa:
         ny, nz = _parse_pixels(args.upa)
-        lo_t = max(0.0, min(a[0] for a in angles) - args.search_halfwidth_deg - 2 * args.step_deg)
-        hi_t = min(180.0, max(a[0] for a in angles) + args.search_halfwidth_deg + 2 * args.step_deg)
-        lo_p = max(-180.0, min(a[1] for a in angles) - args.search_halfwidth_deg - 2 * args.step_deg)
-        hi_p = min(180.0, max(a[1] for a in angles) + args.search_halfwidth_deg + 2 * args.step_deg)
-        grid = AngleGrid(lo_t, hi_t, lo_p, hi_p, args.step_deg)
-        pats = upa_patterns(ny, nz, args.spacing, grid, element=args.element)
+        pats = upa_patterns(ny, nz, args.spacing, _window_grid(box, args.step_deg),
+                            element=args.element)
     else:
         if not (args.dataset and args.codebook):
             raise ConfigError("montecarlo needs either --upa or --dataset with --codebook")
         ds = load_dataset(args.dataset)
-        cb = load_codebook(args.codebook)
+        cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
         cw = codebook_lookup(cb, angles[0])
         pats = overall_patterns(ds, cw.config, feednet).patterns
 
     grid = pats.grid
-    hw = args.search_halfwidth_deg
-    area = SensingArea(
-        max(grid.theta_deg[0], min(a[0] for a in angles) - hw),
-        min(grid.theta_deg[-1], max(a[0] for a in angles) + hw),
-        max(grid.phi_deg[0], min(a[1] for a in angles) - hw),
-        min(grid.phi_deg[-1], max(a[1] for a in angles) + hw),
-    )
+    area = SensingArea(max(grid.theta_deg[0], box.theta_min_deg),
+                       min(grid.theta_deg[-1], box.theta_max_deg),
+                       max(grid.phi_deg[0], box.phi_min_deg),
+                       min(grid.phi_deg[-1], box.phi_max_deg))
     report = monte_carlo_rmse(pats, angles, snr_list, trials=args.trials, seed=args.seed,
                               search_area=area, refine=not args.no_refine)
     export_report(report, args.out)
@@ -379,7 +387,7 @@ def cmd_export_plots(args) -> int:
     if args.fig == "area-bars":
         if not (args.codebook and args.upa):
             raise ConfigError("area-bars needs --codebook and --upa")
-        cb = load_codebook(args.codebook)
+        cb = _load_codebook_for(args.codebook, ds)
         inputs.append(args.codebook)
         ny, nz = _parse_pixels(args.upa)
         rows = []
@@ -403,7 +411,7 @@ def cmd_export_plots(args) -> int:
         area = _parse_area(args.eval_area)
         rows = []
         for p in books:
-            cb = load_codebook(p)
+            cb = _load_codebook_for(p, ds)
             inputs.append(p)
             size = cb.space.theta_max_deg - cb.space.theta_min_deg
             worst = _worst_for_source(ds, cb, area, snr, feednet, args.fd_step_deg)
@@ -419,7 +427,7 @@ def cmd_export_plots(args) -> int:
             raise ConfigError("port-count needs --codebooks")
         rows = []
         for p in books:
-            cb = load_codebook(p)
+            cb = _load_codebook_for(p, ds)
             inputs.append(p)
             n = len(cb.codewords[0].config.feed_ports)
             worst = max(cw.objective for cw in cb.codewords)

@@ -121,6 +121,17 @@ def _step_multiple(grid: AngleGrid, fd_step_deg: float | None) -> int:
     return s
 
 
+def _axis_stencil(i: np.ndarray, s: int, n: int, h: float, axis: str):
+    """Plus/minus neighbours of indices i on an axis of n points, with the
+    inverse denominators: central inside, one-sided at the axis ends."""
+    lo = i - s < 0
+    hi = i + s > n - 1
+    if np.any(lo & hi):
+        raise GridError(f"grid too small in {axis} for the requested fd step")
+    return (np.where(hi, i, i + s), np.where(lo, i, i - s),
+            np.where(lo | hi, 1.0 / h, 1.0 / (2.0 * h)))
+
+
 def fd_stencil(grid: AngleGrid, theta_idx: np.ndarray, phi_idx: np.ndarray, step_mult: int):
     """Neighbour indices and inverse denominators (1/rad) for FD derivatives.
 
@@ -129,42 +140,15 @@ def fd_stencil(grid: AngleGrid, theta_idx: np.ndarray, phi_idx: np.ndarray, step
     """
     s = step_mult
     h = s * grid.step_rad()
-    nt, npph = grid.n_theta, grid.n_phi
-    if nt - 1 < s:
-        raise GridError("grid too small in theta for the requested fd step")
-
     it = np.asarray(theta_idx, dtype=np.int64)
     ip = np.asarray(phi_idx, dtype=np.int64)
-
-    itp = it + s
-    itm = it - s
-    inv_dt = np.full(it.shape, 1.0 / (2.0 * h))
-    lo = itm < 0
-    hi = itp > nt - 1
-    itp = np.where(lo, it + s, itp)
-    itm = np.where(lo, it, itm)
-    itp = np.where(hi, it, itp)
-    itm = np.where(hi, it - s, itm)
-    inv_dt = np.where(lo | hi, 1.0 / h, inv_dt)
-
+    itp, itm, inv_dt = _axis_stencil(it, s, grid.n_theta, h, "theta")
     if grid.phi_wraps:
-        ipp = (ip + s) % npph
-        ipm = (ip - s) % npph
+        ipp = (ip + s) % grid.n_phi
+        ipm = (ip - s) % grid.n_phi
         inv_dp = np.full(ip.shape, 1.0 / (2.0 * h))
     else:
-        if npph - 1 < s:
-            raise GridError("grid too small in phi for the requested fd step")
-        ipp = ip + s
-        ipm = ip - s
-        inv_dp = np.full(ip.shape, 1.0 / (2.0 * h))
-        lo = ipm < 0
-        hi = ipp > npph - 1
-        ipp = np.where(lo, ip + s, ipp)
-        ipm = np.where(lo, ip, ipm)
-        ipp = np.where(hi, ip, ipp)
-        ipm = np.where(hi, ip - s, ipm)
-        inv_dp = np.where(lo | hi, 1.0 / h, inv_dp)
-
+        ipp, ipm, inv_dp = _axis_stencil(ip, s, grid.n_phi, h, "phi")
     return itp, itm, inv_dt, ipp, ipm, inv_dp
 
 
@@ -174,33 +158,19 @@ def _stacked(patterns: PatternSet) -> np.ndarray:
     return d.reshape(2 * d.shape[1], d.shape[2], d.shape[3])
 
 
+def _sweep(patterns: PatternSet, it: np.ndarray, ip: np.ndarray, snr: float,
+           fd_step_deg: float | None):
+    """kernels.fim_sweep at grid points (it, ip): (c_tt, c_tp, c_pp, objective, singular)."""
+    if not (snr > 0):
+        raise ValueError(f"snr must be positive, got {snr}")
+    grid = patterns.grid
+    sten = fd_stencil(grid, it, ip, _step_multiple(grid, fd_step_deg))
+    return kernels.fim_sweep(_stacked(patterns), it, ip, *sten, snr)
+
+
 # ---------------------------------------------------------------------------
 # core operations
 # ---------------------------------------------------------------------------
-
-def steering_jacobian(patterns: PatternSet, angle_deg: tuple[float, float],
-                      fd_step_deg: float | None = None) -> np.ndarray:
-    """Finite-difference Jacobian J (2N x 2): columns are d f/d theta, d f/d phi.
-
-    f stacks the theta-pol steering row followed by the phi-pol row;
-    derivatives are per radian.
-    """
-    grid = patterns.grid
-    it = np.array([grid.theta_index(angle_deg[0])])
-    ip = np.array([grid.phi_index(angle_deg[1])])
-    s = _step_multiple(grid, fd_step_deg)
-    itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(grid, it, ip, s)
-    e = _stacked(patterns)
-    dth = (e[:, itp[0], ip[0]] - e[:, itm[0], ip[0]]) * inv_dt[0]
-    dph = (e[:, it[0], ipp[0]] - e[:, it[0], ipm[0]]) * inv_dp[0]
-    return np.stack([dth, dph], axis=1)
-
-
-def steering_row(patterns: PatternSet, angle_deg: tuple[float, float]) -> np.ndarray:
-    """The 2N steering row f = [e_theta, e_phi] at a grid angle."""
-    E = patterns.at(*angle_deg)
-    return np.concatenate([E[0], E[1]])
-
 
 def projection_matrix(f: np.ndarray) -> np.ndarray:
     """D = I - f^H f / ||f||^2 for a steering row f; annihilates f^H."""
@@ -214,14 +184,10 @@ def projection_matrix(f: np.ndarray) -> np.ndarray:
 def crlb_matrix(patterns: PatternSet, angle_deg: tuple[float, float], snr_linear: float,
                 fd_step_deg: float | None = None) -> CRLBResult:
     """CRLB matrix at one grid angle; singular Fisher information yields +inf entries."""
-    if not (snr_linear > 0):
-        raise ValueError(f"snr must be positive, got {snr_linear}")
     grid = patterns.grid
     it = np.array([grid.theta_index(angle_deg[0])])
     ip = np.array([grid.phi_index(angle_deg[1])])
-    s = _step_multiple(grid, fd_step_deg)
-    sten = fd_stencil(grid, it, ip, s)
-    c_tt, c_tp, c_pp, obj, sing = kernels.fim_sweep(_stacked(patterns), it, ip, *sten, snr_linear)
+    c_tt, c_tp, c_pp, obj, sing = _sweep(patterns, it, ip, snr_linear, fd_step_deg)
     C = np.array([[c_tt[0], c_tp[0]], [c_tp[0], c_pp[0]]])
     return CRLBResult(matrix=C, objective=float(obj[0]),
                       angle_deg=(float(angle_deg[0]), float(angle_deg[1])),
@@ -241,15 +207,11 @@ def crlb_map(patterns: PatternSet, area: SensingArea, snr_linear: float,
     Points run row-major (theta outer); ties on the maximum break toward the
     lowest grid index, so the reduction is order-fixed and deterministic.
     """
-    if not (snr_linear > 0):
-        raise ValueError(f"snr must be positive, got {snr_linear}")
     grid = patterns.grid
     t_ids, p_ids = area.indices(grid)
     it = np.repeat(t_ids, p_ids.size)
     ip = np.tile(p_ids, t_ids.size)
-    s = _step_multiple(grid, fd_step_deg)
-    sten = fd_stencil(grid, it, ip, s)
-    c_tt, c_tp, c_pp, obj, sing = kernels.fim_sweep(_stacked(patterns), it, ip, *sten, snr_linear)
+    c_tt, c_tp, c_pp, obj, sing = _sweep(patterns, it, ip, snr_linear, fd_step_deg)
 
     worst_i = int(np.argmax(obj))          # first maximum wins on ties
     th = grid.theta_start_deg + grid.step_deg * it

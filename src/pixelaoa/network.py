@@ -6,15 +6,15 @@ in the infinite-impedance limit; switched pixel links are short (0 ohm,
 bit 0) or quasi-open (z_oc, bit 1) loads that are eliminated through a
 Schur complement.  solve_network is the one solver: it returns the
 effective feed impedance matrix, the per-port map V with overall patterns
-E = e_oc . V, and the per-port radiation efficiencies.  The full-grid
-pipeline (open_circuit_feed_patterns, coupled_patterns,
-radiation_efficiency) is kept as its quadrature oracle.
+E = e_oc . V, and the per-port radiation efficiencies.  load_correction ->
+solve_network -> overall_patterns is the only network path; the full-grid
+quadrature pipeline it is checked against lives in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -86,85 +86,13 @@ class FeedNetworkConfig:
         return np.eye(n, dtype=np.complex128) * complex(self.source_impedance_ohm)
 
 
-@dataclass(frozen=True)
-class PortPermutation:
-    """Index lists realising the active/muted/loaded port reordering."""
-
-    active: np.ndarray
-    muted: np.ndarray
-    loaded: np.ndarray
-
-    @property
-    def order(self) -> np.ndarray:
-        return np.concatenate([self.active, self.muted, self.loaded])
-
-
-@dataclass(frozen=True)
-class ImpedanceBlocks:
-    Z_AA: np.ndarray
-    Z_AM: np.ndarray
-    Z_AL: np.ndarray
-    Z_MM: np.ndarray
-    Z_ML: np.ndarray
-    Z_LL: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class ActiveNetwork:
     """All derived quantities of one geometry on one dataset."""
 
-    config: GeometryConfig
-    feednet: FeedNetworkConfig
     z_feed: np.ndarray                # (N, N) effective feed impedance
     efficiencies: np.ndarray          # (N,) radiation efficiencies
     patterns: PatternSet              # overall = coupled * sqrt(efficiency)
-    provenance: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# permutation and partition
-# ---------------------------------------------------------------------------
-
-def build_permutation(feed_ports, M: int, Q: int) -> PortPermutation:
-    """Active (in stated order) / muted (ascending) / loaded port index lists.
-
-    The concatenated lists are a permutation of 0..M+Q-1, which is the
-    index-level statement of P^T P = I.
-    """
-    cfgiter = tuple(int(i) for i in feed_ports)
-    if len(set(cfgiter)) != len(cfgiter):
-        raise ConfigError(f"duplicate feed-port indices: {cfgiter}")
-    if any(i < 0 or i >= M for i in cfgiter):
-        raise ConfigError(f"feed-port index out of range 0..{M - 1}: {cfgiter}")
-    active = np.array(cfgiter, dtype=np.int64)
-    muted = np.array(sorted(set(range(M)) - set(cfgiter)), dtype=np.int64)
-    loaded = np.arange(M, M + Q, dtype=np.int64)
-    return PortPermutation(active=active, muted=muted, loaded=loaded)
-
-
-def partition_impedance(Z: np.ndarray, perm: PortPermutation) -> ImpedanceBlocks:
-    """Sub-blocks of the reordered impedance matrix."""
-    Z = np.asarray(Z)
-    n = Z.shape[0]
-    if Z.shape != (n, n) or perm.order.size != n:
-        raise ConfigError(f"permutation of size {perm.order.size} does not match Z {Z.shape}")
-    a, m, l = perm.active, perm.muted, perm.loaded
-    return ImpedanceBlocks(
-        Z_AA=Z[np.ix_(a, a)],
-        Z_AM=Z[np.ix_(a, m)],
-        Z_AL=Z[np.ix_(a, l)],
-        Z_MM=Z[np.ix_(m, m)],
-        Z_ML=Z[np.ix_(m, l)],
-        Z_LL=Z[np.ix_(l, l)],
-    )
-
-
-def load_matrix(connections, z_open_ohm: float) -> np.ndarray:
-    """Diagonal load matrix z_oc * diag(g): open where the bit is 1, short where 0."""
-    g = np.asarray([int(b) for b in connections], dtype=np.float64)
-    if g.size and not np.all((g == 0) | (g == 1)):
-        raise ConfigError("connection vector must be binary")
-    return np.diag(z_open_ohm * g).astype(np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +100,13 @@ def load_matrix(connections, z_open_ohm: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs,
-                    feednet: FeedNetworkConfig,
-                    context: str = "load_correction") -> np.ndarray:
+                    feednet: FeedNetworkConfig) -> np.ndarray:
     """W = (Z_LL + Z_L)^-1 Z_LA per config, stacked as (B, Q, N) by one
     stacked solve; the configs share one active-port count N."""
     for config in configs:
         config.validate_against(n_feed, n_loaded)
     if len({config.n_active for config in configs}) != 1:
-        raise ConfigError(f"{context}: a batch needs one active-port count")
+        raise ConfigError("a batch of network solves needs one active-port count")
     fp = np.array([config.feed_ports for config in configs], dtype=np.int64)   # (B, N)
     if n_loaded == 0:
         return np.zeros((fp.shape[0], 0, fp.shape[1]), dtype=np.complex128)
@@ -190,7 +117,7 @@ def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs,
         cond = np.linalg.cond(S)
         for b in np.flatnonzero(~(cond <= CONDITION_WARN_THRESHOLD)):     # inf, nan too
             warnings.warn(
-                f"{context}: loaded-port system condition number {cond[b]:.3g} exceeds "
+                f"loaded-port system condition number {cond[b]:.3g} exceeds "
                 f"{CONDITION_WARN_THRESHOLD:.0e} for config {configs[b].feed_ports}/"
                 f"{configs[b].connection_bitstring()}",
                 RuntimeWarning, stacklevel=2,
@@ -198,32 +125,21 @@ def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs,
         return np.linalg.solve(S, Z_LA)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"{context}: singular loaded-port system in a batch of {len(configs)} from config "
+            f"singular loaded-port system in a batch of {len(configs)} from config "
             f"{configs[0].feed_ports}/{configs[0].connection_bitstring()}"
         ) from exc
 
 
 def feed_impedance_matrix(Z: np.ndarray, n_feed: int, n_loaded: int, config: GeometryConfig,
                           feednet: FeedNetworkConfig = FeedNetworkConfig()) -> np.ndarray:
-    """Z_F = Z_AA - Z_AL (Z_LL + Z_L)^-1 Z_LA on a raw impedance matrix."""
-    config.validate_against(n_feed, n_loaded)
-    perm = build_permutation(config.feed_ports, n_feed, n_loaded)
-    Z_AA = Z[np.ix_(perm.active, perm.active)]
-    if n_loaded == 0:
-        return Z_AA.copy()
-    Z_AL = Z[np.ix_(perm.active, perm.loaded)]
-    W = load_correction(Z, n_feed, n_loaded, [config], feednet, "feed_impedance")[0]
-    return Z_AA - Z_AL @ W
+    """Z_F = Z_AA - Z_AL (Z_LL + Z_L)^-1 Z_LA among the N active feed ports.
 
-
-def feed_impedance(dataset: EMDataset, config: GeometryConfig,
-                   feednet: FeedNetworkConfig = FeedNetworkConfig()) -> np.ndarray:
-    """Effective impedance among the N active feed ports.
-
-    Muted feed ports are eliminated entirely (open-circuit limit); the
-    loaded ports fold in through the Schur complement.
+    Muted feed ports drop out entirely (open-circuit limit); the loaded
+    ports fold in through the Schur complement.
     """
-    return feed_impedance_matrix(dataset.Z, dataset.n_feed, dataset.n_loaded, config, feednet)
+    W = load_correction(Z, n_feed, n_loaded, [config], feednet)[0]
+    a = list(config.feed_ports)
+    return Z[np.ix_(a, a)] - Z[a, n_feed:] @ W
 
 
 def exact_port_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
@@ -240,34 +156,22 @@ def exact_port_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
     if not (finite_muted_impedance > 0):
         raise ConfigError("finite muted impedance must be positive")
     config.validate_against(n_feed, n_loaded)
-    perm = build_permutation(config.feed_ports, n_feed, n_loaded)
     i_A = np.asarray(i_active, dtype=np.complex128).reshape(-1)
     if i_A.size != config.n_active:
         raise ConfigError("i_active length must equal the number of active ports")
 
-    m, l = perm.muted, perm.loaded
-    nm, nl = m.size, l.size
-    if nm + nl == 0:
+    a = list(config.feed_ports)
+    muted = np.setdiff1d(np.arange(n_feed), a)                   # ascending
+    rest = np.concatenate([muted, np.arange(n_feed, n_feed + n_loaded)])
+    if rest.size == 0:
         return np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=np.complex128)
-
-    big = np.zeros((nm + nl, nm + nl), dtype=np.complex128)
-    big[:nm, :nm] = Z[np.ix_(m, m)] + finite_muted_impedance * np.eye(nm)
-    big[:nm, nm:] = Z[np.ix_(m, l)]
-    big[nm:, :nm] = Z[np.ix_(l, m)]
-    big[nm:, nm:] = Z[np.ix_(l, l)] + load_matrix(config.connections, feednet.z_open_ohm)
-    rhs = -np.concatenate([Z[np.ix_(m, perm.active)] @ i_A, Z[np.ix_(l, perm.active)] @ i_A])
+    loads = np.concatenate([np.full(muted.size, finite_muted_impedance),
+                            feednet.z_open_ohm * np.array(config.connections, dtype=np.float64)])
     try:
-        sol = np.linalg.solve(big, rhs)
+        sol = np.linalg.solve(Z[np.ix_(rest, rest)] + np.diag(loads), -(Z[np.ix_(rest, a)] @ i_A))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("exact_port_currents: singular block system") from exc
-    return sol[:nm], sol[nm:]
-
-
-def exact_port_currents(dataset: EMDataset, config: GeometryConfig,
-                        finite_muted_impedance: float, i_active: np.ndarray,
-                        feednet: FeedNetworkConfig = FeedNetworkConfig()):
-    return exact_port_currents_matrix(dataset.Z, dataset.n_feed, dataset.n_loaded,
-                                      config, finite_muted_impedance, i_active, feednet)
+    return sol[:muted.size], sol[muted.size:]
 
 
 def approx_loaded_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
@@ -275,47 +179,8 @@ def approx_loaded_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
                                   feednet: FeedNetworkConfig = FeedNetworkConfig()) -> np.ndarray:
     """i_L = -(Z_LL + Z_L)^-1 Z_LA i_A, the infinite-muted-impedance limit."""
     i_A = np.asarray(i_active, dtype=np.complex128).reshape(-1)
-    W = load_correction(Z, n_feed, n_loaded, [config], feednet, "approx_loaded_currents")[0]
+    W = load_correction(Z, n_feed, n_loaded, [config], feednet)[0]
     return -(W @ i_A)
-
-
-# ---------------------------------------------------------------------------
-# patterns, efficiency, composition
-# ---------------------------------------------------------------------------
-
-def open_circuit_feed_patterns(dataset: EMDataset, config: GeometryConfig,
-                               feednet: FeedNetworkConfig = FeedNetworkConfig()) -> PatternSet:
-    """Open-circuit patterns of the active ports with the pixel loads in place.
-
-    E_ocF = E_oc (P_A - P_L (Z_LL + Z_L)^-1 Z_LA): the selected feed columns
-    minus the field re-radiated by the loaded-port currents.
-    """
-    config.validate_against(dataset.n_feed, dataset.n_loaded)
-    e_active = dataset.e_oc[:, list(config.feed_ports), :, :]
-    if dataset.n_loaded == 0:
-        return PatternSet(dataset.grid, np.array(e_active))
-    W = load_correction(dataset.Z, dataset.n_feed, dataset.n_loaded, [config], feednet,
-                        "open_circuit_feed_patterns")[0]
-    e_loaded = dataset.e_oc[:, dataset.n_feed:, :, :]
-    corr = np.tensordot(W.T, e_loaded, axes=([1], [1]))      # (N, 2, nt, np)
-    corr = np.moveaxis(corr, 0, 1)
-    return PatternSet(dataset.grid, e_active - corr)
-
-
-def coupled_patterns(oc_feed: PatternSet, z_feed: np.ndarray,
-                     feednet: FeedNetworkConfig = FeedNetworkConfig()) -> PatternSet:
-    """Patterns per unit source EMF: E_F = E_ocF (Z_0 + Z_F)^-1."""
-    N = oc_feed.n_ports
-    A = feednet.source_matrix(N) + np.asarray(z_feed, dtype=np.complex128)
-    d = oc_feed.data
-    flat = d.reshape(2, N, -1)
-    try:
-        # right-multiplication by the inverse, done as a transposed solve
-        out = np.linalg.solve(A.T, flat.transpose(1, 0, 2).reshape(N, -1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("coupled_patterns: singular source+feed impedance matrix") from exc
-    out = out.reshape(N, 2, d.shape[2], d.shape[3]).transpose(1, 0, 2, 3)
-    return PatternSet(oc_feed.grid, out)
 
 
 def source_currents(z_feed: np.ndarray, feednet: FeedNetworkConfig) -> np.ndarray:
@@ -328,41 +193,6 @@ def source_currents(z_feed: np.ndarray, feednet: FeedNetworkConfig) -> np.ndarra
                                                   A.shape))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("source_currents: singular source+feed impedance matrix") from exc
-
-
-def radiation_efficiency(coupled: PatternSet, z_feed: np.ndarray,
-                         feednet: FeedNetworkConfig, quadrature: np.ndarray) -> np.ndarray:
-    """Per-port radiation efficiency: radiated power over accepted power.
-
-    Port n is driven by a unit source EMF (the canonical excitation) while
-    the other sources are passive.  The numerator integrates the coupled
-    pattern of port n over the grid quadrature; the denominator is the real
-    power accepted by the antenna network at port n,
-    Re{conj(i_n) [Z_F i]_n} with i the n-th column of (Z_0 + Z_F)^-1.  The
-    2*eta0 normalisation matches the dataset convention R = Gram/(2*eta0),
-    which makes a lossless single port come out at exactly 1.
-    """
-    N = coupled.n_ports
-    z_feed = np.asarray(z_feed, dtype=np.complex128)
-    I = source_currents(z_feed, feednet)
-    V_port = z_feed @ I
-    accepted = np.real(np.conj(np.diagonal(I)) * np.diagonal(V_port))
-    radiated = pattern_power(coupled, quadrature)
-    lam = np.empty(N)
-    for n in range(N):
-        if accepted[n] <= 0.0:
-            raise NonPhysicalConfigError(
-                f"non-positive accepted power {accepted[n]:.3g} at active port {n}"
-            )
-        lam[n] = radiated[n] / (2.0 * ETA0 * accepted[n])
-    return lam
-
-
-def pattern_power(patterns: PatternSet, quadrature: np.ndarray) -> np.ndarray:
-    """Per-port quadrature integral of |e|^2 over both polarizations."""
-    d = patterns.data
-    w = np.asarray(quadrature)
-    return np.einsum("pnij,ij->n", (d.conj() * d).real, w)
 
 
 class NetworkSolution(NamedTuple):
@@ -378,10 +208,10 @@ def solve_network(Z: np.ndarray, gram: np.ndarray, n_feed: int, n_loaded: int,
     Folds the loaded ports in through the Schur complement, couples in the
     sources and scales by sqrt(efficiency).  Radiated power comes from the
     pattern Gram matrix (EMDataset.gram), which is algebraically the
-    full-grid quadrature of radiation_efficiency.  The configs share one
+    full-grid quadrature of the radiated power.  The configs share one
     active-port count; one non-physical config fails the whole batch.
     """
-    W = load_correction(Z, n_feed, n_loaded, configs, feednet, "solve_network")   # (B, Q, N)
+    W = load_correction(Z, n_feed, n_loaded, configs, feednet)                    # (B, Q, N)
     B, _, N = W.shape
     fp = np.array([config.feed_ports for config in configs], dtype=np.int64)      # (B, N)
     Z_AA = Z[fp[:, :, None], fp[:, None, :]]
@@ -411,8 +241,5 @@ def overall_patterns(dataset: EMDataset, config: GeometryConfig,
     sol = solve_network(dataset.Z, dataset.gram, dataset.n_feed, dataset.n_loaded,
                         [config], feednet)
     pats = np.tensordot(sol.V[0], dataset.e_oc, axes=([0], [1]))  # (N, 2, nt, np)
-    return ActiveNetwork(
-        config=config, feednet=feednet, z_feed=sol.z_feed[0], efficiencies=sol.efficiencies[0],
-        patterns=PatternSet(dataset.grid, np.moveaxis(pats, 0, 1)),
-        provenance={"dataset": dataset.metadata.get("provenance", "unknown")},
-    )
+    return ActiveNetwork(z_feed=sol.z_feed[0], efficiencies=sol.efficiencies[0],
+                         patterns=PatternSet(dataset.grid, np.moveaxis(pats, 0, 1)))

@@ -314,16 +314,6 @@ class ConfigEvaluator:
         return [self._cache[k] for k in keys]
 
 
-def evaluate_config(dataset: EMDataset, config: GeometryConfig, area: SensingArea,
-                    snr_linear: float, feednet: FeedNetworkConfig = FeedNetworkConfig(),
-                    fd_step_deg: float | None = None) -> float:
-    """Worst-case objective sqrt(Tr C) of one geometry over one area.
-
-    Builds a one-shot evaluator; hold a ConfigEvaluator to reuse its cache.
-    """
-    return ConfigEvaluator(dataset, snr_linear, feednet, fd_step_deg).objective(config, area)
-
-
 # ---------------------------------------------------------------------------
 # genetic algorithm over pixel connections
 # ---------------------------------------------------------------------------
@@ -710,6 +700,8 @@ def load_codebook(path) -> Codebook:
             cws.append(Codeword(area=_area_from(rec["area"]), config=cfg,
                                 objective=float(rec["objective_rad"]),
                                 iterations_used=int(rec["iterations_used"])))
+        if not cws:
+            raise DatasetFormatError(f"{path}: codebook has no codewords")
         return Codebook(
             schedule=schedule, snr_linear=float(doc["snr_linear"]),
             n_feed=n_feed, n_loaded=n_loaded, codewords=tuple(cws),

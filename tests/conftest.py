@@ -3,16 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pixelaoa import (
-    AngleGrid,
-    FeedNetworkConfig,
-    PortLayout,
-    coupled_patterns,
-    feed_impedance,
-    generate_synthetic_dataset,
-    open_circuit_feed_patterns,
-    radiation_efficiency,
-)
+from pixelaoa import AngleGrid, PortLayout, generate_synthetic_dataset
 
 
 @pytest.fixture(scope="session")
@@ -40,19 +31,6 @@ def random_symmetric_z(rng: np.random.Generator, n: int) -> np.ndarray:
     X = rng.normal(size=(n, n)) * 5.0
     X = 0.5 * (X + X.T)
     return R + 1j * X
-
-
-def oracle_overall_patterns(dataset, config, feednet=FeedNetworkConfig()):
-    """Full-grid quadrature composition of the network solve.
-
-    Returns (patterns, efficiencies): the coupled patterns scaled by
-    sqrt(efficiency) as a (2, N, n_theta, n_phi) tensor, and the efficiencies.
-    """
-    z_feed = feed_impedance(dataset, config, feednet)
-    coupled = coupled_patterns(open_circuit_feed_patterns(dataset, config, feednet),
-                               z_feed, feednet)
-    lam = radiation_efficiency(coupled, z_feed, feednet, dataset.quadrature())
-    return coupled.data * np.sqrt(lam)[None, :, None, None], lam
 
 
 def save_dataset_v1(ds, path):

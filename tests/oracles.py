@@ -1,0 +1,139 @@
+"""Slow references that the batched code in src is checked against.
+
+The full-grid quadrature pipeline (open_circuit_feed_patterns ->
+coupled_patterns -> radiation_efficiency) composes the network solve on
+every grid point and integrates the radiated power over the grid
+quadrature; network.solve_network must agree with it through the pattern
+Gram matrix.  steering_row and steering_jacobian build the per-point
+finite-difference steering row and Jacobian that the FIM sweep's stacked
+gathers must reproduce.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pixelaoa.crlb import _stacked, _step_multiple, fd_stencil
+from pixelaoa.emdata import ETA0, EMDataset, PatternSet
+from pixelaoa.errors import NonPhysicalConfigError, NumericalError
+from pixelaoa.network import (
+    FeedNetworkConfig,
+    GeometryConfig,
+    feed_impedance_matrix,
+    load_correction,
+    source_currents,
+)
+
+
+# ---------------------------------------------------------------------------
+# full-grid network pipeline
+# ---------------------------------------------------------------------------
+
+def open_circuit_feed_patterns(dataset: EMDataset, config: GeometryConfig,
+                               feednet: FeedNetworkConfig = FeedNetworkConfig()) -> PatternSet:
+    """Open-circuit patterns of the active ports with the pixel loads in place.
+
+    E_ocF = E_oc (P_A - P_L (Z_LL + Z_L)^-1 Z_LA): the selected feed columns
+    minus the field re-radiated by the loaded-port currents.
+    """
+    config.validate_against(dataset.n_feed, dataset.n_loaded)
+    e_active = dataset.e_oc[:, list(config.feed_ports), :, :]
+    if dataset.n_loaded == 0:
+        return PatternSet(dataset.grid, np.array(e_active))
+    W = load_correction(dataset.Z, dataset.n_feed, dataset.n_loaded, [config], feednet)[0]
+    e_loaded = dataset.e_oc[:, dataset.n_feed:, :, :]
+    corr = np.tensordot(W.T, e_loaded, axes=([1], [1]))      # (N, 2, nt, np)
+    corr = np.moveaxis(corr, 0, 1)
+    return PatternSet(dataset.grid, e_active - corr)
+
+
+def coupled_patterns(oc_feed: PatternSet, z_feed: np.ndarray,
+                     feednet: FeedNetworkConfig = FeedNetworkConfig()) -> PatternSet:
+    """Patterns per unit source EMF: E_F = E_ocF (Z_0 + Z_F)^-1."""
+    N = oc_feed.n_ports
+    A = feednet.source_matrix(N) + np.asarray(z_feed, dtype=np.complex128)
+    d = oc_feed.data
+    flat = d.reshape(2, N, -1)
+    try:
+        # right-multiplication by the inverse, done as a transposed solve
+        out = np.linalg.solve(A.T, flat.transpose(1, 0, 2).reshape(N, -1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("coupled_patterns: singular source+feed impedance matrix") from exc
+    out = out.reshape(N, 2, d.shape[2], d.shape[3]).transpose(1, 0, 2, 3)
+    return PatternSet(oc_feed.grid, out)
+
+
+def radiation_efficiency(coupled: PatternSet, z_feed: np.ndarray,
+                         feednet: FeedNetworkConfig, quadrature: np.ndarray) -> np.ndarray:
+    """Per-port radiation efficiency: radiated power over accepted power.
+
+    Port n is driven by a unit source EMF (the canonical excitation) while
+    the other sources are passive.  The numerator integrates the coupled
+    pattern of port n over the grid quadrature; the denominator is the real
+    power accepted by the antenna network at port n,
+    Re{conj(i_n) [Z_F i]_n} with i the n-th column of (Z_0 + Z_F)^-1.  The
+    2*eta0 normalisation matches the dataset convention R = Gram/(2*eta0),
+    which makes a lossless single port come out at exactly 1.
+    """
+    N = coupled.n_ports
+    z_feed = np.asarray(z_feed, dtype=np.complex128)
+    I = source_currents(z_feed, feednet)
+    V_port = z_feed @ I
+    accepted = np.real(np.conj(np.diagonal(I)) * np.diagonal(V_port))
+    radiated = pattern_power(coupled, quadrature)
+    lam = np.empty(N)
+    for n in range(N):
+        if accepted[n] <= 0.0:
+            raise NonPhysicalConfigError(
+                f"non-positive accepted power {accepted[n]:.3g} at active port {n}"
+            )
+        lam[n] = radiated[n] / (2.0 * ETA0 * accepted[n])
+    return lam
+
+
+def pattern_power(patterns: PatternSet, quadrature: np.ndarray) -> np.ndarray:
+    """Per-port quadrature integral of |e|^2 over both polarizations."""
+    d = patterns.data
+    w = np.asarray(quadrature)
+    return np.einsum("pnij,ij->n", (d.conj() * d).real, w)
+
+
+def oracle_overall_patterns(dataset, config, feednet=FeedNetworkConfig()):
+    """Full-grid quadrature composition of the network solve.
+
+    Returns (patterns, efficiencies): the coupled patterns scaled by
+    sqrt(efficiency) as a (2, N, n_theta, n_phi) tensor, and the efficiencies.
+    """
+    z_feed = feed_impedance_matrix(dataset.Z, dataset.n_feed, dataset.n_loaded, config, feednet)
+    coupled = coupled_patterns(open_circuit_feed_patterns(dataset, config, feednet),
+                               z_feed, feednet)
+    lam = radiation_efficiency(coupled, z_feed, feednet, dataset.quadrature())
+    return coupled.data * np.sqrt(lam)[None, :, None, None], lam
+
+
+# ---------------------------------------------------------------------------
+# per-point steering row and Jacobian
+# ---------------------------------------------------------------------------
+
+def steering_jacobian(patterns: PatternSet, angle_deg: tuple[float, float],
+                      fd_step_deg: float | None = None) -> np.ndarray:
+    """Finite-difference Jacobian J (2N x 2): columns are d f/d theta, d f/d phi.
+
+    f stacks the theta-pol steering row followed by the phi-pol row;
+    derivatives are per radian.
+    """
+    grid = patterns.grid
+    it = np.array([grid.theta_index(angle_deg[0])])
+    ip = np.array([grid.phi_index(angle_deg[1])])
+    s = _step_multiple(grid, fd_step_deg)
+    itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(grid, it, ip, s)
+    e = _stacked(patterns)
+    dth = (e[:, itp[0], ip[0]] - e[:, itm[0], ip[0]]) * inv_dt[0]
+    dph = (e[:, it[0], ipp[0]] - e[:, it[0], ipm[0]]) * inv_dp[0]
+    return np.stack([dth, dph], axis=1)
+
+
+def steering_row(patterns: PatternSet, angle_deg: tuple[float, float]) -> np.ndarray:
+    """The 2N steering row f = [e_theta, e_phi] at a grid angle."""
+    E = patterns.at(*angle_deg)
+    return np.concatenate([E[0], E[1]])

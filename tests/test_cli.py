@@ -128,7 +128,9 @@ def _set_first_codeword(key, value):
     _set_first_codeword("area", {"theta_min_deg": 100, "theta_max_deg": 80,
                                  "phi_min_deg": -10, "phi_max_deg": 10}),
     lambda doc: doc["schedule"].update(factors=[2]),
-], ids=["bit_2", "port_0", "short_bits", "header_n_loaded", "empty_area", "bad_schedule"])
+    lambda doc: doc.update(codewords=[]),
+], ids=["bit_2", "port_0", "short_bits", "header_n_loaded", "empty_area", "bad_schedule",
+        "no_codewords"])
 def test_crlb_map_bad_codebook_is_format_error(tmp_path, ds_file, cb_file, edit):
     doc = json.loads(cb_file.read_text())
     edit(doc)
@@ -136,6 +138,50 @@ def test_crlb_map_bad_codebook_is_format_error(tmp_path, ds_file, cb_file, edit)
     bad.write_text(json.dumps(doc))
     assert run(["crlb-map", "--dataset", ds_file, "--codebook", bad,
                 "--area", "85:95:-5:5", "--out", tmp_path / "map.csv"]) == 3
+
+
+def test_export_plots_port_count_empty_codebook_is_format_error(tmp_path, ds_file, cb_file):
+    doc = json.loads(cb_file.read_text())
+    doc["codewords"] = []
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["export-plots", "--fig", "port-count", "--dataset", ds_file,
+                "--codebooks", bad, "--out-dir", tmp_path]) == 3
+
+
+@pytest.fixture(scope="module")
+def ds33_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "ds33.json"
+    assert run(["gen-dataset", "--pixels", "3x3", "--step-deg", "5", "--out", path]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def cb33_file(tmp_path_factory, ds33_file):
+    path = tmp_path_factory.mktemp("cli") / "cb33.json"
+    assert run(["optimize", "--dataset", ds33_file, "--n-active", "1",
+                "--space", "80:100:-10:10", "--schedule", "1", "--population", "4",
+                "--generations", "1", "--max-outer", "1", "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["crlb-map", "--codebook", "cb22", "--area", "85:95:-5:5"],
+    ["compare", "--codebook", "cb22", "--upa", "2x2"],
+    ["compare", "--codebook", "cb33", "--baseline-codebook", "cb22"],
+    ["montecarlo", "--codebook", "cb22", "--angles", "90,0", "--snr-db-list", "20",
+     "--trials", "100"],
+    ["export-plots", "--fig", "area-bars", "--codebook", "cb22", "--upa", "2x2"],
+    ["export-plots", "--fig", "area-size", "--codebooks", "cb22", "--eval-area", "85:95:-5:5"],
+    ["export-plots", "--fig", "port-count", "--codebooks", "cb22"],
+], ids=["crlb_map", "compare", "compare_baseline", "montecarlo", "area_bars", "area_size",
+        "port_count"])
+def test_codebook_for_another_dataset_is_format_error(tmp_path, ds33_file, cb33_file, cb_file,
+                                                      argv):
+    # a 2x2-pixel codebook (4 feed + 4 loaded ports) on a 3x3-pixel dataset (9 + 12)
+    books = {"cb22": cb_file, "cb33": cb33_file}
+    argv = [books.get(a, a) for a in argv]
+    assert run(argv + ["--dataset", ds33_file, "--out-dir", tmp_path]) == 3
 
 
 def test_crlb_map_codebook_sweeps_equal_per_point_maps(tmp_path, ds_file):

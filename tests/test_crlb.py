@@ -11,13 +11,14 @@ from pixelaoa import (
     crlb_matrix,
     objective,
     projection_matrix,
-    steering_jacobian,
     upa_crlb_closed_form,
     upa_crlb_closed_form_map,
     upa_patterns,
 )
-from pixelaoa.crlb import export_crlb_map, steering_row, write_csv
+from pixelaoa.crlb import export_crlb_map, fd_stencil, write_csv
 from pixelaoa.errors import GridError
+
+from oracles import steering_jacobian, steering_row
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,26 @@ def test_jacobian_off_grid_angle_rejected(coarse_grid):
     pats = upa_patterns(2, 2, 0.5, coarse_grid)
     with pytest.raises(GridError):
         steering_jacobian(pats, (90.3, 0.0))
+
+
+def test_fd_stencil_one_sided_at_partial_grid_edges():
+    grid = AngleGrid(80, 100, -10, 10, 1.0)          # 21 x 21 points, no phi wrap
+    h = 2 * grid.step_rad()
+    idx = np.array([0, 1, 10, 19, 20])
+    itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(grid, idx, idx, 2)
+    for plus, minus, inv in ((itp, itm, inv_dt), (ipp, ipm, inv_dp)):
+        assert plus.tolist() == [2, 3, 12, 19, 20]
+        assert minus.tolist() == [0, 1, 8, 17, 18]
+        assert inv.tolist() == [1 / h, 1 / h, 1 / (2 * h), 1 / h, 1 / h]
+
+
+def test_fd_stencil_rejects_a_point_with_no_room_either_side():
+    # 5 points and a 3-step stencil: the middle point fits neither one-sided rule
+    grid = AngleGrid(88, 92, -2, 2, 1.0)
+    with pytest.raises(GridError):
+        fd_stencil(grid, np.array([2]), np.array([0]), 3)
+    with pytest.raises(GridError):
+        fd_stencil(grid, np.array([0]), np.array([2]), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from pixelaoa import kernels
-from pixelaoa.crlb import (
-    _stacked,
-    fd_stencil,
-    projection_matrix,
-    steering_jacobian,
-    steering_row,
-)
+from pixelaoa.crlb import _stacked, fd_stencil, projection_matrix
 from pixelaoa.emdata import PatternSet
 from pixelaoa.grid import AngleGrid
+
+from oracles import steering_jacobian, steering_row
 
 
 def _random_patterns(rng, n_ports, grid):
@@ -32,14 +28,21 @@ def _crlb_oracle(pats, angle, snr, fd_step_deg):
 @pytest.mark.parametrize("step_mult", [1, 2])
 def test_fim_sweep_matches_per_point_oracle(step_mult):
     rng = np.random.default_rng(42)
-    grid = AngleGrid(step_deg=5.0)
-    assert grid.phi_wraps
+    # the full sphere wraps in phi; the partial window has one-sided phi edges
+    grids = (AngleGrid(step_deg=5.0), AngleGrid(30.0, 150.0, -60.0, 60.0, 5.0))
+    assert [grid.phi_wraps for grid in grids] == [True, False]
+    for grid in grids:
+        _check_fim_sweep_against_oracle(rng, grid, step_mult)
+
+
+def _check_fim_sweep_against_oracle(rng, grid, step_mult):
     data = _random_patterns(rng, 3, grid)
     zero = (7, 11)                                  # one point where every port is silent
     data[:, :, zero[0], zero[1]] = 0.0
     pats = PatternSet(grid, data)
 
-    # theta poles, the phi seam on both sides, the zero point and a random interior spread
+    # theta ends, both phi ends (the seam on the full sphere), the zero point and a
+    # random interior spread
     t_ids = np.array([0, step_mult - 1, 7, grid.n_theta // 2, grid.n_theta - 1])
     p_ids = np.array([0, 1, 11, grid.n_phi // 3, grid.n_phi - 1])
     it = np.repeat(t_ids, p_ids.size)

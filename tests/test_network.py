@@ -2,21 +2,12 @@ import numpy as np
 import pytest
 
 from pixelaoa import (
-    AngleGrid,
     DipoleModelParams,
     FeedNetworkConfig,
     GeometryConfig,
     PortLayout,
-    build_permutation,
-    coupled_patterns,
-    exact_port_currents,
-    feed_impedance,
     generate_synthetic_dataset,
-    load_matrix,
-    open_circuit_feed_patterns,
     overall_patterns,
-    partition_impedance,
-    radiation_efficiency,
 )
 from pixelaoa.emdata import EMDataset, PatternSet
 from pixelaoa.errors import ConfigError
@@ -24,96 +15,22 @@ from pixelaoa.network import (
     approx_loaded_currents_matrix,
     exact_port_currents_matrix,
     feed_impedance_matrix,
-    pattern_power,
     solve_network,
     source_currents,
 )
 
-from conftest import oracle_overall_patterns, random_symmetric_z
+from conftest import random_symmetric_z
+from oracles import (
+    coupled_patterns,
+    open_circuit_feed_patterns,
+    oracle_overall_patterns,
+)
 
 
 def _config(feed_ports, q, bits=None) -> GeometryConfig:
     if bits is None:
         bits = (0,) * q
     return GeometryConfig(feed_ports=tuple(feed_ports), connections=tuple(bits))
-
-
-# ---------------------------------------------------------------------------
-# permutation / partition / loads
-# ---------------------------------------------------------------------------
-
-def test_permutation_example():
-    # user-facing 1-based ports {2,4} on M=4, Q=2 are 0-based {1,3}
-    perm = build_permutation((1, 3), 4, 2)
-    assert perm.active.tolist() == [1, 3]
-    assert perm.muted.tolist() == [0, 2]
-    assert perm.loaded.tolist() == [4, 5]
-    order = np.sort(perm.order)
-    assert np.array_equal(order, np.arange(6))      # index-level P^T P = I
-
-
-def test_permutation_all_active_no_muted():
-    perm = build_permutation((0, 1, 2), 3, 0)
-    assert perm.muted.size == 0
-
-
-def test_permutation_rejects_duplicates_and_range():
-    with pytest.raises(ConfigError):
-        build_permutation((0, 0), 4, 2)
-    with pytest.raises(ConfigError):
-        build_permutation((0, 7), 4, 2)
-
-
-def test_partition_identity_matrix():
-    perm = build_permutation((1, 2), 4, 2)
-    blocks = partition_impedance(np.eye(6, dtype=complex), perm)
-    assert np.allclose(blocks.Z_AA, np.eye(2))
-    assert np.allclose(blocks.Z_MM, np.eye(2))
-    assert np.allclose(blocks.Z_LL, np.eye(2))
-    for b in (blocks.Z_AM, blocks.Z_AL, blocks.Z_ML):
-        assert np.allclose(b, 0.0)
-
-
-def test_partition_single_port_direct_indexing():
-    Z = np.array([[1 + 1j, 2 - 1j], [2 - 1j, 3 + 0j]])
-    perm = build_permutation((0,), 1, 1)
-    blocks = partition_impedance(Z, perm)
-    assert blocks.Z_AA[0, 0] == Z[0, 0]
-    assert blocks.Z_AL[0, 0] == Z[0, 1]
-    assert blocks.Z_LL[0, 0] == Z[1, 1]
-
-
-def test_partition_reassembly_oracle():
-    rng = np.random.default_rng(7)
-    Z = random_symmetric_z(rng, 6)
-    perm = build_permutation((1, 3), 4, 2)
-    blocks = partition_impedance(Z, perm)
-    order = perm.order
-    re = np.zeros_like(Z)
-    n, m = perm.active.size, perm.muted.size
-    re[:n, :n] = blocks.Z_AA
-    re[:n, n:n + m] = blocks.Z_AM
-    re[:n, n + m:] = blocks.Z_AL
-    re[n:n + m, :n] = blocks.Z_AM.T
-    re[n:n + m, n:n + m] = blocks.Z_MM
-    re[n:n + m, n + m:] = blocks.Z_ML
-    re[n + m:, :n] = blocks.Z_AL.T
-    re[n + m:, n:n + m] = blocks.Z_ML.T
-    re[n + m:, n + m:] = blocks.Z_LL
-    assert np.allclose(re, Z[np.ix_(order, order)])
-    # transpose identities for symmetric Z
-    assert np.allclose(blocks.Z_AM, Z[np.ix_(perm.muted, perm.active)].T)
-
-
-@pytest.mark.parametrize("bits,expected", [
-    ((1, 0, 1), [1e9, 0.0, 1e9]),
-    ((0, 0, 0), [0.0, 0.0, 0.0]),
-    ((1, 1, 1), [1e9, 1e9, 1e9]),
-])
-def test_load_matrix_literal(bits, expected):
-    L = load_matrix(bits, 1e9)
-    assert np.allclose(np.diag(L), expected)
-    assert np.allclose(L, np.diag(np.diag(L)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +88,21 @@ def test_feed_impedance_monotone_open_limit():
     assert diffs[0] > diffs[1] > diffs[2]
 
 
+def test_feed_impedance_rejects_duplicate_and_out_of_range_ports():
+    Z = random_symmetric_z(np.random.default_rng(2), 6)
+    with pytest.raises(ConfigError):
+        feed_impedance_matrix(Z, 4, 2, _config([0, 0], 2))
+    with pytest.raises(ConfigError):
+        feed_impedance_matrix(Z, 4, 2, _config([0, 7], 2))
+
+
 def test_relabeling_equivariance(tiny_dataset):
     cfg_a = _config([0, 3], 4, (1, 0, 0, 1))
     cfg_b = _config([3, 0], 4, (1, 0, 0, 1))
-    Za = feed_impedance(tiny_dataset, cfg_a)
-    Zb = feed_impedance(tiny_dataset, cfg_b)
+    Za = feed_impedance_matrix(tiny_dataset.Z, tiny_dataset.n_feed, tiny_dataset.n_loaded,
+                               cfg_a)
+    Zb = feed_impedance_matrix(tiny_dataset.Z, tiny_dataset.n_feed, tiny_dataset.n_loaded,
+                               cfg_b)
     assert np.allclose(Za, Zb[np.ix_([1, 0], [1, 0])])
     net_a = overall_patterns(tiny_dataset, cfg_a)
     net_b = overall_patterns(tiny_dataset, cfg_b)
@@ -204,6 +131,26 @@ def test_muted_currents_vanish_at_large_impedance():
         if Q:
             denom = max(np.linalg.norm(i_L), 1e-30)
             assert np.linalg.norm(i_L - i_L_approx) / denom < 1e-6
+
+
+def test_exact_currents_satisfy_port_equations():
+    # with i_M in ascending muted-port order, Z i + z i vanishes at every muted
+    # (z = zeta) and loaded (z = z_oc bit or short) port
+    rng = np.random.default_rng(13)
+    M, Q = 5, 3
+    Z = random_symmetric_z(rng, M + Q)
+    cfg = _config([3, 1], Q, (1, 0, 1))
+    i_A = rng.normal(size=2) + 1j * rng.normal(size=2)
+    zeta, fn = 75.0, FeedNetworkConfig(z_open_ohm=1e6)
+    i_M, i_L = exact_port_currents_matrix(Z, M, Q, cfg, zeta, i_A, fn)
+    i = np.zeros(M + Q, dtype=complex)
+    i[[3, 1]] = i_A
+    i[[0, 2, 4]] = i_M
+    i[M:] = i_L
+    z = np.array([zeta, 0, zeta, 0, zeta, 1e6, 0, 1e6])
+    passive = [0, 2, 4, 5, 6, 7]
+    residual = (Z @ i + z * i)[passive]
+    assert np.max(np.abs(residual)) <= 1e-9 * np.max(np.abs(Z)) * np.max(np.abs(i_A))
 
 
 def test_no_muted_or_loaded_ports_returns_empty():
@@ -245,7 +192,7 @@ def test_coupled_patterns_single_port_scalar_division(coarse_grid):
     ds = generate_synthetic_dataset(PortLayout(pixel_rows=1, pixel_cols=1), coarse_grid)
     cfg = _config([0], 0)
     fn = FeedNetworkConfig()
-    zf = feed_impedance(ds, cfg, fn)
+    zf = feed_impedance_matrix(ds.Z, ds.n_feed, ds.n_loaded, cfg, fn)
     oc = open_circuit_feed_patterns(ds, cfg, fn)
     cp = coupled_patterns(oc, zf, fn)
     assert np.allclose(cp.data, oc.data / (50.0 + zf[0, 0]))
@@ -329,7 +276,7 @@ def test_efficiency_bounds_random_configs(tiny_dataset):
 def test_overall_patterns_sqrt_efficiency_scaling(tiny_dataset):
     cfg = _config([0, 1], 4, (0, 1, 1, 0))
     net = overall_patterns(tiny_dataset, cfg)
-    z_feed = feed_impedance(tiny_dataset, cfg)
+    z_feed = feed_impedance_matrix(tiny_dataset.Z, tiny_dataset.n_feed, tiny_dataset.n_loaded, cfg)
     coupled = coupled_patterns(open_circuit_feed_patterns(tiny_dataset, cfg), z_feed)
     expected = coupled.data * np.sqrt(net.efficiencies)[None, :, None, None]
     assert np.allclose(net.patterns.data, expected)
@@ -339,7 +286,7 @@ def test_overall_patterns_unit_efficiency_passthrough(coarse_grid):
     ds = generate_synthetic_dataset(PortLayout(pixel_rows=1, pixel_cols=1), coarse_grid)
     cfg = _config([0], 0)
     net = overall_patterns(ds, cfg)
-    z_feed = feed_impedance(ds, cfg)
+    z_feed = feed_impedance_matrix(ds.Z, ds.n_feed, ds.n_loaded, cfg)
     coupled = coupled_patterns(open_circuit_feed_patterns(ds, cfg), z_feed)
     assert np.allclose(net.patterns.data, coupled.data, rtol=1e-6)
 
@@ -384,7 +331,7 @@ def test_solve_network_batch_equals_single_solves(small_dataset):
         one = solve_network(ds.Z, ds.gram, M, Q, [cfg])
         for got, want in zip(batch, one):
             assert np.array_equal(got[b], want[0])
-        assert np.array_equal(batch.z_feed[b], feed_impedance(ds, cfg))
+        assert np.array_equal(batch.z_feed[b], feed_impedance_matrix(ds.Z, M, Q, cfg))
 
 
 def test_solve_network_batch_needs_one_port_count(tiny_dataset):

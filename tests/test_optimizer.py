@@ -33,7 +33,6 @@ from pixelaoa.optimizer import (
     build_codebook,
     codebook_lookup,
     default_initial_config,
-    evaluate_config,
     export_trace,
     ga_optimize_connections,
     load_codebook,
@@ -42,7 +41,7 @@ from pixelaoa.optimizer import (
     stage_areas,
 )
 
-from conftest import oracle_overall_patterns
+from oracles import oracle_overall_patterns
 
 AREA = SensingArea(85, 95, -5, 5)
 
@@ -87,16 +86,9 @@ def test_evaluator_cache_hit_counter(ds2):
     assert ev.misses == misses
 
 
-def test_evaluate_config_matches_evaluator(ds2):
-    cfg = GeometryConfig((1, 2), (1, 1, 0, 0))
-    a = evaluate_config(ds2, cfg, AREA, 1.0)
-    b = evaluate_config(ds2, cfg, AREA, 1.0)
-    assert a == b == ConfigEvaluator(ds2, 1.0).objective(cfg, AREA)
-
-
 def test_evaluate_config_leaves_dataset_collectable(grid):
     ds = generate_synthetic_dataset(PortLayout(pixel_rows=1, pixel_cols=2), grid)
-    evaluate_config(ds, GeometryConfig((0,), (0,)), AREA, 1.0)
+    ConfigEvaluator(ds, 1.0).objective(GeometryConfig((0,), (0,)), AREA)
     ref = weakref.ref(ds)
     del ds
     gc.collect()

@@ -1,0 +1,72 @@
+"""The benchmark harness in perfbench/ imports and patches pixelaoa names.
+
+These tests read its source with ast (they import nothing from perfbench)
+so that moving or renaming an API name fails here, not in the benchmark's
+traced run.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pixelaoa
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+HARNESS = sorted(PERFBENCH.glob("*.py"))
+
+
+def _resolve(module: str, name: str):
+    """module.name as an attribute, or as a submodule of a package."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+def _pixelaoa_aliases(tree) -> dict:
+    """Local name -> (module, attribute or None) for every pixelaoa import."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pixelaoa":
+            for a in node.names:
+                aliases[a.asname or a.name] = (node.module, a.name)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "pixelaoa" and a.asname:
+                    aliases[a.asname] = (a.name, None)
+    return aliases
+
+
+def _alias_target(aliases, local):
+    module, name = aliases[local]
+    return importlib.import_module(module) if name is None else _resolve(module, name)
+
+
+def test_harness_pixelaoa_names_resolve():
+    assert {"checks.py", "traced_cli.py"} <= {p.name for p in HARNESS}
+    patched = 0
+    for path in HARNESS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = _pixelaoa_aliases(tree)
+        for local in aliases:
+            _alias_target(aliases, local)          # raises if the name moved
+        for node in ast.walk(tree):
+            # a read off an imported pixelaoa module or class: optimizer.ConfigEvaluator
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                owner = _alias_target(aliases, node.value.id)
+                assert hasattr(owner, node.attr), f"{path.name}: {node.value.id}.{node.attr}"
+            # _patch_function(module, "attr", ...) rebinds module.attr
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_patch_function"):
+                mod, attr = node.args[0], node.args[1]
+                owner = _alias_target(aliases, mod.id)
+                assert callable(getattr(owner, attr.value, None)), \
+                    f"{path.name}: _patch_function({mod.id}, {attr.value!r})"
+                patched += 1
+    assert patched > 0
+
+
+def test_public_names_resolve():
+    for name in pixelaoa.__all__:
+        assert hasattr(pixelaoa, name), name
