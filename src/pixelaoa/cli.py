@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -235,17 +236,18 @@ def cmd_crlb_map(args) -> int:
                                                           / args.step_deg))))
         pats = upa_patterns(ny, nz, args.spacing, grid, element=args.element)
         numeric = crlb_map(pats, area, snr, fd_step_deg=args.fd_step_deg)
-        closed = upa_crlb_closed_form_map(ny, nz, args.spacing, numeric.theta_deg,
-                                          numeric.phi_deg, snr)[:4]
         if args.mode == "numeric":
             export_crlb_map(numeric, args.out)
-        elif args.mode == "closed-form":
-            write_csv(args.out, MAP_HEADER, (numeric.theta_deg, numeric.phi_deg, *closed))
         else:
-            # numeric and closed-form columns side by side
-            write_csv(args.out, MAP_HEADER + ",c_tt_cf,c_tp_cf,c_pp_cf,objective_cf",
-                      (numeric.theta_deg, numeric.phi_deg, numeric.c_tt, numeric.c_tp,
-                       numeric.c_pp, numeric.objective, *closed))
+            closed = upa_crlb_closed_form_map(ny, nz, args.spacing, numeric.theta_deg,
+                                              numeric.phi_deg, snr)[:4]
+            if args.mode == "closed-form":
+                write_csv(args.out, MAP_HEADER, (numeric.theta_deg, numeric.phi_deg, *closed))
+            else:
+                # numeric and closed-form columns side by side
+                write_csv(args.out, MAP_HEADER + ",c_tt_cf,c_tp_cf,c_pp_cf,objective_cf",
+                          (numeric.theta_deg, numeric.phi_deg, numeric.c_tt, numeric.c_tp,
+                           numeric.c_pp, numeric.objective, *closed))
         worst = numeric.worst
     else:
         if not (args.dataset and args.codebook):
@@ -333,6 +335,14 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _search_box(angles, halfwidth_deg: float) -> SensingArea:
+    """The angles' bounding box widened by the search half-width."""
+    return SensingArea(min(a[0] for a in angles) - halfwidth_deg,
+                       max(a[0] for a in angles) + halfwidth_deg,
+                       min(a[1] for a in angles) - halfwidth_deg,
+                       max(a[1] for a in angles) + halfwidth_deg)
+
+
 def cmd_montecarlo(args) -> int:
     started = time.time()
     _resolve_out(args, "montecarlo.csv")
@@ -340,14 +350,23 @@ def cmd_montecarlo(args) -> int:
     snr_list = [_db_to_linear(float(x)) for x in args.snr_db_list.split(",")]
     inputs = []
     hw = args.search_halfwidth_deg
-    # the angles' bounding box widened by the search half-width
-    box = SensingArea(min(a[0] for a in angles) - hw, max(a[0] for a in angles) + hw,
-                      min(a[1] for a in angles) - hw, max(a[1] for a in angles) + hw)
+
+    def run(pats, group):
+        """monte_carlo_rmse over the group's search box, clipped to the grid."""
+        box, grid = _search_box(group, hw), pats.grid
+        area = SensingArea(max(grid.theta_deg[0], box.theta_min_deg),
+                           min(grid.theta_deg[-1], box.theta_max_deg),
+                           max(grid.phi_deg[0], box.phi_min_deg),
+                           min(grid.phi_deg[-1], box.phi_max_deg))
+        return monte_carlo_rmse(pats, group, snr_list, trials=args.trials, seed=args.seed,
+                                search_area=area, refine=not args.no_refine)
 
     if args.upa:
         ny, nz = _parse_pixels(args.upa)
-        pats = upa_patterns(ny, nz, args.spacing, _window_grid(box, args.step_deg),
+        pats = upa_patterns(ny, nz, args.spacing,
+                            _window_grid(_search_box(angles, hw), args.step_deg),
                             element=args.element)
+        report = run(pats, angles)
     else:
         if not (args.dataset and args.codebook):
             raise ConfigError("montecarlo needs either --upa or --dataset with --codebook")
@@ -355,16 +374,19 @@ def cmd_montecarlo(args) -> int:
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-        cw = codebook_lookup(cb, angles[0])
-        pats = overall_patterns(ds, cw.config, feednet).patterns
+        # angles grouped by the leaf codeword that covers them; one run per leaf
+        groups = {}
+        for k, angle in enumerate(angles):
+            cw = codebook_lookup(cb, angle)
+            groups.setdefault(id(cw), (cw, []))[1].append(k)
+        per_angle = [()] * len(angles)
+        for cw, ks in groups.values():
+            group = [angles[k] for k in ks]
+            report = run(overall_patterns(ds, cw.config, feednet).patterns, group)
+            for j, k in enumerate(ks):
+                per_angle[k] = report.records[j * len(snr_list):(j + 1) * len(snr_list)]
+        report = replace(report, records=tuple(r for recs in per_angle for r in recs))
 
-    grid = pats.grid
-    area = SensingArea(max(grid.theta_deg[0], box.theta_min_deg),
-                       min(grid.theta_deg[-1], box.theta_max_deg),
-                       max(grid.phi_deg[0], box.phi_min_deg),
-                       min(grid.phi_deg[-1], box.phi_max_deg))
-    report = monte_carlo_rmse(pats, angles, snr_list, trials=args.trials, seed=args.seed,
-                              search_area=area, refine=not args.no_refine)
     export_report(report, args.out)
     for r in report.records:
         print(f"({r.theta_deg:g},{r.phi_deg:g}) snr {10 * math.log10(r.snr_linear):.0f} dB: "

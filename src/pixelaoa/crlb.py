@@ -287,17 +287,24 @@ def upa_crlb_closed_form(n_y: int, n_z: int, spacing_over_lambda: float,
 
 MAP_HEADER = "theta_deg,phi_deg,c_tt,c_tp,c_pp,objective"
 
+# Rows that write_csv turns into Python values at a time.
+_CSV_BLOCK_ROWS = 1 << 12
+
 
 def write_csv(path, header: str, columns) -> None:
     """Write equal-length columns as CSV rows under a header line.
 
     Every cell is the str of its Python value: integers as digits, floats
     in their shortest round-trip form, +inf as 'inf', strings unquoted.
+    Rows are formatted _CSV_BLOCK_ROWS at a time.
     """
-    cols = [np.asarray(c).tolist() for c in columns]
+    cols = [np.asarray(c) for c in columns]
+    n = min((len(c) for c in cols), default=0)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cols))
+        for r0 in range(0, n, _CSV_BLOCK_ROWS):
+            block = [c[r0:r0 + _CSV_BLOCK_ROWS].tolist() for c in cols]
+            fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*block))
 
 
 def export_crlb_map(m: CRLBMap, path) -> None:

@@ -625,18 +625,15 @@ def upa_patterns(
         elements = [el]
 
     N = n_y * n_z
-    factors = []
+    # element block b holds ports b*N .. b*N + N-1; each array factor is
+    # written straight into the output, one port at a time
+    data = np.empty((2, N * len(elements), grid.n_theta, grid.n_phi), dtype=np.complex128)
     for n in range(1, N + 1):
         ny = n % n_y
         ny = n_y if ny == 0 else ny
         nz = math.ceil(n / n_y)
-        factors.append(np.exp(1j * k * ((ny - 1) * uy + (nz - 1) * uz)))
-
-    blocks = []
-    for el in elements:
-        data = np.empty((2, N, grid.n_theta, grid.n_phi), dtype=np.complex128)
-        for n, af in enumerate(factors):
-            data[0, n] = af * el[0]
-            data[1, n] = af * el[1]
-        blocks.append(data)
-    return PatternSet(grid, np.concatenate(blocks, axis=1))
+        af = np.exp(1j * k * ((ny - 1) * uy + (nz - 1) * uz))
+        for b, el in enumerate(elements):
+            np.multiply(af, el[0], out=data[0, b * N + n - 1])
+            np.multiply(af, el[1], out=data[1, b * N + n - 1])
+    return PatternSet(grid, data)

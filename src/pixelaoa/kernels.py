@@ -2,7 +2,9 @@
 
 The two inner loops that dominate runtime are (a) the per-grid-point Fisher
 information sweep behind every CRLB map and (b) the per-candidate subspace
-projection scores of the ML angle search.
+projection scores of the ML angle search.  Both stream their batch in
+blocks under a fixed byte budget (points for the sweep, snapshots for the
+scores), so their working memory does not grow with the batch.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ RANK_TOL = 1e-12
 # Most bytes of the complex (t x 2G) projection block one ml_scores pass
 # holds; larger snapshot blocks are scored in chunks of t snapshots.
 _ML_CHUNK_BYTES = 1 << 22
+
+# Most bytes of one complex (2N x points) stencil gather in fim_sweep;
+# larger point batches are swept in blocks of that many points.
+_FIM_CHUNK_BYTES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -32,10 +38,25 @@ def fim_sweep(e, it, ip, itp, itm, inv_dt, ipp, ipm, inv_dp, snr):
 
     e: (2N, n_theta, n_phi) complex128 stacked [theta-pol ports; phi-pol
     ports].  it/ip: centre indices; itp/itm/ipp/ipm: differencing neighbour
-    indices; inv_dt/inv_dp: per-point 1/denominator in 1/rad.
+    indices; inv_dt/inv_dp: per-point 1/denominator in 1/rad.  Points are
+    swept in blocks of _FIM_CHUNK_BYTES; each point's sums run over the 2N
+    axis alone, so the results do not depend on the block size.
     """
     e = np.ascontiguousarray(e, dtype=np.complex128)
-    f = e[:, it, ip]                                  # (2N, S)
+    S = len(it)
+    c_tt, c_tp, c_pp, obj = (np.empty(S) for _ in range(4))
+    singular = np.empty(S, dtype=bool)
+    step = max(1, _FIM_CHUNK_BYTES // (e.shape[0] * e.itemsize))     # points per block
+    for s0 in range(0, S, step):
+        b = slice(s0, s0 + step)
+        (c_tt[b], c_tp[b], c_pp[b], obj[b], singular[b]) = _fim_block(
+            e, it[b], ip[b], itp[b], itm[b], inv_dt[b], ipp[b], ipm[b], inv_dp[b], snr)
+    return c_tt, c_tp, c_pp, obj, singular
+
+
+def _fim_block(e, it, ip, itp, itm, inv_dt, ipp, ipm, inv_dp, snr):
+    """fim_sweep on one block of points, all gathered at once."""
+    f = e[:, it, ip]                                  # (2N, S), each point's 2N contiguous
     dth = (e[:, itp, ip] - e[:, itm, ip]) * inv_dt    # (2N, S)
     dph = (e[:, it, ipp] - e[:, it, ipm]) * inv_dp
 
@@ -69,6 +90,11 @@ def fim_sweep(e, it, ip, itp, itm, inv_dt, ipp, ipm, inv_dp, snr):
 # ML projection scores
 # ---------------------------------------------------------------------------
 
+def ml_chunk(n_candidates: int) -> int:
+    """Snapshots per ml_scores chunk at n_candidates candidates."""
+    return max(1, _ML_CHUNK_BYTES // (2 * n_candidates * 16))
+
+
 def ml_scores(basis, rank, y):
     """Squared norm of the projection of y onto each candidate subspace.
 
@@ -76,16 +102,19 @@ def ml_scores(basis, rank, y):
     unused columns must be zero, so that they add nothing to a score.
     y: one snapshot (N,) or a block of snapshots (T, N); the scores are
     (G,) or (T, G).  Rank-0 candidates score -1 so they are never selected.
+    Snapshots are scored ml_chunk(G) at a time.  |conj(y) b| = |y conj(b)|,
+    so the snapshots are conjugated instead of the candidates: a basis laid
+    out as a transposed (G, 2, N) array is read in place, never copied.
     """
     y = np.asarray(y, dtype=np.complex128)
     G, N, _ = basis.shape
-    bh = basis.transpose(0, 2, 1).reshape(2 * G, N).conj()    # row 2g + r: conj(basis[g, :, r])
+    rows = basis.transpose(0, 2, 1).reshape(2 * G, N)          # row 2g + r: basis[g, :, r]
     dead = rank == 0
     Y = y.reshape(-1, N)
     scores = np.empty((Y.shape[0], G))
-    step = max(1, _ML_CHUNK_BYTES // (bh.shape[0] * bh.itemsize))     # snapshots per chunk
+    step = ml_chunk(G)
     for t0 in range(0, Y.shape[0], step):
-        proj = Y[t0:t0 + step] @ bh.T                               # (t, 2G)
+        proj = Y[t0:t0 + step].conj() @ rows.T                      # (t, 2G)
         parts = proj.view(np.float64).reshape(-1, G, 4)              # re, im of both columns
         out = scores[t0:t0 + step]
         np.einsum("tgk,tgk->tg", parts, parts, out=out)

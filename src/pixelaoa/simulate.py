@@ -84,7 +84,8 @@ def _orthobases(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Two-column Gram-Schmidt on every candidate at once.  A column whose
     residual norm is at most RANK_TOL_REL times the larger column norm of
     its candidate is dropped; kept columns fill the basis from the left and
-    unused columns are zero.
+    unused columns are zero.  The basis is a transposed (G, 2, N) array, the
+    layout kernels.ml_scores reads without a copy.
     """
     a0, a1 = A[..., 0], A[..., 1]
     n0 = np.linalg.norm(a0, axis=1)
@@ -95,10 +96,10 @@ def _orthobases(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n1 = np.linalg.norm(v, axis=1)
     keep1 = n1 > tol
     q1 = np.where(keep1[:, None], v / np.where(keep1, n1, 1.0)[:, None], 0.0)
-    basis = np.zeros(A.shape, dtype=np.complex128)
-    basis[..., 0] = np.where(keep0[:, None], q0, q1)
-    basis[..., 1] = np.where(keep0[:, None], q1, 0.0)
-    return basis, keep0.astype(np.int64) + keep1
+    cols = np.empty((A.shape[0], 2, A.shape[1]), dtype=np.complex128)
+    cols[:, 0] = np.where(keep0[:, None], q0, q1)
+    cols[:, 1] = np.where(keep0[:, None], q1, 0.0)
+    return cols.transpose(0, 2, 1), keep0.astype(np.int64) + keep1
 
 
 class _CandidateGrid:
@@ -212,7 +213,8 @@ def monte_carlo_rmse(
     order.  trials must be at least 100.  source is a fixed 2-vector by
     default; pass "random-unit" to draw an independent unit polarization
     vector per trial.  The candidate bases are built once per call, and
-    the trials of each (angle, snr) cell are scored as one block.
+    the trials of each (angle, snr) cell are scored and estimated
+    kernels.ml_chunk(G) at a time, so no (trials, G) score block is held.
     """
     if trials < 100:
         raise ValueError(f"at least 100 trials required, got {trials}")
@@ -225,6 +227,7 @@ def monte_carlo_rmse(
         raise ValueError(f"unknown source mode {source!r}")
     cand = _CandidateGrid(patterns, search_area)
     Y = np.empty((trials, cand.basis.shape[1]), dtype=np.complex128)
+    step = kernels.ml_chunk(cand.rank.size)
     records = []
     for ai, angle in enumerate(angles_deg):
         angle = (float(angle[0]), float(angle[1]))
@@ -239,14 +242,13 @@ def monte_carlo_rmse(
                     _, mu, sig2 = _signal(patterns, angle, v / np.linalg.norm(v), snr)
                 ss = np.random.SeedSequence(entropy=seed, spawn_key=(ai, si, t))
                 Y[t] = mu + _noise(mu.size, sig2, ss)
-            # the (trials, G) score block is released before the next cell's
-            estimates = [cand.estimate(row, refine)
-                         for row in kernels.ml_scores(cand.basis, cand.rank, Y)]
             se_th = 0.0
             se_ph = 0.0
-            for th, ph in estimates:
-                se_th += math.radians(th - angle[0]) ** 2
-                se_ph += math.radians(ph - angle[1]) ** 2
+            for t0 in range(0, trials, step):
+                for row in kernels.ml_scores(cand.basis, cand.rank, Y[t0:t0 + step]):
+                    th, ph = cand.estimate(row, refine)
+                    se_th += math.radians(th - angle[0]) ** 2
+                    se_ph += math.radians(ph - angle[1]) ** 2
             mse_th = se_th / trials
             mse_ph = se_ph / trials
             bound = crlb_matrix(patterns, angle, snr, fd_step_deg=fd_step_deg)

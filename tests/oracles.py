@@ -6,10 +6,14 @@ every grid point and integrates the radiated power over the grid
 quadrature; network.solve_network must agree with it through the pattern
 Gram matrix.  steering_row and steering_jacobian build the per-point
 finite-difference steering row and Jacobian that the FIM sweep's stacked
-gathers must reproduce.
+gathers must reproduce.  upa_patterns_factor_list and write_csv_one_pass
+are the earlier whole-array forms of emdata.upa_patterns and crlb.write_csv,
+which now write into their output one port or one block of rows at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -137,3 +141,46 @@ def steering_row(patterns: PatternSet, angle_deg: tuple[float, float]) -> np.nda
     """The 2N steering row f = [e_theta, e_phi] at a grid angle."""
     E = patterns.at(*angle_deg)
     return np.concatenate([E[0], E[1]])
+
+
+# ---------------------------------------------------------------------------
+# whole-array forms of the streamed writers
+# ---------------------------------------------------------------------------
+
+def upa_patterns_factor_list(n_y, n_z, spacing_over_lambda, grid, element="iso-theta"):
+    """UPA patterns from a list of all N array factors, one (2, N, ...) block
+    per element kind and one concatenate; returns the data tensor."""
+    th, ph = grid.meshgrid_rad()
+    k = 2.0 * math.pi * spacing_over_lambda
+    uy = np.sin(th) * np.sin(ph)
+    uz = np.cos(th)
+    one = np.ones_like(th, dtype=np.complex128)
+    zero = np.zeros_like(th, dtype=np.complex128)
+    if isinstance(element, str):
+        elements = {"iso-theta": [np.stack([one, zero])],
+                    "iso-dual": [np.stack([one, zero]), np.stack([zero, one])]}[element]
+    else:
+        elements = [np.asarray(element, dtype=np.complex128)]
+    N = n_y * n_z
+    factors = []
+    for n in range(1, N + 1):
+        ny = n % n_y
+        ny = n_y if ny == 0 else ny
+        nz = math.ceil(n / n_y)
+        factors.append(np.exp(1j * k * ((ny - 1) * uy + (nz - 1) * uz)))
+    blocks = []
+    for el in elements:
+        data = np.empty((2, N, grid.n_theta, grid.n_phi), dtype=np.complex128)
+        for n, af in enumerate(factors):
+            data[0, n] = af * el[0]
+            data[1, n] = af * el[1]
+        blocks.append(data)
+    return np.concatenate(blocks, axis=1)
+
+
+def write_csv_one_pass(path, header, columns):
+    """crlb.write_csv with every column turned into Python values at once."""
+    cols = [np.asarray(c).tolist() for c in columns]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cols))

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from pixelaoa import FeedNetworkConfig, SensingArea, crlb_map, load_dataset, overall_patterns
+from pixelaoa import (
+    FeedNetworkConfig,
+    SensingArea,
+    crlb_map,
+    crlb_matrix,
+    load_dataset,
+    overall_patterns,
+)
 from pixelaoa.cli import main
 from pixelaoa.optimizer import codebook_lookup, load_codebook
 
@@ -102,6 +109,20 @@ def test_crlb_map_upa_both_side_by_side(tmp_path):
     assert rows[0].count(",") == 9
     assert "c_tt_cf" in rows[0]
     assert len(rows) == 1 + 25
+
+
+def test_crlb_map_upa_single_modes_match_both(tmp_path):
+    argv = ["crlb-map", "--upa", "3x2", "--area", "60:120:-30:30", "--step-deg", "5"]
+    rows = {}
+    for mode in ("numeric", "closed-form", "both"):
+        out = tmp_path / f"{mode}.csv"
+        assert run(argv + ["--mode", mode, "--out", out]) == 0
+        rows[mode] = [r.split(",") for r in out.read_text().splitlines()]
+    assert len(rows["both"]) == 1 + 13 * 13
+    assert rows["numeric"] == [r[:6] for r in rows["both"]]
+    cf = [r[:2] + r[6:] for r in rows["both"][1:]]
+    assert rows["closed-form"][1:] == cf
+    assert rows["closed-form"][0] == rows["numeric"][0]
 
 
 def test_crlb_map_codebook_mode(tmp_path, ds_file, cb_file):
@@ -313,3 +334,32 @@ def test_export_plots_area_size(tmp_path, ds_file):
     assert rows[0] == "area_size_deg,worst_objective"
     sizes = [float(r.split(",")[0]) for r in rows[1:]]
     assert sizes == [10.0, 20.0]
+
+
+@pytest.fixture(scope="module")
+def cb4_file(tmp_path_factory, ds_file):
+    # four leaves over 80:100:-10:10; the two below hold different geometries
+    path = tmp_path_factory.mktemp("cli") / "cb4.json"
+    assert run(["optimize", "--dataset", ds_file, "--n-active", "2",
+                "--space", "80:100:-10:10", "--schedule", "1,4",
+                "--population", "20", "--generations", "5", "--seed", "0",
+                "--out", path]) == 0
+    return path
+
+
+def test_montecarlo_each_angle_uses_its_own_leaf(tmp_path, ds_file, cb4_file):
+    ds, cb = load_dataset(ds_file), load_codebook(cb4_file)
+    leaves = [codebook_lookup(cb, a).config for a in ((85.0, -5.0), (95.0, 5.0))]
+    assert leaves[0] != leaves[1]
+    argv = ["montecarlo", "--dataset", ds_file, "--codebook", cb4_file,
+            "--snr-db-list", "20", "--trials", "100", "--search-halfwidth-deg", "10"]
+    after, alone = tmp_path / "after.csv", tmp_path / "alone.csv"
+    assert run(argv + ["--angles", "85,-5;95,5", "--out", after]) == 0
+    assert run(argv + ["--angles", "95,5", "--out", alone]) == 0
+    rows = after.read_text().splitlines()
+    assert [r.split(",")[:2] for r in rows[1:]] == [["85.0", "-5.0"], ["95.0", "5.0"]]
+    assert rows[2] == alone.read_text().splitlines()[1]
+    # the bound is the one of the leaf that covers (95, 5)
+    pats = overall_patterns(ds, leaves[1], FeedNetworkConfig()).patterns
+    bound = crlb_matrix(pats, (95.0, 5.0), 100.0)
+    assert float(rows[2].split(",")[6]) == math.sqrt(bound.c_theta_theta)

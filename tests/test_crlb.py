@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from pixelaoa import (
     upa_crlb_closed_form_map,
     upa_patterns,
 )
+from pixelaoa import crlb
 from pixelaoa.crlb import export_crlb_map, fd_stencil, write_csv
 from pixelaoa.errors import GridError
 
-from oracles import steering_jacobian, steering_row
+from oracles import steering_jacobian, steering_row, write_csv_one_pass
 
 
 # ---------------------------------------------------------------------------
@@ -418,3 +420,34 @@ def test_write_csv_cells_match_the_per_cell_formatter(tmp_path):
     assert path.read_text() == want
     write_csv(path, "a", [])
     assert path.read_text() == "a\n"
+
+
+B = crlb._CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1])
+def test_write_csv_blocks_match_one_pass_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[::5] = np.inf
+    columns = (floats, np.arange(n), [f"s{i}" for i in range(n)], tuple(floats[::-1].tolist()))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(got, "a,b,c,d", columns)
+    write_csv_one_pass(want, "a,b,c,d", columns)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_text().count("\n") == 1 + n
+
+
+def test_crlb_map_memory_does_not_grow_with_the_grid():
+    # the upa workload's map: a 4x4 UPA over 0:180:-90:90 at 0.5 deg (130321 points)
+    pats = upa_patterns(4, 4, 0.5, AngleGrid(0.0, 180.0, -90.5, 90.5, 0.5))
+    area = SensingArea(0, 180, -90, 90)
+    tracemalloc.start()
+    try:
+        m = crlb_map(pats, area, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = pats.data.nbytes
+    assert m.n_points == 130321
+    assert peak < 0.5 * size, (peak, size)

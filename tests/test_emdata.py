@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -28,6 +29,7 @@ from pixelaoa.errors import (
 )
 
 from conftest import save_dataset_v1
+from oracles import upa_patterns_factor_list
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +408,32 @@ def test_upa_mod_mapping_matches_formula(coarse_grid):
         nz = int(np.ceil(n / n_y))
         af = np.exp(1j * k * ((ny - 1) * np.sin(th) * np.sin(ph) + (nz - 1) * np.cos(th)))
         assert E[0][n - 1] == pytest.approx(af, abs=1e-12)
+
+
+@pytest.mark.parametrize("element", ["iso-theta", "iso-dual", "explicit"])
+def test_upa_patterns_bit_equal_to_factor_list_oracle(coarse_grid, element):
+    if element == "explicit":
+        rng = np.random.default_rng(8)
+        shape = (2, coarse_grid.n_theta, coarse_grid.n_phi)
+        element = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = upa_patterns(3, 2, 0.45, coarse_grid, element=element).data
+    want = upa_patterns_factor_list(3, 2, 0.45, coarse_grid, element=element)
+    assert got.shape == want.shape
+    # bit equality, signed zeros included
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
+def test_upa_patterns_peak_memory_near_its_output():
+    # the upa workload's map grid: 4x4 ports on 0:180:-90.5:90.5 at 0.5 deg
+    tracemalloc.start()
+    try:
+        pats = upa_patterns(4, 4, 0.5, AngleGrid(0.0, 180.0, -90.5, 90.5, 0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = pats.data.nbytes
+    assert peak <= 1.5 * size, (peak, size)
 
 
 def test_validate_reports_nan_without_raising(tiny_dataset):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from pixelaoa import kernels
+from pixelaoa import AngleGrid, GeometryConfig, SensingArea, crlb_map, kernels
 from pixelaoa.crlb import _stacked, fd_stencil, projection_matrix
 from pixelaoa.emdata import PatternSet
-from pixelaoa.grid import AngleGrid
+from pixelaoa.optimizer import ConfigEvaluator
 
 from oracles import steering_jacobian, steering_row
 
@@ -66,6 +66,38 @@ def _check_fim_sweep_against_oracle(rng, grid, step_mult):
         assert c_tp[k] == pytest.approx(C[0, 1], rel=1e-10, abs=1e-12 * abs(C[0, 0]))
         assert c_pp[k] == pytest.approx(C[1, 1], rel=1e-10)
         assert obj[k] == pytest.approx(np.sqrt(C[0, 0] + C[1, 1]), rel=1e-10)
+
+
+def _map_fields(m):
+    return (m.theta_deg, m.phi_deg, m.c_tt, m.c_tp, m.c_pp, m.objective, m.singular,
+            m.worst, m.worst_angle)
+
+
+# one point per block, and 7 points of 2N = 6 per block on 2664 points (2664 = 7 * 380 + 4)
+@pytest.mark.parametrize("budget", [1, 7 * 6 * 16])
+def test_fim_sweep_blocks_leave_crlb_map_bit_identical(monkeypatch, budget):
+    rng = np.random.default_rng(5)
+    grid = AngleGrid(step_deg=5.0)
+    data = _random_patterns(rng, 3, grid)
+    data[:, :, 7, 11] = 0.0                         # one singular point
+    pats = PatternSet(grid, data)
+    area = SensingArea(0, 180, -180, 175)           # every point of the wrapping grid
+    want = crlb_map(pats, area, 2.0, fd_step_deg=10.0)
+    assert want.n_points == 2664 and want.singular.any()
+    monkeypatch.setattr(kernels, "_FIM_CHUNK_BYTES", budget)
+    got = crlb_map(pats, area, 2.0, fd_step_deg=10.0)
+    for a, b in zip(_map_fields(got), _map_fields(want)):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+# one point per block, and 7 points of 2N = 4 per block
+@pytest.mark.parametrize("budget", [1, 7 * 4 * 16])
+def test_fim_sweep_blocks_leave_objective_many_bit_identical(monkeypatch, tiny_dataset, budget):
+    area = SensingArea(80, 100, -10, 10)
+    cfgs = [GeometryConfig((0, 1), tuple(int(b) for b in f"{i:04b}")) for i in range(16)]
+    want = ConfigEvaluator(tiny_dataset, 1.0).objective_many(cfgs, area)
+    monkeypatch.setattr(kernels, "_FIM_CHUNK_BYTES", budget)
+    assert ConfigEvaluator(tiny_dataset, 1.0).objective_many(cfgs, area) == want
 
 
 def _random_bases(rng, G, N):

@@ -7,9 +7,20 @@ traced run.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pixelaoa
+from pixelaoa import (
+    AngleGrid,
+    SensingArea,
+    crlb_map,
+    emdata,
+    kernels,
+    optimizer,
+    simulate,
+    upa_patterns,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 HARNESS = sorted(PERFBENCH.glob("*.py"))
@@ -70,3 +81,29 @@ def test_harness_pixelaoa_names_resolve():
 def test_public_names_resolve():
     for name in pixelaoa.__all__:
         assert hasattr(pixelaoa, name), name
+
+
+# The traced run's attribute hooks read these arguments by position (or
+# keyword) and these result attributes; a rename here would break --trace 1.
+
+def _positional(fn):
+    return [p.name for p in inspect.signature(fn).parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+
+def test_traced_hook_signatures():
+    assert _positional(kernels.fim_sweep)[:2] == ["e", "it"]             # _fim_post
+    assert _positional(kernels.ml_scores) == ["basis", "rank", "y"]      # _ml_scores_post
+    assert _positional(emdata.save_dataset)[1] == "path"                 # _saved_bytes
+    # _objective_many_pre/_post and _ml_estimate_pre
+    assert _positional(optimizer.ConfigEvaluator.objective_many)[:3] == ["self", "configs",
+                                                                          "area"]
+    assert _positional(simulate.ml_estimate)[:3] == ["y", "patterns", "search_area"]
+
+
+def test_traced_hook_result_attributes():
+    m = crlb_map(upa_patterns(2, 2, 0.5, AngleGrid(step_deg=10.0)), SensingArea(0, 180, 0, 90),
+                 1.0)
+    # _crlb_map_post
+    assert m.n_points == 19 * 10
+    assert m.singular.shape == (m.n_points,) and m.singular.dtype == bool

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pixelaoa import AngleGrid, PatternSet, SensingArea, crlb_matrix, upa_patterns
-from pixelaoa import simulate
+from pixelaoa import kernels, simulate
 from pixelaoa.errors import EstimationError
 from pixelaoa.simulate import (
     RANK_TOL_REL,
@@ -313,3 +313,36 @@ def test_random_unit_source_mode(upa):
     again = monte_carlo_rmse(upa, [(90.0, 0.0)], [100.0], trials=100, seed=4,
                              search_area=SEARCH, source="random-unit")
     assert again.records == rep.records
+
+
+
+def test_monte_carlo_scores_one_chunk_of_trials_at_a_time(upa, monkeypatch):
+    G = 21 * 21
+    # 3 snapshots per chunk, so 100 trials end in a partial chunk
+    monkeypatch.setattr(kernels, "_ML_CHUNK_BYTES", 3 * 2 * G * 16)
+    calls = []
+    real = kernels.ml_scores
+
+    def spy(basis, rank, y):
+        calls.append((basis.shape, len(y)))
+        return real(basis, rank, y)
+
+    monkeypatch.setattr(kernels, "ml_scores", spy)
+    monte_carlo_rmse(upa, [(90.0, 0.0)], [10.0], trials=100, seed=0, search_area=SEARCH)
+    assert [n for _, n in calls] == [3] * 33 + [1]
+    # the traced benchmark reads the (G, N, 2) shape of the basis
+    assert {shape for shape, _ in calls} == {(G, upa.n_ports, 2)}
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_monte_carlo_tiny_score_chunks_match_default(upa, monkeypatch, refine):
+    args = ([(90.0, 0.0), (86.0, 4.0)], [3.0, 100.0], 100, 9)
+    want = monte_carlo_rmse(upa, *args, search_area=SEARCH, refine=refine)
+    monkeypatch.setattr(kernels, "_ML_CHUNK_BYTES", 1)           # one snapshot per chunk
+    got = monte_carlo_rmse(upa, *args, search_area=SEARCH, refine=refine)
+    assert len(got.records) == len(want.records) == 4
+    for a, b in zip(got.records, want.records):
+        assert (a.theta_deg, a.phi_deg, a.snr_linear) == (b.theta_deg, b.phi_deg, b.snr_linear)
+        assert a.mse_theta_rad2 == pytest.approx(b.mse_theta_rad2, rel=1e-9, abs=1e-18)
+        assert a.mse_phi_rad2 == pytest.approx(b.mse_phi_rad2, rel=1e-9, abs=1e-18)
+        assert (a.crlb_theta_rad, a.crlb_phi_rad) == (b.crlb_theta_rad, b.crlb_phi_rad)
