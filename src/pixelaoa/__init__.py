@@ -28,7 +28,6 @@ from .crlb import (
     SensingArea,
     crlb_map,
     crlb_matrix,
-    objective,
     projection_matrix,
     upa_crlb_closed_form,
     upa_crlb_closed_form_map,
@@ -56,7 +55,6 @@ __all__ = [
     "SensingArea",
     "crlb_map",
     "crlb_matrix",
-    "objective",
     "projection_matrix",
     "upa_crlb_closed_form",
     "upa_crlb_closed_form_map",

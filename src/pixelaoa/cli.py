@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-dataset, validate, optimize, crlb-map, compare,
-montecarlo, export-plots.  Every run writes exactly one JSON manifest next
-to its outputs with the resolved parameters and file digests, so any result
-can be reproduced from the manifest alone.
+montecarlo, export-plots.  Every command that writes a file writes exactly
+one JSON manifest next to its outputs with the resolved parameters and file
+digests, so any result can be reproduced from the manifest alone.
 
 Exit codes: 0 success, 2 flag/parameter validation, 3 file I/O or format,
 4 dataset validation, 5 numerical failure.
@@ -27,7 +27,7 @@ from .crlb import (
     MAP_HEADER,
     SensingArea,
     crlb_map,
-    export_crlb_map,
+    crlb_points,
     upa_crlb_closed_form_map,
     write_csv,
 )
@@ -96,10 +96,12 @@ def _parse_area(text: str) -> SensingArea:
 def _parse_angles(text: str) -> list[tuple[float, float]]:
     out = []
     for chunk in text.split(";"):
-        th, ph = (float(x) for x in chunk.split(","))
+        try:
+            th, ph = (float(x) for x in chunk.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--angles expects theta,phi pairs separated by ';', "
+                              f"got {chunk!r}") from exc
         out.append((th, ph))
-    if not out:
-        raise ConfigError("--angles is empty")
     return out
 
 
@@ -134,9 +136,9 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs, outputs,
         fh.write("\n")
 
 
-def _window_grid(area: SensingArea, step_deg: float, margin_steps: int = 2) -> AngleGrid:
-    """Grid covering an area plus a finite-difference margin."""
-    m = margin_steps * step_deg
+def _window_grid(area: SensingArea, step_deg: float, fd_step_deg: float | None) -> AngleGrid:
+    """Grid covering an area plus the margin its finite differences reach."""
+    m = max(1, int(round((fd_step_deg or step_deg) / step_deg))) * step_deg
     t0 = max(0.0, area.theta_min_deg - m)
     t1 = min(180.0, area.theta_max_deg + m)
     p0 = max(-180.0, area.phi_min_deg - m)
@@ -152,6 +154,16 @@ def _load_codebook_for(path, ds) -> Codebook:
             f"{path}: codebook is for {cb.n_feed} feed + {cb.n_loaded} loaded ports, "
             f"the dataset has {ds.n_feed} + {ds.n_loaded}")
     return cb
+
+
+def _leaf_groups(cb: Codebook, angles) -> list:
+    """(leaf codeword, indices of the angles it covers) pairs, in the order
+    of each leaf's first angle."""
+    groups = {}
+    for k, angle in enumerate(angles):
+        cw = codebook_lookup(cb, angle)
+        groups.setdefault(id(cw), (cw, []))[1].append(k)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +243,26 @@ def cmd_crlb_map(args) -> int:
 
     if args.upa:
         ny, nz = _parse_pixels(args.upa)
-        grid = _window_grid(area, args.step_deg,
-                            margin_steps=max(1, int(round((args.fd_step_deg or args.step_deg)
-                                                          / args.step_deg))))
-        pats = upa_patterns(ny, nz, args.spacing, grid, element=args.element)
-        numeric = crlb_map(pats, area, snr, fd_step_deg=args.fd_step_deg)
-        if args.mode == "numeric":
-            export_crlb_map(numeric, args.out)
+        grid = _window_grid(area, args.step_deg, args.fd_step_deg)
+        if args.mode == "closed-form":
+            it, ip = area.points(grid)
+            th, ph = grid.theta_deg[it], grid.phi_deg[ip]
+            closed = upa_crlb_closed_form_map(ny, nz, args.spacing, th, ph, snr)[:4]
+            write_csv(args.out, MAP_HEADER, (th, ph, *closed))
+            worst = float(closed[3].max())
         else:
-            closed = upa_crlb_closed_form_map(ny, nz, args.spacing, numeric.theta_deg,
-                                              numeric.phi_deg, snr)[:4]
-            if args.mode == "closed-form":
-                write_csv(args.out, MAP_HEADER, (numeric.theta_deg, numeric.phi_deg, *closed))
-            else:
-                # numeric and closed-form columns side by side
-                write_csv(args.out, MAP_HEADER + ",c_tt_cf,c_tp_cf,c_pp_cf,objective_cf",
-                          (numeric.theta_deg, numeric.phi_deg, numeric.c_tt, numeric.c_tp,
-                           numeric.c_pp, numeric.objective, *closed))
-        worst = numeric.worst
+            pats = upa_patterns(ny, nz, args.spacing, grid, element=args.element)
+            numeric = crlb_map(pats, area, snr, fd_step_deg=args.fd_step_deg)
+            header = MAP_HEADER
+            columns = (numeric.theta_deg, numeric.phi_deg, numeric.c_tt, numeric.c_tp,
+                       numeric.c_pp, numeric.objective)
+            if args.mode == "both":
+                # closed-form columns beside the numeric ones, built after the sweep
+                header += ",c_tt_cf,c_tp_cf,c_pp_cf,objective_cf"
+                columns += upa_crlb_closed_form_map(ny, nz, args.spacing, numeric.theta_deg,
+                                                    numeric.phi_deg, snr)[:4]
+            write_csv(args.out, header, columns)
+            worst = numeric.worst
     else:
         if not (args.dataset and args.codebook):
             raise ConfigError("crlb-map needs either --upa or --dataset with --codebook")
@@ -256,26 +270,16 @@ def cmd_crlb_map(args) -> int:
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-        t_ids, p_ids = area.indices(ds.grid)
-        th = np.repeat(ds.grid.theta_deg[t_ids], p_ids.size)
-        ph = np.tile(ds.grid.phi_deg[p_ids], t_ids.size)
-        # points of the area (row-major) grouped by the leaf codeword that covers them
-        groups = {}
-        for k, angle in enumerate(zip(th.tolist(), ph.tolist())):
-            cw = codebook_lookup(cb, angle)
-            groups.setdefault(id(cw), (cw, []))[1].append(k)
+        it, ip = area.points(ds.grid)
+        th, ph = ds.grid.theta_deg[it], ds.grid.phi_deg[ip]
         table = np.empty((4, th.size))           # c_tt, c_tp, c_pp, objective
         pattern_cache = {}
-        for cw, ks in groups.values():
+        for cw, ks in _leaf_groups(cb, zip(th.tolist(), ph.tolist())):
             key = (cw.config.feed_ports, cw.config.connections)
             if key not in pattern_cache:
                 pattern_cache[key] = overall_patterns(ds, cw.config, feednet).patterns
-            # one sweep over the bounding box of the group's points, then pick them out
-            kt, kp = np.divmod(np.array(ks), p_ids.size)
-            box = SensingArea(th[ks].min(), th[ks].max(), ph[ks].min(), ph[ks].max())
-            m = crlb_map(pattern_cache[key], box, snr, fd_step_deg=args.fd_step_deg)
-            at = (kt - kt.min()) * (kp.max() - kp.min() + 1) + (kp - kp.min())
-            table[:, ks] = m.c_tt[at], m.c_tp[at], m.c_pp[at], m.objective[at]
+            table[:, ks] = crlb_points(pattern_cache[key], it[ks], ip[ks], snr,
+                                       args.fd_step_deg)[:4]
         write_csv(args.out, MAP_HEADER, (th, ph, *table))
         worst = float(table[3].max())
     print(f"worst objective over {area.label()}: {worst:.6g} rad")
@@ -359,12 +363,14 @@ def cmd_montecarlo(args) -> int:
                            max(grid.phi_deg[0], box.phi_min_deg),
                            min(grid.phi_deg[-1], box.phi_max_deg))
         return monte_carlo_rmse(pats, group, snr_list, trials=args.trials, seed=args.seed,
-                                search_area=area, refine=not args.no_refine)
+                                search_area=area, refine=not args.no_refine,
+                                fd_step_deg=args.fd_step_deg)
 
     if args.upa:
         ny, nz = _parse_pixels(args.upa)
         pats = upa_patterns(ny, nz, args.spacing,
-                            _window_grid(_search_box(angles, hw), args.step_deg),
+                            _window_grid(_search_box(angles, hw), args.step_deg,
+                                         args.fd_step_deg),
                             element=args.element)
         report = run(pats, angles)
     else:
@@ -374,13 +380,9 @@ def cmd_montecarlo(args) -> int:
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-        # angles grouped by the leaf codeword that covers them; one run per leaf
-        groups = {}
-        for k, angle in enumerate(angles):
-            cw = codebook_lookup(cb, angle)
-            groups.setdefault(id(cw), (cw, []))[1].append(k)
+        # one run per leaf codeword, over the angles it covers
         per_angle = [()] * len(angles)
-        for cw, ks in groups.values():
+        for cw, ks in _leaf_groups(cb, angles):
             group = [angles[k] for k in ks]
             report = run(overall_patterns(ds, cw.config, feednet).patterns, group)
             for j, k in enumerate(ks):

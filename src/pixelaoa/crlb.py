@@ -52,6 +52,11 @@ class SensingArea:
         p1 = grid.phi_index(self.phi_max_deg)
         return np.arange(t0, t1 + 1), np.arange(p0, p1 + 1)
 
+    def points(self, grid: AngleGrid) -> tuple[np.ndarray, np.ndarray]:
+        """Grid indices (it, ip) of every point of the area, row-major (theta outer)."""
+        t_ids, p_ids = self.indices(grid)
+        return np.repeat(t_ids, p_ids.size), np.tile(p_ids, t_ids.size)
+
     def contains(self, theta_deg: float, phi_deg: float) -> bool:
         return (self.theta_min_deg <= theta_deg <= self.theta_max_deg
                 and self.phi_min_deg <= phi_deg <= self.phi_max_deg)
@@ -158,9 +163,12 @@ def _stacked(patterns: PatternSet) -> np.ndarray:
     return d.reshape(2 * d.shape[1], d.shape[2], d.shape[3])
 
 
-def _sweep(patterns: PatternSet, it: np.ndarray, ip: np.ndarray, snr: float,
-           fd_step_deg: float | None):
-    """kernels.fim_sweep at grid points (it, ip): (c_tt, c_tp, c_pp, objective, singular)."""
+def crlb_points(patterns: PatternSet, it: np.ndarray, ip: np.ndarray, snr: float,
+                fd_step_deg: float | None):
+    """CRLB at grid points (it, ip) by one kernels.fim_sweep.
+
+    Returns per-point arrays (c_tt, c_tp, c_pp, objective, singular).
+    """
     if not (snr > 0):
         raise ValueError(f"snr must be positive, got {snr}")
     grid = patterns.grid
@@ -187,17 +195,11 @@ def crlb_matrix(patterns: PatternSet, angle_deg: tuple[float, float], snr_linear
     grid = patterns.grid
     it = np.array([grid.theta_index(angle_deg[0])])
     ip = np.array([grid.phi_index(angle_deg[1])])
-    c_tt, c_tp, c_pp, obj, sing = _sweep(patterns, it, ip, snr_linear, fd_step_deg)
+    c_tt, c_tp, c_pp, obj, sing = crlb_points(patterns, it, ip, snr_linear, fd_step_deg)
     C = np.array([[c_tt[0], c_tp[0]], [c_tp[0], c_pp[0]]])
     return CRLBResult(matrix=C, objective=float(obj[0]),
                       angle_deg=(float(angle_deg[0]), float(angle_deg[1])),
                       snr_linear=float(snr_linear), singular=bool(sing[0]))
-
-
-def objective(C: np.ndarray) -> float:
-    """Scalar solid-angle error measure sqrt(c_tt + c_pp); +inf propagates."""
-    C = np.asarray(C)
-    return float(np.sqrt(C[0, 0] + C[1, 1]))
 
 
 def crlb_map(patterns: PatternSet, area: SensingArea, snr_linear: float,
@@ -208,10 +210,8 @@ def crlb_map(patterns: PatternSet, area: SensingArea, snr_linear: float,
     lowest grid index, so the reduction is order-fixed and deterministic.
     """
     grid = patterns.grid
-    t_ids, p_ids = area.indices(grid)
-    it = np.repeat(t_ids, p_ids.size)
-    ip = np.tile(p_ids, t_ids.size)
-    c_tt, c_tp, c_pp, obj, sing = _sweep(patterns, it, ip, snr_linear, fd_step_deg)
+    it, ip = area.points(grid)
+    c_tt, c_tp, c_pp, obj, sing = crlb_points(patterns, it, ip, snr_linear, fd_step_deg)
 
     worst_i = int(np.argmax(obj))          # first maximum wins on ties
     th = grid.theta_start_deg + grid.step_deg * it
@@ -305,8 +305,3 @@ def write_csv(path, header: str, columns) -> None:
         for r0 in range(0, n, _CSV_BLOCK_ROWS):
             block = [c[r0:r0 + _CSV_BLOCK_ROWS].tolist() for c in cols]
             fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*block))
-
-
-def export_crlb_map(m: CRLBMap, path) -> None:
-    """Tabular text dump: one row per grid point, +inf rendered as 'inf'."""
-    write_csv(path, MAP_HEADER, (m.theta_deg, m.phi_deg, m.c_tt, m.c_tp, m.c_pp, m.objective))

@@ -190,9 +190,6 @@ class PatternSet:
         pi = self.grid.phi_index(phi_deg)
         return np.array(self.data[:, :, ti, pi])
 
-    def scaled(self, alpha: complex) -> "PatternSet":
-        return PatternSet(self.grid, self.data * alpha)
-
 
 @dataclass(frozen=True, eq=False)
 class EMDataset:

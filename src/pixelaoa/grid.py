@@ -136,14 +136,6 @@ class AngleGrid:
     def phi_index(self, phi_deg: float) -> int:
         return self._index(phi_deg, self.phi_start_deg, self.n_phi, "phi")
 
-    def covers(self, theta_deg: float, phi_deg: float) -> bool:
-        try:
-            self.theta_index(theta_deg)
-            self.phi_index(phi_deg)
-        except GridError:
-            return False
-        return True
-
     # -- quadrature --------------------------------------------------------
 
     def weights(self, include_sin_theta: bool = True) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 The two inner loops that dominate runtime are (a) the per-grid-point Fisher
 information sweep behind every CRLB map and (b) the per-candidate subspace
-projection scores of the ML angle search.  Both stream their batch in
-blocks under a fixed byte budget (points for the sweep, snapshots for the
-scores), so their working memory does not grow with the batch.
+projection scores of the ML angle search.  The sweep streams its points
+in blocks under a fixed byte budget, so its working memory does not grow
+with the batch; the scores take one block of snapshots per call, and
+ml_chunk gives the block size that keeps that block under its budget.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 # Re{F} is declared rank deficient when det <= RANK_TOL * scale^2.
 RANK_TOL = 1e-12
 
-# Most bytes of the complex (t x 2G) projection block one ml_scores pass
-# holds; larger snapshot blocks are scored in chunks of t snapshots.
+# Most bytes of the complex (t x 2G) projection block of one ml_scores call
+# on a block of ml_chunk(G) snapshots.
 _ML_CHUNK_BYTES = 1 << 22
 
 # Most bytes of one complex (2N x points) stencil gather in fim_sweep;
@@ -102,21 +103,17 @@ def ml_scores(basis, rank, y):
     unused columns must be zero, so that they add nothing to a score.
     y: one snapshot (N,) or a block of snapshots (T, N); the scores are
     (G,) or (T, G).  Rank-0 candidates score -1 so they are never selected.
-    Snapshots are scored ml_chunk(G) at a time.  |conj(y) b| = |y conj(b)|,
-    so the snapshots are conjugated instead of the candidates: a basis laid
-    out as a transposed (G, 2, N) array is read in place, never copied.
+    The block is scored by one GEMM, so its (T x 2G) projections are held
+    at once; callers pass blocks of at most ml_chunk(G) snapshots.
+    |conj(y) b| = |y conj(b)|, so the snapshots are conjugated instead of
+    the candidates: a basis laid out as a transposed (G, 2, N) array is
+    read in place, never copied.
     """
     y = np.asarray(y, dtype=np.complex128)
     G, N, _ = basis.shape
     rows = basis.transpose(0, 2, 1).reshape(2 * G, N)          # row 2g + r: basis[g, :, r]
-    dead = rank == 0
-    Y = y.reshape(-1, N)
-    scores = np.empty((Y.shape[0], G))
-    step = ml_chunk(G)
-    for t0 in range(0, Y.shape[0], step):
-        proj = Y[t0:t0 + step].conj() @ rows.T                      # (t, 2G)
-        parts = proj.view(np.float64).reshape(-1, G, 4)              # re, im of both columns
-        out = scores[t0:t0 + step]
-        np.einsum("tgk,tgk->tg", parts, parts, out=out)
-        out[:, dead] = -1.0
+    proj = y.reshape(-1, N).conj() @ rows.T                     # (T, 2G)
+    parts = proj.view(np.float64).reshape(-1, G, 4)             # re, im of both columns
+    scores = np.einsum("tgk,tgk->tg", parts, parts)
+    scores[:, rank == 0] = -1.0
     return scores if y.ndim == 2 else scores[0]

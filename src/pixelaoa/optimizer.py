@@ -113,14 +113,6 @@ class SubdivisionSchedule:
             if ax == "both" and int(round(math.sqrt(k))) ** 2 != k:
                 raise ScheduleError(f"axis 'both' needs a square factor, got {k}")
 
-    @property
-    def n_stages(self) -> int:
-        return len(self.factors)
-
-    @property
-    def total_areas(self) -> int:
-        return int(np.prod(self.factors))
-
     def stage_splits(self) -> list[tuple[int, int]]:
         out = []
         for k, ax in zip(self.factors, self.axes):
@@ -225,9 +217,7 @@ class ConfigEvaluator:
     def _build_support(self, area: SensingArea):
         grid = self.dataset.grid
         s = _step_multiple(grid, self.fd_step_deg)
-        t_ids, p_ids = area.indices(grid)
-        it = np.repeat(t_ids, p_ids.size)
-        ip = np.tile(p_ids, t_ids.size)
+        it, ip = area.points(grid)
         itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(grid, it, ip, s)
 
         t_sel = np.unique(np.concatenate([it, itp, itm]))

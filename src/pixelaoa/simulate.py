@@ -113,8 +113,7 @@ class _CandidateGrid:
         self.shape = (t_ids.size, p_ids.size)
         self.step_deg = grid.step_deg
 
-        it = np.repeat(t_ids, p_ids.size)
-        ip = np.tile(p_ids, t_ids.size)
+        it, ip = area.points(grid)
         E = patterns.data[:, :, it, ip]                  # (2, N, G)
         self.basis, self.rank = _orthobases(np.transpose(E, (2, 1, 0)))
         skipped = int(np.count_nonzero(self.rank == 0))

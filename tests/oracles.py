@@ -1,6 +1,10 @@
 """Slow references that the batched code in src is checked against.
 
-The full-grid quadrature pipeline (open_circuit_feed_patterns ->
+feed_impedance_matrix, exact_port_currents_matrix and
+approx_loaded_currents_matrix solve one geometry's network by direct
+index arrays; exact_port_currents_matrix keeps the muted ports at a finite
+impedance, so it checks the open-circuit elimination itself.  The
+full-grid quadrature pipeline (open_circuit_feed_patterns ->
 coupled_patterns -> radiation_efficiency) composes the network solve on
 every grid point and integrates the radiated power over the grid
 quadrature; network.solve_network must agree with it through the pattern
@@ -19,14 +23,70 @@ import numpy as np
 
 from pixelaoa.crlb import _stacked, _step_multiple, fd_stencil
 from pixelaoa.emdata import ETA0, EMDataset, PatternSet
-from pixelaoa.errors import NonPhysicalConfigError, NumericalError
+from pixelaoa.errors import ConfigError, NonPhysicalConfigError, NumericalError
 from pixelaoa.network import (
     FeedNetworkConfig,
     GeometryConfig,
-    feed_impedance_matrix,
     load_correction,
     source_currents,
 )
+
+
+# ---------------------------------------------------------------------------
+# single-config network references
+# ---------------------------------------------------------------------------
+
+def feed_impedance_matrix(Z: np.ndarray, n_feed: int, n_loaded: int, config: GeometryConfig,
+                          feednet: FeedNetworkConfig = FeedNetworkConfig()) -> np.ndarray:
+    """Z_F = Z_AA - Z_AL (Z_LL + Z_L)^-1 Z_LA among the N active feed ports.
+
+    Muted feed ports drop out entirely (open-circuit limit); the loaded
+    ports fold in through the Schur complement.
+    """
+    W = load_correction(Z, n_feed, n_loaded, [config], feednet)[0]
+    a = list(config.feed_ports)
+    return Z[np.ix_(a, a)] - Z[a, n_feed:] @ W
+
+
+def exact_port_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
+                               config: GeometryConfig, finite_muted_impedance: float,
+                               i_active: np.ndarray,
+                               feednet: FeedNetworkConfig = FeedNetworkConfig()):
+    """Currents at muted and loaded ports for a *finite* muted-port impedance.
+
+    Solves the full block system
+        [Z_MM + zeta I, Z_ML; Z_LM, Z_LL + Z_L] [i_M; i_L] = -[Z_MA; Z_LA] i_A
+    and is the oracle against which the infinite-impedance elimination is
+    checked (for zeta -> inf, i_M -> 0 and i_L -> -(Z_LL + Z_L)^-1 Z_LA i_A).
+    """
+    if not (finite_muted_impedance > 0):
+        raise ConfigError("finite muted impedance must be positive")
+    config.validate_against(n_feed, n_loaded)
+    i_A = np.asarray(i_active, dtype=np.complex128).reshape(-1)
+    if i_A.size != config.n_active:
+        raise ConfigError("i_active length must equal the number of active ports")
+
+    a = list(config.feed_ports)
+    muted = np.setdiff1d(np.arange(n_feed), a)                   # ascending
+    rest = np.concatenate([muted, np.arange(n_feed, n_feed + n_loaded)])
+    if rest.size == 0:
+        return np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=np.complex128)
+    loads = np.concatenate([np.full(muted.size, finite_muted_impedance),
+                            feednet.z_open_ohm * np.array(config.connections, dtype=np.float64)])
+    try:
+        sol = np.linalg.solve(Z[np.ix_(rest, rest)] + np.diag(loads), -(Z[np.ix_(rest, a)] @ i_A))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("exact_port_currents: singular block system") from exc
+    return sol[:muted.size], sol[muted.size:]
+
+
+def approx_loaded_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
+                                  config: GeometryConfig, i_active: np.ndarray,
+                                  feednet: FeedNetworkConfig = FeedNetworkConfig()) -> np.ndarray:
+    """i_L = -(Z_LL + Z_L)^-1 Z_LA i_A, the infinite-muted-impedance limit."""
+    i_A = np.asarray(i_active, dtype=np.complex128).reshape(-1)
+    W = load_correction(Z, n_feed, n_loaded, [config], feednet)[0]
+    return -(W @ i_A)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,7 @@ from pixelaoa import (
     validate_dataset,
 )
 from pixelaoa.cli import main as cli_main
-from pixelaoa.network import (
-    FeedNetworkConfig,
-    approx_loaded_currents_matrix,
-    exact_port_currents_matrix,
-    feed_impedance_matrix,
-)
+from pixelaoa.network import FeedNetworkConfig
 from pixelaoa.optimizer import (
     ConfigEvaluator,
     GAParams,
@@ -47,6 +42,11 @@ from pixelaoa.optimizer import (
 from pixelaoa.simulate import monte_carlo_rmse
 
 from conftest import random_symmetric_z
+from oracles import (
+    approx_loaded_currents_matrix,
+    exact_port_currents_matrix,
+    feed_impedance_matrix,
+)
 
 
 def _report(n: int, ok: bool, detail: str = "") -> None:

@@ -1,17 +1,25 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pixelaoa import (
+    AngleGrid,
     FeedNetworkConfig,
     SensingArea,
     crlb_map,
     crlb_matrix,
+    emdata,
+    kernels,
     load_dataset,
     overall_patterns,
+    upa_patterns,
 )
+from pixelaoa import cli
 from pixelaoa.cli import main
 from pixelaoa.optimizer import codebook_lookup, load_codebook
 
@@ -123,6 +131,21 @@ def test_crlb_map_upa_single_modes_match_both(tmp_path):
     cf = [r[:2] + r[6:] for r in rows["both"][1:]]
     assert rows["closed-form"][1:] == cf
     assert rows["closed-form"][0] == rows["numeric"][0]
+
+
+def test_crlb_map_upa_closed_form_runs_no_patterns_or_sweep(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed-form mode must not build patterns or sweep the FIM")
+
+    monkeypatch.setattr(emdata, "upa_patterns", forbidden)
+    monkeypatch.setattr(cli, "upa_patterns", forbidden)
+    monkeypatch.setattr(kernels, "fim_sweep", forbidden)
+    out = tmp_path / "map.csv"
+    assert run(["crlb-map", "--upa", "3x2", "--mode", "closed-form",
+                "--area", "60:120:-30:30", "--step-deg", "5", "--out", out]) == 0
+    objective = [float(r.split(",")[5]) for r in out.read_text().splitlines()[1:]]
+    printed = re.search(r"worst objective over \S+: (\S+) rad", capsys.readouterr().out)
+    assert printed.group(1) == f"{max(objective):.6g}"
 
 
 def test_crlb_map_codebook_mode(tmp_path, ds_file, cb_file):
@@ -269,6 +292,30 @@ def test_montecarlo_trials_precondition(tmp_path):
                 "--out", tmp_path / "x.csv"]) == 2
 
 
+@pytest.mark.parametrize("angles", ["90", ""])
+def test_montecarlo_bad_angles_is_flag_error(tmp_path, capsys, angles):
+    assert run(["montecarlo", "--upa", "2x2", "--angles", angles,
+                "--out", tmp_path / "x.csv"]) == 2
+    assert "--angles" in capsys.readouterr().err
+
+
+# a 1-degree half-width puts the fd step of 4 beyond the search box
+@pytest.mark.parametrize("angles, halfwidth, fd_step", [("60,40", 10, 3),
+                                                        ("60,40;70,46", 1, 4)])
+def test_montecarlo_crlb_uses_fd_step(tmp_path, angles, halfwidth, fd_step):
+    out = tmp_path / "mc.csv"
+    assert run(["montecarlo", "--upa", "2x2", "--angles", angles, "--snr-db-list", "10",
+                "--trials", "100", "--search-halfwidth-deg", halfwidth,
+                "--fd-step-deg", fd_step, "--out", out]) == 0
+    got = float(out.read_text().splitlines()[1].split(",")[6])
+    pats = upa_patterns(2, 2, 0.5, AngleGrid(40, 80, 20, 60, 1.0))
+    want = crlb_matrix(pats, (60.0, 40.0), 10.0, fd_step_deg=fd_step).c_theta_theta
+    assert got == pytest.approx(math.sqrt(want), rel=1e-12)
+    # off broadside the step changes the bound, so a dropped step shows
+    grid_step = crlb_matrix(pats, (60.0, 40.0), 10.0).c_theta_theta
+    assert got != pytest.approx(math.sqrt(grid_step), rel=1e-6)
+
+
 def test_export_plots_port_count(tmp_path, ds_file):
     books = []
     for n in (1, 2):
@@ -363,3 +410,20 @@ def test_montecarlo_each_angle_uses_its_own_leaf(tmp_path, ds_file, cb4_file):
     pats = overall_patterns(ds, leaves[1], FeedNetworkConfig()).patterns
     bound = crlb_matrix(pats, (95.0, 5.0), 100.0)
     assert float(rows[2].split(",")[6]) == math.sqrt(bound.c_theta_theta)
+
+
+def _readme_commands() -> list[str]:
+    """The pixelaoa lines of the README's "Command line" block, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("pixelaoa ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == shlex.split(line)[1]

@@ -127,12 +127,10 @@ def test_ml_scores_matches_projection_norm():
 
 
 @pytest.mark.parametrize("T", [1, 7])
-def test_ml_scores_block_matches_per_row_calls(monkeypatch, T):
+def test_ml_scores_block_matches_per_row_calls(T):
     rng = np.random.default_rng(4)
     G, N = 60, 6
     basis, rank = _random_bases(rng, G, N)
-    # three snapshots per chunk, so T = 7 ends in a partial chunk
-    monkeypatch.setattr(kernels, "_ML_CHUNK_BYTES", 3 * 2 * G * 16)
     Y = rng.normal(size=(T, N)) + 1j * rng.normal(size=(T, N))
 
     block = kernels.ml_scores(basis, rank, Y)

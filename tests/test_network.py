@@ -11,17 +11,14 @@ from pixelaoa import (
 )
 from pixelaoa.emdata import EMDataset, PatternSet
 from pixelaoa.errors import ConfigError
-from pixelaoa.network import (
-    approx_loaded_currents_matrix,
-    exact_port_currents_matrix,
-    feed_impedance_matrix,
-    solve_network,
-    source_currents,
-)
+from pixelaoa.network import solve_network, source_currents
 
 from conftest import random_symmetric_z
 from oracles import (
+    approx_loaded_currents_matrix,
     coupled_patterns,
+    exact_port_currents_matrix,
+    feed_impedance_matrix,
     open_circuit_feed_patterns,
     oracle_overall_patterns,
 )
