@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-dataset, validate, optimize, crlb-map, compare,
-montecarlo, export-plots.  Every command that writes a file writes exactly
-one JSON manifest next to its outputs with the resolved parameters and file
+montecarlo, export-plots.  Each command returns the files it read and
+wrote; main times it and, when it wrote any, writes exactly one JSON
+manifest next to its first output with the resolved parameters and file
 digests, so any result can be reproduced from the manifest alone.
 
 Exit codes: 0 success, 2 flag/parameter validation, 3 file I/O or format,
@@ -56,10 +57,10 @@ from .network import FeedNetworkConfig, overall_patterns
 from .optimizer import (
     Codebook,
     GAParams,
+    OptimizationTrace,
     SubdivisionSchedule,
     build_codebook,
     codebook_lookup,
-    default_initial_config,
     export_trace,
     load_codebook,
     save_codebook,
@@ -117,11 +118,10 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(command: str, args: argparse.Namespace, inputs, outputs,
-                    started: float) -> None:
+def _write_manifest(args: argparse.Namespace, inputs, outputs, started: float) -> None:
     outputs = [Path(p) for p in outputs]
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "parameters": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "inputs": {str(p): _sha256(Path(p)) for p in inputs if Path(p).exists()},
@@ -129,8 +129,7 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs, outputs,
         "seed": getattr(args, "seed", None),
         "duration_s": round(time.time() - started, 3),
     }
-    base = outputs[0] if outputs else Path("run")
-    path = base.with_suffix(base.suffix + ".manifest.json")
+    path = outputs[0].with_suffix(outputs[0].suffix + ".manifest.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, default=str)
         fh.write("\n")
@@ -166,12 +165,45 @@ def _leaf_groups(cb: Codebook, angles) -> list:
     return list(groups.values())
 
 
+def _codebook_map(ds, cb: Codebook, area: SensingArea, snr: float, feednet, fd_step_deg):
+    """(theta, phi, table) over the area's grid points, each point under the
+    leaf that covers it; table rows are c_tt, c_tp, c_pp and objective."""
+    it, ip = area.points(ds.grid)
+    th, ph = ds.grid.theta_deg[it], ds.grid.phi_deg[ip]
+    table = np.empty((4, th.size))
+    pattern_cache = {}
+    for cw, ks in _leaf_groups(cb, zip(th.tolist(), ph.tolist())):
+        key = (cw.config.feed_ports, cw.config.connections)
+        if key not in pattern_cache:
+            pattern_cache[key] = overall_patterns(ds, cw.config, feednet).patterns
+        table[:, ks] = crlb_points(pattern_cache[key], it[ks], ip[ks], snr, fd_step_deg)[:4]
+    return th, ph, table
+
+
+def _leaf_worsts(ds, cb: Codebook, baseline, snr: float, feednet, fd_step_deg):
+    """(leaf area, HRPA worst, baseline worst) per leaf of cb, the HRPA side
+    under the leaf's own geometry.  The baseline is a PatternSet used for
+    every leaf, or a Codebook whose leaf at the area's centre is used.
+    Patterns are solved per leaf and dropped after its row."""
+    def worst(patterns, area):
+        return crlb_map(patterns, area, snr, fd_step_deg=fd_step_deg).worst
+
+    for cw in cb.codewords:
+        a = cw.area
+        base = baseline
+        if isinstance(baseline, Codebook):
+            centre = (0.5 * (a.theta_min_deg + a.theta_max_deg),
+                      0.5 * (a.phi_min_deg + a.phi_max_deg))
+            base = overall_patterns(ds, codebook_lookup(baseline, centre).config,
+                                    feednet).patterns
+        yield a, worst(overall_patterns(ds, cw.config, feednet).patterns, a), worst(base, a)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_dataset(args) -> int:
-    started = time.time()
+def cmd_gen_dataset(args) -> tuple[list, list]:
     _resolve_out(args, "dataset.json")
     rows, cols = _parse_pixels(args.pixels)
     layout = PortLayout(pixel_rows=rows, pixel_cols=cols, pixel_side_mm=args.pixel_mm,
@@ -187,22 +219,23 @@ def cmd_gen_dataset(args) -> int:
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {ds.n_ports} ports "
           f"({ds.n_feed} feed + {ds.n_loaded} loaded), {grid.n_points} grid points")
-    _write_manifest("gen-dataset", args, [], [args.out], started)
-    return EXIT_OK
+    return [], [args.out]
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[list, list]:
     from .emdata import ValidationTolerances
     ds = load_dataset(args.dataset, strict=False)
     tol = ValidationTolerances(symmetry_abs_ohm=args.symmetry_tol,
                                passivity_rel=args.passivity_tol)
     report = validate_dataset(ds, tol)
     print(report)
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    failed = [c.name for c in report.checks if not c.passed]
+    if failed:
+        raise DatasetValidationError(f"{args.dataset}: failed {'; '.join(failed)}")
+    return [], []
 
 
-def cmd_optimize(args) -> int:
-    started = time.time()
+def cmd_optimize(args) -> tuple[list, list]:
     _resolve_out(args, "codebook.json")
     ds = load_dataset(args.dataset)
     space = _parse_area(args.space)
@@ -219,23 +252,18 @@ def cmd_optimize(args) -> int:
         fd_step_deg=args.fd_step_deg)
     save_codebook(cb, args.out)
     outputs = [args.out]
-    if args.trace:
-        from .optimizer import OptimizationTrace
-        merged = OptimizationTrace()
-        for label in sorted(cb.traces):
-            merged.records.extend(cb.traces[label].records)
-        export_trace(merged, args.trace)
+    if args.trace:                      # areas in optimization order
+        export_trace(OptimizationTrace([r for tr in cb.traces.values() for r in tr.records]),
+                     args.trace)
         outputs.append(args.trace)
     for cw in cb.codewords:
         print(f"{cw.area.label()}: objective {cw.objective:.4g} rad, "
               f"ports {[i + 1 for i in cw.config.feed_ports]}, "
               f"iterations {cw.iterations_used}")
-    _write_manifest("optimize", args, [args.dataset], outputs, started)
-    return EXIT_OK
+    return [args.dataset], outputs
 
 
-def cmd_crlb_map(args) -> int:
-    started = time.time()
+def cmd_crlb_map(args) -> tuple[list, list]:
     _resolve_out(args, "crlb_map.csv")
     area = _parse_area(args.area)
     snr = _db_to_linear(args.snr_db)
@@ -243,6 +271,9 @@ def cmd_crlb_map(args) -> int:
 
     if args.upa:
         ny, nz = _parse_pixels(args.upa)
+        if args.mode != "numeric" and args.element != "iso-theta":
+            raise ConfigError(f"--mode {args.mode} writes the iso-theta closed form; "
+                              f"use --mode numeric with --element {args.element}")
         grid = _window_grid(area, args.step_deg, args.fd_step_deg)
         if args.mode == "closed-form":
             it, ip = area.points(grid)
@@ -270,59 +301,32 @@ def cmd_crlb_map(args) -> int:
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-        it, ip = area.points(ds.grid)
-        th, ph = ds.grid.theta_deg[it], ds.grid.phi_deg[ip]
-        table = np.empty((4, th.size))           # c_tt, c_tp, c_pp, objective
-        pattern_cache = {}
-        for cw, ks in _leaf_groups(cb, zip(th.tolist(), ph.tolist())):
-            key = (cw.config.feed_ports, cw.config.connections)
-            if key not in pattern_cache:
-                pattern_cache[key] = overall_patterns(ds, cw.config, feednet).patterns
-            table[:, ks] = crlb_points(pattern_cache[key], it[ks], ip[ks], snr,
-                                       args.fd_step_deg)[:4]
+        th, ph, table = _codebook_map(ds, cb, area, snr, feednet, args.fd_step_deg)
         write_csv(args.out, MAP_HEADER, (th, ph, *table))
         worst = float(table[3].max())
     print(f"worst objective over {area.label()}: {worst:.6g} rad")
-    _write_manifest("crlb-map", args, inputs, [args.out], started)
-    return EXIT_OK
+    return inputs, [args.out]
 
 
-def _worst_for_source(ds, cb, area, snr, feednet, fd_step, upa=None, spacing=0.5,
-                      element="iso-theta"):
-    if upa is not None:
-        pats = upa_patterns(upa[0], upa[1], spacing, ds.grid, element=element)
-        return crlb_map(pats, area, snr, fd_step_deg=fd_step).worst
-    cw = codebook_lookup(cb, (0.5 * (area.theta_min_deg + area.theta_max_deg),
-                              0.5 * (area.phi_min_deg + area.phi_max_deg)))
-    pats = overall_patterns(ds, cw.config, feednet).patterns
-    return crlb_map(pats, area, snr, fd_step_deg=fd_step).worst
-
-
-def cmd_compare(args) -> int:
-    started = time.time()
+def cmd_compare(args) -> tuple[list, list]:
     _resolve_out(args, "compare.csv")
     ds = load_dataset(args.dataset)
     cb = _load_codebook_for(args.codebook, ds)
     inputs = [args.dataset, args.codebook]
-    snr = _db_to_linear(args.snr_db)
     feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
 
-    baseline_cb = None
-    upa = None
     if args.baseline_codebook:
-        baseline_cb = _load_codebook_for(args.baseline_codebook, ds)
+        baseline = _load_codebook_for(args.baseline_codebook, ds)
         inputs.append(args.baseline_codebook)
     elif args.upa:
-        upa = _parse_pixels(args.upa)
+        baseline = upa_patterns(*_parse_pixels(args.upa), args.spacing, ds.grid,
+                                element=args.element)
     else:
         raise ConfigError("compare needs --upa or --baseline-codebook as the baseline")
 
     rows = []
-    for cw in cb.codewords:
-        area = cw.area
-        hrpa = _worst_for_source(ds, cb, area, snr, feednet, args.fd_step_deg)
-        base = _worst_for_source(ds, baseline_cb, area, snr, feednet, args.fd_step_deg,
-                                 upa=upa, spacing=args.spacing, element=args.element)
+    for area, hrpa, base in _leaf_worsts(ds, cb, baseline, _db_to_linear(args.snr_db),
+                                         feednet, args.fd_step_deg):
         if math.isinf(base):
             improvement = 1.0 if math.isfinite(hrpa) else 0.0
         elif base == 0.0:
@@ -335,8 +339,7 @@ def cmd_compare(args) -> int:
               f"improvement {improvement:.1%}")
     write_csv(args.out, "theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
                         "hrpa_worst,baseline_worst,improvement", zip(*rows))
-    _write_manifest("compare", args, inputs, [args.out], started)
-    return EXIT_OK
+    return inputs, [args.out]
 
 
 def _search_box(angles, halfwidth_deg: float) -> SensingArea:
@@ -347,32 +350,19 @@ def _search_box(angles, halfwidth_deg: float) -> SensingArea:
                        max(a[1] for a in angles) + halfwidth_deg)
 
 
-def cmd_montecarlo(args) -> int:
-    started = time.time()
+def cmd_montecarlo(args) -> tuple[list, list]:
     _resolve_out(args, "montecarlo.csv")
     angles = _parse_angles(args.angles)
     snr_list = [_db_to_linear(float(x)) for x in args.snr_db_list.split(",")]
     inputs = []
     hw = args.search_halfwidth_deg
 
-    def run(pats, group):
-        """monte_carlo_rmse over the group's search box, clipped to the grid."""
-        box, grid = _search_box(group, hw), pats.grid
-        area = SensingArea(max(grid.theta_deg[0], box.theta_min_deg),
-                           min(grid.theta_deg[-1], box.theta_max_deg),
-                           max(grid.phi_deg[0], box.phi_min_deg),
-                           min(grid.phi_deg[-1], box.phi_max_deg))
-        return monte_carlo_rmse(pats, group, snr_list, trials=args.trials, seed=args.seed,
-                                search_area=area, refine=not args.no_refine,
-                                fd_step_deg=args.fd_step_deg)
-
+    # (patterns, indices of the angles they serve): the UPA serves every
+    # angle; a codebook gives one group per leaf, built as it is reached
     if args.upa:
-        ny, nz = _parse_pixels(args.upa)
-        pats = upa_patterns(ny, nz, args.spacing,
-                            _window_grid(_search_box(angles, hw), args.step_deg,
-                                         args.fd_step_deg),
-                            element=args.element)
-        report = run(pats, angles)
+        grid = _window_grid(_search_box(angles, hw), args.step_deg, args.fd_step_deg)
+        groups = [(upa_patterns(*_parse_pixels(args.upa), args.spacing, grid,
+                                element=args.element), range(len(angles)))]
     else:
         if not (args.dataset and args.codebook):
             raise ConfigError("montecarlo needs either --upa or --dataset with --codebook")
@@ -380,56 +370,63 @@ def cmd_montecarlo(args) -> int:
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-        # one run per leaf codeword, over the angles it covers
-        per_angle = [()] * len(angles)
-        for cw, ks in _leaf_groups(cb, angles):
-            group = [angles[k] for k in ks]
-            report = run(overall_patterns(ds, cw.config, feednet).patterns, group)
-            for j, k in enumerate(ks):
-                per_angle[k] = report.records[j * len(snr_list):(j + 1) * len(snr_list)]
-        report = replace(report, records=tuple(r for recs in per_angle for r in recs))
+        groups = ((overall_patterns(ds, cw.config, feednet).patterns, ks)
+                  for cw, ks in _leaf_groups(cb, angles))
+
+    per_angle = [()] * len(angles)
+    for pats, ks in groups:
+        group = [angles[k] for k in ks]
+        # the group's search box, clipped to the grid
+        box, grid = _search_box(group, hw), pats.grid
+        area = SensingArea(max(grid.theta_deg[0], box.theta_min_deg),
+                           min(grid.theta_deg[-1], box.theta_max_deg),
+                           max(grid.phi_deg[0], box.phi_min_deg),
+                           min(grid.phi_deg[-1], box.phi_max_deg))
+        report = monte_carlo_rmse(pats, group, snr_list, trials=args.trials, seed=args.seed,
+                                  search_area=area, refine=not args.no_refine,
+                                  fd_step_deg=args.fd_step_deg)
+        del pats                        # one leaf's patterns held at a time
+        for j, k in enumerate(ks):
+            per_angle[k] = report.records[j * len(snr_list):(j + 1) * len(snr_list)]
+    report = replace(report, records=tuple(r for recs in per_angle for r in recs))
 
     export_report(report, args.out)
     for r in report.records:
         print(f"({r.theta_deg:g},{r.phi_deg:g}) snr {10 * math.log10(r.snr_linear):.0f} dB: "
               f"rmse_theta {r.rmse_theta_rad:.4g} rad (crlb {r.crlb_theta_rad:.4g}), "
               f"rmse_phi {r.rmse_phi_rad:.4g} rad (crlb {r.crlb_phi_rad:.4g})")
-    _write_manifest("montecarlo", args, inputs, [args.out], started)
-    return EXIT_OK
+    return inputs, [args.out]
 
 
-def cmd_export_plots(args) -> int:
-    started = time.time()
+def cmd_export_plots(args) -> tuple[list, list]:
+    if not args.out_dir:
+        raise ConfigError("export-plots needs --out-dir")
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     ds = load_dataset(args.dataset)
     snr = _db_to_linear(args.snr_db)
     feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
     inputs = [args.dataset]
-    outputs = []
+    books = [p for p in (args.codebooks or "").split(",") if p]
 
     if args.fig == "area-bars":
         if not (args.codebook and args.upa):
             raise ConfigError("area-bars needs --codebook and --upa")
         cb = _load_codebook_for(args.codebook, ds)
         inputs.append(args.codebook)
-        ny, nz = _parse_pixels(args.upa)
-        rows = []
-        for i, cw in enumerate(cb.codewords, 1):
-            hrpa = _worst_for_source(ds, cb, cw.area, snr, feednet, args.fd_step_deg)
-            upa = _worst_for_source(ds, None, cw.area, snr, feednet, args.fd_step_deg,
-                                    upa=(ny, nz), spacing=args.spacing, element=args.element)
-            rows.append((i, cw.area.theta_min_deg, cw.area.theta_max_deg,
-                         cw.area.phi_min_deg, cw.area.phi_max_deg, hrpa, upa))
+        upa = upa_patterns(*_parse_pixels(args.upa), args.spacing, ds.grid,
+                           element=args.element)
+        rows = [(i, a.theta_min_deg, a.theta_max_deg, a.phi_min_deg, a.phi_max_deg, hrpa, base)
+                for i, (a, hrpa, base) in enumerate(
+                    _leaf_worsts(ds, cb, upa, snr, feednet, args.fd_step_deg), 1)]
         path = outdir / "area_bars.csv"
-        write_csv(path, "area_index,theta_min_deg,theta_max_deg,"
-                        "phi_min_deg,phi_max_deg,hrpa_worst,upa_worst", zip(*rows))
-        outputs.append(path)
+        header = ("area_index,theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
+                  "hrpa_worst,upa_worst")
+
+    elif not books:
+        raise ConfigError(f"{args.fig} needs --codebooks")
 
     elif args.fig == "area-size":
-        books = [p for p in args.codebooks.split(",") if p]
-        if not books:
-            raise ConfigError("area-size needs --codebooks")
         if not args.eval_area:
             raise ConfigError("area-size needs --eval-area")
         area = _parse_area(args.eval_area)
@@ -438,59 +435,42 @@ def cmd_export_plots(args) -> int:
             cb = _load_codebook_for(p, ds)
             inputs.append(p)
             size = cb.space.theta_max_deg - cb.space.theta_min_deg
-            worst = _worst_for_source(ds, cb, area, snr, feednet, args.fd_step_deg)
-            rows.append((size, worst))
-        rows.sort()
-        path = outdir / "area_size_sweep.csv"
-        write_csv(path, "area_size_deg,worst_objective", zip(*rows))
-        outputs.append(path)
+            table = _codebook_map(ds, cb, area, snr, feednet, args.fd_step_deg)[2]
+            rows.append((size, float(table[3].max())))
+        path, header = outdir / "area_size_sweep.csv", "area_size_deg,worst_objective"
 
-    elif args.fig == "port-count":
-        books = [p for p in args.codebooks.split(",") if p]
-        if not books:
-            raise ConfigError("port-count needs --codebooks")
+    else:                                   # port-count
         rows = []
         for p in books:
             cb = _load_codebook_for(p, ds)
             inputs.append(p)
-            n = len(cb.codewords[0].config.feed_ports)
-            worst = max(cw.objective for cw in cb.codewords)
-            rows.append((n, worst))
-        rows.sort()
-        path = outdir / "port_count_tradeoff.csv"
-        write_csv(path, "n_active,worst_objective", zip(*rows))
-        outputs.append(path)
+            rows.append((len(cb.codewords[0].config.feed_ports),
+                         max(cw.objective for cw in cb.codewords)))
+        path, header = outdir / "port_count_tradeoff.csv", "n_active,worst_objective"
 
-    else:
-        raise ConfigError(f"unknown figure kind {args.fig!r}")
-
-    for p in outputs:
-        print(f"wrote {p}")
-    _write_manifest("export-plots", args, inputs, outputs, started)
-    return EXIT_OK
+    write_csv(path, header, zip(*sorted(rows)))       # rows by their first column
+    print(f"wrote {path}")
+    return inputs, [path]
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _resolve_out(args, default_name: str) -> str:
+def _resolve_out(args, default_name: str) -> None:
     """Combine --out and --out-dir; --out defaults to a per-command name."""
-    out = getattr(args, "out", None)
-    out_dir = getattr(args, "out_dir", None)
-    if out is None:
-        out = default_name
-    path = Path(out)
-    if out_dir and not path.is_absolute():
-        base = Path(out_dir)
-        base.mkdir(parents=True, exist_ok=True)
-        path = base / path
+    path = Path(default_name if args.out is None else args.out)
+    if args.out_dir and not path.is_absolute():
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        path = Path(args.out_dir) / path
     args.out = str(path)
-    return args.out
+
+
+def _add_snr_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--snr-db", type=float, default=0.0, help="SNR in dB (default 0)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--snr-db", type=float, default=0.0, help="SNR in dB (default 0)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
@@ -553,6 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-outer", type=int, default=20)
     p.add_argument("--trace", default=None, help="optional trace CSV path")
     p.add_argument("--out", default=None)
+    _add_snr_flag(p)
     _add_common(p)
     p.set_defaults(func=cmd_optimize)
 
@@ -565,6 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--area", required=True)
     p.add_argument("--step-deg", type=float, default=1.0, help="grid step for --upa mode")
     p.add_argument("--out", default=None)
+    _add_snr_flag(p)
     _add_common(p)
     p.set_defaults(func=cmd_crlb_map)
 
@@ -574,10 +556,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline-codebook", default=None)
     _add_upa_flags(p)
     p.add_argument("--out", default=None)
+    _add_snr_flag(p)
     _add_common(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("montecarlo", help="empirical RMSE of the ML estimator vs CRLB")
+    # no abbreviations, so --snr-db is rejected instead of read as --snr-db-list
+    p = sub.add_parser("montecarlo", help="empirical RMSE of the ML estimator vs CRLB",
+                       allow_abbrev=False)
     p.add_argument("--dataset", default=None)
     p.add_argument("--codebook", default=None)
     _add_upa_flags(p)
@@ -598,13 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codebooks", default=None, help="comma-separated codebook files")
     p.add_argument("--eval-area", default=None)
     _add_upa_flags(p)
-    p.add_argument("--snr-db", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
-    p.add_argument("--z0-ohm", type=complex, default=50.0 + 0.0j)
-    p.add_argument("--fd-step-deg", type=float, default=None)
-    p.add_argument("--out-dir", required=True)
+    _add_snr_flag(p)
+    _add_common(p)
     p.set_defaults(func=cmd_export_plots)
 
     return ap
@@ -612,8 +592,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        inputs, outputs = args.func(args)
+        if outputs:
+            _write_manifest(args, inputs, outputs, started)
+        return EXIT_OK
     except (ConfigError, GridError, ScheduleError, CoverageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLAGS

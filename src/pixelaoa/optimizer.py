@@ -442,7 +442,6 @@ def alternating_optimize(
     max_outer: int = 20,
     feednet: FeedNetworkConfig = FeedNetworkConfig(),
     evaluator: ConfigEvaluator | None = None,
-    trace: OptimizationTrace | None = None,
     area_label: str | None = None,
 ) -> tuple[Codeword, OptimizationTrace]:
     """Alternate connection GA and port updates until the geometry is stable.
@@ -453,7 +452,7 @@ def alternating_optimize(
     if max_outer < 1:
         raise ConfigError("max_outer must be at least 1")
     ev = evaluator or ConfigEvaluator(dataset, snr_linear, feednet)
-    trace = trace if trace is not None else OptimizationTrace()
+    trace = OptimizationTrace()
     label = area_label or area.label()
 
     F = tuple(init_config.feed_ports)
@@ -527,7 +526,11 @@ def _split_span(lo: float, hi: float, k: int, step_deg: float, what: str) -> lis
 
 
 def stage_areas(schedule: SubdivisionSchedule, step_deg: float) -> list[list[SensingArea]]:
-    """Areas per stage; each stage tiles its parent exactly on the grid."""
+    """Areas per stage; each stage tiles its parent exactly on the grid.
+
+    A stage lists each parent's children together, in parent order, so with
+    K children per parent the children of parent k are entries k*K .. (k+1)*K-1.
+    """
     stages = [[schedule.space]]
     for (kt, kp) in schedule.stage_splits()[1:]:
         children: list[SensingArea] = []
@@ -539,15 +542,6 @@ def stage_areas(schedule: SubdivisionSchedule, step_deg: float) -> list[list[Sen
                     children.append(SensingArea(t0, t1, p0, p1))
         stages.append(children)
     return stages
-
-
-def _containing(parent_areas: list[SensingArea], child: SensingArea) -> int:
-    cx = 0.5 * (child.theta_min_deg + child.theta_max_deg)
-    cy = 0.5 * (child.phi_min_deg + child.phi_max_deg)
-    for i, area in enumerate(parent_areas):
-        if area.contains(cx, cy):
-            return i
-    raise ScheduleError(f"child area {child} lies in no parent area")
 
 
 def build_codebook(
@@ -563,9 +557,9 @@ def build_codebook(
 ) -> Codebook:
     """Optimize one codeword per area, subdividing stage by stage.
 
-    Children warm-start from the codeword of the parent area containing
-    them, so the parent geometry is always a candidate and the child's
-    objective on its own area can only improve on it.
+    Children warm-start from the codeword of their parent area (stage_areas
+    orders them by parent), so the parent geometry is always a candidate
+    and the child's objective on its own area can only improve on it.
     """
     if init_config is None:
         if n_active is None:
@@ -582,22 +576,18 @@ def build_codebook(
     traces: dict[str, OptimizationTrace] = {}
     stages: list[tuple[Codeword, ...]] = []
 
+    starts = [init_config]
     for t, areas in enumerate(areas_per_stage):
+        per_parent = len(areas) // len(starts)      # child k starts from parent k // per_parent
         stage_cws: list[Codeword] = []
         for k, area in enumerate(areas):
-            if t == 0:
-                start = init_config
-            else:
-                parent = stages[t - 1][_containing(areas_per_stage[t - 1], area)]
-                start = parent.config
             label = f"stage{t + 1}_area{k + 1}_{area.label()}"
-            tr = OptimizationTrace()
-            cw, _ = alternating_optimize(
-                dataset, start, area, ga_params, snr_linear, max_outer,
-                feednet, evaluator=ev, trace=tr, area_label=label)
-            traces[label] = tr
+            cw, traces[label] = alternating_optimize(
+                dataset, starts[k // per_parent], area, ga_params, snr_linear, max_outer,
+                feednet, evaluator=ev, area_label=label)
             stage_cws.append(cw)
         stages.append(tuple(stage_cws))
+        starts = [cw.config for cw in stage_cws]
 
     return Codebook(
         schedule=schedule, snr_linear=float(snr_linear),

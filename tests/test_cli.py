@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import re
@@ -28,6 +30,14 @@ from conftest import save_dataset_v1
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def exit_code(argv):
+    """run, with argparse's own exit turned into its status code."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +85,54 @@ def test_validate_ok_and_tampered(tmp_path, ds_file):
     assert run(["validate", "--dataset", junk]) == 3
 
 
+def test_failing_validate_prints_report_and_writes_no_manifest(tmp_path, monkeypatch, capsys,
+                                                              ds_file):
+    monkeypatch.chdir(tmp_path)
+    assert run(["validate", "--dataset", ds_file]) == 0
+    assert list(tmp_path.iterdir()) == []
+    v1 = tmp_path / "v1.json"
+    save_dataset_v1(load_dataset(ds_file), v1)
+    doc = json.loads(v1.read_text())
+    doc["Z"][1][0] += 1.0
+    v1.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["validate", "--dataset", v1]) == 4
+    captured = capsys.readouterr()
+    assert "FAIL  Z symmetry" in captured.out and "PASS  passivity" in captured.out
+    assert "Z symmetry" in captured.err
+    assert list(tmp_path.iterdir()) == [v1]
+
+
+def test_each_command_writes_one_manifest(tmp_path, monkeypatch, ds_file, cb_file):
+    runs = [
+        ("gen-dataset", ["--pixels", "2x2", "--step-deg", "10", "--out", "ds.json"],
+         ["ds.json"]),
+        ("optimize", ["--dataset", ds_file, "--n-active", "2", "--space", "85:95:-5:5",
+                      "--population", "4", "--generations", "1", "--max-outer", "1",
+                      "--out", "cb.json", "--trace", "trace.csv"], ["cb.json", "trace.csv"]),
+        ("crlb-map", ["--dataset", ds_file, "--codebook", cb_file, "--area", "85:95:-5:5",
+                      "--out", "map.csv"], ["map.csv"]),
+        ("compare", ["--dataset", ds_file, "--codebook", cb_file, "--upa", "2x2",
+                     "--out", "cmp.csv"], ["cmp.csv"]),
+        ("montecarlo", ["--dataset", ds_file, "--codebook", cb_file, "--angles", "90,0",
+                        "--snr-db-list", "20", "--trials", "100", "--out", "mc.csv"],
+         ["mc.csv"]),
+        ("export-plots", ["--fig", "port-count", "--dataset", ds_file, "--codebooks", cb_file,
+                          "--out-dir", "."], ["port_count_tradeoff.csv"]),
+    ]
+    for command, argv, written in runs:
+        work = tmp_path / command
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run([command, *argv]) == 0
+        manifest = written[0] + ".manifest.json"
+        assert sorted(p.name for p in work.iterdir()) == sorted(written + [manifest])
+        doc = json.loads((work / manifest).read_text())
+        assert doc["command"] == command
+        assert doc["outputs"] == {w: hashlib.sha256((work / w).read_bytes()).hexdigest()
+                                  for w in written}
+
+
 def test_missing_dataset_is_io_error(tmp_path):
     assert run(["validate", "--dataset", tmp_path / "absent.json"]) == 3
 
@@ -88,6 +146,18 @@ def test_optimize_reproducible(tmp_path, ds_file):
     assert run(argv + ["--out", a]) == 0
     assert run(argv + ["--out", b, "--threads", "4"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_optimize_trace_in_optimization_order(tmp_path, ds_file):
+    # 16 leaves: a sorted label order would put stage2_area10..16 before area1
+    trace = tmp_path / "trace.csv"
+    assert run(["optimize", "--dataset", ds_file, "--n-active", "2",
+                "--space", "80:100:-10:10", "--schedule", "1,16", "--population", "4",
+                "--generations", "1", "--max-outer", "1", "--out", tmp_path / "cb.json",
+                "--trace", trace]) == 0
+    labels = [r.split(",")[0] for r in trace.read_text().splitlines()[1:]]
+    areas = [label.split("_theta")[0] for label, _ in itertools.groupby(labels)]
+    assert areas == ["stage1_area1"] + [f"stage2_area{k}" for k in range(1, 17)]
 
 
 def test_optimize_all_ports_active(tmp_path, ds_file):
@@ -131,6 +201,15 @@ def test_crlb_map_upa_single_modes_match_both(tmp_path):
     cf = [r[:2] + r[6:] for r in rows["both"][1:]]
     assert rows["closed-form"][1:] == cf
     assert rows["closed-form"][0] == rows["numeric"][0]
+
+
+@pytest.mark.parametrize("mode, code", [("closed-form", 2), ("both", 2), ("numeric", 0)])
+def test_crlb_map_closed_form_is_iso_theta_only(tmp_path, capsys, mode, code):
+    assert run(["crlb-map", "--upa", "2x2", "--element", "iso-dual", "--mode", mode,
+                "--area", "85:95:-5:5", "--step-deg", "5", "--out", tmp_path / "map.csv"]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "--element" in err and "--mode" in err
 
 
 def test_crlb_map_upa_closed_form_runs_no_patterns_or_sweep(tmp_path, monkeypatch, capsys):
@@ -337,6 +416,17 @@ def test_export_plots_port_count(tmp_path, ds_file):
         float(r.split(",")[1])
 
 
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--upa", "2x2", "--snr-db", "40", "--out", "{tmp}/mc.csv"],
+    ["export-plots", "--fig", "port-count", "--dataset", "{ds}", "--codebooks", "{cb}"],
+    ["export-plots", "--fig", "area-size", "--dataset", "{ds}", "--eval-area", "85:95:-5:5",
+     "--out-dir", "{tmp}"],
+], ids=["montecarlo_snr_db", "export_plots_no_out_dir", "export_plots_no_codebooks"])
+def test_flag_errors_exit_2(tmp_path, ds_file, cb_file, argv):
+    argv = [a.format(tmp=tmp_path, ds=ds_file, cb=cb_file) for a in argv]
+    assert exit_code(argv) == 2
+
+
 def test_export_plots_missing_inputs(tmp_path, ds_file):
     assert run(["export-plots", "--fig", "area-size", "--dataset", ds_file,
                 "--codebooks", str(tmp_path / "absent.json"),
@@ -392,6 +482,21 @@ def cb4_file(tmp_path_factory, ds_file):
                 "--population", "20", "--generations", "5", "--seed", "0",
                 "--out", path]) == 0
     return path
+
+
+def test_export_plots_area_size_scores_each_point_under_its_leaf(tmp_path, capsys, ds_file,
+                                                                cb4_file):
+    area = "80:100:-10:10"
+    out = tmp_path / "map.csv"
+    assert run(["crlb-map", "--dataset", ds_file, "--codebook", cb4_file, "--area", area,
+                "--out", out]) == 0
+    printed = re.search(r"worst objective over \S+: (\S+) rad", capsys.readouterr().out)
+    worst = max(float(r.split(",")[5]) for r in out.read_text().splitlines()[1:])
+    assert printed.group(1) == f"{worst:.6g}"
+    assert run(["export-plots", "--fig", "area-size", "--dataset", ds_file,
+                "--codebooks", cb4_file, "--eval-area", area, "--out-dir", tmp_path]) == 0
+    row = (tmp_path / "area_size_sweep.csv").read_text().splitlines()[1]
+    assert float(row.split(",")[1]) == worst
 
 
 def test_montecarlo_each_angle_uses_its_own_leaf(tmp_path, ds_file, cb4_file):

@@ -348,6 +348,13 @@ def test_stage_areas_tile_parent():
         assert th_span == pytest.approx(20.0 * 20.0)
     leaf = stages[2][0]
     assert leaf.theta_max_deg - leaf.theta_min_deg == pytest.approx(5.0)
+    # the children of parent k are entries k*K .. (k+1)*K-1
+    for parents, children in zip(stages, stages[1:]):
+        K = len(children) // len(parents)
+        for i, child in enumerate(children):
+            parent = parents[i // K]
+            assert parent.contains(child.theta_min_deg, child.phi_min_deg)
+            assert parent.contains(child.theta_max_deg, child.phi_max_deg)
 
 
 def test_stage_areas_misaligned_split_rejected():
