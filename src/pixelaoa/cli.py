@@ -171,12 +171,12 @@ def _codebook_map(ds, cb: Codebook, area: SensingArea, snr: float, feednet, fd_s
     it, ip = area.points(ds.grid)
     th, ph = ds.grid.theta_deg[it], ds.grid.phi_deg[ip]
     table = np.empty((4, th.size))
-    pattern_cache = {}
-    for cw, ks in _leaf_groups(cb, zip(th.tolist(), ph.tolist())):
-        key = (cw.config.feed_ports, cw.config.connections)
-        if key not in pattern_cache:
-            pattern_cache[key] = overall_patterns(ds, cw.config, feednet).patterns
-        table[:, ks] = crlb_points(pattern_cache[key], it[ks], ip[ks], snr, fd_step_deg)[:4]
+    groups = {}
+    for k, angle in enumerate(zip(th.tolist(), ph.tolist())):
+        groups.setdefault(codebook_lookup(cb, angle).config, []).append(k)
+    for config, ks in groups.items():      # one geometry's patterns alive at a time
+        table[:, ks] = crlb_points(overall_patterns(ds, config, feednet).patterns,
+                                   it[ks], ip[ks], snr, fd_step_deg)[:4]
     return th, ph, table
 
 
@@ -268,8 +268,11 @@ def cmd_crlb_map(args) -> tuple[list, list]:
     area = _parse_area(args.area)
     snr = _db_to_linear(args.snr_db)
     inputs = []
+    # the --upa-only flags are unset by default, so a codebook map can reject them
+    upa_only = {"mode": "both", "element": "iso-theta", "step_deg": 1.0, "spacing": 0.5}
 
     if args.upa:
+        vars(args).update({n: d for n, d in upa_only.items() if getattr(args, n) is None})
         ny, nz = _parse_pixels(args.upa)
         if args.mode != "numeric" and args.element != "iso-theta":
             raise ConfigError(f"--mode {args.mode} writes the iso-theta closed form; "
@@ -297,6 +300,9 @@ def cmd_crlb_map(args) -> tuple[list, list]:
     else:
         if not (args.dataset and args.codebook):
             raise ConfigError("crlb-map needs either --upa or --dataset with --codebook")
+        given = [f"--{n.replace('_', '-')}" for n in upa_only if getattr(args, n) is not None]
+        if given:
+            raise ConfigError(f"crlb-map --codebook does not take {', '.join(given)}")
         ds = load_dataset(args.dataset)
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
@@ -541,10 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None)
     p.add_argument("--codebook", default=None)
     _add_upa_flags(p)
-    p.add_argument("--mode", default="both", choices=["numeric", "closed-form", "both"],
-                   help="for --upa: which bound(s) to emit")
+    p.set_defaults(spacing=None, element=None)      # --upa only; filled in by cmd_crlb_map
+    p.add_argument("--mode", default=None, choices=["numeric", "closed-form", "both"],
+                   help="for --upa: which bound(s) to emit (default both)")
     p.add_argument("--area", required=True)
-    p.add_argument("--step-deg", type=float, default=1.0, help="grid step for --upa mode")
+    p.add_argument("--step-deg", type=float, default=None,
+                   help="grid step for --upa mode (default 1)")
     p.add_argument("--out", default=None)
     _add_snr_flag(p)
     _add_common(p)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DatasetFormatError,
+    DatasetValidationError,
     DimensionMismatchError,
     FinitenessError,
     GridError,
@@ -384,6 +385,7 @@ class ValidationCheck:
     value: float
     threshold: float
     passed: bool
+    error: type[DatasetValidationError]     # what a strict load raises when it fails
 
 
 @dataclass(frozen=True)
@@ -409,20 +411,25 @@ class ValidationTolerances:
 
 
 def validate_dataset(ds: EMDataset, tol: ValidationTolerances = ValidationTolerances()) -> ValidationReport:
-    """Report-only physical consistency checks (never raises)."""
+    """Report-only physical consistency checks (never raises); each names the
+    error a strict load raises when it fails: ReciprocityError for Z
+    symmetry, PassivityError for Re{Z}, FinitenessError for Z and patterns."""
     Z = ds.Z
     sym = float(np.max(np.abs(Z - Z.T))) if Z.size else 0.0
     Rs = 0.5 * (Z.real + Z.real.T)
-    eigs = np.linalg.eigvalsh(Rs) if Z.size else np.array([0.0])
+    # a non-finite Re{Z} has no spectrum, so its passivity check fails on nan
+    eigs = np.linalg.eigvalsh(Rs) if np.all(np.isfinite(Rs)) else np.array([np.nan])
     min_eig = float(eigs[0])
     max_eig = float(eigs[-1]) if eigs[-1] > 0 else 1.0
     finite = bool(np.all(np.isfinite(ds.e_oc.view(np.float64)))
                   and np.all(np.isfinite(Z.view(np.float64))))
     checks = (
-        ValidationCheck("Z symmetry max|Z - Z^T| [ohm]", sym, tol.symmetry_abs_ohm, sym <= tol.symmetry_abs_ohm),
+        ValidationCheck("Z symmetry max|Z - Z^T| [ohm]", sym, tol.symmetry_abs_ohm,
+                        sym <= tol.symmetry_abs_ohm, ReciprocityError),
         ValidationCheck("passivity min eig Re{Z} [ohm]", min_eig, -tol.passivity_rel * max_eig,
-                        min_eig >= -tol.passivity_rel * max_eig),
-        ValidationCheck("finiteness of Z and patterns", 1.0 if finite else 0.0, 1.0, finite),
+                        min_eig >= -tol.passivity_rel * max_eig, PassivityError),
+        ValidationCheck("finiteness of Z and patterns", float(finite), 1.0, finite,
+                        FinitenessError),
     )
     return ValidationReport(checks)
 
@@ -540,7 +547,9 @@ def _read_v1(fh, path):
 
 def load_dataset(path, strict: bool = True,
                  tol: ValidationTolerances = ValidationTolerances()) -> EMDataset:
-    """Load a v2 or v1 dataset file; with strict validation, invariant violations raise."""
+    """Load a v2 or v1 dataset file.  strict=True raises the error of a failing
+    validate_dataset check, FinitenessError before the others; strict=False
+    loads without judging the data."""
     with open(path, "rb") as fh:
         first = fh.readline(len(_MAGIC))
         if first.startswith(_MAGIC_PREFIX):
@@ -551,20 +560,13 @@ def load_dataset(path, strict: bool = True,
             fh.seek(0)
             layout, grid, metadata, Z, e_oc = _read_v1(fh, path)
 
-    if not (np.all(np.isfinite(Z.view(np.float64))) and np.all(np.isfinite(e_oc.view(np.float64)))):
-        raise FinitenessError(f"{path}: non-finite entries")
-
     metadata.setdefault("provenance", "imported")
     ds = EMDataset(layout=layout, grid=grid, Z=Z, e_oc=e_oc, metadata=metadata)
     if strict:
-        report = validate_dataset(ds, tol)
-        by_name = {c.name: c for c in report.checks}
-        sym = by_name["Z symmetry max|Z - Z^T| [ohm]"]
-        if not sym.passed:
-            raise ReciprocityError(f"{path}: Z asymmetric by {sym.value:.3g} ohm")
-        pas = by_name["passivity min eig Re{Z} [ohm]"]
-        if not pas.passed:
-            raise PassivityError(f"{path}: Re(Z) eigenvalue {pas.value:.3g} below {pas.threshold:.3g}")
+        failed = [c for c in validate_dataset(ds, tol).checks if not c.passed]
+        if failed:
+            c = min(failed, key=lambda c: c.error is not FinitenessError)
+            raise c.error(f"{path}: failed {c.name}: {c.value:.3g} (threshold {c.threshold:.3g})")
     return ds
 
 

@@ -185,9 +185,11 @@ def solve_network(Z: np.ndarray, gram: np.ndarray, n_feed: int, n_loaded: int,
 
 def overall_patterns(dataset: EMDataset, config: GeometryConfig,
                      feednet: FeedNetworkConfig = FeedNetworkConfig()) -> ActiveNetwork:
-    """solve_network plus the full-grid projection E = e_oc . V."""
+    """solve_network plus the full-grid projection E = e_oc . V: one matmul
+    on a (2, P, n_theta * n_phi) view of e_oc, which copies no part of it."""
     sol = solve_network(dataset.Z, dataset.gram, dataset.n_feed, dataset.n_loaded,
                         [config], feednet)
-    pats = np.tensordot(sol.V[0], dataset.e_oc, axes=([0], [1]))  # (N, 2, nt, np)
+    e = dataset.e_oc
+    pats = (sol.V[0].T @ e.reshape(2, e.shape[1], -1)).reshape(2, -1, *e.shape[2:])
     return ActiveNetwork(z_feed=sol.z_feed[0], efficiencies=sol.efficiencies[0],
-                         patterns=PatternSet(dataset.grid, np.moveaxis(pats, 0, 1)))
+                         patterns=PatternSet(dataset.grid, pats))

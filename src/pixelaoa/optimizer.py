@@ -132,15 +132,14 @@ class TraceRecord:
     iteration: int
     phase: str                     # 'connections' | 'ports' | 'outer'
     objective: float
-    config: GeometryConfig
 
 
 @dataclass
 class OptimizationTrace:
     records: list[TraceRecord] = field(default_factory=list)
 
-    def add(self, area_label, iteration, phase, objective, config):
-        self.records.append(TraceRecord(area_label, iteration, phase, float(objective), config))
+    def add(self, area_label, iteration, phase, objective):
+        self.records.append(TraceRecord(area_label, iteration, phase, float(objective)))
 
     def objectives(self, phase: str | None = None, area_label: str | None = None) -> np.ndarray:
         vals = [r.objective for r in self.records
@@ -184,9 +183,11 @@ class ConfigEvaluator:
     Patterns are computed only on the area's grid points plus the
     finite-difference margin; radiated power comes from the dataset-level
     pattern Gram matrix, which is algebraically the full-sphere quadrature.
-    Results are cached by (config, area).  Uncached configs are scored in
-    stacked passes: one network solve, one projection and one FIM sweep
-    per active-port count and chunk.
+    The evaluator holds one area at a time: its support slab and its
+    objective cache, keyed by (feed_ports, connections), serve the area of
+    the latest call, and a call on another area replaces both.  Uncached
+    configs are scored in stacked passes: one network solve, one projection
+    and one FIM sweep per active-port count and chunk.
     """
 
     def __init__(self, dataset: EMDataset, snr_linear: float,
@@ -200,19 +201,11 @@ class ConfigEvaluator:
         self.fd_step_deg = fd_step_deg
         self.hits = 0
         self.misses = 0
+        self._area = self._sup = None
         self._cache: dict = {}
-        self._supports: dict = {}
         self._gram = dataset.gram
 
     # -- area support -------------------------------------------------------
-
-    def _support(self, area: SensingArea):
-        key = area.bounds()
-        sup = self._supports.get(key)
-        if sup is None:
-            sup = self._build_support(area)
-            self._supports[key] = sup
-        return sup
 
     def _build_support(self, area: SensingArea):
         grid = self.dataset.grid
@@ -227,7 +220,7 @@ class ConfigEvaluator:
         p_map = np.full(grid.n_phi, -1, dtype=np.int64)
         p_map[p_sel] = np.arange(p_sel.size)
 
-        slab = self.dataset.e_oc[:, :, t_sel][:, :, :, p_sel]     # (2, P, Tn, Pn)
+        slab = self.dataset.e_oc[:, :, t_sel[:, None], p_sel]     # (2, P, Tn, Pn)
         return {
             "slab": np.moveaxis(slab, 1, 0).reshape(slab.shape[1], -1),   # (P, 2*Tn*Pn)
             "shape": (t_sel.size, p_sel.size),
@@ -285,20 +278,21 @@ class ConfigEvaluator:
         The result order matches the input order; the chunking does not
         change any value.
         """
-        keys = [(c.feed_ports, c.connections, area.bounds()) for c in configs]
+        if area.bounds() != self._area:
+            self._area = self._sup = None            # drop the old area before building the new
+            self._sup, self._cache, self._area = self._build_support(area), {}, area.bounds()
+        keys = [(c.feed_ports, c.connections) for c in configs]
         missing: dict = {}
         for cfg, key in zip(configs, keys):
             if key not in self._cache and key not in missing:
                 missing[key] = cfg
-        if missing:
-            sup = self._support(area)
-            for n in sorted({c.n_active for c in missing.values()}):
-                todo = [(k, c) for k, c in missing.items() if c.n_active == n]
-                step = max(1, _CHUNK_VALUES // (n * sup["slab"].shape[1]))
-                for i in range(0, len(todo), step):
-                    chunk = todo[i:i + step]
-                    vals = self._score_chunk([c for _, c in chunk], sup)
-                    self._cache.update(zip((k for k, _ in chunk), vals))
+        for n in sorted({c.n_active for c in missing.values()}):
+            todo = [(k, c) for k, c in missing.items() if c.n_active == n]
+            step = max(1, _CHUNK_VALUES // (n * self._sup["slab"].shape[1]))
+            for i in range(0, len(todo), step):
+                chunk = todo[i:i + step]
+                vals = self._score_chunk([c for _, c in chunk], self._sup)
+                self._cache.update(zip((k for k, _ in chunk), vals))
         self.misses += len(missing)
         self.hits += len(keys) - len(missing)
         return [self._cache[k] for k in keys]
@@ -466,18 +460,18 @@ def alternating_optimize(
 
         g, ga_hist = ga_optimize_connections(
             dataset, F, area, ga_params, g, snr_linear, feednet, evaluator=ev)
-        for obj, g_best in ga_hist:
-            trace.add(label, step, "connections", obj, GeometryConfig(F, g_best))
+        for obj, _ in ga_hist:
+            trace.add(label, step, "connections", obj)
             step += 1
 
         F, pass_hist = sequential_port_update(
             dataset, g, F, area, snr_linear, feednet, evaluator=ev)
-        for obj, f_best in pass_hist:
-            trace.add(label, step, "ports", obj, GeometryConfig(f_best, g))
+        for obj, _ in pass_hist:
+            trace.add(label, step, "ports", obj)
             step += 1
 
         current = ev.objective(GeometryConfig(F, g), area)
-        trace.add(label, step, "outer", current, GeometryConfig(F, g))
+        trace.add(label, step, "outer", current)
         step += 1
 
         if F == F_before and g == g_before:

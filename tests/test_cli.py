@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shlex
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from pixelaoa import (
     AngleGrid,
     FeedNetworkConfig,
+    GeometryConfig,
     SensingArea,
     crlb_map,
     crlb_matrix,
@@ -23,7 +25,14 @@ from pixelaoa import (
 )
 from pixelaoa import cli
 from pixelaoa.cli import main
-from pixelaoa.optimizer import codebook_lookup, load_codebook
+from pixelaoa.optimizer import (
+    Codebook,
+    Codeword,
+    SubdivisionSchedule,
+    codebook_lookup,
+    load_codebook,
+    stage_areas,
+)
 
 from conftest import save_dataset_v1
 
@@ -101,6 +110,19 @@ def test_failing_validate_prints_report_and_writes_no_manifest(tmp_path, monkeyp
     assert "FAIL  Z symmetry" in captured.out and "PASS  passivity" in captured.out
     assert "Z symmetry" in captured.err
     assert list(tmp_path.iterdir()) == [v1]
+
+
+def test_validate_reports_a_non_finite_dataset(tmp_path, capsys, ds_file):
+    v1 = tmp_path / "nan.json"
+    save_dataset_v1(load_dataset(ds_file), v1)
+    doc = json.loads(v1.read_text())
+    doc["E_oc"][3][0] = float("nan")
+    v1.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["validate", "--dataset", v1]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3
+    assert out[2].startswith("FAIL  finiteness of Z and patterns")
 
 
 def test_each_command_writes_one_manifest(tmp_path, monkeypatch, ds_file, cb_file):
@@ -237,6 +259,34 @@ def test_crlb_map_codebook_mode(tmp_path, ds_file, cb_file):
     assert math.isfinite(vals[5])
 
 
+UPA_ONLY_FLAGS = [["--mode", "closed-form"], ["--element", "iso-dual"], ["--step-deg", "0.5"],
+                  ["--spacing", "3"]]
+
+
+@pytest.mark.parametrize("flags", UPA_ONLY_FLAGS + [sum(UPA_ONLY_FLAGS, [])],
+                         ids=["mode", "element", "step_deg", "spacing", "all"])
+def test_crlb_map_codebook_rejects_upa_only_flags(tmp_path, capsys, ds_file, cb_file, flags):
+    out = tmp_path / "map.csv"
+    assert run(["crlb-map", "--dataset", ds_file, "--codebook", cb_file,
+                "--area", "85:95:-5:5", "--out", out, *flags]) == 2
+    err = capsys.readouterr().err
+    assert all(f in err for f in flags[::2])
+    assert not out.exists()
+
+
+def test_crlb_map_manifests_record_the_upa_only_flags(tmp_path, ds_file, cb_file):
+    def parameters(argv):
+        out = tmp_path / "map.csv"
+        assert run(["crlb-map", "--area", "85:95:-5:5", "--out", out, *argv]) == 0
+        return json.loads((tmp_path / "map.csv.manifest.json").read_text())["parameters"]
+
+    names = ("mode", "element", "step_deg", "spacing")
+    book = parameters(["--dataset", ds_file, "--codebook", cb_file])
+    assert [book[n] for n in names] == [None] * 4
+    upa = parameters(["--upa", "2x2"])
+    assert [upa[n] for n in names] == ["both", "iso-theta", 1.0, 0.5]
+
+
 def _set_first_codeword(key, value):
     def edit(doc):
         doc["codewords"][0][key] = value
@@ -330,6 +380,31 @@ def test_crlb_map_codebook_sweeps_equal_per_point_maps(tmp_path, ds_file):
             want.append(",".join(repr(float(v)) for v in (
                 th, ph, r.c_tt[0], r.c_tp[0], r.c_pp[0], r.objective[0])))
     assert out.read_text() == "\n".join(want) + "\n"
+
+
+def test_codebook_map_holds_one_geometry_at_a_time(monkeypatch, ds_file):
+    # four leaves over two geometries, alternating, so each geometry's points
+    # span two leaves
+    ds = load_dataset(ds_file)
+    space = SensingArea(80, 100, -10, 10)
+    schedule = SubdivisionSchedule(space, (1, 4), ("both", "both"))
+    geoms = [GeometryConfig((0, 1), (0, 1, 0, 1)), GeometryConfig((2, 3), (1, 0, 0, 1))]
+    cb = Codebook(schedule, 1.0, ds.n_feed, ds.n_loaded,
+                  tuple(Codeword(a, geoms[k % 2], 0.0, 1)
+                        for k, a in enumerate(stage_areas(schedule, ds.grid.step_deg)[1])))
+    calls, returned = [], []
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in returned)   # no earlier pattern set alive
+        calls.append(args[1])
+        net = overall_patterns(*args, **kwargs)
+        returned.append(weakref.ref(net.patterns))
+        return net
+
+    monkeypatch.setattr(cli, "overall_patterns", spy)
+    th, _, table = cli._codebook_map(ds, cb, space, 1.0, FeedNetworkConfig(), None)
+    assert sorted(calls, key=lambda c: c.feed_ports) == geoms
+    assert th.size == 25 and np.all(np.isfinite(table))
 
 
 def test_compare_self_is_zero_improvement(tmp_path, ds_file, cb_file):

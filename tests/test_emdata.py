@@ -234,6 +234,19 @@ def test_reciprocity_violation_on_strict_load_v2(tmp_path, tiny_dataset):
     assert ds.Z.shape == tiny_dataset.Z.shape
 
 
+def test_strict_load_raises_finiteness_before_reciprocity(tmp_path, tiny_dataset):
+    Z = np.array(tiny_dataset.Z)
+    Z[1, 0] += 1e-3                               # asymmetric ...
+    Z[2, 2] = complex(np.nan, 0.0)                # ... and non-finite
+    p = tmp_path / "ds.json"
+    save_dataset(_with_arrays(tiny_dataset, Z=Z), p)
+    with pytest.raises(FinitenessError):
+        load_dataset(p, strict=True)
+    report = validate_dataset(load_dataset(p, strict=False))
+    failed = {c.error for c in report.checks if not c.passed}
+    assert {ReciprocityError, FinitenessError} <= failed
+
+
 def _with_arrays(ds, Z=None, e_oc=None):
     return EMDataset(layout=ds.layout, grid=ds.grid,
                      Z=ds.Z if Z is None else Z,
@@ -349,8 +362,12 @@ def test_bad_v2_file_fails_with_documented_error(tmp_path, tiny_dataset, case, e
     p.write_bytes(_bad_v2(tiny_dataset, case))
     with pytest.raises(error):
         load_dataset(p)
-    with pytest.raises(error):
-        load_dataset(p, strict=False)
+    if error is FinitenessError:        # a non-strict load leaves the judging to the report
+        report = validate_dataset(load_dataset(p, strict=False))
+        assert [c.passed for c in report.checks if c.error is FinitenessError] == [False]
+    else:
+        with pytest.raises(error):
+            load_dataset(p, strict=False)
     assert cli_main(["validate", "--dataset", str(p)]) == code
 
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pixelaoa import (
+    AngleGrid,
     DipoleModelParams,
     FeedNetworkConfig,
     GeometryConfig,
@@ -302,6 +305,21 @@ def test_overall_patterns_match_full_grid_oracle(small_dataset):
         assert net.efficiencies == pytest.approx(lam, rel=1e-10)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(net.patterns.data - oracle)) <= 1e-10 * scale
+
+
+def test_overall_patterns_copies_no_part_of_the_dataset():
+    # 3x3 pixels at 2 deg: e_oc is 11 MB, the two-port pattern tensor 1.05 MB
+    ds = generate_synthetic_dataset(PortLayout(pixel_rows=3, pixel_cols=3), AngleGrid(step_deg=2.0))
+    cfg = _config((0, 4), ds.n_loaded, (1, 0) * 6)
+    ds.gram                                         # the dataset's own cached state
+    tracemalloc.start()
+    try:
+        pats = overall_patterns(ds, cfg).patterns
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = pats.data.nbytes
+    assert peak <= 1.5 * size, (peak, size)
 
 
 def test_overall_paper_scale_shapes(coarse_grid):

@@ -86,6 +86,19 @@ def test_evaluator_cache_hit_counter(ds2):
     assert ev.misses == misses
 
 
+def test_evaluator_holds_one_area(ds2):
+    # A, then B, then A again: a call on another area replaces the cached
+    # objectives, so the return to A rescores every distinct config
+    area_b = SensingArea(60, 70, 20, 30)
+    cfgs = [GeometryConfig((0, 1), tuple(int(b) for b in f"{i:04b}")) for i in (1, 5, 9, 5)]
+    ev = ConfigEvaluator(ds2, 1.0)
+    for area in (AREA, area_b, AREA):
+        misses = ev.misses
+        assert ev.objective_many(cfgs, area) == ConfigEvaluator(ds2, 1.0).objective_many(cfgs, area)
+        assert ev.misses - misses == 3
+    assert ev.hits == 3
+
+
 def test_evaluate_config_leaves_dataset_collectable(grid):
     ds = generate_synthetic_dataset(PortLayout(pixel_rows=1, pixel_cols=2), grid)
     ConfigEvaluator(ds, 1.0).objective(GeometryConfig((0,), (0,)), AREA)

@@ -10,12 +10,18 @@ import importlib
 import inspect
 from pathlib import Path
 
+import pytest
+
 import pixelaoa
 from pixelaoa import (
     AngleGrid,
+    GeometryConfig,
+    PortLayout,
     SensingArea,
     crlb_map,
+    cli,
     emdata,
+    generate_synthetic_dataset,
     kernels,
     optimizer,
     simulate,
@@ -107,3 +113,32 @@ def test_traced_hook_result_attributes():
     # _crlb_map_post
     assert m.n_points == 19 * 10
     assert m.singular.shape == (m.n_points,) and m.singular.dtype == bool
+
+
+def test_traced_evaluator_counters():
+    # _objective_many_pre/_post: evaluated = the rise of misses over one call
+    ds = generate_synthetic_dataset(PortLayout(pixel_rows=1, pixel_cols=2),
+                                    AngleGrid(step_deg=10.0))
+    ev = optimizer.ConfigEvaluator(ds, 1.0)
+    assert (ev.hits, ev.misses) == (0, 0)
+    area = SensingArea(80, 100, -10, 10)
+    a, b = GeometryConfig((0,), (0,)), GeometryConfig((0,), (1,))
+    ev.objective_many([a, a], area)
+    assert (ev.hits, ev.misses) == (1, 1)
+    ev.objective_many([a, b, b], area)
+    assert (ev.hits, ev.misses) == (3, 2)
+
+
+@pytest.mark.parametrize("mode", ["numeric", "both"])
+def test_traced_upa_map_is_one_crlb_map_call(tmp_path, monkeypatch, mode):
+    # the upa workload's crlb.singular_points comes from the one crlb_map span
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return crlb_map(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "crlb_map", spy)
+    assert cli.main(["crlb-map", "--upa", "2x2", "--area", "60:120:-30:30", "--step-deg", "5",
+                     "--mode", mode, "--out", str(tmp_path / "map.csv")]) == 0
+    assert len(calls) == 1
