@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: gen-dataset, validate, optimize, crlb-map, compare,
-montecarlo, export-plots.  Each command returns the files it read and
-wrote; main times it and, when it wrote any, writes exactly one JSON
-manifest next to its first output with the resolved parameters and file
-digests, so any result can be reproduced from the manifest alone.
+Subcommands: gen-dataset, validate, optimize, crlb-map, compare, montecarlo,
+export-plots; only gen-dataset, optimize and montecarlo take --seed, and a
+flag only another path of a command reads (PATH_FLAGS) exits 2.  Each command
+returns the files it read and wrote; main times it and, when it wrote any,
+writes one JSON manifest beside the first with the resolved parameters (null
+for other paths' flags) and digests, so the manifest alone reproduces it.
 
 Exit codes: 0 success, 2 flag/parameter validation, 3 file I/O or format,
 4 dataset validation, 5 numerical failure.
@@ -268,15 +269,14 @@ def cmd_crlb_map(args) -> tuple[list, list]:
     area = _parse_area(args.area)
     snr = _db_to_linear(args.snr_db)
     inputs = []
-    # the --upa-only flags are unset by default, so a codebook map can reject them
-    upa_only = {"mode": "both", "element": "iso-theta", "step_deg": 1.0, "spacing": 0.5}
 
     if args.upa:
-        vars(args).update({n: d for n, d in upa_only.items() if getattr(args, n) is None})
         ny, nz = _parse_pixels(args.upa)
         if args.mode != "numeric" and args.element != "iso-theta":
             raise ConfigError(f"--mode {args.mode} writes the iso-theta closed form; "
                               f"use --mode numeric with --element {args.element}")
+        if args.mode == "closed-form" and args.fd_step_deg is not None:
+            raise ConfigError("--fd-step-deg has no effect with --mode closed-form")
         grid = _window_grid(area, args.step_deg, args.fd_step_deg)
         if args.mode == "closed-form":
             it, ip = area.points(grid)
@@ -298,11 +298,6 @@ def cmd_crlb_map(args) -> tuple[list, list]:
             write_csv(args.out, header, columns)
             worst = numeric.worst
     else:
-        if not (args.dataset and args.codebook):
-            raise ConfigError("crlb-map needs either --upa or --dataset with --codebook")
-        given = [f"--{n.replace('_', '-')}" for n in upa_only if getattr(args, n) is not None]
-        if given:
-            raise ConfigError(f"crlb-map --codebook does not take {', '.join(given)}")
         ds = load_dataset(args.dataset)
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
@@ -324,11 +319,9 @@ def cmd_compare(args) -> tuple[list, list]:
     if args.baseline_codebook:
         baseline = _load_codebook_for(args.baseline_codebook, ds)
         inputs.append(args.baseline_codebook)
-    elif args.upa:
+    else:
         baseline = upa_patterns(*_parse_pixels(args.upa), args.spacing, ds.grid,
                                 element=args.element)
-    else:
-        raise ConfigError("compare needs --upa or --baseline-codebook as the baseline")
 
     rows = []
     for area, hrpa, base in _leaf_worsts(ds, cb, baseline, _db_to_linear(args.snr_db),
@@ -370,8 +363,6 @@ def cmd_montecarlo(args) -> tuple[list, list]:
         groups = [(upa_patterns(*_parse_pixels(args.upa), args.spacing, grid,
                                 element=args.element), range(len(angles)))]
     else:
-        if not (args.dataset and args.codebook):
-            raise ConfigError("montecarlo needs either --upa or --dataset with --codebook")
         ds = load_dataset(args.dataset)
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
@@ -410,14 +401,12 @@ def cmd_export_plots(args) -> tuple[list, list]:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     ds = load_dataset(args.dataset)
-    snr = _db_to_linear(args.snr_db)
-    feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
     inputs = [args.dataset]
-    books = [p for p in (args.codebooks or "").split(",") if p]
+    if args.fig != "port-count":            # the two figures that score CRLBs
+        snr = _db_to_linear(args.snr_db)
+        feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
 
     if args.fig == "area-bars":
-        if not (args.codebook and args.upa):
-            raise ConfigError("area-bars needs --codebook and --upa")
         cb = _load_codebook_for(args.codebook, ds)
         inputs.append(args.codebook)
         upa = upa_patterns(*_parse_pixels(args.upa), args.spacing, ds.grid,
@@ -429,15 +418,10 @@ def cmd_export_plots(args) -> tuple[list, list]:
         header = ("area_index,theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
                   "hrpa_worst,upa_worst")
 
-    elif not books:
-        raise ConfigError(f"{args.fig} needs --codebooks")
-
     elif args.fig == "area-size":
-        if not args.eval_area:
-            raise ConfigError("area-size needs --eval-area")
         area = _parse_area(args.eval_area)
         rows = []
-        for p in books:
+        for p in args.codebooks.split(","):
             cb = _load_codebook_for(p, ds)
             inputs.append(p)
             size = cb.space.theta_max_deg - cb.space.theta_min_deg
@@ -447,7 +431,7 @@ def cmd_export_plots(args) -> tuple[list, list]:
 
     else:                                   # port-count
         rows = []
-        for p in books:
+        for p in args.codebooks.split(","):
             cb = _load_codebook_for(p, ds)
             inputs.append(p)
             rows.append((len(cb.codewords[0].config.feed_ports),
@@ -472,25 +456,62 @@ def _resolve_out(args, default_name: str) -> None:
     args.out = str(path)
 
 
+NEEDED = object()                   # PATH_FLAGS mark: the path cannot run without the flag
+_UPA = {"upa": NEEDED, "spacing": 0.5, "element": "iso-theta"}
+_BOOK = {"dataset": NEEDED, "codebook": NEEDED, "z0_ohm": 50.0 + 0.0j}
+_SCORED = {"snr_db": 0.0, "z0_ohm": 50.0 + 0.0j, "fd_step_deg": None}
+
+# Per command and path, the flags only some of the command's paths read, with the
+# default the path fills in; they all parse to None.  A path is named by the flag
+# that selects it (by --fig's value on export-plots); the first one given is taken.
+PATH_FLAGS = {
+    "crlb-map": {"upa": {**_UPA, "step_deg": 1.0, "mode": "both"}, "codebook": _BOOK},
+    "montecarlo": {"upa": {**_UPA, "step_deg": 1.0}, "codebook": _BOOK},
+    "compare": {"baseline_codebook": {"baseline_codebook": NEEDED}, "upa": _UPA},
+    "export-plots": {"area-bars": {**_UPA, "codebook": NEEDED, **_SCORED},
+                     "area-size": {"codebooks": NEEDED, "eval_area": NEEDED, **_SCORED},
+                     "port-count": {"codebooks": NEEDED}},
+}
+
+
+def apply_path_flags(args) -> None:
+    """Fill in the taken path's defaults; reject other paths' flags and missing needed ones."""
+    paths = PATH_FLAGS[args.command]
+    flag = {d: "--" + d.replace("_", "-") for own in paths.values() for d in own}
+    taken = getattr(args, "fig", None) or next((p for p in paths if getattr(args, p)), None)
+    if taken is None:
+        ways = (" with ".join(flag[d] for d, v in own.items() if v is NEEDED)
+                for own in paths.values())
+        raise ConfigError(f"{args.command} needs {', or '.join(ways)}")
+    own = paths[taken]
+    label = f"{args.command} " + (f"--fig {taken}" if "fig" in args else flag[taken])
+    foreign = [flag[d] for d in flag if d not in own and getattr(args, d) is not None]
+    if foreign:
+        raise ConfigError(f"{label} does not take {', '.join(foreign)}")
+    missing = [flag[d] for d, v in own.items() if v is NEEDED and not getattr(args, d)]
+    if missing:
+        raise ConfigError(f"{label} needs {', '.join(missing)}")
+    vars(args).update({d: v for d, v in own.items() if getattr(args, d) is None})
+
+
 def _add_snr_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snr-db", type=float, default=0.0, help="SNR in dB (default 0)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
     p.add_argument("--out-dir", default=None, help="directory for outputs")
     p.add_argument("--z0-ohm", type=complex, default=50.0 + 0.0j,
-                   help="source impedance of each active RF chain")
+                   help="source impedance of each active RF chain (default 50)")
     p.add_argument("--fd-step-deg", type=float, default=None,
                    help="finite-difference step (default: grid step)")
 
 
 def _add_upa_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--upa", default=None, help="baseline array as NYxNZ, e.g. 2x2")
-    p.add_argument("--spacing", type=float, default=0.5, help="element spacing over lambda")
-    p.add_argument("--element", default="iso-theta", choices=["iso-theta", "iso-dual"])
+    p.add_argument("--spacing", type=float, help="element spacing over lambda (default 0.5)")
+    p.add_argument("--element", choices=["iso-theta", "iso-dual"], help="default iso-theta")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,6 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elite", type=int, default=2)
     p.add_argument("--max-outer", type=int, default=20)
     p.add_argument("--trace", default=None, help="optional trace CSV path")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     _add_snr_flag(p)
     _add_common(p)
@@ -547,12 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None)
     p.add_argument("--codebook", default=None)
     _add_upa_flags(p)
-    p.set_defaults(spacing=None, element=None)      # --upa only; filled in by cmd_crlb_map
-    p.add_argument("--mode", default=None, choices=["numeric", "closed-form", "both"],
+    p.add_argument("--mode", choices=["numeric", "closed-form", "both"],
                    help="for --upa: which bound(s) to emit (default both)")
     p.add_argument("--area", required=True)
-    p.add_argument("--step-deg", type=float, default=None,
-                   help="grid step for --upa mode (default 1)")
+    p.add_argument("--step-deg", type=float, help="grid step for --upa (default 1)")
     p.add_argument("--out", default=None)
     _add_snr_flag(p)
     _add_common(p)
@@ -578,8 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db-list", default="0,10,20")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--search-halfwidth-deg", type=float, default=10.0)
-    p.add_argument("--step-deg", type=float, default=1.0, help="grid step for --upa mode")
+    p.add_argument("--step-deg", type=float, help="grid step for --upa (default 1)")
     p.add_argument("--no-refine", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_montecarlo)
@@ -595,6 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_export_plots)
 
+    for command, paths in PATH_FLAGS.items():       # a path fills in its own defaults
+        sub.choices[command].set_defaults(**{d: None for own in paths.values() for d in own})
     return ap
 
 
@@ -602,6 +625,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
+        if args.command in PATH_FLAGS:
+            apply_path_flags(args)
         inputs, outputs = args.func(args)
         if outputs:
             _write_manifest(args, inputs, outputs, started)

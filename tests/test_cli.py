@@ -234,6 +234,17 @@ def test_crlb_map_closed_form_is_iso_theta_only(tmp_path, capsys, mode, code):
         assert "--element" in err and "--mode" in err
 
 
+@pytest.mark.parametrize("mode, code", [("closed-form", 2), ("both", 0), ("numeric", 0)])
+def test_crlb_map_closed_form_rejects_fd_step(tmp_path, capsys, mode, code):
+    out = tmp_path / "map.csv"
+    assert run(["crlb-map", "--upa", "4x4", "--area", "60:120:-30:30", "--step-deg", "5",
+                "--mode", mode, "--fd-step-deg", "10", "--out", out]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        err = capsys.readouterr().err
+        assert "--fd-step-deg" in err and "--mode" in err
+
+
 def test_crlb_map_upa_closed_form_runs_no_patterns_or_sweep(tmp_path, monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("closed-form mode must not build patterns or sweep the FIM")
@@ -519,6 +530,146 @@ def test_manifest_replay_reproduces_codebook(tmp_path, ds_file, cb_file):
             "--seed", p["seed"], "--out", out]
     assert run(argv) == 0
     assert out.read_bytes() == cb_file.read_bytes()
+
+
+# (base argv, flags only another path of the command reads); "{ds}"/"{cb}"
+# stand for the dataset and codebook files
+FOREIGN_FLAGS = {
+    "crlb_map_upa_codebook": (["crlb-map", "--upa", "2x2", "--area", "85:95:-5:5"],
+                              ["--dataset", "{ds}", "--codebook", "{cb}"]),
+    "crlb_map_upa_z0": (["crlb-map", "--upa", "2x2", "--area", "85:95:-5:5"],
+                        ["--z0-ohm", "75"]),
+    "crlb_map_seed": (["crlb-map", "--upa", "2x2", "--area", "85:95:-5:5"], ["--seed", "9"]),
+    "montecarlo_upa_codebook": (["montecarlo", "--upa", "2x2", "--angles", "90,0",
+                                 "--snr-db-list", "10", "--trials", "100"],
+                                ["--dataset", "{ds}", "--codebook", "{cb}"]),
+    "montecarlo_codebook_upa_flags": (["montecarlo", "--dataset", "{ds}", "--codebook", "{cb}",
+                                       "--angles", "90,0", "--snr-db-list", "10",
+                                       "--trials", "100"],
+                                      ["--step-deg", "0.5", "--spacing", "3",
+                                       "--element", "iso-dual"]),
+    "compare_baseline_upa": (["compare", "--dataset", "{ds}", "--codebook", "{cb}",
+                              "--baseline-codebook", "{cb}"],
+                             ["--upa", "4x4", "--spacing", "3", "--element", "iso-dual"]),
+    "compare_seed": (["compare", "--dataset", "{ds}", "--codebook", "{cb}",
+                      "--baseline-codebook", "{cb}"], ["--seed", "4"]),
+    **{f"port_count_{flag[2:].replace('-', '_')}":
+       (["export-plots", "--fig", "port-count", "--dataset", "{ds}", "--codebooks", "{cb}"],
+        [flag, value])
+       for flag, value in [("--codebook", "{cb}"), ("--upa", "2x2"),
+                           ("--eval-area", "80:90:0:10"), ("--snr-db", "10"),
+                           ("--fd-step-deg", "2"), ("--z0-ohm", "75")]},
+    "area_bars_area_size_flags": (["export-plots", "--fig", "area-bars", "--dataset", "{ds}",
+                                   "--codebook", "{cb}", "--upa", "2x2"],
+                                  ["--codebooks", "{cb}", "--eval-area", "80:90:0:10"]),
+    "area_size_upa": (["export-plots", "--fig", "area-size", "--dataset", "{ds}",
+                       "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"], ["--upa", "2x2"]),
+}
+
+
+@pytest.mark.parametrize("base, foreign", FOREIGN_FLAGS.values(), ids=FOREIGN_FLAGS.keys())
+def test_flags_of_another_path_exit_2(tmp_path, monkeypatch, capsys, ds_file, cb_file,
+                                      base, foreign):
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(ds=ds_file, cb=cb_file) for a in base + foreign + ["--out-dir", "out"]]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert all(re.search(re.escape(f) + r"\b", err) for f in foreign if f.startswith("--"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["crlb-map", "--area", "85:95:-5:5"], "crlb-map needs --upa, or --dataset with --codebook"),
+    (["montecarlo", "--dataset", "{ds}"], "montecarlo needs --upa, or --dataset with --codebook"),
+    (["compare", "--dataset", "{ds}", "--codebook", "{cb}"],
+     "compare needs --baseline-codebook, or --upa"),
+    (["crlb-map", "--codebook", "{cb}", "--area", "85:95:-5:5"],
+     "crlb-map --codebook needs --dataset"),
+    (["export-plots", "--fig", "area-bars", "--dataset", "{ds}", "--upa", "2x2"],
+     "export-plots --fig area-bars needs --codebook"),
+    (["export-plots", "--fig", "port-count", "--dataset", "{ds}", "--codebooks", ""],
+     "export-plots --fig port-count needs --codebooks"),
+], ids=["crlb_map", "montecarlo", "compare", "crlb_map_codebook", "area_bars", "empty_codebooks"])
+def test_missing_path_flags_exit_2(tmp_path, monkeypatch, capsys, ds_file, cb_file, argv, named):
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(ds=ds_file, cb=cb_file) for a in argv + ["--out-dir", "out"]]
+    assert run(argv) == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# one run of each path: (argv, the path's resolved flags, flags of other paths)
+Z0 = str(50.0 + 0.0j)
+UPA_DEFAULTS = {"spacing": 0.5, "element": "iso-theta"}
+SCORING_DEFAULTS = {"snr_db": 0.0, "z0_ohm": Z0, "fd_step_deg": None}
+PATH_RUNS = {
+    "crlb_map_upa": (["crlb-map", "--upa", "2x2", "--area", "85:95:-5:5"],
+                     {**UPA_DEFAULTS, "step_deg": 1.0, "mode": "both"},
+                     ["dataset", "codebook", "z0_ohm"]),
+    "crlb_map_codebook": (["crlb-map", "--dataset", "{ds}", "--codebook", "{cb}",
+                           "--area", "85:95:-5:5"], {"z0_ohm": Z0},
+                          ["upa", "spacing", "element", "step_deg", "mode"]),
+    "montecarlo_upa": (["montecarlo", "--upa", "2x2", "--angles", "90,0", "--snr-db-list", "20",
+                        "--trials", "100"], {**UPA_DEFAULTS, "step_deg": 1.0},
+                       ["dataset", "codebook", "z0_ohm"]),
+    "montecarlo_codebook": (["montecarlo", "--dataset", "{ds}", "--codebook", "{cb}",
+                             "--angles", "90,0", "--snr-db-list", "20", "--trials", "100"],
+                            {"z0_ohm": Z0}, ["upa", "spacing", "element", "step_deg"]),
+    "compare_baseline": (["compare", "--dataset", "{ds}", "--codebook", "{cb}",
+                          "--baseline-codebook", "{cb}"], {}, ["upa", "spacing", "element"]),
+    "compare_upa": (["compare", "--dataset", "{ds}", "--codebook", "{cb}", "--upa", "2x2"],
+                    UPA_DEFAULTS, ["baseline_codebook"]),
+    "area_bars": (["export-plots", "--fig", "area-bars", "--dataset", "{ds}",
+                   "--codebook", "{cb}", "--upa", "2x2"],
+                  {**UPA_DEFAULTS, **SCORING_DEFAULTS}, ["codebooks", "eval_area"]),
+    "area_size": (["export-plots", "--fig", "area-size", "--dataset", "{ds}",
+                   "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"],
+                  SCORING_DEFAULTS, ["upa", "spacing", "element", "codebook"]),
+    "port_count": (["export-plots", "--fig", "port-count", "--dataset", "{ds}",
+                    "--codebooks", "{cb}"], {},
+                   ["upa", "spacing", "element", "codebook", "eval_area", "snr_db", "z0_ohm",
+                    "fd_step_deg"]),
+}
+
+
+@pytest.fixture(scope="module")
+def path_manifests(tmp_path_factory, ds_file, cb_file):
+    """Each PATH_RUNS run in a directory of its own: {id: (directory, manifest)}."""
+    done = {}
+    for name, (argv, _, _) in PATH_RUNS.items():
+        work = tmp_path_factory.mktemp(name)
+        assert run([a.format(ds=ds_file, cb=cb_file) for a in argv] + ["--out-dir", work]) == 0
+        manifest, = work.glob("*.manifest.json")
+        done[name] = (work, json.loads(manifest.read_text()))
+    return done
+
+
+@pytest.mark.parametrize("name", PATH_RUNS)
+def test_manifest_records_only_the_taken_paths_flags(path_manifests, name):
+    _, own, others = PATH_RUNS[name]
+    doc = path_manifests[name][1]
+    params = doc["parameters"]
+    assert {k: params[k] for k in own} == own
+    assert {k: params[k] for k in others} == dict.fromkeys(others)
+    if doc["command"] != "montecarlo":
+        assert "seed" not in params and doc["seed"] is None
+
+
+@pytest.mark.parametrize("name", PATH_RUNS)
+def test_manifest_replay_reproduces_each_path(tmp_path, path_manifests, name):
+    work, doc = path_manifests[name]
+    argv = [doc["command"]]
+    for key, value in doc["parameters"].items():
+        if value is None or value is False or key in ("command", "out_dir"):
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if key == "out":
+            argv.append(Path(value).name)
+        elif value is not True:
+            argv.append(value)
+    assert run(argv + ["--out-dir", tmp_path]) == 0
+    for out in doc["outputs"]:
+        assert (tmp_path / Path(out).name).read_bytes() == (work / Path(out).name).read_bytes()
 
 
 def test_montecarlo_codebook_mode(tmp_path, ds_file, cb_file):
