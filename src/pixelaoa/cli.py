@@ -7,6 +7,9 @@ returns the files it read and wrote; main times it and, when it wrote any,
 writes one JSON manifest beside the first with the resolved parameters (null
 for other paths' flags) and digests, so the manifest alone reproduces it.
 
+_geometry_groups owns which geometry serves an angle; only the HRPA side of
+compare and --fig area-bars instead scores each leaf's geometry on its area.
+
 Exit codes: 0 success, 2 flag/parameter validation, 3 file I/O or format,
 4 dataset validation, 5 numerical failure.
 """
@@ -35,6 +38,7 @@ from .crlb import (
 )
 from .emdata import (
     DipoleModelParams,
+    PatternSet,
     PortLayout,
     generate_synthetic_dataset,
     load_dataset,
@@ -61,7 +65,7 @@ from .optimizer import (
     OptimizationTrace,
     SubdivisionSchedule,
     build_codebook,
-    codebook_lookup,
+    codebook_leaves,
     export_trace,
     load_codebook,
     save_codebook,
@@ -156,48 +160,43 @@ def _load_codebook_for(path, ds) -> Codebook:
     return cb
 
 
-def _leaf_groups(cb: Codebook, angles) -> list:
-    """(leaf codeword, indices of the angles it covers) pairs, in the order
-    of each leaf's first angle."""
-    groups = {}
-    for k, angle in enumerate(angles):
-        cw = codebook_lookup(cb, angle)
-        groups.setdefault(id(cw), (cw, []))[1].append(k)
-    return list(groups.values())
+def _geometry_groups(source, theta_deg, phi_deg):
+    """Yield (patterns, indices of the points they serve) per geometry, in the
+    order of each geometry's first point: a PatternSet source serves every
+    point, a (dataset, codebook, feednet) source each with its leaf's geometry,
+    solved when its group is reached."""
+    if isinstance(source, PatternSet):
+        yield source, np.arange(len(theta_deg))
+        return
+    ds, cb, feednet = source
+    configs = [cw.config for cw in cb.codewords]
+    geom = np.array([configs.index(c) for c in configs])[codebook_leaves(cb, theta_deg, phi_deg)]
+    for g in geom[np.sort(np.unique(geom, return_index=True)[1])]:
+        yield overall_patterns(ds, configs[g], feednet).patterns, np.flatnonzero(geom == g)
 
 
-def _codebook_map(ds, cb: Codebook, area: SensingArea, snr: float, feednet, fd_step_deg):
-    """(theta, phi, table) over the area's grid points, each point under the
-    leaf that covers it; table rows are c_tt, c_tp, c_pp and objective."""
-    it, ip = area.points(ds.grid)
-    th, ph = ds.grid.theta_deg[it], ds.grid.phi_deg[ip]
+def _area_table(source, grid, area: SensingArea, snr: float, fd_step_deg):
+    """(theta, phi, table) over the area's points on grid, each point under
+    the geometry that serves it; table rows are c_tt, c_tp, c_pp and objective."""
+    it, ip = area.points(grid)
+    th, ph = grid.theta_deg[it], grid.phi_deg[ip]
     table = np.empty((4, th.size))
-    groups = {}
-    for k, angle in enumerate(zip(th.tolist(), ph.tolist())):
-        groups.setdefault(codebook_lookup(cb, angle).config, []).append(k)
-    for config, ks in groups.items():      # one geometry's patterns alive at a time
-        table[:, ks] = crlb_points(overall_patterns(ds, config, feednet).patterns,
-                                   it[ks], ip[ks], snr, fd_step_deg)[:4]
+    for pats, ks in _geometry_groups(source, th, ph):
+        table[:, ks] = crlb_points(pats, it[ks], ip[ks], snr, fd_step_deg)[:4]
+        del pats                        # one geometry's patterns alive at a time
     return th, ph, table
 
 
 def _leaf_worsts(ds, cb: Codebook, baseline, snr: float, feednet, fd_step_deg):
-    """(leaf area, HRPA worst, baseline worst) per leaf of cb, the HRPA side
-    under the leaf's own geometry.  The baseline is a PatternSet used for
-    every leaf, or a Codebook whose leaf at the area's centre is used.
-    Patterns are solved per leaf and dropped after its row."""
-    def worst(patterns, area):
-        return crlb_map(patterns, area, snr, fd_step_deg=fd_step_deg).worst
+    """(leaf area, HRPA worst, baseline worst) per leaf of cb: the leaf's own
+    geometry on its area (the optimizer's objective), and the baseline source's
+    per-point table over it."""
+    def worst(source, area):
+        return float(_area_table(source, ds.grid, area, snr, fd_step_deg)[2][3].max())
 
     for cw in cb.codewords:
-        a = cw.area
-        base = baseline
-        if isinstance(baseline, Codebook):
-            centre = (0.5 * (a.theta_min_deg + a.theta_max_deg),
-                      0.5 * (a.phi_min_deg + a.phi_max_deg))
-            base = overall_patterns(ds, codebook_lookup(baseline, centre).config,
-                                    feednet).patterns
-        yield a, worst(overall_patterns(ds, cw.config, feednet).patterns, a), worst(base, a)
+        yield (cw.area, worst(overall_patterns(ds, cw.config, feednet).patterns, cw.area),
+               worst(baseline, cw.area))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,7 @@ def cmd_crlb_map(args) -> tuple[list, list]:
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-        th, ph, table = _codebook_map(ds, cb, area, snr, feednet, args.fd_step_deg)
+        th, ph, table = _area_table((ds, cb, feednet), ds.grid, area, snr, args.fd_step_deg)
         write_csv(args.out, MAP_HEADER, (th, ph, *table))
         worst = float(table[3].max())
     print(f"worst objective over {area.label()}: {worst:.6g} rad")
@@ -317,7 +316,7 @@ def cmd_compare(args) -> tuple[list, list]:
     feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
 
     if args.baseline_codebook:
-        baseline = _load_codebook_for(args.baseline_codebook, ds)
+        baseline = (ds, _load_codebook_for(args.baseline_codebook, ds), feednet)
         inputs.append(args.baseline_codebook)
     else:
         baseline = upa_patterns(*_parse_pixels(args.upa), args.spacing, ds.grid,
@@ -326,16 +325,12 @@ def cmd_compare(args) -> tuple[list, list]:
     rows = []
     for area, hrpa, base in _leaf_worsts(ds, cb, baseline, _db_to_linear(args.snr_db),
                                          feednet, args.fd_step_deg):
-        if math.isinf(base):
-            improvement = 1.0 if math.isfinite(hrpa) else 0.0
-        elif base == 0.0:
-            improvement = 0.0
-        else:
-            improvement = 1.0 - hrpa / base
-        rows.append((area.theta_min_deg, area.theta_max_deg, area.phi_min_deg,
-                     area.phi_max_deg, hrpa, base, improvement))
-        print(f"{area.label()}: hrpa {hrpa:.4g}, baseline {base:.4g}, "
-              f"improvement {improvement:.1%}")
+        # no improvement is measured against a singular (+inf) side
+        singular = " and ".join(s for s, v in (("hrpa", hrpa), ("baseline", base)) if math.isinf(v))
+        improvement = math.nan if singular else 0.0 if base == 0.0 else 1.0 - hrpa / base
+        rows.append((*area.bounds(), hrpa, base, improvement))
+        print(f"{area.label()}: hrpa {hrpa:.4g}, baseline {base:.4g}, improvement "
+              + (f"undefined ({singular} singular)" if singular else f"{improvement:.1%}"))
     write_csv(args.out, "theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
                         "hrpa_worst,baseline_worst,improvement", zip(*rows))
     return inputs, [args.out]
@@ -356,33 +351,28 @@ def cmd_montecarlo(args) -> tuple[list, list]:
     inputs = []
     hw = args.search_halfwidth_deg
 
-    # (patterns, indices of the angles they serve): the UPA serves every
-    # angle; a codebook gives one group per leaf, built as it is reached
+    # one search per geometry: the UPA's angles, or one codebook geometry's, together
     if args.upa:
         grid = _window_grid(_search_box(angles, hw), args.step_deg, args.fd_step_deg)
-        groups = [(upa_patterns(*_parse_pixels(args.upa), args.spacing, grid,
-                                element=args.element), range(len(angles)))]
+        source = upa_patterns(*_parse_pixels(args.upa), args.spacing, grid,
+                              element=args.element)
     else:
         ds = load_dataset(args.dataset)
-        cb = _load_codebook_for(args.codebook, ds)
+        source = (ds, _load_codebook_for(args.codebook, ds),
+                  FeedNetworkConfig(source_impedance_ohm=args.z0_ohm))
         inputs = [args.dataset, args.codebook]
-        feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-        groups = ((overall_patterns(ds, cw.config, feednet).patterns, ks)
-                  for cw, ks in _leaf_groups(cb, angles))
 
     per_angle = [()] * len(angles)
-    for pats, ks in groups:
+    for pats, ks in _geometry_groups(source, *zip(*angles)):
         group = [angles[k] for k in ks]
         # the group's search box, clipped to the grid
-        box, grid = _search_box(group, hw), pats.grid
-        area = SensingArea(max(grid.theta_deg[0], box.theta_min_deg),
-                           min(grid.theta_deg[-1], box.theta_max_deg),
-                           max(grid.phi_deg[0], box.phi_min_deg),
-                           min(grid.phi_deg[-1], box.phi_max_deg))
+        (t0, t1), (p0, p1) = pats.grid.theta_deg[[0, -1]], pats.grid.phi_deg[[0, -1]]
+        area = SensingArea(*np.clip(_search_box(group, hw).bounds(),
+                                    (t0, t0, p0, p0), (t1, t1, p1, p1)))
         report = monte_carlo_rmse(pats, group, snr_list, trials=args.trials, seed=args.seed,
                                   search_area=area, refine=not args.no_refine,
                                   fd_step_deg=args.fd_step_deg)
-        del pats                        # one leaf's patterns held at a time
+        del pats                        # one geometry's patterns held at a time
         for j, k in enumerate(ks):
             per_angle[k] = report.records[j * len(snr_list):(j + 1) * len(snr_list)]
     report = replace(report, records=tuple(r for recs in per_angle for r in recs))
@@ -411,9 +401,8 @@ def cmd_export_plots(args) -> tuple[list, list]:
         inputs.append(args.codebook)
         upa = upa_patterns(*_parse_pixels(args.upa), args.spacing, ds.grid,
                            element=args.element)
-        rows = [(i, a.theta_min_deg, a.theta_max_deg, a.phi_min_deg, a.phi_max_deg, hrpa, base)
-                for i, (a, hrpa, base) in enumerate(
-                    _leaf_worsts(ds, cb, upa, snr, feednet, args.fd_step_deg), 1)]
+        rows = [(i, *a.bounds(), hrpa, base) for i, (a, hrpa, base)
+                in enumerate(_leaf_worsts(ds, cb, upa, snr, feednet, args.fd_step_deg), 1)]
         path = outdir / "area_bars.csv"
         header = ("area_index,theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
                   "hrpa_worst,upa_worst")
@@ -425,7 +414,7 @@ def cmd_export_plots(args) -> tuple[list, list]:
             cb = _load_codebook_for(p, ds)
             inputs.append(p)
             size = cb.space.theta_max_deg - cb.space.theta_min_deg
-            table = _codebook_map(ds, cb, area, snr, feednet, args.fd_step_deg)[2]
+            table = _area_table((ds, cb, feednet), ds.grid, area, snr, args.fd_step_deg)[2]
             rows.append((size, float(table[3].max())))
         path, header = outdir / "area_size_sweep.csv", "area_size_deg,worst_objective"
 

@@ -590,23 +590,28 @@ def build_codebook(
     )
 
 
-def codebook_lookup(codebook: Codebook, angle_deg: tuple[float, float]) -> Codeword:
-    """Codeword whose leaf area contains the angle.
+def codebook_leaves(codebook: Codebook, theta_deg, phi_deg) -> np.ndarray:
+    """Index of the leaf whose area contains each angle (equal-length arrays).
 
     Boundaries are lower-inclusive and upper-exclusive, except on the global
-    upper edges of the covered space, which belong to the last tile.
+    upper edges of the covered space, which belong to the last tile.  The
+    CoverageError for angles no leaf covers names the first of them.
     """
-    th, ph = angle_deg
+    th, ph = np.asarray(theta_deg, dtype=float), np.asarray(phi_deg, dtype=float)
     space = codebook.space
-    if not space.contains(th, ph):
-        raise CoverageError(f"angle ({th}, {ph}) outside the codebook space {space}")
-    for cw in codebook.codewords:
-        a = cw.area
-        t_hi_ok = th < a.theta_max_deg or a.theta_max_deg == space.theta_max_deg
-        p_hi_ok = ph < a.phi_max_deg or a.phi_max_deg == space.phi_max_deg
-        if a.theta_min_deg <= th and t_hi_ok and a.phi_min_deg <= ph and p_hi_ok:
-            return cw
-    raise CoverageError(f"angle ({th}, {ph}) not covered by any leaf area")
+    t0, t1, p0, p1 = np.array([cw.area.bounds() for cw in codebook.codewords]).T[..., None]
+    inside = ((t0 <= th) & ((th < t1) | (th == t1) & (t1 == space.theta_max_deg))
+              & (p0 <= ph) & ((ph < p1) | (ph == p1) & (p1 == space.phi_max_deg)))
+    if not inside.any(axis=0).all():
+        k = int(np.argmin(inside.any(axis=0)))
+        raise CoverageError(f"angle ({float(th[k])}, {float(ph[k])}) not covered by any "
+                            f"leaf area of the codebook space {space.label()}")
+    return np.argmax(inside, axis=0)
+
+
+def codebook_lookup(codebook: Codebook, angle_deg: tuple[float, float]) -> Codeword:
+    """Codeword whose leaf area contains the angle (codebook_leaves' rule)."""
+    return codebook.codewords[int(codebook_leaves(codebook, [angle_deg[0]], [angle_deg[1]])[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +681,16 @@ def load_codebook(path) -> Codebook:
                                 iterations_used=int(rec["iterations_used"])))
         if not cws:
             raise DatasetFormatError(f"{path}: codebook has no codewords")
+        # the leaves must tile the space: inside it, disjoint interiors, areas summing to its
+        b, s = np.array([cw.area.bounds() for cw in cws]), np.array(schedule.space.bounds())
+        lo, hi = b[:, ::2], b[:, 1::2]                  # (leaves, axis) theta then phi
+        overlap = np.all((lo[:, None] < hi) & (lo < hi[:, None]), axis=2)
+        if not (np.all(lo >= s[::2]) and np.all(hi <= s[1::2])
+                and not overlap[~np.eye(len(cws), dtype=bool)].any()
+                and math.isclose(np.prod(hi - lo, axis=1).sum(), np.prod(s[1::2] - s[::2]),
+                                 rel_tol=1e-9)):
+            raise DatasetFormatError(f"{path}: the leaf areas do not tile the space "
+                                     f"{schedule.space.label()}")
         return Codebook(
             schedule=schedule, snr_linear=float(doc["snr_linear"]),
             n_feed=n_feed, n_loaded=n_loaded, codewords=tuple(cws),

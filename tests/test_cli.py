@@ -31,6 +31,7 @@ from pixelaoa.optimizer import (
     SubdivisionSchedule,
     codebook_lookup,
     load_codebook,
+    save_codebook,
     stage_areas,
 )
 
@@ -313,8 +314,13 @@ def _set_first_codeword(key, value):
                                  "phi_min_deg": -10, "phi_max_deg": 10}),
     lambda doc: doc["schedule"].update(factors=[2]),
     lambda doc: doc.update(codewords=[]),
+    _set_first_codeword("area", {"theta_min_deg": 80, "theta_max_deg": 90,
+                                 "phi_min_deg": -10, "phi_max_deg": 10}),
+    lambda doc: doc["codewords"].append(doc["codewords"][0]),
+    _set_first_codeword("area", {"theta_min_deg": 70, "theta_max_deg": 90,
+                                 "phi_min_deg": -10, "phi_max_deg": 10}),
 ], ids=["bit_2", "port_0", "short_bits", "header_n_loaded", "empty_area", "bad_schedule",
-        "no_codewords"])
+        "no_codewords", "leaf_cut", "leaf_twice", "leaf_outside"])
 def test_crlb_map_bad_codebook_is_format_error(tmp_path, ds_file, cb_file, edit):
     doc = json.loads(cb_file.read_text())
     edit(doc)
@@ -393,16 +399,38 @@ def test_crlb_map_codebook_sweeps_equal_per_point_maps(tmp_path, ds_file):
     assert out.read_text() == "\n".join(want) + "\n"
 
 
-def test_codebook_map_holds_one_geometry_at_a_time(monkeypatch, ds_file):
-    # four leaves over two geometries, alternating, so each geometry's points
-    # span two leaves
+# two geometries for the 2x2-pixel dataset (4 feed + 4 loaded ports)
+GEOMS = (GeometryConfig((0, 1), (0, 1, 0, 1)), GeometryConfig((2, 3), (1, 0, 0, 1)))
+
+
+def _leaf_codebook(path, ds_file, leaf_geoms):
+    """Save a codebook over 80:100:-10:10 with one leaf, or four by the 1,4
+    schedule, holding leaf_geoms in leaf order; return its path."""
     ds = load_dataset(ds_file)
-    space = SensingArea(80, 100, -10, 10)
-    schedule = SubdivisionSchedule(space, (1, 4), ("both", "both"))
-    geoms = [GeometryConfig((0, 1), (0, 1, 0, 1)), GeometryConfig((2, 3), (1, 0, 0, 1))]
-    cb = Codebook(schedule, 1.0, ds.n_feed, ds.n_loaded,
-                  tuple(Codeword(a, geoms[k % 2], 0.0, 1)
-                        for k, a in enumerate(stage_areas(schedule, ds.grid.step_deg)[1])))
+    factors = (1,) if len(leaf_geoms) == 1 else (1, 4)
+    schedule = SubdivisionSchedule(SensingArea(80, 100, -10, 10), factors,
+                                   ("both",) * len(factors))
+    areas = stage_areas(schedule, ds.grid.step_deg)[-1]
+    save_codebook(Codebook(schedule, 1.0, ds.n_feed, ds.n_loaded,
+                           tuple(Codeword(a, g, 0.0, 1) for a, g in zip(areas, leaf_geoms))),
+                  path)
+    return path
+
+
+@pytest.mark.parametrize("argv, n_solves", [
+    (["crlb-map", "--codebook", "BOOK", "--area", "80:100:-10:10"], 2),
+    (["export-plots", "--fig", "area-size", "--codebooks", "BOOK",
+      "--eval-area", "80:100:-10:10"], 2),
+    (["montecarlo", "--codebook", "BOOK", "--angles", "85,-5;85,5;95,-5;95,5",
+      "--snr-db-list", "20", "--trials", "100"], 2),
+    (["compare", "--codebook", "ONE", "--baseline-codebook", "BOOK"], 3),
+], ids=["crlb_map", "area_size", "montecarlo", "compare_baseline"])
+def test_codebook_map_holds_one_geometry_at_a_time(tmp_path, monkeypatch, ds_file, argv,
+                                                   n_solves):
+    # four leaves over two geometries, alternating, so each geometry's points
+    # span two leaves; compare also solves its one HRPA leaf
+    books = {"BOOK": _leaf_codebook(tmp_path / "alt.json", ds_file, GEOMS * 2),
+             "ONE": _leaf_codebook(tmp_path / "one.json", ds_file, GEOMS[:1])}
     calls, returned = [], []
 
     def spy(*args, **kwargs):
@@ -413,9 +441,9 @@ def test_codebook_map_holds_one_geometry_at_a_time(monkeypatch, ds_file):
         return net
 
     monkeypatch.setattr(cli, "overall_patterns", spy)
-    th, _, table = cli._codebook_map(ds, cb, space, 1.0, FeedNetworkConfig(), None)
-    assert sorted(calls, key=lambda c: c.feed_ports) == geoms
-    assert th.size == 25 and np.all(np.isfinite(table))
+    argv = [books.get(a, a) for a in argv]
+    assert run(argv + ["--dataset", ds_file, "--out-dir", tmp_path]) == 0
+    assert len(calls) == n_solves and set(calls) == set(GEOMS)
 
 
 def test_compare_self_is_zero_improvement(tmp_path, ds_file, cb_file):
@@ -425,6 +453,49 @@ def test_compare_self_is_zero_improvement(tmp_path, ds_file, cb_file):
     rows = out.read_text().strip().splitlines()
     improvement = float(rows[1].split(",")[-1])
     assert improvement == 0.0
+
+
+def _one_leaf_over(tmp_path, cb_file, bounds):
+    """cb_file's one-leaf codebook moved to the area tmin:tmax:pmin:pmax."""
+    area = dict(zip(("theta_min_deg", "theta_max_deg", "phi_min_deg", "phi_max_deg"),
+                    (float(b) for b in bounds.split(":"))))
+    doc = json.loads(cb_file.read_text())
+    doc["space"] = doc["codewords"][0]["area"] = area
+    path = tmp_path / f"cb_{bounds}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_compare_singular_side_gives_no_improvement(tmp_path, capsys, ds_file, cb_file):
+    # the 2x2 UPA is singular at endfire, phi = 90
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--dataset", ds_file, "--codebook",
+                _one_leaf_over(tmp_path, cb_file, "80:100:70:90"), "--upa", "2x2",
+                "--out", out]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert math.isfinite(float(row[4])) and row[5:] == ["inf", "nan"]
+    assert "improvement undefined (baseline singular)" in capsys.readouterr().out
+
+
+def test_compare_baseline_must_cover_each_leaf(tmp_path, capsys, ds_file, cb_file):
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--dataset", ds_file, "--codebook", cb_file, "--baseline-codebook",
+                _one_leaf_over(tmp_path, cb_file, "85:95:-5:5"), "--out", out]) == 2
+    assert "angle (80.0, -10.0) not covered" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_baseline_worst_is_its_per_point_worst(tmp_path, ds_file):
+    # the baseline's leaves split the HRPA leaf; its worst is the map's worst
+    a, b = GEOMS
+    base = _leaf_codebook(tmp_path / "base.json", ds_file, [b, b, b, a])
+    cmp_out, map_out = tmp_path / "cmp.csv", tmp_path / "map.csv"
+    assert run(["compare", "--dataset", ds_file, "--baseline-codebook", base, "--codebook",
+                _leaf_codebook(tmp_path / "one.json", ds_file, [a]), "--out", cmp_out]) == 0
+    assert run(["crlb-map", "--dataset", ds_file, "--codebook", base,
+                "--area", "80:100:-10:10", "--out", map_out]) == 0
+    worst = max(float(r.split(",")[5]) for r in map_out.read_text().splitlines()[1:])
+    assert float(cmp_out.read_text().splitlines()[1].split(",")[5]) == worst
 
 
 def test_compare_dual_pol_upa_not_worse(tmp_path, ds_file, cb_file):
@@ -741,6 +812,18 @@ def test_montecarlo_each_angle_uses_its_own_leaf(tmp_path, ds_file, cb4_file):
     pats = overall_patterns(ds, leaves[1], FeedNetworkConfig()).patterns
     bound = crlb_matrix(pats, (95.0, 5.0), 100.0)
     assert float(rows[2].split(",")[6]) == math.sqrt(bound.c_theta_theta)
+
+
+def test_montecarlo_searches_one_geometrys_angles_together(tmp_path, ds_file):
+    # four leaves of one geometry run as the one-leaf codebook of that geometry
+    argv = ["montecarlo", "--dataset", ds_file, "--angles", "85,-5;95,5;85,5",
+            "--snr-db-list", "0", "--trials", "100"]
+    outs = []
+    for name, leaves in (("one", GEOMS[:1]), ("four", GEOMS[:1] * 4)):
+        outs.append(tmp_path / f"{name}.csv")
+        assert run(argv + ["--codebook", _leaf_codebook(tmp_path / f"{name}.json", ds_file, leaves),
+                           "--out", outs[-1]]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def _readme_commands() -> list[str]:

@@ -31,6 +31,7 @@ from pixelaoa.optimizer import (
     SubdivisionSchedule,
     alternating_optimize,
     build_codebook,
+    codebook_leaves,
     codebook_lookup,
     default_initial_config,
     export_trace,
@@ -412,6 +413,23 @@ def test_codebook_lookup_conventions(ds2):
     assert cw.area.theta_max_deg == 100.0 and cw.area.phi_max_deg == 10.0
     with pytest.raises(CoverageError):
         codebook_lookup(cb, (70.0, 0.0))
+
+    def reference(th, ph):              # the rule leaf by leaf, one angle at a time
+        for k, cw in enumerate(cb.codewords):
+            t0, t1, p0, p1 = cw.area.bounds()
+            if (t0 <= th and (th < t1 or t1 == space.theta_max_deg)
+                    and p0 <= ph and (ph < p1 or p1 == space.phi_max_deg)):
+                return k
+
+    # every 5-degree point: the shared edges theta=90, phi=0 and the global maxima too
+    th, ph = (a.ravel() for a in np.meshgrid(np.arange(80.0, 101.0, 5.0),
+                                             np.arange(-10.0, 11.0, 5.0)))
+    leaves = codebook_leaves(cb, th, ph)
+    assert leaves.tolist() == [reference(t, p) for t, p in zip(th, ph)]
+    assert [cb.codewords[k] for k in leaves] == [codebook_lookup(cb, a) for a in zip(th, ph)]
+    assert sorted(set(leaves.tolist())) == [0, 1, 2, 3]
+    with pytest.raises(CoverageError, match=r"angle \(100\.0, 15\.0\)"):
+        codebook_leaves(cb, [90.0, 100.0], [0.0, 15.0])
 
 
 def test_codebook_roundtrip(tmp_path, ds2):
