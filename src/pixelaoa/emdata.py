@@ -302,13 +302,19 @@ def _dipole_patterns(layout: PortLayout, grid: AngleGrid) -> np.ndarray:
 
 
 def pattern_gram(patterns: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted Hermitian Gram matrix A[m, n] = sum_pol sum_grid conj(e_m) e_n w."""
+    """Weighted Hermitian Gram matrix A[m, n] = sum_pol sum_grid conj(e_m) e_n w.
+
+    Holds one temporary the size of one polarization: conj(e) * w is built
+    in place in a buffer reused for both polarizations."""
     P = patterns.shape[1]
     flat = patterns.reshape(2, P, -1)
     w = weights.reshape(-1)
     A = np.zeros((P, P), dtype=np.complex128)
+    tmp = np.empty(flat.shape[1:], dtype=np.complex128)
     for pol in range(2):
-        A += (flat[pol].conj() * w) @ flat[pol].T
+        np.conjugate(flat[pol], out=tmp)
+        tmp *= w
+        A += tmp @ flat[pol].T
     return A
 
 
@@ -345,7 +351,7 @@ def generate_synthetic_dataset(
         if feed_diag <= 0:
             raise LayoutError("degenerate layout: feed port radiates no power on this grid")
         scale = math.sqrt(params.feed_resistance_target_ohm * 2.0 * ETA0 / feed_diag)
-        e_oc = e_oc * scale
+        e_oc *= scale
         gram = gram * (scale * scale)
 
     R = gram.real / (2.0 * ETA0)

@@ -10,6 +10,11 @@ E = e_oc . V, and the per-port radiation efficiencies.  load_correction ->
 solve_network -> overall_patterns is the only network path; the full-grid
 quadrature pipeline it is checked against, and the single-config Z_F and
 port-current references, live in tests/oracles.py.
+
+Conditioning guard: load_correction warns (RuntimeWarning) when the exact
+1-norm condition number of the diagonally equilibrated loaded-port system
+exceeds CONDITION_WARN_THRESHOLD.  It is read from the S^-1 that the one
+stacked solve returns beside W, so it costs no factorization of its own.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 from .emdata import EMDataset, PatternSet, ETA0
 from .errors import ConfigError, NonPhysicalConfigError, NumericalError
 
+# kappa_1(D S D), D = diag(|S_qq|)^-1/2, above which load_correction warns
 CONDITION_WARN_THRESHOLD = 1e12
 
 
@@ -102,33 +108,47 @@ class ActiveNetwork:
 
 def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs,
                     feednet: FeedNetworkConfig) -> np.ndarray:
-    """W = (Z_LL + Z_L)^-1 Z_LA per config, stacked as (B, Q, N) by one
-    stacked solve; the configs share one active-port count N."""
+    """W = (Z_LL + Z_L)^-1 Z_LA per config, stacked as (B, Q, N); the configs
+    share one active-port count N.
+
+    One stacked solve S X = [Z_LA | I_Q] gives W and S^-1 from one LU per
+    config; the guard reads S^-1.  Equilibration keeps the quasi-open loads'
+    z_oc / |Z| scale out of the condition number it warns on.
+    """
     for config in configs:
         config.validate_against(n_feed, n_loaded)
     if len({config.n_active for config in configs}) != 1:
         raise ConfigError("a batch of network solves needs one active-port count")
     fp = np.array([config.feed_ports for config in configs], dtype=np.int64)   # (B, N)
+    B, N = fp.shape
     if n_loaded == 0:
-        return np.zeros((fp.shape[0], 0, fp.shape[1]), dtype=np.complex128)
+        return np.zeros((B, 0, N), dtype=np.complex128)
     g = np.array([config.connections for config in configs], dtype=np.float64)
     S = Z[n_feed:, n_feed:] + feednet.z_open_ohm * g[:, None, :] * np.eye(n_loaded)
-    Z_LA = np.moveaxis(Z[n_feed:][:, fp], 1, 0)                               # (B, Q, N)
+    rhs = np.empty((B, n_loaded, N + n_loaded), dtype=np.complex128)
+    rhs[:, :, :N] = np.moveaxis(Z[n_feed:][:, fp], 1, 0)                      # Z_LA
+    rhs[:, :, N:] = np.eye(n_loaded)
     try:
-        cond = np.linalg.cond(S)
-        for b in np.flatnonzero(~(cond <= CONDITION_WARN_THRESHOLD)):     # inf, nan too
-            warnings.warn(
-                f"loaded-port system condition number {cond[b]:.3g} exceeds "
-                f"{CONDITION_WARN_THRESHOLD:.0e} for config {configs[b].feed_ports}/"
-                f"{configs[b].connection_bitstring()}",
-                RuntimeWarning, stacklevel=2,
-            )
-        return np.linalg.solve(S, Z_LA)
+        X = np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"singular loaded-port system in a batch of {len(configs)} from config "
             f"{configs[0].feed_ports}/{configs[0].connection_bitstring()}"
         ) from exc
+    # kappa_1(D S D) = ||D |S| D||_1 * ||D^-1 |S^-1| D^-1||_1 (max column sums)
+    root = np.sqrt(np.abs(np.diagonal(S, axis1=1, axis2=2)))                 # 1 / D, (B, Q)
+    outer = root[:, :, None] * root[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = (np.max((np.abs(S) / outer).sum(axis=1), axis=1)
+                * np.max((np.abs(X[..., N:]) * outer).sum(axis=1), axis=1))
+    for b in np.flatnonzero(~(cond <= CONDITION_WARN_THRESHOLD)):         # inf, nan too
+        warnings.warn(
+            f"loaded-port system condition number {cond[b]:.3g} exceeds "
+            f"{CONDITION_WARN_THRESHOLD:.0e} for config {configs[b].feed_ports}/"
+            f"{configs[b].connection_bitstring()}",
+            RuntimeWarning, stacklevel=2,
+        )
+    return X[..., :N]
 
 
 def source_currents(z_feed: np.ndarray, feednet: FeedNetworkConfig) -> np.ndarray:

@@ -95,6 +95,24 @@ def test_mutual_resistance_matches_bruteforce_quadrature(coarse_grid):
     assert ds.Z[0, 1].real == pytest.approx(r12_oracle, rel=1e-10)
 
 
+def test_pattern_gram_holds_one_polarization_temporary():
+    # 3x3 pixels at 2 deg: one polarization of e_oc is 5.5 MB
+    ds = generate_synthetic_dataset(PortLayout(pixel_rows=3, pixel_cols=3),
+                                    AngleGrid(step_deg=2.0))
+    w = ds.quadrature()
+    tracemalloc.start()
+    try:
+        A = pattern_gram(ds.e_oc, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one_pol = ds.n_ports * ds.grid.n_theta * ds.grid.n_phi * 16
+    assert peak <= 1.25 * one_pol, (peak, one_pol)
+    flat = ds.e_oc.reshape(2, ds.n_ports, -1)
+    want = sum((flat[pol].conj() * w.reshape(-1)) @ flat[pol].T for pol in range(2))
+    assert np.array_equal(A, want)
+
+
 def test_generated_z_exactly_symmetric(tiny_dataset):
     assert np.max(np.abs(tiny_dataset.Z - tiny_dataset.Z.T)) == 0.0
 

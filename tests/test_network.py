@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from pixelaoa import (
     overall_patterns,
 )
 from pixelaoa.emdata import EMDataset, PatternSet
-from pixelaoa.errors import ConfigError
-from pixelaoa.network import solve_network, source_currents
+from pixelaoa.errors import ConfigError, NumericalError
+from pixelaoa.network import load_correction, solve_network, source_currents
 
 from conftest import random_symmetric_z
 from oracles import (
@@ -353,6 +354,69 @@ def test_solve_network_batch_needs_one_port_count(tiny_dataset):
     cfgs = [_config((0,), 4), _config((0, 1), 4)]
     with pytest.raises(ConfigError):
         solve_network(tiny_dataset.Z, tiny_dataset.gram, 4, 4, cfgs)
+
+
+# ---------------------------------------------------------------------------
+# loaded-port solve and its conditioning guard
+# ---------------------------------------------------------------------------
+
+def _random_batch(rng, M, Q, n_active, size):
+    return [_config(tuple(int(i) for i in rng.choice(M, size=n_active, replace=False)), Q,
+                    tuple(int(b) for b in rng.integers(0, 2, size=Q))) for _ in range(size)]
+
+
+def test_load_correction_equals_plain_solve(small_dataset):
+    # W from the solve with S^-1 appended is bitwise the solve of Z_LA alone
+    ds = small_dataset
+    M, Q = ds.n_feed, ds.n_loaded
+    rng = np.random.default_rng(17)
+    cfgs = _random_batch(rng, M, Q, 3, 43)
+    cfgs[:3] = [_config((0, 4, 8), Q), _config((0, 4, 8), Q, (1,) * Q),
+                _config((8, 0, 4), Q, (1, 0) * (Q // 2))]        # all shorted, all open, mixed
+    fn = FeedNetworkConfig()
+    S = np.stack([ds.Z[M:, M:] + np.diag(fn.z_open_ohm * np.array(cfg.connections, float))
+                  for cfg in cfgs])
+    Z_LA = np.stack([ds.Z[M:, list(cfg.feed_ports)] for cfg in cfgs])
+    W = load_correction(ds.Z, M, Q, cfgs, fn)
+    assert W.shape == (43, Q, 3)
+    assert np.array_equal(W, np.linalg.solve(S, Z_LA))
+
+
+def test_load_correction_warns_on_nearly_equal_shorted_links(tiny_dataset):
+    # links 0 and 1 get equal rows and columns up to 1e-14 relative on the
+    # diagonal: shorted together, their 2x2 block is singular to rounding
+    M, Q = tiny_dataset.n_feed, tiny_dataset.n_loaded
+    Z = tiny_dataset.Z.copy()
+    i, j = M, M + 1
+    Z[j, :] = Z[i, :]
+    Z[:, j] = Z[:, i]
+    Z[j, j] = Z[i, i] * (1 + 1e-14)
+    healthy, shorted = _config((1,), Q, (1, 0, 1, 0)), _config((0,), Q, (0, 0, 1, 1))
+    with pytest.warns(RuntimeWarning, match=r"condition number .* for config \(0,\)/0011"):
+        load_correction(Z, M, Q, [healthy, shorted], FeedNetworkConfig())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_correction(Z, M, Q, [healthy], FeedNetworkConfig())   # link 1 open: healthy
+
+
+def test_load_correction_quiet_on_healthy_dataset_at_large_open_load(coarse_grid):
+    # the workload's 5x5 jittered model: a legal 1e15-ohm quasi-open load is
+    # no reason to warn, although the raw condition number of S is ~1e14
+    ds = generate_synthetic_dataset(PortLayout(), coarse_grid,
+                                    DipoleModelParams(self_reactance_jitter_ohm=1.0), seed=7)
+    M, Q = ds.n_feed, ds.n_loaded
+    cfgs = _random_batch(np.random.default_rng(7), M, Q, 4, 43)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_correction(ds.Z, M, Q, cfgs, FeedNetworkConfig(z_open_ohm=1e15))
+
+
+def test_load_correction_singular_system_raises(tiny_dataset):
+    M, Q = tiny_dataset.n_feed, tiny_dataset.n_loaded
+    Z = tiny_dataset.Z.copy()
+    Z[M:, M:] = 0.0                                # shorted links of zero self-impedance
+    with pytest.raises(NumericalError):
+        load_correction(Z, M, Q, [_config((0,), Q)], FeedNetworkConfig())
 
 
 def test_source_currents_stacked_matches_single():
