@@ -7,8 +7,9 @@ returns the files it read and wrote; main times it and, when it wrote any,
 writes one JSON manifest beside the first with the resolved parameters (null
 for other paths' flags) and digests, so the manifest alone reproduces it.
 
-_geometry_groups owns which geometry serves an angle; only the HRPA side of
-compare and --fig area-bars instead scores each leaf's geometry on its area.
+_geometry_groups owns which geometry serves an angle, _window_grid the part of
+a grid an area's finite differences read, and _upa every --upa baseline built
+on that window; compare and --fig area-bars reduce two crlb-map tables per leaf.
 
 Exit codes: 0 success, 2 flag/parameter validation, 3 file I/O or format,
 4 dataset validation, 5 numerical failure.
@@ -31,6 +32,7 @@ from . import __version__
 from .crlb import (
     MAP_HEADER,
     SensingArea,
+    _step_multiple,
     crlb_map,
     crlb_points,
     upa_crlb_closed_form_map,
@@ -140,14 +142,23 @@ def _write_manifest(args: argparse.Namespace, inputs, outputs, started: float) -
         fh.write("\n")
 
 
-def _window_grid(area: SensingArea, step_deg: float, fd_step_deg: float | None) -> AngleGrid:
-    """Grid covering an area plus the margin its finite differences reach."""
-    m = max(1, int(round((fd_step_deg or step_deg) / step_deg))) * step_deg
-    t0 = max(0.0, area.theta_min_deg - m)
-    t1 = min(180.0, area.theta_max_deg + m)
-    p0 = max(-180.0, area.phi_min_deg - m)
-    p1 = min(180.0, area.phi_max_deg + m)
-    return AngleGrid(t0, t1, p0, p1, step_deg)
+def _window_grid(area: SensingArea, grid: AngleGrid, fd_step_deg: float | None) -> AngleGrid:
+    """The part of grid that area's finite differences read: the area plus its
+    FD margin, with the whole phi circle when a wrapping grid's margin crosses
+    +-180, so every stencil on the window is the grid's own."""
+    m = _step_multiple(grid, fd_step_deg) * grid.step_deg
+    p0, p1 = area.phi_min_deg - m, area.phi_max_deg + m
+    if grid.phi_wraps and (p0 < grid.phi_start_deg or p1 >= grid.phi_stop_deg):
+        p0, p1 = grid.phi_start_deg, grid.phi_stop_deg
+    return AngleGrid(max(grid.theta_start_deg, area.theta_min_deg - m),
+                     min(grid.theta_stop_deg, area.theta_max_deg + m),
+                     max(grid.phi_start_deg, p0), min(grid.phi_stop_deg, p1), grid.step_deg)
+
+
+def _upa(args, area: SensingArea, grid: AngleGrid) -> PatternSet:
+    """The --upa baseline's patterns on the window of grid that area reads."""
+    return upa_patterns(*_parse_pixels(args.upa), args.spacing,
+                        _window_grid(area, grid, args.fd_step_deg), element=args.element)
 
 
 def _load_codebook_for(path, ds) -> Codebook:
@@ -175,9 +186,11 @@ def _geometry_groups(source, theta_deg, phi_deg):
         yield overall_patterns(ds, configs[g], feednet).patterns, np.flatnonzero(geom == g)
 
 
-def _area_table(source, grid, area: SensingArea, snr: float, fd_step_deg):
-    """(theta, phi, table) over the area's points on grid, each point under
-    the geometry that serves it; table rows are c_tt, c_tp, c_pp and objective."""
+def _area_table(source, area: SensingArea, snr: float, fd_step_deg):
+    """(theta, phi, table) over the area's points on the source's grid, each
+    point under the geometry that serves it; table rows are c_tt, c_tp, c_pp
+    and objective."""
+    grid = source.grid if isinstance(source, PatternSet) else source[0].grid
     it, ip = area.points(grid)
     th, ph = grid.theta_deg[it], grid.phi_deg[ip]
     table = np.empty((4, th.size))
@@ -187,16 +200,14 @@ def _area_table(source, grid, area: SensingArea, snr: float, fd_step_deg):
     return th, ph, table
 
 
-def _leaf_worsts(ds, cb: Codebook, baseline, snr: float, feednet, fd_step_deg):
-    """(leaf area, HRPA worst, baseline worst) per leaf of cb: the leaf's own
-    geometry on its area (the optimizer's objective), and the baseline source's
-    per-point table over it."""
-    def worst(source, area):
-        return float(_area_table(source, ds.grid, area, snr, fd_step_deg)[2][3].max())
-
+def _leaf_worsts(cb: Codebook, sources, snr: float, fd_step_deg):
+    """(leaf area, worst objective of each source) per leaf of cb: each source's
+    table over the codebook space, reduced over every leaf's closed area."""
+    tables = [_area_table(s, cb.space, snr, fd_step_deg) for s in sources]
     for cw in cb.codewords:
-        yield (cw.area, worst(overall_patterns(ds, cw.config, feednet).patterns, cw.area),
-               worst(baseline, cw.area))
+        t0, t1, p0, p1 = cw.area.bounds()
+        yield cw.area, *(float(table[3][(t0 <= th) & (th <= t1) & (p0 <= ph) & (ph <= p1)].max())
+                         for th, ph, table in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +287,15 @@ def cmd_crlb_map(args) -> tuple[list, list]:
                               f"use --mode numeric with --element {args.element}")
         if args.mode == "closed-form" and args.fd_step_deg is not None:
             raise ConfigError("--fd-step-deg has no effect with --mode closed-form")
-        grid = _window_grid(area, args.step_deg, args.fd_step_deg)
+        sphere = AngleGrid(step_deg=args.step_deg)
         if args.mode == "closed-form":
-            it, ip = area.points(grid)
-            th, ph = grid.theta_deg[it], grid.phi_deg[ip]
+            it, ip = area.points(sphere)
+            th, ph = sphere.theta_deg[it], sphere.phi_deg[ip]
             closed = upa_crlb_closed_form_map(ny, nz, args.spacing, th, ph, snr)[:4]
             write_csv(args.out, MAP_HEADER, (th, ph, *closed))
             worst = float(closed[3].max())
         else:
-            pats = upa_patterns(ny, nz, args.spacing, grid, element=args.element)
-            numeric = crlb_map(pats, area, snr, fd_step_deg=args.fd_step_deg)
+            numeric = crlb_map(_upa(args, area, sphere), area, snr, fd_step_deg=args.fd_step_deg)
             header = MAP_HEADER
             columns = (numeric.theta_deg, numeric.phi_deg, numeric.c_tt, numeric.c_tp,
                        numeric.c_pp, numeric.objective)
@@ -301,7 +311,7 @@ def cmd_crlb_map(args) -> tuple[list, list]:
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-        th, ph, table = _area_table((ds, cb, feednet), ds.grid, area, snr, args.fd_step_deg)
+        th, ph, table = _area_table((ds, cb, feednet), area, snr, args.fd_step_deg)
         write_csv(args.out, MAP_HEADER, (th, ph, *table))
         worst = float(table[3].max())
     print(f"worst objective over {area.label()}: {worst:.6g} rad")
@@ -319,12 +329,11 @@ def cmd_compare(args) -> tuple[list, list]:
         baseline = (ds, _load_codebook_for(args.baseline_codebook, ds), feednet)
         inputs.append(args.baseline_codebook)
     else:
-        baseline = upa_patterns(*_parse_pixels(args.upa), args.spacing, ds.grid,
-                                element=args.element)
+        baseline = _upa(args, cb.space, ds.grid)
 
     rows = []
-    for area, hrpa, base in _leaf_worsts(ds, cb, baseline, _db_to_linear(args.snr_db),
-                                         feednet, args.fd_step_deg):
+    for area, hrpa, base in _leaf_worsts(cb, [(ds, cb, feednet), baseline],
+                                         _db_to_linear(args.snr_db), args.fd_step_deg):
         # no improvement is measured against a singular (+inf) side
         singular = " and ".join(s for s, v in (("hrpa", hrpa), ("baseline", base)) if math.isinf(v))
         improvement = math.nan if singular else 0.0 if base == 0.0 else 1.0 - hrpa / base
@@ -353,9 +362,7 @@ def cmd_montecarlo(args) -> tuple[list, list]:
 
     # one search per geometry: the UPA's angles, or one codebook geometry's, together
     if args.upa:
-        grid = _window_grid(_search_box(angles, hw), args.step_deg, args.fd_step_deg)
-        source = upa_patterns(*_parse_pixels(args.upa), args.spacing, grid,
-                              element=args.element)
+        source = _upa(args, _search_box(angles, hw), AngleGrid(step_deg=args.step_deg))
     else:
         ds = load_dataset(args.dataset)
         source = (ds, _load_codebook_for(args.codebook, ds),
@@ -399,10 +406,9 @@ def cmd_export_plots(args) -> tuple[list, list]:
     if args.fig == "area-bars":
         cb = _load_codebook_for(args.codebook, ds)
         inputs.append(args.codebook)
-        upa = upa_patterns(*_parse_pixels(args.upa), args.spacing, ds.grid,
-                           element=args.element)
+        sources = [(ds, cb, feednet), _upa(args, cb.space, ds.grid)]
         rows = [(i, *a.bounds(), hrpa, base) for i, (a, hrpa, base)
-                in enumerate(_leaf_worsts(ds, cb, upa, snr, feednet, args.fd_step_deg), 1)]
+                in enumerate(_leaf_worsts(cb, sources, snr, args.fd_step_deg), 1)]
         path = outdir / "area_bars.csv"
         header = ("area_index,theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
                   "hrpa_worst,upa_worst")
@@ -414,7 +420,7 @@ def cmd_export_plots(args) -> tuple[list, list]:
             cb = _load_codebook_for(p, ds)
             inputs.append(p)
             size = cb.space.theta_max_deg - cb.space.theta_min_deg
-            table = _area_table((ds, cb, feednet), ds.grid, area, snr, args.fd_step_deg)[2]
+            table = _area_table((ds, cb, feednet), area, snr, args.fd_step_deg)[2]
             rows.append((size, float(table[3].max())))
         path, header = outdir / "area_size_sweep.csv", "area_size_deg,worst_objective"
 

@@ -585,7 +585,7 @@ def upa_patterns(
     n_z: int,
     spacing_over_lambda: float,
     grid: AngleGrid,
-    element: str | np.ndarray = "iso-theta",
+    element: str = "iso-theta",
 ) -> PatternSet:
     """Patterns of an N_Y x N_Z uniform planar array in the yz-plane.
 
@@ -594,9 +594,8 @@ def upa_patterns(
     with k = 2*pi*spacing/lambda, n_y_idx = n mod N_Y mapped to 1..N_Y and
     n_z_idx = ceil(n / N_Y), applied to the shared element pattern.
 
-    element: "iso-theta" (constant [1, 0]), "iso-dual" (returns 2N ports:
-    N theta-polarized followed by N phi-polarized), or an explicit
-    (2, n_theta, n_phi) complex array.
+    element: "iso-theta" (constant [1, 0]) or "iso-dual" (returns 2N ports:
+    N theta-polarized followed by N phi-polarized).
     """
     if n_y < 1 or n_z < 1:
         raise ValueError("n_y and n_z must be at least 1")
@@ -608,26 +607,18 @@ def upa_patterns(
     uy = np.sin(th) * np.sin(ph)
     uz = np.cos(th)
 
-    if isinstance(element, str):
-        if element == "iso-theta":
-            elements = [np.stack([np.ones_like(th, dtype=np.complex128),
-                                  np.zeros_like(th, dtype=np.complex128)])]
-        elif element == "iso-dual":
-            elements = [
-                np.stack([np.ones_like(th, dtype=np.complex128),
-                          np.zeros_like(th, dtype=np.complex128)]),
-                np.stack([np.zeros_like(th, dtype=np.complex128),
-                          np.ones_like(th, dtype=np.complex128)]),
-            ]
-        else:
-            raise ValueError(f"unknown element kind {element!r}")
+    if element == "iso-theta":
+        elements = [np.stack([np.ones_like(th, dtype=np.complex128),
+                              np.zeros_like(th, dtype=np.complex128)])]
+    elif element == "iso-dual":
+        elements = [
+            np.stack([np.ones_like(th, dtype=np.complex128),
+                      np.zeros_like(th, dtype=np.complex128)]),
+            np.stack([np.zeros_like(th, dtype=np.complex128),
+                      np.ones_like(th, dtype=np.complex128)]),
+        ]
     else:
-        el = np.asarray(element, dtype=np.complex128)
-        if el.shape != (2, grid.n_theta, grid.n_phi):
-            raise DimensionMismatchError(
-                f"element pattern must be (2, {grid.n_theta}, {grid.n_phi}), got {el.shape}"
-            )
-        elements = [el]
+        raise ValueError(f"unknown element kind {element!r}")
 
     N = n_y * n_z
     # element block b holds ports b*N .. b*N + N-1; each array factor is

@@ -216,11 +216,8 @@ def upa_patterns_factor_list(n_y, n_z, spacing_over_lambda, grid, element="iso-t
     uz = np.cos(th)
     one = np.ones_like(th, dtype=np.complex128)
     zero = np.zeros_like(th, dtype=np.complex128)
-    if isinstance(element, str):
-        elements = {"iso-theta": [np.stack([one, zero])],
-                    "iso-dual": [np.stack([one, zero]), np.stack([zero, one])]}[element]
-    else:
-        elements = [np.asarray(element, dtype=np.complex128)]
+    elements = {"iso-theta": [np.stack([one, zero])],
+                "iso-dual": [np.stack([one, zero]), np.stack([zero, one])]}[element]
     N = n_y * n_z
     factors = []
     for n in range(1, N + 1):

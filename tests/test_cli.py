@@ -183,6 +183,21 @@ def test_optimize_trace_in_optimization_order(tmp_path, ds_file):
     assert areas == ["stage1_area1"] + [f"stage2_area{k}" for k in range(1, 17)]
 
 
+@pytest.mark.parametrize("axis, split", [("theta", (2, 1)), ("phi", (1, 2))])
+def test_optimize_axes_split_one_axis(tmp_path, ds_file, axis, split):
+    out = tmp_path / "cb.json"
+    assert run(["optimize", "--dataset", ds_file, "--n-active", "2", "--space", "80:100:-10:10",
+                "--schedule", "1,2", "--axes", f"both,{axis}", "--population", "8",
+                "--generations", "1", "--max-outer", "1", "--out", out]) == 0
+    areas = [cw.area for cw in load_codebook(out).codewords]
+    # the two leaves halve the split axis only and tile the space
+    thetas = sorted({(a.theta_min_deg, a.theta_max_deg) for a in areas})
+    phis = sorted({(a.phi_min_deg, a.phi_max_deg) for a in areas})
+    want = {(2, 1): ([(80.0, 90.0), (90.0, 100.0)], [(-10.0, 10.0)]),
+            (1, 2): ([(80.0, 100.0)], [(-10.0, 0.0), (0.0, 10.0)])}[split]
+    assert len(areas) == 2 and (thetas, phis) == want
+
+
 def test_optimize_all_ports_active(tmp_path, ds_file):
     out = tmp_path / "cb_all.json"
     assert run(["optimize", "--dataset", ds_file, "--n-active", "4",
@@ -259,6 +274,44 @@ def test_crlb_map_upa_closed_form_runs_no_patterns_or_sweep(tmp_path, monkeypatc
     objective = [float(r.split(",")[5]) for r in out.read_text().splitlines()[1:]]
     printed = re.search(r"worst objective over \S+: (\S+) rad", capsys.readouterr().out)
     assert printed.group(1) == f"{max(objective):.6g}"
+
+
+def _upa_map(tmp_path, area, *flags):
+    """Rows of crlb-map --upa 2x2 --mode numeric over area, keyed by (theta, phi)."""
+    out = tmp_path / f"map_{area}.csv"
+    assert run(["crlb-map", "--upa", "2x2", "--mode", "numeric", "--area", area, *flags,
+                "--out", out]) == 0
+    return {tuple(r.split(",")[:2]): r for r in out.read_text().splitlines()[1:]}
+
+
+def test_upa_window_keeps_the_spheres_stencils_across_180(tmp_path):
+    # the margin of -180 crosses the seam in both areas, so both windows take
+    # the whole circle and (60, -180) is differenced centrally, as on the sphere
+    short = _upa_map(tmp_path, "60:62:-180:-178")
+    whole = _upa_map(tmp_path, "60:62:-180:179")
+    assert short[("60.0", "-180.0")] == whole[("60.0", "-180.0")]
+    pats = upa_patterns(2, 2, 0.5, AngleGrid())
+    want = crlb_map(pats, SensingArea(60, 60, -180, -180), 1.0).objective[0]
+    assert float(short[("60.0", "-180.0")].split(",")[5]) == want
+
+
+def test_upa_window_uses_the_fd_step_of_the_sphere(tmp_path):
+    # an fd step of 2 reaches past both ends of the area; inside, every row is
+    # the one the whole sphere gives
+    rows = _upa_map(tmp_path, "60:64:170:179", "--fd-step-deg", "2")
+    pats = upa_patterns(2, 2, 0.5, AngleGrid())
+    m = crlb_map(pats, SensingArea(60, 64, 170, 179), 1.0, fd_step_deg=2)
+    assert [float(r.split(",")[5]) for r in rows.values()] == m.objective.tolist()
+
+
+@pytest.mark.parametrize("mode", ["numeric", "closed-form"])
+def test_upa_area_holding_phi_180_exits_2(tmp_path, capsys, mode):
+    # phi = 180 aliases -180 on the sphere, as on every dataset grid
+    out = tmp_path / "map.csv"
+    assert run(["crlb-map", "--upa", "2x2", "--mode", mode, "--area", "60:62:170:180",
+                "--out", out]) == 2
+    assert "phi = 180.0 deg is outside the grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_crlb_map_codebook_mode(tmp_path, ds_file, cb_file):
@@ -498,6 +551,40 @@ def test_compare_baseline_worst_is_its_per_point_worst(tmp_path, ds_file):
     assert float(cmp_out.read_text().splitlines()[1].split(",")[5]) == worst
 
 
+def test_compare_self_is_zero_on_every_leaf_of_four(tmp_path, ds_file):
+    # alternating geometries: each leaf's shared edges go to another geometry
+    book = _leaf_codebook(tmp_path / "alt.json", ds_file, GEOMS * 2)
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--dataset", ds_file, "--codebook", book,
+                "--baseline-codebook", book, "--out", out]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert len(rows) == 4 and [float(r[6]) for r in rows] == [0.0] * 4
+
+
+def _leaf_map_worst(tmp_path, argv, row):
+    """The largest objective the crlb-map argv writes over a compare row's leaf."""
+    out = tmp_path / "leaf.csv"
+    assert run(argv + ["--area", ":".join(row[:4]), "--out", out]) == 0
+    return max(float(r.split(",")[5]) for r in out.read_text().splitlines()[1:])
+
+
+@pytest.mark.parametrize("book", ["alt", "ga"])
+def test_compare_sides_are_crlb_map_worsts_per_leaf(tmp_path, ds_file, cb4_file, book):
+    # compare --upa 2x2 on a 5-degree dataset: its HRPA side is crlb-map
+    # --codebook, its baseline crlb-map --upa --step-deg 5, bit for bit on each leaf
+    books = {"alt": _leaf_codebook(tmp_path / "alt.json", ds_file, GEOMS * 2), "ga": cb4_file}
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--dataset", ds_file, "--codebook", books[book], "--upa", "2x2",
+                "--out", out]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for row in rows:
+        hrpa = ["crlb-map", "--dataset", ds_file, "--codebook", books[book]]
+        upa = ["crlb-map", "--upa", "2x2", "--mode", "numeric", "--step-deg", "5"]
+        assert float(row[4]) == _leaf_map_worst(tmp_path, hrpa, row)
+        assert float(row[5]) == _leaf_map_worst(tmp_path, upa, row)
+
+
 def test_compare_dual_pol_upa_not_worse(tmp_path, ds_file, cb_file):
     # doubling the UPA ports (dual polarization) cannot worsen the bound
     single = tmp_path / "s.csv"
@@ -533,6 +620,18 @@ def test_montecarlo_bad_angles_is_flag_error(tmp_path, capsys, angles):
     assert run(["montecarlo", "--upa", "2x2", "--angles", angles,
                 "--out", tmp_path / "x.csv"]) == 2
     assert "--angles" in capsys.readouterr().err
+
+
+def test_montecarlo_upa_rejects_a_bad_fd_step_before_any_trial(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no trial is scored before the fd step is checked")
+
+    monkeypatch.setattr(kernels, "ml_scores", forbidden)
+    out = tmp_path / "mc.csv"
+    assert run(["montecarlo", "--upa", "4x4", "--step-deg", "0.5", "--fd-step-deg", "0.75",
+                "--out", out]) == 2
+    assert "must be a positive multiple of the grid step" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # a 1-degree half-width puts the fd step of 4 beyond the search box

@@ -445,18 +445,19 @@ def test_upa_mod_mapping_matches_formula(coarse_grid):
         assert E[0][n - 1] == pytest.approx(af, abs=1e-12)
 
 
-@pytest.mark.parametrize("element", ["iso-theta", "iso-dual", "explicit"])
+@pytest.mark.parametrize("element", ["iso-theta", "iso-dual"])
 def test_upa_patterns_bit_equal_to_factor_list_oracle(coarse_grid, element):
-    if element == "explicit":
-        rng = np.random.default_rng(8)
-        shape = (2, coarse_grid.n_theta, coarse_grid.n_phi)
-        element = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     got = upa_patterns(3, 2, 0.45, coarse_grid, element=element).data
     want = upa_patterns_factor_list(3, 2, 0.45, coarse_grid, element=element)
     assert got.shape == want.shape
     # bit equality, signed zeros included
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
     assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
+def test_upa_patterns_rejects_an_unknown_element(coarse_grid):
+    with pytest.raises(ValueError, match="unknown element kind"):
+        upa_patterns(2, 2, 0.5, coarse_grid, element="iso-phi")
 
 
 def test_upa_patterns_peak_memory_near_its_output():

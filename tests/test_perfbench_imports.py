@@ -84,6 +84,43 @@ def test_harness_pixelaoa_names_resolve():
     assert patched > 0
 
 
+def _pixelaoa_calls(path):
+    """(line, name, callable, positional count, keywords) of each call in path
+    to an imported pixelaoa callable whose arguments are all spelled out."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = _pixelaoa_aliases(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in aliases:
+            name, target = f.id, _alias_target(aliases, f.id)
+        elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+              and f.value.id in aliases):
+            name = f"{f.value.id}.{f.attr}"
+            target = getattr(_alias_target(aliases, f.value.id), f.attr)
+        else:
+            continue
+        unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords))
+        if callable(target) and not inspect.ismodule(target) and not unpacked:
+            yield node.lineno, name, target, len(node.args), [k.arg for k in node.keywords]
+
+
+def test_harness_calls_bind_to_their_signatures():
+    # a call that passes one argument too many, or a renamed keyword, fails
+    # here instead of in the benchmark's correctness checks
+    bound = 0
+    for path in HARNESS:
+        for line, name, target, n_args, keywords in _pixelaoa_calls(path):
+            try:
+                inspect.signature(target).bind(*[None] * n_args, **dict.fromkeys(keywords))
+            except TypeError as exc:
+                pytest.fail(f"{path.name}:{line}: {name}: {exc}")
+            bound += 1
+    assert bound >= 25
+
+
 def test_public_names_resolve():
     for name in pixelaoa.__all__:
         assert hasattr(pixelaoa, name), name
@@ -105,6 +142,13 @@ def test_traced_hook_signatures():
     assert _positional(optimizer.ConfigEvaluator.objective_many)[:3] == ["self", "configs",
                                                                           "area"]
     assert _positional(simulate.ml_estimate)[:3] == ["y", "patterns", "search_area"]
+
+
+def test_harness_alternating_optimize_arguments():
+    # checks.py passes the first seven by position
+    assert _positional(optimizer.alternating_optimize)[:7] == [
+        "dataset", "init_config", "area", "ga_params", "snr_linear", "max_outer", "feednet"]
+    assert "evaluator" in inspect.signature(optimizer.alternating_optimize).parameters
 
 
 def test_traced_hook_result_attributes():
