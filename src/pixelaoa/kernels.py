@@ -4,8 +4,9 @@ The two inner loops that dominate runtime are (a) the per-grid-point Fisher
 information sweep behind every CRLB map and (b) the per-candidate subspace
 projection scores of the ML angle search.  The sweep streams its points
 in blocks under a fixed byte budget, so its working memory does not grow
-with the batch; the scores take one block of snapshots per call, and
-ml_chunk gives the block size that keeps that block under its budget.
+with the batch; the scores take one block of snapshots per call, run one
+GEMM per basis column that some candidate uses, and ml_chunk gives the
+block size that keeps that block under its budget.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import numpy as np
 # Re{F} is declared rank deficient when det <= RANK_TOL * scale^2.
 RANK_TOL = 1e-12
 
-# Most bytes of the complex (t x 2G) projection block of one ml_scores call
-# on a block of ml_chunk(G) snapshots.
+# Most bytes of the complex (t x 2G) projections of one ml_scores call on a
+# block of ml_chunk(G) snapshots; both columns are budgeted, as a rank-2 set
+# needs both.  The block size is pinned by this budget alone, because BLAS
+# rounding depends on the block's row count: another block size gives other
+# score bits and so other Monte-Carlo reports.
 _ML_CHUNK_BYTES = 1 << 22
 
 # Most bytes of one complex (2N x points) stencil gather in fim_sweep;
@@ -99,21 +103,28 @@ def ml_chunk(n_candidates: int) -> int:
 def ml_scores(basis, rank, y):
     """Squared norm of the projection of y onto each candidate subspace.
 
-    basis: (G, N, 2) orthonormal columns, rank: (G,) in {0, 1, 2}; the
-    unused columns must be zero, so that they add nothing to a score.
-    y: one snapshot (N,) or a block of snapshots (T, N); the scores are
-    (G,) or (T, G).  Rank-0 candidates score -1 so they are never selected.
-    The block is scored by one GEMM, so its (T x 2G) projections are held
-    at once; callers pass blocks of at most ml_chunk(G) snapshots.
-    |conj(y) b| = |y conj(b)|, so the snapshots are conjugated instead of
-    the candidates: a basis laid out as a transposed (G, 2, N) array is
-    read in place, never copied.
+    basis: (G, N, 2) orthonormal columns, rank: (G,) in {0, 1, 2}; kept
+    columns fill the basis from the left.  y: one snapshot (N,) or a block
+    of snapshots (T, N); the scores are (G,) or (T, G).  Rank-0 candidates
+    score -1 so they are never selected.  Column 0 is scored by one GEMM;
+    column 1 only when some candidate has rank 2, and then it is read for
+    every candidate, so the unused columns of a mixed set must be zero.  A
+    call holds its (T x G) projections per column, so callers pass blocks of
+    at most ml_chunk(G) snapshots.  |conj(y) b| = |y conj(b)|, so the
+    snapshots are conjugated instead of the candidates: a basis laid out as
+    a transposed (G, 2, N) array, as simulate._orthobases returns it, is
+    read by BLAS in place, never copied.
     """
     y = np.asarray(y, dtype=np.complex128)
-    G, N, _ = basis.shape
-    rows = basis.transpose(0, 2, 1).reshape(2 * G, N)          # row 2g + r: basis[g, :, r]
-    proj = y.reshape(-1, N).conj() @ rows.T                     # (T, 2G)
-    parts = proj.view(np.float64).reshape(-1, G, 4)             # re, im of both columns
-    scores = np.einsum("tgk,tgk->tg", parts, parts)
+    yc = y.reshape(-1, basis.shape[1]).conj()
+    sq = (yc @ basis[:, :, 0].T).view(np.float64)             # (T, 2G): re, im per candidate
+    sq *= sq
+    if np.any(rank == 2):
+        sq1 = (yc @ basis[:, :, 1].T).view(np.float64)
+        sq1 *= sq1
+        sq += sq1
+    # (re0² + re1²) + (im0² + im1²), in this fixed order: Monte-Carlo reports
+    # depend on the score bits
+    scores = sq[:, 0::2] + sq[:, 1::2]
     scores[:, rank == 0] = -1.0
     return scores if y.ndim == 2 else scores[0]

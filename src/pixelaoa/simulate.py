@@ -150,7 +150,7 @@ def _quadratic_offset(sm: float, s0: float, sp: float) -> float:
     if den >= 0.0:
         return 0.0
     off = 0.5 * (sm - sp) / den
-    return float(np.clip(off, -0.5, 0.5))
+    return float(min(max(off, -0.5), 0.5))
 
 
 def ml_estimate(y: np.ndarray, patterns: PatternSet, search_area: SensingArea,

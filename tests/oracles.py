@@ -13,6 +13,9 @@ finite-difference steering row and Jacobian that the FIM sweep's stacked
 gathers must reproduce.  upa_patterns_factor_list and write_csv_one_pass
 are the earlier whole-array forms of emdata.upa_patterns and crlb.write_csv,
 which now write into their output one port or one block of rows at a time.
+ml_scores_stacked scores both basis columns of every candidate by one GEMM
+and sums the squares by einsum; kernels.ml_scores must reproduce its bits
+with one GEMM per column that some candidate uses.
 """
 
 from __future__ import annotations
@@ -241,3 +244,20 @@ def write_csv_one_pass(path, header, columns):
     with open(path, "w") as fh:
         fh.write(header + "\n")
         fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cols))
+
+
+# ---------------------------------------------------------------------------
+# ML projection scores
+# ---------------------------------------------------------------------------
+
+def ml_scores_stacked(basis, rank, y):
+    """kernels.ml_scores with both columns of every candidate stacked into
+    one (2G, N) GEMM and the squared parts summed by einsum."""
+    y = np.asarray(y, dtype=np.complex128)
+    G, N, _ = basis.shape
+    rows = basis.transpose(0, 2, 1).reshape(2 * G, N)          # row 2g + r: basis[g, :, r]
+    proj = y.reshape(-1, N).conj() @ rows.T                     # (T, 2G)
+    parts = proj.view(np.float64).reshape(-1, G, 4)             # re, im of both columns
+    scores = np.einsum("tgk,tgk->tg", parts, parts)
+    scores[:, rank == 0] = -1.0
+    return scores if y.ndim == 2 else scores[0]

@@ -3,12 +3,20 @@
 import numpy as np
 import pytest
 
-from pixelaoa import AngleGrid, GeometryConfig, SensingArea, crlb_map, kernels
+from pixelaoa import (
+    AngleGrid,
+    GeometryConfig,
+    SensingArea,
+    crlb_map,
+    kernels,
+    simulate,
+    upa_patterns,
+)
 from pixelaoa.crlb import _stacked, fd_stencil, projection_matrix
 from pixelaoa.emdata import PatternSet
 from pixelaoa.optimizer import ConfigEvaluator
 
-from oracles import steering_jacobian, steering_row
+from oracles import ml_scores_stacked, steering_jacobian, steering_row
 
 
 def _random_patterns(rng, n_ports, grid):
@@ -100,14 +108,18 @@ def test_fim_sweep_blocks_leave_objective_many_bit_identical(monkeypatch, tiny_d
     assert ConfigEvaluator(tiny_dataset, 1.0).objective_many(cfgs, area) == want
 
 
-def _random_bases(rng, G, N):
-    """Orthonormal (G, N, 2) bases with every rank 0, 1, 2 present; unused columns zero."""
-    basis = np.zeros((G, N, 2), dtype=np.complex128)
-    rank = np.arange(G) % 3
+def _random_bases(rng, G, N, ranks=(0, 1, 2)):
+    """Orthonormal (G, N, 2) bases whose ranks cycle through ranks; unused columns zero.
+
+    Laid out as simulate._orthobases lays out its bases: a transposed
+    (G, 2, N) array, whose columns BLAS reads in place.
+    """
+    cols = np.zeros((G, 2, N), dtype=np.complex128)
+    rank = np.resize(ranks, G)
     for g in range(G):
         q, _ = np.linalg.qr(rng.normal(size=(N, 2)) + 1j * rng.normal(size=(N, 2)))
-        basis[g, :, : rank[g]] = q[:, : rank[g]]
-    return basis, rank
+        cols[g, : rank[g]] = q[:, : rank[g]].T
+    return cols.transpose(0, 2, 1), rank
 
 
 def test_ml_scores_matches_projection_norm():
@@ -141,3 +153,48 @@ def test_ml_scores_block_matches_per_row_calls(T):
         np.testing.assert_allclose(block[t], row, rtol=1e-12, atol=0.0)
         assert np.argmax(block[t]) == np.argmax(row)
         assert np.all(block[t, rank == 0] == -1.0)
+
+
+def _random_snapshots(rng, T, N):
+    return rng.normal(size=(T, N)) + 1j * rng.normal(size=(T, N))
+
+
+def _assert_ml_scores_match_stacked_oracle(rng, basis, rank, blocks=1):
+    # one snapshot, and blocks of the ml_chunk(G) snapshots the Monte Carlo passes
+    G, N, _ = basis.shape
+    ys = [_random_snapshots(rng, 1, N)[0]]
+    ys += [_random_snapshots(rng, kernels.ml_chunk(G), N) for _ in range(blocks)]
+    for y in ys:
+        np.testing.assert_array_equal(kernels.ml_scores(basis, rank, y),
+                                      ml_scores_stacked(basis, rank, y), strict=True)
+
+
+@pytest.mark.parametrize("ranks", [(0, 1, 2), (0, 1), (1,), (2,)])
+def test_ml_scores_bit_equal_to_stacked_oracle_on_random_bases(ranks):
+    rng = np.random.default_rng(6)
+    basis, rank = _random_bases(rng, 300, 6, ranks)
+    _assert_ml_scores_match_stacked_oracle(rng, basis, rank)
+
+
+# the upa workload's Monte-Carlo search box: angles 90,0 and 60,40 widened by 15 deg
+UPA_SEARCH = SensingArea(45, 105, -15, 55)
+
+
+@pytest.mark.parametrize("element, ranks", [("iso-theta", {1}), ("iso-dual", {2})])
+def test_ml_scores_bit_equal_to_stacked_oracle_on_upa_search_sets(element, ranks):
+    pats = upa_patterns(4, 4, 0.5, AngleGrid(*UPA_SEARCH.bounds(), 0.5), element=element)
+    cand = simulate._CandidateGrid(pats, UPA_SEARCH)
+    assert cand.rank.size == 121 * 141 and set(cand.rank.tolist()) == ranks
+    _assert_ml_scores_match_stacked_oracle(np.random.default_rng(8), cand.basis, cand.rank,
+                                           blocks=3)
+
+
+def test_ml_scores_reads_no_second_column_when_every_rank_is_at_most_one():
+    rng = np.random.default_rng(9)
+    basis, rank = _random_bases(rng, 60, 6, (0, 1))
+    Y = _random_snapshots(rng, 7, 6)
+    want = ml_scores_stacked(basis, rank, Y)
+    basis[:, :, 1] = np.nan
+    got = kernels.ml_scores(basis, rank, Y)
+    assert np.isfinite(got).all()
+    np.testing.assert_array_equal(got, want, strict=True)

@@ -10,6 +10,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pixelaoa
@@ -142,6 +143,16 @@ def test_traced_hook_signatures():
     assert _positional(optimizer.ConfigEvaluator.objective_many)[:3] == ["self", "configs",
                                                                           "area"]
     assert _positional(simulate.ml_estimate)[:3] == ["y", "patterns", "search_area"]
+
+
+def test_traced_ml_scores_basis_has_three_axes():
+    # _ml_scores_post unpacks the basis shape as (G, N, 2)
+    cand = simulate._CandidateGrid(upa_patterns(2, 2, 0.5, AngleGrid(step_deg=10.0)),
+                                   SensingArea(60, 120, -30, 30))
+    G, N, r = cand.basis.shape
+    assert r == 2
+    assert kernels.ml_scores(cand.basis, cand.rank, np.ones(N)).shape == (G,)
+    assert kernels.ml_scores(cand.basis, cand.rank, np.ones((3, N))).shape == (3, G)
 
 
 def test_harness_alternating_optimize_arguments():

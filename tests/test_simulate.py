@@ -201,6 +201,23 @@ def test_refinement_moves_somewhere_sensible(upa):
     assert abs(fine[1] - coarse[1]) <= 0.5
 
 
+def test_quadratic_offset_matches_clip_oracle():
+    rng = np.random.default_rng(12)
+    triples = rng.normal(size=(2000, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(2000, 1))
+    special = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0)
+    triples = [tuple(map(np.float64, t)) for t in triples]
+    triples += [tuple(map(np.float64, (a, b, c))) for a in special for b in special
+                for c in special]
+    with np.errstate(invalid="ignore"):
+        for sm, s0, sp in triples:
+            den = sm - 2.0 * s0 + sp
+            want = 0.0 if den >= 0.0 else float(np.clip(0.5 * (sm - sp) / den, -0.5, 0.5))
+            got = simulate._quadratic_offset(sm, s0, sp)
+            assert type(got) is float
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.signbit(got) == np.signbit(want)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo harness
 # ---------------------------------------------------------------------------
