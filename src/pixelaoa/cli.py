@@ -7,9 +7,10 @@ returns the files it read and wrote; main times it and, when it wrote any,
 writes one JSON manifest beside the first with the resolved parameters (null
 for other paths' flags) and digests, so the manifest alone reproduces it.
 
-_geometry_groups owns which geometry serves an angle, _window_grid the part of
-a grid an area's finite differences read, and _upa every --upa baseline built
-on that window; compare and --fig area-bars reduce two crlb-map tables per leaf.
+_geometry_groups owns which geometry serves an angle and _upa every --upa
+baseline, built on crlb.fd_window, the part of a grid an area's finite
+differences read; compare and --fig area-bars reduce two crlb-map tables per
+leaf.
 
 Exit codes: 0 success, 2 flag/parameter validation, 3 file I/O or format,
 4 dataset validation, 5 numerical failure.
@@ -32,9 +33,9 @@ from . import __version__
 from .crlb import (
     MAP_HEADER,
     SensingArea,
-    _step_multiple,
     crlb_map,
     crlb_points,
+    fd_window,
     upa_crlb_closed_form_map,
     write_csv,
 )
@@ -142,23 +143,10 @@ def _write_manifest(args: argparse.Namespace, inputs, outputs, started: float) -
         fh.write("\n")
 
 
-def _window_grid(area: SensingArea, grid: AngleGrid, fd_step_deg: float | None) -> AngleGrid:
-    """The part of grid that area's finite differences read: the area plus its
-    FD margin, with the whole phi circle when a wrapping grid's margin crosses
-    +-180, so every stencil on the window is the grid's own."""
-    m = _step_multiple(grid, fd_step_deg) * grid.step_deg
-    p0, p1 = area.phi_min_deg - m, area.phi_max_deg + m
-    if grid.phi_wraps and (p0 < grid.phi_start_deg or p1 >= grid.phi_stop_deg):
-        p0, p1 = grid.phi_start_deg, grid.phi_stop_deg
-    return AngleGrid(max(grid.theta_start_deg, area.theta_min_deg - m),
-                     min(grid.theta_stop_deg, area.theta_max_deg + m),
-                     max(grid.phi_start_deg, p0), min(grid.phi_stop_deg, p1), grid.step_deg)
-
-
 def _upa(args, area: SensingArea, grid: AngleGrid) -> PatternSet:
     """The --upa baseline's patterns on the window of grid that area reads."""
     return upa_patterns(*_parse_pixels(args.upa), args.spacing,
-                        _window_grid(area, grid, args.fd_step_deg), element=args.element)
+                        fd_window(area, grid, args.fd_step_deg), element=args.element)
 
 
 def _load_codebook_for(path, ds) -> Codebook:
@@ -635,7 +623,7 @@ def main(argv=None) -> int:
     except DatasetValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, EstimationError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, EstimationError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PixelAoAError as exc:

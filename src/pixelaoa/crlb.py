@@ -126,6 +126,19 @@ def _step_multiple(grid: AngleGrid, fd_step_deg: float | None) -> int:
     return s
 
 
+def fd_window(area: SensingArea, grid: AngleGrid, fd_step_deg: float | None) -> AngleGrid:
+    """The part of grid that area's finite differences read: the area plus its
+    FD margin, with the whole phi circle when a wrapping grid's margin crosses
+    +-180, so every stencil on the window is the grid's own."""
+    m = _step_multiple(grid, fd_step_deg) * grid.step_deg
+    p0, p1 = area.phi_min_deg - m, area.phi_max_deg + m
+    if grid.phi_wraps and (p0 < grid.phi_start_deg or p1 >= grid.phi_stop_deg):
+        p0, p1 = grid.phi_start_deg, grid.phi_stop_deg
+    return AngleGrid(max(grid.theta_start_deg, area.theta_min_deg - m),
+                     min(grid.theta_stop_deg, area.theta_max_deg + m),
+                     max(grid.phi_start_deg, p0), min(grid.phi_stop_deg, p1), grid.step_deg)
+
+
 def _axis_stencil(i: np.ndarray, s: int, n: int, h: float, axis: str):
     """Plus/minus neighbours of indices i on an axis of n points, with the
     inverse denominators: central inside, one-sided at the axis ends."""

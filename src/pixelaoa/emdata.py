@@ -551,8 +551,7 @@ def _read_v1(fh, path):
     return layout, grid, metadata, Z, e_oc
 
 
-def load_dataset(path, strict: bool = True,
-                 tol: ValidationTolerances = ValidationTolerances()) -> EMDataset:
+def load_dataset(path, strict: bool = True) -> EMDataset:
     """Load a v2 or v1 dataset file.  strict=True raises the error of a failing
     validate_dataset check, FinitenessError before the others; strict=False
     loads without judging the data."""
@@ -569,7 +568,7 @@ def load_dataset(path, strict: bool = True,
     metadata.setdefault("provenance", "imported")
     ds = EMDataset(layout=layout, grid=grid, Z=Z, e_oc=e_oc, metadata=metadata)
     if strict:
-        failed = [c for c in validate_dataset(ds, tol).checks if not c.passed]
+        failed = [c for c in validate_dataset(ds).checks if not c.passed]
         if failed:
             c = min(failed, key=lambda c: c.error is not FinitenessError)
             raise c.error(f"{path}: failed {c.name}: {c.value:.3g} (threshold {c.threshold:.3g})")

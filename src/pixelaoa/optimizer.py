@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .crlb import SensingArea, _step_multiple, fd_stencil, write_csv
+from .crlb import SensingArea, _step_multiple, fd_stencil, fd_window, write_csv
 from .emdata import EMDataset, PortLayout
 from .errors import (
     ConfigError,
@@ -180,9 +180,10 @@ class Codebook:
 class ConfigEvaluator:
     """Worst-case CRLB objective of geometries over sensing areas.
 
-    Patterns are computed only on the area's grid points plus the
-    finite-difference margin; radiated power comes from the dataset-level
-    pattern Gram matrix, which is algebraically the full-sphere quadrature.
+    Patterns are computed only on the area's FD window (crlb.fd_window: the
+    area plus its finite-difference margin); radiated power comes from the
+    dataset-level pattern Gram matrix, which is algebraically the
+    full-sphere quadrature.
     The evaluator holds one area at a time: its support slab and its
     objective cache, keyed by (feed_ports, connections), serve the area of
     the latest call, and a call on another area replaces both.  Uncached
@@ -209,24 +210,18 @@ class ConfigEvaluator:
 
     def _build_support(self, area: SensingArea):
         grid = self.dataset.grid
-        s = _step_multiple(grid, self.fd_step_deg)
-        it, ip = area.points(grid)
-        itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(grid, it, ip, s)
-
-        t_sel = np.unique(np.concatenate([it, itp, itm]))
-        p_sel = np.unique(np.concatenate([ip, ipp, ipm]))
-        t_map = np.full(grid.n_theta, -1, dtype=np.int64)
-        t_map[t_sel] = np.arange(t_sel.size)
-        p_map = np.full(grid.n_phi, -1, dtype=np.int64)
-        p_map[p_sel] = np.arange(p_sel.size)
-
-        slab = self.dataset.e_oc[:, :, t_sel[:, None], p_sel]     # (2, P, Tn, Pn)
+        win = fd_window(area, grid, self.fd_step_deg)
+        t0, p0 = grid.theta_index(win.theta_start_deg), grid.phi_index(win.phi_start_deg)
+        slab = self.dataset.e_oc[:, :, t0:t0 + win.n_theta, p0:p0 + win.n_phi]  # (2, P, Tn, Pn)
+        it, ip = area.points(win)
+        itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(
+            win, it, ip, _step_multiple(win, self.fd_step_deg))
         return {
             "slab": np.moveaxis(slab, 1, 0).reshape(slab.shape[1], -1),   # (P, 2*Tn*Pn)
-            "shape": (t_sel.size, p_sel.size),
-            "it": t_map[it], "ip": p_map[ip],
-            "itp": t_map[itp], "itm": t_map[itm], "inv_dt": inv_dt,
-            "ipp": p_map[ipp], "ipm": p_map[ipm], "inv_dp": inv_dp,
+            "shape": (win.n_theta, win.n_phi),
+            "it": it, "ip": ip,
+            "itp": itp, "itm": itm, "inv_dt": inv_dt,
+            "ipp": ipp, "ipm": ipm, "inv_dp": inv_dp,
         }
 
     # -- stacked evaluation -------------------------------------------------
@@ -543,8 +538,8 @@ def build_codebook(
     schedule: SubdivisionSchedule,
     ga_params: GAParams = GAParams(),
     snr_linear: float = 1.0,
-    init_config: GeometryConfig | None = None,
-    n_active: int | None = None,
+    *,
+    n_active: int,
     max_outer: int = 20,
     feednet: FeedNetworkConfig = FeedNetworkConfig(),
     fd_step_deg: float | None = None,
@@ -555,11 +550,7 @@ def build_codebook(
     orders them by parent), so the parent geometry is always a candidate
     and the child's objective on its own area can only improve on it.
     """
-    if init_config is None:
-        if n_active is None:
-            raise ConfigError("provide init_config or n_active")
-        init_config = default_initial_config(dataset.layout, n_active)
-    init_config.validate_against(dataset.n_feed, dataset.n_loaded)
+    starts = [default_initial_config(dataset.layout, n_active)]
 
     areas_per_stage = stage_areas(schedule, dataset.grid.step_deg)
     for stage in areas_per_stage:
@@ -570,7 +561,6 @@ def build_codebook(
     traces: dict[str, OptimizationTrace] = {}
     stages: list[tuple[Codeword, ...]] = []
 
-    starts = [init_config]
     for t, areas in enumerate(areas_per_stage):
         per_parent = len(areas) // len(starts)      # child k starts from parent k // per_parent
         stage_cws: list[Codeword] = []

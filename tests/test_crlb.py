@@ -16,7 +16,7 @@ from pixelaoa import (
     upa_patterns,
 )
 from pixelaoa import crlb
-from pixelaoa.crlb import MAP_HEADER, fd_stencil, write_csv
+from pixelaoa.crlb import MAP_HEADER, fd_stencil, fd_window, write_csv
 from pixelaoa.errors import GridError
 
 from oracles import steering_jacobian, steering_row, write_csv_one_pass
@@ -151,6 +151,41 @@ def test_fd_stencil_rejects_a_point_with_no_room_either_side():
         fd_stencil(grid, np.array([2]), np.array([0]), 3)
     with pytest.raises(GridError):
         fd_stencil(grid, np.array([0]), np.array([2]), 3)
+
+
+def _bounds(grid):
+    return (grid.theta_start_deg, grid.theta_stop_deg, grid.phi_start_deg, grid.phi_stop_deg)
+
+
+def test_fd_window_is_the_area_plus_its_margin_clipped_to_the_grid(coarse_grid):
+    # 5-degree full sphere: a 10-degree FD step is a 10-degree margin
+    assert _bounds(fd_window(SensingArea(60, 80, -30, 0), coarse_grid, 10.0)) == (50, 90, -40, 10)
+    # theta clips at both poles
+    assert _bounds(fd_window(SensingArea(0, 10, -20, 20), coarse_grid, None)) == (0, 15, -25, 25)
+    assert _bounds(fd_window(SensingArea(170, 180, -20, 20), coarse_grid, None)) == (165, 180,
+                                                                                     -25, 25)
+    # a partial grid's edges clip, in theta and in phi
+    part = AngleGrid(20, 160, -90, 90, 5.0)
+    assert _bounds(fd_window(SensingArea(20, 30, -90, -80), part, 10.0)) == (20, 40, -90, -70)
+    assert _bounds(fd_window(SensingArea(150, 160, 80, 90), part, None)) == (145, 160, 75, 90)
+
+
+@pytest.mark.parametrize("area", [SensingArea(80, 100, 170, 175), SensingArea(80, 100, -180, -170)])
+def test_fd_window_takes_the_whole_circle_when_the_margin_crosses_the_seam(coarse_grid, area):
+    win = fd_window(area, coarse_grid, None)
+    assert _bounds(win) == (75, 105, -180, 180)
+    assert win.phi_wraps and win.n_phi == coarse_grid.n_phi
+
+
+def test_fd_window_margin_inside_the_seam_does_not_wrap(coarse_grid):
+    win = fd_window(SensingArea(80, 100, 165, 170), coarse_grid, None)
+    assert _bounds(win) == (75, 105, 160, 175)
+    assert not win.phi_wraps
+
+
+def test_fd_window_rejects_a_step_that_is_not_a_grid_multiple(coarse_grid):
+    with pytest.raises(GridError):
+        fd_window(SensingArea(80, 100, -10, 10), coarse_grid, 7.0)
 
 
 # ---------------------------------------------------------------------------

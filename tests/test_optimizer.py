@@ -67,12 +67,39 @@ def ds13(grid):
 # evaluator
 # ---------------------------------------------------------------------------
 
-def test_evaluator_matches_public_pipeline(ds2):
+@pytest.fixture(scope="module")
+def ds2_rolled(ds2):
+    """ds2 turned half a circle in phi, so that fields exist at +-180."""
+    return EMDataset(ds2.layout, ds2.grid, ds2.Z,
+                     np.roll(ds2.e_oc, ds2.grid.n_phi // 2, axis=3), ds2.metadata)
+
+
+@pytest.fixture(scope="module")
+def ds2_partial():
+    return generate_synthetic_dataset(PortLayout(pixel_rows=2, pixel_cols=2),
+                                      AngleGrid(20, 160, -90, 90, 1.0))
+
+
+@pytest.mark.parametrize("dataset, area, fd_step_deg", [
+    ("ds2", AREA, None),
+    ("ds2", SensingArea(0, 10, -20, 20), None),                 # theta pole
+    ("ds2", SensingArea(170, 180, -20, 20), 4.0),               # other pole, wider step
+    ("ds2", SensingArea(88, 92, -2, 2), 8.0),                   # step wider than the area
+    ("ds2_rolled", SensingArea(80, 100, 170, 178), None),       # margin stops short of 180
+    ("ds2_rolled", SensingArea(80, 100, 170, 179), None),       # margin reaches 180
+    ("ds2_rolled", SensingArea(80, 100, -180, -170), None),     # margin crosses -180
+    ("ds2_partial", SensingArea(20, 30, -90, -80), None),       # lower grid edges
+    ("ds2_partial", SensingArea(150, 160, 80, 90), None),       # upper grid edges
+], ids=["interior", "pole0", "pole180_step4", "step8", "seam178", "seam179", "seam-180",
+        "partial_low", "partial_high"])
+def test_evaluator_matches_public_pipeline(request, dataset, area, fd_step_deg):
+    ds = request.getfixturevalue(dataset)
     cfg = GeometryConfig((0, 3), (0, 1, 1, 0))
-    ev = ConfigEvaluator(ds2, 1.0)
-    fast = ev.objective(cfg, AREA)
-    oracle, _ = oracle_overall_patterns(ds2, cfg)
-    ref = crlb_map(PatternSet(ds2.grid, oracle), AREA, 1.0).worst
+    ev = ConfigEvaluator(ds, 1.0, fd_step_deg=fd_step_deg)
+    fast = ev.objective(cfg, area)
+    oracle, _ = oracle_overall_patterns(ds, cfg)
+    ref = crlb_map(PatternSet(ds.grid, oracle), area, 1.0, fd_step_deg=fd_step_deg).worst
+    assert math.isfinite(ref)
     assert fast == pytest.approx(ref, rel=1e-10)
 
 
