@@ -150,12 +150,19 @@ def _upa(args, area: SensingArea, grid: AngleGrid) -> PatternSet:
 
 
 def _load_codebook_for(path, ds) -> Codebook:
-    """load_codebook, rejecting a codebook built for another port count than the dataset's."""
+    """load_codebook, rejecting a codebook built for another port count than the
+    dataset's, or with a leaf whose edges are not lines of the dataset's grid."""
     cb = load_codebook(path)
     if (cb.n_feed, cb.n_loaded) != (ds.n_feed, ds.n_loaded):
         raise DatasetFormatError(
             f"{path}: codebook is for {cb.n_feed} feed + {cb.n_loaded} loaded ports, "
             f"the dataset has {ds.n_feed} + {ds.n_loaded}")
+    for cw in cb.codewords:
+        try:
+            cw.area.indices(ds.grid)
+        except GridError as exc:
+            raise DatasetFormatError(
+                f"{path}: leaf {cw.area.label()} is off the dataset grid ({exc})") from exc
     return cb
 
 

@@ -444,16 +444,13 @@ def validate_dataset(ds: EMDataset, tol: ValidationTolerances = ValidationTolera
 # file I/O
 # ---------------------------------------------------------------------------
 #
-# Format v2, the one written: the line b"PIXELAOA-DATASET 2\n", one line of
-# JSON {"grid", "layout", "metadata"} with sorted keys, then Z and E_oc as
-# two .npy arrays (complex128, no pickles) back to back.  Format v1, read
-# only: one JSON document with the same fields plus "version": 1, and the
-# arrays as flat lists of [re, im] pairs.  The reader tells them apart by
-# the leading bytes, not by the file name.
+# Format v2, the only one read or written: the line b"PIXELAOA-DATASET 2\n",
+# one line of JSON {"grid", "layout", "metadata"} with sorted keys, then Z and
+# E_oc as two .npy arrays (complex128, no pickles) back to back.  The reader
+# goes by that first line, not by the file name.  The retired format v1 (one
+# JSON document of [re, im] pairs) is rejected with a hint to regenerate it.
 
-_MAGIC_PREFIX = b"PIXELAOA-DATASET "
-_MAGIC = _MAGIC_PREFIX + b"2\n"
-_V1_VERSION = 1
+_MAGIC = b"PIXELAOA-DATASET 2\n"
 
 
 def save_dataset(ds: EMDataset, path) -> None:
@@ -466,8 +463,33 @@ def save_dataset(ds: EMDataset, path) -> None:
         np.save(fh, ds.e_oc, allow_pickle=False)
 
 
-def _parse_header(doc, path) -> tuple[PortLayout, AngleGrid, dict]:
-    """Layout, grid and metadata from the header fields both formats share."""
+def _read_array(fh, path, what: str, shape: tuple) -> np.ndarray:
+    # The .npy reader behind np.load, without np.load's dispatch on the
+    # leading bytes to a zip archive or a pickle.
+    try:
+        a = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise DatasetFormatError(f"{path}: {what}: unreadable array ({exc})") from exc
+    if a.dtype != np.complex128:
+        raise DatasetFormatError(f"{path}: {what}: expected a complex128 array, got {a.dtype}")
+    if a.shape != shape:
+        raise DimensionMismatchError(f"{path}: {what}: expected shape {shape}, got {a.shape}")
+    return a
+
+
+def _read_v2(fh, path) -> EMDataset:
+    """The dataset in the open format-v2 file fh, not yet judged by validate_dataset."""
+    first = fh.readline(len(_MAGIC))
+    if first.startswith(b"{"):
+        raise DatasetFormatError(
+            f"{path}: looks like a format-v1 JSON dataset, which is no longer read; "
+            f"regenerate it with `pixelaoa gen-dataset`, or write format v2 with save_dataset")
+    if first != _MAGIC:
+        raise DatasetFormatError(f"{path}: unsupported dataset format line {first!r}")
+    try:
+        doc = json.loads(fh.readline())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatasetFormatError(f"{path}: malformed header line ({exc})") from exc
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path}: header must be a JSON object")
     try:
@@ -485,88 +507,22 @@ def _parse_header(doc, path) -> tuple[PortLayout, AngleGrid, dict]:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DatasetFormatError(f"{path}: metadata must be a JSON object")
-    return layout, grid, dict(metadata)
-
-
-def _read_array(fh, path, what: str, shape: tuple) -> np.ndarray:
-    # The .npy reader behind np.load, without np.load's dispatch on the
-    # leading bytes to a zip archive or a pickle.
-    try:
-        a = np.lib.format.read_array(fh, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise DatasetFormatError(f"{path}: {what}: unreadable array ({exc})") from exc
-    if a.dtype != np.complex128:
-        raise DatasetFormatError(f"{path}: {what}: expected a complex128 array, got {a.dtype}")
-    if a.shape != shape:
-        raise DimensionMismatchError(f"{path}: {what}: expected shape {shape}, got {a.shape}")
-    return a
-
-
-def _read_v2(fh, path):
-    try:
-        doc = json.loads(fh.readline())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DatasetFormatError(f"{path}: malformed header line ({exc})") from exc
-    layout, grid, metadata = _parse_header(doc, path)
     P = layout.n_ports
     Z = _read_array(fh, path, "Z", (P, P))
     e_oc = _read_array(fh, path, "E_oc", (2, P, grid.n_theta, grid.n_phi))
     if fh.read(1):
         raise DatasetFormatError(f"{path}: trailing bytes after the E_oc array")
-    return layout, grid, metadata, Z, e_oc
-
-
-def _unpack_pairs(pairs, count: int, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(pairs, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"{what}: malformed [re, im] pairs ({exc})") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != count:
-        raise DimensionMismatchError(
-            f"{what}: expected {count} [re, im] pairs, got payload of shape {arr.shape}"
-        )
-    # Assigned part by part: re + 1j*im turns a -0.0 real or imaginary part into +0.0.
-    out = np.empty(count, dtype=np.complex128)
-    out.real = arr[:, 0]
-    out.imag = arr[:, 1]
-    return out
-
-
-def _read_v1(fh, path):
-    try:
-        doc = json.loads(fh.read())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DatasetFormatError(f"{path}: not a valid dataset file ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise DatasetFormatError(f"{path}: top-level document must be an object")
-    if doc.get("version") != _V1_VERSION:
-        raise DatasetFormatError(f"{path}: unsupported version {doc.get('version')!r}")
-    layout, grid, metadata = _parse_header(doc, path)
-    if "Z" not in doc or "E_oc" not in doc:
-        raise DatasetFormatError(f"{path}: missing Z or E_oc payload")
-    P = layout.n_ports
-    Z = _unpack_pairs(doc["Z"], P * P, "Z").reshape(P, P)
-    e_oc = _unpack_pairs(doc["E_oc"], 2 * P * grid.n_points, "E_oc").reshape(
-        2, P, grid.n_theta, grid.n_phi)
-    return layout, grid, metadata, Z, e_oc
+    metadata.setdefault("provenance", "imported")
+    return EMDataset(layout=layout, grid=grid, Z=Z, e_oc=e_oc, metadata=metadata)
 
 
 def load_dataset(path, strict: bool = True) -> EMDataset:
-    """Load a v2 or v1 dataset file.  strict=True raises the error of a failing
-    validate_dataset check, FinitenessError before the others; strict=False
-    loads without judging the data."""
+    """Load a format-v2 dataset file, the one save_dataset writes; any other
+    file, a format-v1 one included, raises DatasetFormatError.  strict=True
+    raises the error of a failing validate_dataset check, FinitenessError
+    before the others; strict=False loads without judging the data."""
     with open(path, "rb") as fh:
-        first = fh.readline(len(_MAGIC))
-        if first.startswith(_MAGIC_PREFIX):
-            if first != _MAGIC:
-                raise DatasetFormatError(f"{path}: unsupported dataset format line {first!r}")
-            layout, grid, metadata, Z, e_oc = _read_v2(fh, path)
-        else:
-            fh.seek(0)
-            layout, grid, metadata, Z, e_oc = _read_v1(fh, path)
-
-    metadata.setdefault("provenance", "imported")
-    ds = EMDataset(layout=layout, grid=grid, Z=Z, e_oc=e_oc, metadata=metadata)
+        ds = _read_v2(fh, path)
     if strict:
         failed = [c for c in validate_dataset(ds).checks if not c.passed]
         if failed:

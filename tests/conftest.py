@@ -1,9 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from pixelaoa import AngleGrid, PortLayout, generate_synthetic_dataset
+from pixelaoa.emdata import EMDataset
 
 
 @pytest.fixture(scope="session")
@@ -33,29 +32,10 @@ def random_symmetric_z(rng: np.random.Generator, n: int) -> np.ndarray:
     return R + 1j * X
 
 
-def save_dataset_v1(ds, path):
-    """Write the v1 dataset file (one JSON document of [re, im] pairs).
-
-    The writer of format v1, kept here so that the v1 reader stays covered
-    now that save_dataset writes v2 only.
-    """
-    def pairs(a):
-        flat = np.asarray(a, dtype=np.complex128).reshape(-1)
-        return [[float(v.real), float(v.imag)] for v in flat]
-
-    doc = {
-        "version": 1,
-        "layout": ds.layout.to_dict(),
-        "grid": {
-            "theta_start_deg": ds.grid.theta_start_deg,
-            "theta_stop_deg": ds.grid.theta_stop_deg,
-            "phi_start_deg": ds.grid.phi_start_deg,
-            "phi_stop_deg": ds.grid.phi_stop_deg,
-            "step_deg": ds.grid.step_deg,
-        },
-        "metadata": ds.metadata,
-        "Z": pairs(ds.Z),
-        "E_oc": pairs(ds.e_oc),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+def with_arrays(ds, Z=None, e_oc=None):
+    """ds with Z and/or e_oc replaced; EMDataset takes asymmetric and
+    non-finite arrays, so this builds the tampered datasets of the tests."""
+    return EMDataset(layout=ds.layout, grid=ds.grid,
+                     Z=ds.Z if Z is None else Z,
+                     e_oc=ds.e_oc if e_oc is None else e_oc,
+                     metadata=dict(ds.metadata))

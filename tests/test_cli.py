@@ -21,6 +21,7 @@ from pixelaoa import (
     kernels,
     load_dataset,
     overall_patterns,
+    save_dataset,
     upa_patterns,
 )
 from pixelaoa import cli
@@ -35,7 +36,7 @@ from pixelaoa.optimizer import (
     stage_areas,
 )
 
-from conftest import save_dataset_v1
+from conftest import with_arrays
 
 
 def run(argv):
@@ -81,14 +82,18 @@ def test_gen_dataset_bad_step_rejected(tmp_path):
                 "--out", tmp_path / "x.json"]) == 2
 
 
+def _asymmetric(ds_file):
+    """The dataset in ds_file with one off-diagonal Z entry shifted by 1 ohm."""
+    ds = load_dataset(ds_file)
+    Z = np.array(ds.Z)
+    Z[0, 1] += 1.0
+    return with_arrays(ds, Z=Z)
+
+
 def test_validate_ok_and_tampered(tmp_path, ds_file):
     assert run(["validate", "--dataset", ds_file]) == 0
-    v1 = tmp_path / "v1.json"
-    save_dataset_v1(load_dataset(ds_file), v1)
-    doc = json.loads(v1.read_text())
-    doc["Z"][1][0] += 1.0
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    save_dataset(_asymmetric(ds_file), bad)
     assert run(["validate", "--dataset", bad]) == 4
     junk = tmp_path / "junk.json"
     junk.write_text("{nope")
@@ -100,27 +105,24 @@ def test_failing_validate_prints_report_and_writes_no_manifest(tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     assert run(["validate", "--dataset", ds_file]) == 0
     assert list(tmp_path.iterdir()) == []
-    v1 = tmp_path / "v1.json"
-    save_dataset_v1(load_dataset(ds_file), v1)
-    doc = json.loads(v1.read_text())
-    doc["Z"][1][0] += 1.0
-    v1.write_text(json.dumps(doc))
+    bad = tmp_path / "bad.json"
+    save_dataset(_asymmetric(ds_file), bad)
     capsys.readouterr()
-    assert run(["validate", "--dataset", v1]) == 4
+    assert run(["validate", "--dataset", bad]) == 4
     captured = capsys.readouterr()
     assert "FAIL  Z symmetry" in captured.out and "PASS  passivity" in captured.out
     assert "Z symmetry" in captured.err
-    assert list(tmp_path.iterdir()) == [v1]
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 def test_validate_reports_a_non_finite_dataset(tmp_path, capsys, ds_file):
-    v1 = tmp_path / "nan.json"
-    save_dataset_v1(load_dataset(ds_file), v1)
-    doc = json.loads(v1.read_text())
-    doc["E_oc"][3][0] = float("nan")
-    v1.write_text(json.dumps(doc))
+    ds = load_dataset(ds_file)
+    e = np.array(ds.e_oc)
+    e[0, 0, 0, 3] = complex(np.nan, e[0, 0, 0, 3].imag)
+    sick = tmp_path / "nan.json"
+    save_dataset(with_arrays(ds, e_oc=e), sick)
     capsys.readouterr()
-    assert run(["validate", "--dataset", v1]) == 4
+    assert run(["validate", "--dataset", sick]) == 4
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 3
     assert out[2].startswith("FAIL  finiteness of Z and patterns")
@@ -425,6 +427,28 @@ def test_codebook_for_another_dataset_is_format_error(tmp_path, ds33_file, cb33_
     books = {"cb22": cb_file, "cb33": cb33_file}
     argv = [books.get(a, a) for a in argv]
     assert run(argv + ["--dataset", ds33_file, "--out-dir", tmp_path]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--upa", "2x2"],
+    ["crlb-map", "--area", "85:95:-5:5"],
+    ["montecarlo", "--angles", "90,0", "--snr-db-list", "20", "--trials", "100"],
+    ["export-plots", "--fig", "area-bars", "--upa", "2x2"],
+], ids=["compare", "crlb_map", "montecarlo", "area_bars"])
+def test_codebook_leaf_off_the_dataset_grid_is_format_error(tmp_path, capsys, ds_file, cb_file,
+                                                            argv):
+    # leaves that tile 80:100 but cut it at 81 and 84, off the dataset's 5-degree grid
+    doc = json.loads(cb_file.read_text())
+    cw = doc["codewords"][0]
+    doc["codewords"] = [dict(cw, area=dict(cw["area"], theta_min_deg=t0, theta_max_deg=t1))
+                        for t0, t1 in ((80, 81), (81, 84), (84, 100))]
+    bad = tmp_path / "off_grid.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(argv + ["--dataset", ds_file, "--codebook", bad, "--out-dir", tmp_path]) == 3
+    captured = capsys.readouterr()
+    assert "theta[80:81]_phi[-10:10]" in captured.err
+    assert captured.out == ""
 
 
 def test_crlb_map_codebook_sweeps_equal_per_point_maps(tmp_path, ds_file):

@@ -17,7 +17,7 @@ from pixelaoa import (
     upa_patterns,
     validate_dataset,
 )
-from pixelaoa.emdata import ETA0, EMDataset, pattern_gram
+from pixelaoa.emdata import ETA0, pattern_gram
 from pixelaoa.cli import main as cli_main
 from pixelaoa.errors import (
     DatasetFormatError,
@@ -28,7 +28,7 @@ from pixelaoa.errors import (
     ReciprocityError,
 )
 
-from conftest import save_dataset_v1
+from conftest import with_arrays
 from oracles import upa_patterns_factor_list
 
 
@@ -149,40 +149,12 @@ def test_resistance_psd_over_layouts(rows, cols):
 # validation / io
 # ---------------------------------------------------------------------------
 
-def _tampered(ds, **kw) -> EMDataset:
-    Z = np.array(ds.Z)
-    e = np.array(ds.e_oc)
-    if "z" in kw:
-        Z = kw["z"](Z)
-    if "e" in kw:
-        e = kw["e"](e)
-    return EMDataset(layout=ds.layout, grid=ds.grid, Z=Z, e_oc=e, metadata=dict(ds.metadata))
-
-
 def test_validation_catches_passivity_violation(tiny_dataset):
-    def sick(Z):
-        Z = Z.copy()
-        Z[0, 0] = -0.5 + Z[0, 0].imag * 1j
-        return Z
-    report = validate_dataset(_tampered(tiny_dataset, z=sick))
+    Z = np.array(tiny_dataset.Z)
+    Z[0, 0] = complex(-0.5, Z[0, 0].imag)
+    report = validate_dataset(with_arrays(tiny_dataset, Z=Z))
     assert not report.passed
     assert any("passivity" in c.name and not c.passed for c in report.checks)
-
-
-def test_validation_catches_nan_pattern(tiny_dataset):
-    # EMDataset construction rejects NaNs outright; validate a hand-built doc instead
-    import json, tempfile, os
-    path = tempfile.mktemp(suffix=".json")
-    save_dataset_v1(tiny_dataset, path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc["E_oc"][0][0] = float("nan")
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    from pixelaoa.errors import FinitenessError
-    with pytest.raises(FinitenessError):
-        load_dataset(path)
-    os.remove(path)
 
 
 def test_roundtrip_bit_exact(tmp_path, tiny_dataset):
@@ -195,34 +167,6 @@ def test_roundtrip_bit_exact(tmp_path, tiny_dataset):
     assert back.grid == tiny_dataset.grid
 
 
-def test_dimension_mismatch_on_load(tmp_path, tiny_dataset):
-    import json
-    p = tmp_path / "ds.json"
-    save_dataset_v1(tiny_dataset, p)
-    with open(p) as fh:
-        doc = json.load(fh)
-    doc["Z"] = doc["Z"][:-1]                      # 64 pairs declared for 65... here 8x8-1
-    with open(p, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(DimensionMismatchError):
-        load_dataset(p)
-
-
-def test_reciprocity_violation_on_strict_load(tmp_path, tiny_dataset):
-    import json
-    p = tmp_path / "ds.json"
-    save_dataset_v1(tiny_dataset, p)
-    with open(p) as fh:
-        doc = json.load(fh)
-    doc["Z"][1][0] += 1e-3                        # perturb one off-diagonal entry
-    with open(p, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(ReciprocityError):
-        load_dataset(p, strict=True)
-    ds = load_dataset(p, strict=False)
-    assert ds.Z.shape == tiny_dataset.Z.shape
-
-
 def test_malformed_file_rejected(tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("this is not json {")
@@ -230,22 +174,11 @@ def test_malformed_file_rejected(tmp_path):
         load_dataset(p)
 
 
-def test_v1_ragged_pairs_rejected(tmp_path, tiny_dataset):
-    p = tmp_path / "ds.json"
-    save_dataset_v1(tiny_dataset, p)
-    doc = json.loads(p.read_text())
-    doc["E_oc"][5] = [1.0]
-    p.write_text(json.dumps(doc))
-    with pytest.raises(DatasetFormatError):
-        load_dataset(p)
-    assert cli_main(["validate", "--dataset", str(p)]) == 3
-
-
 def test_reciprocity_violation_on_strict_load_v2(tmp_path, tiny_dataset):
     Z = np.array(tiny_dataset.Z)
     Z[1, 0] += 1e-3                               # perturb one off-diagonal entry
     p = tmp_path / "ds.json"
-    save_dataset(_with_arrays(tiny_dataset, Z=Z), p)
+    save_dataset(with_arrays(tiny_dataset, Z=Z), p)
     with pytest.raises(ReciprocityError):
         load_dataset(p, strict=True)
     ds = load_dataset(p, strict=False)
@@ -257,19 +190,12 @@ def test_strict_load_raises_finiteness_before_reciprocity(tmp_path, tiny_dataset
     Z[1, 0] += 1e-3                               # asymmetric ...
     Z[2, 2] = complex(np.nan, 0.0)                # ... and non-finite
     p = tmp_path / "ds.json"
-    save_dataset(_with_arrays(tiny_dataset, Z=Z), p)
+    save_dataset(with_arrays(tiny_dataset, Z=Z), p)
     with pytest.raises(FinitenessError):
         load_dataset(p, strict=True)
     report = validate_dataset(load_dataset(p, strict=False))
     failed = {c.error for c in report.checks if not c.passed}
     assert {ReciprocityError, FinitenessError} <= failed
-
-
-def _with_arrays(ds, Z=None, e_oc=None):
-    return EMDataset(layout=ds.layout, grid=ds.grid,
-                     Z=ds.Z if Z is None else Z,
-                     e_oc=ds.e_oc if e_oc is None else e_oc,
-                     metadata=ds.metadata)
 
 
 def _signed_zero_dataset(ds):
@@ -279,33 +205,47 @@ def _signed_zero_dataset(ds):
     e = np.array(ds.e_oc)
     e[0, 0, 0, :4] = [complex(1.5, -0.0), complex(-0.0, -0.0), complex(0.0, -0.0),
                       complex(-0.0, 2.0)]
-    return _with_arrays(ds, Z=Z, e_oc=e)
+    return with_arrays(ds, Z=Z, e_oc=e)
 
 
 def _bits_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def test_v1_roundtrip_keeps_signed_zeros(tmp_path, tiny_dataset):
+def test_roundtrip_keeps_signed_zeros(tmp_path, tiny_dataset):
+    # np.array_equal in test_roundtrip_bit_exact cannot tell -0.0 from 0.0
     ds = _signed_zero_dataset(tiny_dataset)
-    p = tmp_path / "ds_v1.json"
-    save_dataset_v1(ds, p)
+    p = tmp_path / "ds.json"
+    save_dataset(ds, p)
     back = load_dataset(p)
     assert _bits_equal(back.Z, ds.Z)
     assert _bits_equal(back.e_oc, ds.e_oc)
+    assert back.layout == ds.layout and back.grid == ds.grid
+    assert back.metadata == ds.metadata
 
 
-def test_v1_and_v2_load_bit_identical(tmp_path, tiny_dataset):
-    ds = _signed_zero_dataset(tiny_dataset)
-    save_dataset_v1(ds, tmp_path / "v1.json")
-    save_dataset(ds, tmp_path / "v2.json")
-    v1 = load_dataset(tmp_path / "v1.json")
-    v2 = load_dataset(tmp_path / "v2.json")
-    for back in (v1, v2):
-        assert _bits_equal(back.Z, ds.Z)
-        assert _bits_equal(back.e_oc, ds.e_oc)
-    assert v1.layout == v2.layout and v1.grid == v2.grid
-    assert v1.metadata == v2.metadata == ds.metadata
+# A format-v1 file: one JSON document of [re, im] pairs (1x1 pixels, 2x2 grid points).
+V1_DOCUMENT = (
+    '{"version": 1, "layout": {"pixel_rows": 1, "pixel_cols": 1, "pixel_side_mm": 12.0, '
+    '"substrate_side_mm": 62.5, "height_mm": 12.5, "frequency_hz": 2400000000.0}, '
+    '"grid": {"theta_start_deg": 80.0, "theta_stop_deg": 90.0, "phi_start_deg": 0.0, '
+    '"phi_stop_deg": 10.0, "step_deg": 10.0}, "metadata": {"provenance": "synthetic"}, '
+    '"Z": [[50.0, -20.0]], '
+    '"E_oc": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], '
+    '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}')
+
+
+def test_v1_document_is_rejected_with_a_hint(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "v1.json"
+    p.write_text(V1_DOCUMENT)
+    with pytest.raises(DatasetFormatError, match="format-v1 .* gen-dataset"):
+        load_dataset(p)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli_main(["validate", "--dataset", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert "v1" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == [p]
 
 
 def test_save_is_byte_deterministic(tmp_path, tiny_dataset):
@@ -356,6 +296,8 @@ def _bad_v2(ds, case):
         return _v2_file(ds, magic=b"PIXELAOA-DATASHEET 2\n")
     if case == "version":
         return _v2_file(ds, magic=b"PIXELAOA-DATASET 3\n")
+    if case == "short_z":
+        return _v2_file(ds, Z=ds.Z[:-1])
     if case == "nan_e_oc":
         e = np.array(ds.e_oc)
         e[1, 2, 3, 4] = complex(np.nan, 0.0)
@@ -373,6 +315,7 @@ def _bad_v2(ds, case):
     ("trailing", DatasetFormatError, 3),
     ("magic", DatasetFormatError, 3),
     ("version", DatasetFormatError, 3),
+    ("short_z", DimensionMismatchError, 3),
     ("nan_e_oc", FinitenessError, 4),
 ])
 def test_bad_v2_file_fails_with_documented_error(tmp_path, tiny_dataset, case, error, code):
@@ -475,9 +418,6 @@ def test_upa_patterns_peak_memory_near_its_output():
 def test_validate_reports_nan_without_raising(tiny_dataset):
     e = np.array(tiny_dataset.e_oc)
     e[0, 0, 0, 0] = np.nan
-    sick = EMDataset(layout=tiny_dataset.layout, grid=tiny_dataset.grid,
-                     Z=np.array(tiny_dataset.Z), e_oc=e,
-                     metadata=dict(tiny_dataset.metadata))
-    report = validate_dataset(sick)
+    report = validate_dataset(with_arrays(tiny_dataset, e_oc=e))
     assert not report.passed
     assert any("finiteness" in c.name and not c.passed for c in report.checks)
