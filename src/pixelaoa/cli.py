@@ -24,7 +24,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +72,7 @@ from .optimizer import (
     load_codebook,
     save_codebook,
 )
-from .simulate import export_report, monte_carlo_rmse
+from .simulate import MonteCarloReport, export_report, monte_carlo_rmse
 
 EXIT_OK = 0
 EXIT_FLAGS = 2
@@ -112,6 +111,15 @@ def _parse_angles(text: str) -> list[tuple[float, float]]:
                               f"got {chunk!r}") from exc
         out.append((th, ph))
     return out
+
+
+def _parse_list(text: str, flag: str, kind) -> list:
+    """Comma-separated values of one type, as --snr-db-list and --schedule take them."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} expects comma-separated {kind.__name__} values, "
+                          f"got {text!r}") from exc
 
 
 def _db_to_linear(db: float) -> float:
@@ -222,6 +230,7 @@ def cmd_gen_dataset(args) -> tuple[list, list]:
         include_sin_theta=not args.literal_measure,
     )
     ds = generate_synthetic_dataset(layout, grid, params, seed=args.seed)
+    _make_out_dir(args)
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {ds.n_ports} ports "
           f"({ds.n_feed} feed + {ds.n_loaded} loaded), {grid.n_points} grid points")
@@ -245,7 +254,7 @@ def cmd_optimize(args) -> tuple[list, list]:
     _resolve_out(args, "codebook.json")
     ds = load_dataset(args.dataset)
     space = _parse_area(args.space)
-    factors = tuple(int(k) for k in args.schedule.split(","))
+    factors = tuple(_parse_list(args.schedule, "--schedule", int))
     axes = tuple(args.axes.split(",")) if args.axes else ("both",) * len(factors)
     schedule = SubdivisionSchedule(space=space, factors=factors, axes=axes)
     ga = GAParams(population=args.population, generations=args.generations,
@@ -256,6 +265,7 @@ def cmd_optimize(args) -> tuple[list, list]:
         ds, schedule, ga, snr_linear=_db_to_linear(args.snr_db),
         n_active=args.n_active, max_outer=args.max_outer, feednet=feednet,
         fd_step_deg=args.fd_step_deg)
+    _make_out_dir(args)
     save_codebook(cb, args.out)
     outputs = [args.out]
     if args.trace:                      # areas in optimization order
@@ -274,6 +284,7 @@ def cmd_crlb_map(args) -> tuple[list, list]:
     area = _parse_area(args.area)
     snr = _db_to_linear(args.snr_db)
     inputs = []
+    header = MAP_HEADER
 
     if args.upa:
         ny, nz = _parse_pixels(args.upa)
@@ -287,11 +298,10 @@ def cmd_crlb_map(args) -> tuple[list, list]:
             it, ip = area.points(sphere)
             th, ph = sphere.theta_deg[it], sphere.phi_deg[ip]
             closed = upa_crlb_closed_form_map(ny, nz, args.spacing, th, ph, snr)[:4]
-            write_csv(args.out, MAP_HEADER, (th, ph, *closed))
+            columns = (th, ph, *closed)
             worst = float(closed[3].max())
         else:
             numeric = crlb_map(_upa(args, area, sphere), area, snr, fd_step_deg=args.fd_step_deg)
-            header = MAP_HEADER
             columns = (numeric.theta_deg, numeric.phi_deg, numeric.c_tt, numeric.c_tp,
                        numeric.c_pp, numeric.objective)
             if args.mode == "both":
@@ -299,7 +309,6 @@ def cmd_crlb_map(args) -> tuple[list, list]:
                 header += ",c_tt_cf,c_tp_cf,c_pp_cf,objective_cf"
                 columns += upa_crlb_closed_form_map(ny, nz, args.spacing, numeric.theta_deg,
                                                     numeric.phi_deg, snr)[:4]
-            write_csv(args.out, header, columns)
             worst = numeric.worst
     else:
         ds = load_dataset(args.dataset)
@@ -307,8 +316,10 @@ def cmd_crlb_map(args) -> tuple[list, list]:
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
         th, ph, table = _area_table((ds, cb, feednet), area, snr, args.fd_step_deg)
-        write_csv(args.out, MAP_HEADER, (th, ph, *table))
+        columns = (th, ph, *table)
         worst = float(table[3].max())
+    _make_out_dir(args)
+    write_csv(args.out, header, columns)
     print(f"worst objective over {area.label()}: {worst:.6g} rad")
     return inputs, [args.out]
 
@@ -335,6 +346,7 @@ def cmd_compare(args) -> tuple[list, list]:
         rows.append((*area.bounds(), hrpa, base, improvement))
         print(f"{area.label()}: hrpa {hrpa:.4g}, baseline {base:.4g}, improvement "
               + (f"undefined ({singular} singular)" if singular else f"{improvement:.1%}"))
+    _make_out_dir(args)
     write_csv(args.out, "theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
                         "hrpa_worst,baseline_worst,improvement", zip(*rows))
     return inputs, [args.out]
@@ -351,7 +363,7 @@ def _search_box(angles, halfwidth_deg: float) -> SensingArea:
 def cmd_montecarlo(args) -> tuple[list, list]:
     _resolve_out(args, "montecarlo.csv")
     angles = _parse_angles(args.angles)
-    snr_list = [_db_to_linear(float(x)) for x in args.snr_db_list.split(",")]
+    snr_list = [_db_to_linear(x) for x in _parse_list(args.snr_db_list, "--snr-db-list", float)]
     inputs = []
     hw = args.search_halfwidth_deg
 
@@ -377,8 +389,9 @@ def cmd_montecarlo(args) -> tuple[list, list]:
         del pats                        # one geometry's patterns held at a time
         for j, k in enumerate(ks):
             per_angle[k] = report.records[j * len(snr_list):(j + 1) * len(snr_list)]
-    report = replace(report, records=tuple(r for recs in per_angle for r in recs))
+    report = MonteCarloReport(tuple(r for recs in per_angle for r in recs))
 
+    _make_out_dir(args)
     export_report(report, args.out)
     for r in report.records:
         print(f"({r.theta_deg:g},{r.phi_deg:g}) snr {10 * math.log10(r.snr_linear):.0f} dB: "
@@ -391,7 +404,6 @@ def cmd_export_plots(args) -> tuple[list, list]:
     if not args.out_dir:
         raise ConfigError("export-plots needs --out-dir")
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     ds = load_dataset(args.dataset)
     inputs = [args.dataset]
     if args.fig != "port-count":            # the two figures that score CRLBs
@@ -428,6 +440,7 @@ def cmd_export_plots(args) -> tuple[list, list]:
                          max(cw.objective for cw in cb.codewords)))
         path, header = outdir / "port_count_tradeoff.csv", "n_active,worst_objective"
 
+    _make_out_dir(args)
     write_csv(path, header, zip(*sorted(rows)))       # rows by their first column
     print(f"wrote {path}")
     return inputs, [path]
@@ -441,9 +454,15 @@ def _resolve_out(args, default_name: str) -> None:
     """Combine --out and --out-dir; --out defaults to a per-command name."""
     path = Path(default_name if args.out is None else args.out)
     if args.out_dir and not path.is_absolute():
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         path = Path(args.out_dir) / path
     args.out = str(path)
+
+
+def _make_out_dir(args) -> None:
+    """Create --out-dir.  Commands call this just before their first write, so a
+    run that fails on a flag or an input file leaves no directory behind."""
+    if args.out_dir:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
 
 
 NEEDED = object()                   # PATH_FLAGS mark: the path cannot run without the flag

@@ -6,10 +6,11 @@ in the infinite-impedance limit; switched pixel links are short (0 ohm,
 bit 0) or quasi-open (z_oc, bit 1) loads that are eliminated through a
 Schur complement.  solve_network is the one solver: it returns the
 effective feed impedance matrix, the per-port map V with overall patterns
-E = e_oc . V, and the per-port radiation efficiencies.  load_correction ->
-solve_network -> overall_patterns is the only network path; the full-grid
-quadrature pipeline it is checked against, and the single-config Z_F and
-port-current references, live in tests/oracles.py.
+E = e_oc . V, and the per-port radiation efficiencies.  Two functions
+project V onto e_oc: overall_patterns onto the whole grid, for one config,
+and the optimizer's ConfigEvaluator onto its area's FD window, for a batch.
+The full-grid quadrature pipeline solve_network is checked against, and the
+single-config Z_F and port-current references, live in tests/oracles.py.
 
 Conditioning guard: load_correction warns (RuntimeWarning) when the exact
 1-norm condition number of the diagonally equilibrated loaded-port system

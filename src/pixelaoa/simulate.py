@@ -1,18 +1,19 @@
 """Monte-Carlo validation of the CRLB: snapshot model + ML grid estimator.
 
-One snapshot is y = E(angle)^T s + n with a 2-vector source s (theta/phi
-polarization amplitudes) and circular complex Gaussian noise calibrated so
-that the average received signal power per port over the per-port noise
-power equals the requested SNR.  The estimator projects y onto the column
-space of the candidate pattern matrix at every grid angle of a search area
-and takes the argmax, optionally refined by a local quadratic fit.
+One snapshot is y = E(angle)^T s + n with one fixed 2-vector source s
+(theta/phi polarization amplitudes) and circular complex Gaussian noise
+calibrated so that the average received signal power per port over the
+per-port noise power equals the requested SNR.  The estimator projects y
+onto the column space of the candidate pattern matrix at every grid angle of
+a search area the caller gives and takes the argmax, optionally refined by a
+local quadratic fit.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +34,12 @@ RANK_TOL_REL = 1e-12
 @dataclass(frozen=True)
 class Snapshot:
     y: np.ndarray                       # (N,) received samples
-    truth_deg: tuple[float, float]
-    source: np.ndarray                  # (2,) polarization amplitudes
     noise_var: float
 
 
 def _signal(patterns: PatternSet, angle_deg: tuple[float, float], source,
-            snr_linear: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Source vector, noiseless snapshot E^T s and noise variance at a grid angle."""
+            snr_linear: float) -> tuple[np.ndarray, float]:
+    """Noiseless snapshot E^T s and noise variance at a grid angle."""
     s = np.asarray(source, dtype=np.complex128).reshape(2)
     if not np.linalg.norm(s) > 0:
         raise ValueError("source amplitude vector must be nonzero")
@@ -48,9 +47,7 @@ def _signal(patterns: PatternSet, angle_deg: tuple[float, float], source,
         raise ValueError("snr must be positive")
     E = patterns.at(*angle_deg)                      # (2, N)
     mu = E.T @ s
-    N = mu.size
-    sig2 = float(np.vdot(mu, mu).real) / (N * snr_linear) if math.isfinite(snr_linear) else 0.0
-    return s, mu, sig2
+    return mu, float(np.vdot(mu, mu).real) / (mu.size * snr_linear)
 
 
 def _noise(n: int, sig2: float, seed) -> np.ndarray:
@@ -68,10 +65,8 @@ def simulate_snapshot(patterns: PatternSet, angle_deg: tuple[float, float],
     Noise variance: sigma^2 = ||E^T s||^2 / (N * snr); snr may be math.inf
     for the noiseless limit.
     """
-    s, mu, sig2 = _signal(patterns, angle_deg, source, snr_linear)
-    return Snapshot(y=mu + _noise(mu.size, sig2, seed),
-                    truth_deg=(float(angle_deg[0]), float(angle_deg[1])),
-                    source=s, noise_var=sig2)
+    mu, sig2 = _signal(patterns, angle_deg, source, snr_linear)
+    return Snapshot(y=mu + _noise(mu.size, sig2, seed), noise_var=sig2)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +183,6 @@ class MonteCarloRecord:
 @dataclass(frozen=True)
 class MonteCarloReport:
     records: tuple[MonteCarloRecord, ...]
-    trials: int
-    seed: int
-    refine: bool
-    source: tuple[complex, complex] | str
 
 
 def monte_carlo_rmse(
@@ -200,30 +191,23 @@ def monte_carlo_rmse(
     snr_list_linear,
     trials: int,
     seed: int,
-    search_area: SensingArea | None = None,
+    search_area: SensingArea,
     source=(1.0, 0.0),
     refine: bool = True,
     fd_step_deg: float | None = None,
 ) -> MonteCarloReport:
     """Empirical RMSE of the ML estimator vs the CRLB prediction.
 
-    Per-trial seeds derive from the master seed by (angle, snr, trial)
-    spawn keys, so the report is reproducible and independent of execution
-    order.  trials must be at least 100.  source is a fixed 2-vector by
-    default; pass "random-unit" to draw an independent unit polarization
-    vector per trial.  The candidate bases are built once per call, and
-    the trials of each (angle, snr) cell are scored and estimated
+    Every trial draws y = E^T s + n with the one fixed source vector s; only
+    its noise is random, seeded from the master seed by its (angle, snr,
+    trial) spawn key, so the report is reproducible and independent of
+    execution order.  The ML search runs over search_area.  trials must be
+    at least 100.  The candidate bases are built once per call, and the
+    trials of each (angle, snr) cell are scored and estimated
     kernels.ml_chunk(G) at a time, so no (trials, G) score block is held.
     """
     if trials < 100:
         raise ValueError(f"at least 100 trials required, got {trials}")
-    grid = patterns.grid
-    if search_area is None:
-        search_area = SensingArea(grid.theta_deg[0], grid.theta_deg[-1],
-                                  grid.phi_deg[0], grid.phi_deg[-1])
-    random_source = isinstance(source, str)
-    if random_source and source != "random-unit":
-        raise ValueError(f"unknown source mode {source!r}")
     cand = _CandidateGrid(patterns, search_area)
     Y = np.empty((trials, cand.basis.shape[1]), dtype=np.complex128)
     step = kernels.ml_chunk(cand.rank.size)
@@ -231,14 +215,8 @@ def monte_carlo_rmse(
     for ai, angle in enumerate(angles_deg):
         angle = (float(angle[0]), float(angle[1]))
         for si, snr in enumerate(snr_list_linear):
-            if not random_source:
-                _, mu, sig2 = _signal(patterns, angle, source, snr)
+            mu, sig2 = _signal(patterns, angle, source, snr)
             for t in range(trials):
-                if random_source:
-                    srng = np.random.default_rng(
-                        np.random.SeedSequence(entropy=seed, spawn_key=(ai, si, t, 1)))
-                    v = srng.standard_normal(2) + 1j * srng.standard_normal(2)
-                    _, mu, sig2 = _signal(patterns, angle, v / np.linalg.norm(v), snr)
                 ss = np.random.SeedSequence(entropy=seed, spawn_key=(ai, si, t))
                 Y[t] = mu + _noise(mu.size, sig2, ss)
             se_th = 0.0
@@ -255,26 +233,17 @@ def monte_carlo_rmse(
                 theta_deg=angle[0], phi_deg=angle[1], snr_linear=float(snr),
                 trials=trials,
                 rmse_theta_rad=math.sqrt(mse_th), rmse_phi_rad=math.sqrt(mse_ph),
-                crlb_theta_rad=math.sqrt(bound.c_theta_theta)
-                if math.isfinite(bound.c_theta_theta) else math.inf,
-                crlb_phi_rad=math.sqrt(bound.c_phi_phi)
-                if math.isfinite(bound.c_phi_phi) else math.inf,
+                crlb_theta_rad=math.sqrt(bound.c_theta_theta),
+                crlb_phi_rad=math.sqrt(bound.c_phi_phi),
                 mse_theta_rad2=mse_th, mse_phi_rad2=mse_ph,
             ))
-    if random_source:
-        src_tag = "random-unit"
-    else:
-        src = np.asarray(source, dtype=np.complex128).reshape(2)
-        src_tag = (complex(src[0]), complex(src[1]))
-    return MonteCarloReport(records=tuple(records), trials=trials, seed=seed,
-                            refine=refine, source=src_tag)
+    return MonteCarloReport(tuple(records))
 
 
 def export_report(report: MonteCarloReport, path) -> None:
     """Tabular text dump; SNR is written in dB."""
-    rows = [(r.theta_deg, r.phi_deg,
-             10.0 * math.log10(r.snr_linear) if math.isfinite(r.snr_linear) else math.inf,
-             r.trials, r.rmse_theta_rad, r.rmse_phi_rad, r.crlb_theta_rad, r.crlb_phi_rad)
+    rows = [(r.theta_deg, r.phi_deg, 10.0 * math.log10(r.snr_linear), r.trials,
+             r.rmse_theta_rad, r.rmse_phi_rad, r.crlb_theta_rad, r.crlb_phi_rad)
             for r in report.records]
     write_csv(path, "theta_deg,phi_deg,snr_db,trials,rmse_theta_rad,rmse_phi_rad,"
                     "crlb_theta_rad,crlb_phi_rad", zip(*rows))

@@ -707,6 +707,40 @@ def test_flag_errors_exit_2(tmp_path, ds_file, cb_file, argv):
     assert exit_code(argv) == 2
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (["montecarlo", "--upa", "2x2", "--snr-db-list", "10,,20", "--trials", "100"],
+     "--snr-db-list", "10,,20"),
+    (["optimize", "--dataset", "{ds}", "--space", "80:100:-10:10", "--schedule", "1,x"],
+     "--schedule", "1,x"),
+], ids=["montecarlo_snr_db_list", "optimize_schedule"])
+def test_bad_list_flag_is_named(tmp_path, capsys, ds_file, argv, flag, text):
+    argv = [a.format(ds=ds_file) for a in argv] + ["--out", tmp_path / "out"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and repr(text) in err
+
+
+# one bad input per command: (argv, exit code); "bad" names a file that is no JSON
+BAD_INPUT_RUNS = {
+    "gen_dataset": (["gen-dataset", "--pixels", "5y5"], 2),
+    "optimize": (["optimize", "--dataset", "bad", "--space", "80:100:-10:10"], 3),
+    "crlb_map": (["crlb-map", "--dataset", "bad", "--codebook", "bad",
+                  "--area", "80:100:-10:10"], 3),
+    "compare": (["compare", "--dataset", "bad", "--codebook", "bad", "--upa", "2x2"], 3),
+    "montecarlo": (["montecarlo", "--upa", "2x2", "--trials", "10"], 2),
+    "export_plots": (["export-plots", "--fig", "port-count", "--dataset", "bad",
+                      "--codebooks", "bad"], 3),
+}
+
+
+@pytest.mark.parametrize("argv, code", BAD_INPUT_RUNS.values(), ids=BAD_INPUT_RUNS.keys())
+def test_failed_run_creates_no_out_dir(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad").write_text("{nope")
+    assert run(argv + ["--out-dir", "newdir"]) == code
+    assert not (tmp_path / "newdir").exists()
+
+
 def test_export_plots_missing_inputs(tmp_path, ds_file):
     assert run(["export-plots", "--fig", "area-size", "--dataset", ds_file,
                 "--codebooks", str(tmp_path / "absent.json"),

@@ -224,7 +224,7 @@ def test_quadratic_offset_matches_clip_oracle():
 
 def test_trials_precondition(upa):
     with pytest.raises(ValueError):
-        monte_carlo_rmse(upa, [(90.0, 0.0)], [1.0], trials=99, seed=0)
+        monte_carlo_rmse(upa, [(90.0, 0.0)], [1.0], trials=99, seed=0, search_area=SEARCH)
 
 
 def test_noiseless_rmse_zero(upa):
@@ -271,7 +271,7 @@ def test_estimator_consistency_with_snr(upa):
     assert probs[0] > probs[1] > probs[2] > probs[3] or probs[2] == probs[3] == 0.0
 
 
-@pytest.mark.parametrize("source", [(1.0, 0.5j), "random-unit"])
+@pytest.mark.parametrize("source", [(1.0, 0.5j)])
 def test_monte_carlo_trials_match_ml_estimate(upa, monkeypatch, source):
     angles, snrs, trials, seed = [(90.0, 0.0), (86.0, 4.0)], [3.0, 100.0], 100, 9
     estimate = simulate._CandidateGrid.estimate
@@ -293,13 +293,7 @@ def test_monte_carlo_trials_match_ml_estimate(upa, monkeypatch, source):
     for ai, angle in enumerate(angles):
         for si, snr in enumerate(snrs):
             for t in range(trials):
-                src = source
-                if source == "random-unit":
-                    srng = np.random.default_rng(
-                        np.random.SeedSequence(entropy=seed, spawn_key=(ai, si, t, 1)))
-                    v = srng.standard_normal(2) + 1j * srng.standard_normal(2)
-                    src = v / np.linalg.norm(v)
-                y = simulate_snapshot(upa, angle, src, snr, np.random.SeedSequence(
+                y = simulate_snapshot(upa, angle, source, snr, np.random.SeedSequence(
                     entropy=seed, spawn_key=(ai, si, t))).y
                 assert got[False][k] == ml_estimate(y, upa, SEARCH)
                 fine = ml_estimate(y, upa, SEARCH, refine=True)
@@ -322,15 +316,22 @@ def test_export_columns(tmp_path, upa):
     assert int(first[3]) == 100
 
 
-def test_random_unit_source_mode(upa):
-    rep = monte_carlo_rmse(upa, [(90.0, 0.0)], [100.0], trials=100, seed=4,
-                           search_area=SEARCH, source="random-unit")
-    assert rep.source == "random-unit"
-    assert rep.records[0].rmse_theta_rad > 0.0
-    again = monte_carlo_rmse(upa, [(90.0, 0.0)], [100.0], trials=100, seed=4,
-                             search_area=SEARCH, source="random-unit")
-    assert again.records == rep.records
-
+def test_singular_cell_reports_an_infinite_bound(tmp_path):
+    # a 2x2 iso-theta UPA at endfire: its Fisher information is singular, so the
+    # record carries an infinite CRLB beside the finite RMSEs the trials measure
+    window = AngleGrid(theta_start_deg=80, theta_stop_deg=100, phi_start_deg=80,
+                       phi_stop_deg=100, step_deg=1.0)
+    pats = upa_patterns(2, 2, 0.5, window)
+    assert crlb_matrix(pats, (90.0, 90.0), 100.0).singular
+    rep = monte_carlo_rmse(pats, [(90.0, 90.0)], [100.0], trials=100, seed=3,
+                           search_area=SensingArea(85, 95, 85, 95))
+    r, = rep.records
+    assert r.crlb_theta_rad == r.crlb_phi_rad == math.inf
+    assert math.isfinite(r.rmse_theta_rad) and math.isfinite(r.rmse_phi_rad)
+    path = tmp_path / "mc.csv"
+    export_report(rep, path)
+    row = path.read_text().strip().splitlines()[1].split(",")
+    assert row[6:] == ["inf", "inf"]
 
 
 def test_monte_carlo_scores_one_chunk_of_trials_at_a_time(upa, monkeypatch):
