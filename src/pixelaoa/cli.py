@@ -9,8 +9,8 @@ for other paths' flags) and digests, so the manifest alone reproduces it.
 
 _geometry_groups owns which geometry serves an angle and _upa every --upa
 baseline, built on crlb.fd_window, the part of a grid an area's finite
-differences read; compare and --fig area-bars reduce two crlb-map tables per
-leaf.
+differences read; crlb-map --upa builds it one theta band (crlb.theta_bands)
+at a time; compare and --fig area-bars reduce two crlb-map tables per leaf.
 
 Exit codes: 0 success, 2 flag/parameter validation, 3 file I/O or format,
 4 dataset validation, 5 numerical failure.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -32,11 +33,15 @@ from . import __version__
 from .crlb import (
     MAP_HEADER,
     SensingArea,
+    _step_multiple,
     crlb_map,
     crlb_points,
+    fd_stencil,
     fd_window,
+    theta_bands,
     upa_crlb_closed_form_map,
     write_csv,
+    write_csv_blocks,
 )
 from .emdata import (
     DipoleModelParams,
@@ -252,6 +257,8 @@ def cmd_validate(args) -> tuple[list, list]:
 
 def cmd_optimize(args) -> tuple[list, list]:
     _resolve_out(args, "codebook.json")
+    if args.trace:
+        args.trace = _in_out_dir(args, args.trace)
     ds = load_dataset(args.dataset)
     space = _parse_area(args.space)
     factors = tuple(_parse_list(args.schedule, "--schedule", int))
@@ -280,6 +287,14 @@ def cmd_optimize(args) -> tuple[list, list]:
 
 
 def cmd_crlb_map(args) -> tuple[list, list]:
+    """Write the per-angle CRLB table over --area and print its worst objective.
+
+    --upa sweeps the area in bands of whole theta rows (crlb.theta_bands): per
+    band it builds the UPA patterns on the band's FD window, runs crlb_map,
+    adds the closed-form columns and appends the rows to the CSV, so its
+    memory is bounded by a band, not by the area.  --codebook scores every
+    point under the geometry of the leaf that serves it.
+    """
     _resolve_out(args, "crlb_map.csv")
     area = _parse_area(args.area)
     snr = _db_to_linear(args.snr_db)
@@ -293,33 +308,44 @@ def cmd_crlb_map(args) -> tuple[list, list]:
                               f"use --mode numeric with --element {args.element}")
         if args.mode == "closed-form" and args.fd_step_deg is not None:
             raise ConfigError("--fd-step-deg has no effect with --mode closed-form")
+        if args.mode == "both":
+            header += ",c_tt_cf,c_tp_cf,c_pp_cf,objective_cf"
         sphere = AngleGrid(step_deg=args.step_deg)
-        if args.mode == "closed-form":
-            it, ip = area.points(sphere)
-            th, ph = sphere.theta_deg[it], sphere.phi_deg[ip]
-            closed = upa_crlb_closed_form_map(ny, nz, args.spacing, th, ph, snr)[:4]
-            columns = (th, ph, *closed)
-            worst = float(closed[3].max())
-        else:
-            numeric = crlb_map(_upa(args, area, sphere), area, snr, fd_step_deg=args.fd_step_deg)
-            columns = (numeric.theta_deg, numeric.phi_deg, numeric.c_tt, numeric.c_tp,
-                       numeric.c_pp, numeric.objective)
-            if args.mode == "both":
-                # closed-form columns beside the numeric ones, built after the sweep
-                header += ",c_tt_cf,c_tp_cf,c_pp_cf,objective_cf"
-                columns += upa_crlb_closed_form_map(ny, nz, args.spacing, numeric.theta_deg,
-                                                    numeric.phi_deg, snr)[:4]
-            worst = numeric.worst
+        worsts = []
+
+        def band_columns(band: SensingArea):
+            if args.mode == "closed-form":
+                it, ip = band.points(sphere)
+                th, ph = sphere.theta_deg[it], sphere.phi_deg[ip]
+                numeric = ()
+            else:
+                m = crlb_map(_upa(args, band, sphere), band, snr, fd_step_deg=args.fd_step_deg)
+                th, ph = m.theta_deg, m.phi_deg
+                numeric = (m.c_tt, m.c_tp, m.c_pp, m.objective)
+            closed = (() if args.mode == "numeric" else
+                      upa_crlb_closed_form_map(ny, nz, args.spacing, th, ph, snr)[:4])
+            worsts.append((numeric or closed)[3].max())
+            return th, ph, *numeric, *closed
+
+        # every band's stencils are the sphere's, so one that does not fit the
+        # sphere is rejected here, before a row is written
+        fd_stencil(sphere, area.indices(sphere)[0], 0,
+                   _step_multiple(sphere, args.fd_step_deg))
+        ports = ny * nz * (2 if args.element == "iso-dual" else 1)
+        row_bytes = 2 * ports * 16 * fd_window(area, sphere, args.fd_step_deg).n_phi
+        blocks = map(band_columns, theta_bands(area, sphere, row_bytes))
+        blocks = itertools.chain([next(blocks)], blocks)    # bad flags fail before any write
     else:
         ds = load_dataset(args.dataset)
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
         th, ph, table = _area_table((ds, cb, feednet), area, snr, args.fd_step_deg)
-        columns = (th, ph, *table)
-        worst = float(table[3].max())
+        blocks = [(th, ph, *table)]
+        worsts = [table[3].max()]
     _make_out_dir(args)
-    write_csv(args.out, header, columns)
+    write_csv_blocks(args.out, header, blocks)
+    worst = float(np.max(worsts))
     print(f"worst objective over {area.label()}: {worst:.6g} rad")
     return inputs, [args.out]
 
@@ -450,12 +476,17 @@ def cmd_export_plots(args) -> tuple[list, list]:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _resolve_out(args, default_name: str) -> None:
-    """Combine --out and --out-dir; --out defaults to a per-command name."""
-    path = Path(default_name if args.out is None else args.out)
+def _in_out_dir(args, path) -> str:
+    """path, under --out-dir when it is relative."""
+    path = Path(path)
     if args.out_dir and not path.is_absolute():
         path = Path(args.out_dir) / path
-    args.out = str(path)
+    return str(path)
+
+
+def _resolve_out(args, default_name: str) -> None:
+    """Combine --out and --out-dir; --out defaults to a per-command name."""
+    args.out = _in_out_dir(args, default_name if args.out is None else args.out)
 
 
 def _make_out_dir(args) -> None:
@@ -567,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tournament", type=int, default=3)
     p.add_argument("--elite", type=int, default=2)
     p.add_argument("--max-outer", type=int, default=20)
-    p.add_argument("--trace", default=None, help="optional trace CSV path")
+    p.add_argument("--trace", default=None,
+                   help="optional trace CSV path, under --out-dir when relative")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     _add_snr_flag(p)

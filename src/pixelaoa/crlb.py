@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .emdata import PatternSet
 from .errors import GridError
-from .grid import AngleGrid
+from .grid import AngleGrid, _step_fraction, exact_deg
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +129,38 @@ def _step_multiple(grid: AngleGrid, fd_step_deg: float | None) -> int:
 def fd_window(area: SensingArea, grid: AngleGrid, fd_step_deg: float | None) -> AngleGrid:
     """The part of grid that area's finite differences read: the area plus its
     FD margin, with the whole phi circle when a wrapping grid's margin crosses
-    +-180, so every stencil on the window is the grid's own."""
-    m = _step_multiple(grid, fd_step_deg) * grid.step_deg
-    p0, p1 = area.phi_min_deg - m, area.phi_max_deg + m
-    if grid.phi_wraps and (p0 < grid.phi_start_deg or p1 >= grid.phi_stop_deg):
-        p0, p1 = grid.phi_start_deg, grid.phi_stop_deg
-    return AngleGrid(max(grid.theta_start_deg, area.theta_min_deg - m),
-                     min(grid.theta_stop_deg, area.theta_max_deg + m),
-                     max(grid.phi_start_deg, p0), min(grid.phi_stop_deg, p1), grid.step_deg)
+    +-180, so every stencil on the window is the grid's own.  The bounds are
+    summed as exact decimals, so they stay on the grid at steps such as 0.1."""
+    m = _step_multiple(grid, fd_step_deg) * _step_fraction(grid.step_deg)
+    t0 = max(exact_deg(grid.theta_start_deg), exact_deg(area.theta_min_deg) - m)
+    t1 = min(exact_deg(grid.theta_stop_deg), exact_deg(area.theta_max_deg) + m)
+    g0, g1 = exact_deg(grid.phi_start_deg), exact_deg(grid.phi_stop_deg)
+    p0, p1 = exact_deg(area.phi_min_deg) - m, exact_deg(area.phi_max_deg) + m
+    if grid.phi_wraps and (p0 < g0 or p1 >= g1):
+        p0, p1 = g0, g1
+    return AngleGrid(*map(float, (t0, t1, max(g0, p0), min(g1, p1))), grid.step_deg)
+
+
+# Most bytes of one theta band's patterns: crlb-map --upa sweeps its area in
+# bands of this many bytes' worth of whole theta rows.
+_BAND_BYTES = 1 << 22
+
+
+def theta_bands(area: SensingArea, grid: AngleGrid, row_bytes: int) -> list[SensingArea]:
+    """The area cut into bands of whole theta rows of grid, in row order.
+
+    row_bytes is what one theta row of a band's patterns takes; a band holds
+    max(1, _BAND_BYTES // row_bytes) rows, and its FD window adds the margin
+    rows.  Band edges are grid lines summed as exact decimals, so they stay
+    on the grid at steps such as 0.1.  Raises GridError when the area is off
+    the grid.
+    """
+    t_ids = area.indices(grid)[0].tolist()
+    rows = max(1, _BAND_BYTES // max(1, row_bytes))
+    start, step = exact_deg(grid.theta_start_deg), _step_fraction(grid.step_deg)
+    return [SensingArea(float(start + step * band[0]), float(start + step * band[-1]),
+                        area.phi_min_deg, area.phi_max_deg)
+            for band in (t_ids[i:i + rows] for i in range(0, len(t_ids), rows))]
 
 
 def _axis_stencil(i: np.ndarray, s: int, n: int, h: float, axis: str):
@@ -309,12 +333,20 @@ def write_csv(path, header: str, columns) -> None:
 
     Every cell is the str of its Python value: integers as digits, floats
     in their shortest round-trip form, +inf as 'inf', strings unquoted.
-    Rows are formatted _CSV_BLOCK_ROWS at a time.
     """
-    cols = [np.asarray(c) for c in columns]
-    n = min((len(c) for c in cols), default=0)
+    write_csv_blocks(path, header, [columns])
+
+
+def write_csv_blocks(path, header: str, blocks) -> None:
+    """write_csv of an iterable of column blocks, one after another, so a
+    table made block by block is never held whole.  Rows are formatted
+    _CSV_BLOCK_ROWS at a time.
+    """
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for r0 in range(0, n, _CSV_BLOCK_ROWS):
-            block = [c[r0:r0 + _CSV_BLOCK_ROWS].tolist() for c in cols]
-            fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*block))
+        for columns in blocks:
+            cols = [np.asarray(c) for c in columns]
+            n = min((len(c) for c in cols), default=0)
+            for r0 in range(0, n, _CSV_BLOCK_ROWS):
+                block = [c[r0:r0 + _CSV_BLOCK_ROWS].tolist() for c in cols]
+                fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*block))

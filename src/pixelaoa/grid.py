@@ -41,9 +41,14 @@ def _step_fraction(step_deg: float) -> Fraction:
     return frac
 
 
+def exact_deg(value_deg: float) -> Fraction:
+    """Exact decimal value of an angle as its shortest repr reads: sums of
+    these carry none of the float noise of 0.3 - 0.1."""
+    return Fraction(str(float(value_deg)))
+
+
 def _exact_count(start_deg: float, stop_deg: float, step: Fraction, what: str) -> int:
-    # exact decimal span: the float difference of clean endpoints carries noise
-    span = Fraction(str(float(stop_deg))) - Fraction(str(float(start_deg)))
+    span = exact_deg(stop_deg) - exact_deg(start_deg)
     n = span / step
     if n.denominator != 1:
         raise GridError(

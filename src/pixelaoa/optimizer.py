@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .errors import (
     NumericalError,
     ScheduleError,
 )
+from .grid import exact_deg
 from .network import FeedNetworkConfig, GeometryConfig, solve_network
 
 CODEBOOK_FILE_VERSION = 1
@@ -504,13 +504,13 @@ def default_initial_config(layout: PortLayout, n_active: int) -> GeometryConfig:
 def _split_span(lo: float, hi: float, k: int, step_deg: float, what: str) -> list[tuple[float, float]]:
     if k == 1:
         return [(lo, hi)]
-    width = Fraction(str(float(hi))) - Fraction(str(float(lo)))
+    width = exact_deg(hi) - exact_deg(lo)
     child = width / k
-    if (child / Fraction(str(float(step_deg)))).denominator != 1:
+    if (child / exact_deg(step_deg)).denominator != 1:
         raise ScheduleError(
             f"cannot split {what} span [{lo}, {hi}] into {k} grid-aligned parts "
             f"at step {step_deg}")
-    edges = [float(Fraction(str(float(lo))) + i * child) for i in range(k + 1)]
+    edges = [float(exact_deg(lo) + i * child) for i in range(k + 1)]
     return [(edges[i], edges[i + 1]) for i in range(k)]
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from pixelaoa import (
     save_dataset,
     upa_patterns,
 )
-from pixelaoa import cli
+from pixelaoa import cli, crlb
 from pixelaoa.cli import main
 from pixelaoa.optimizer import (
     Codebook,
@@ -185,6 +186,20 @@ def test_optimize_trace_in_optimization_order(tmp_path, ds_file):
     assert areas == ["stage1_area1"] + [f"stage2_area{k}" for k in range(1, 17)]
 
 
+def test_optimize_trace_goes_under_out_dir(tmp_path, monkeypatch, ds_file):
+    # a relative --trace is placed under --out-dir, as --out is
+    monkeypatch.chdir(tmp_path)
+    assert run(["optimize", "--dataset", ds_file, "--n-active", "2", "--space", "85:95:-5:5",
+                "--population", "4", "--generations", "1", "--max-outer", "1",
+                "--out-dir", "d", "--trace", "trace.csv"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+        "codebook.json", "codebook.json.manifest.json", "trace.csv"]
+    manifest = json.loads((tmp_path / "d" / "codebook.json.manifest.json").read_text())
+    assert manifest["parameters"]["trace"] == str(Path("d") / "trace.csv")
+    assert str(Path("d") / "trace.csv") in manifest["outputs"]
+
+
 @pytest.mark.parametrize("axis, split", [("theta", (2, 1)), ("phi", (1, 2))])
 def test_optimize_axes_split_one_axis(tmp_path, ds_file, axis, split):
     out = tmp_path / "cb.json"
@@ -314,6 +329,78 @@ def test_upa_area_holding_phi_180_exits_2(tmp_path, capsys, mode):
                 "--out", out]) == 2
     assert "phi = 180.0 deg is outside the grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+# crlb-map --upa runs, each swept in one-row bands and in one band
+UPA_BAND_RUNS = {
+    "sphere_both": ["--upa", "2x2", "--area", "0:180:-180:179"],   # phi wraps; both poles
+    "fd_step_2_dual": ["--upa", "3x2", "--element", "iso-dual", "--mode", "numeric",
+                       "--area", "40:70:-100:-60", "--fd-step-deg", "2"],
+    "single_row": ["--upa", "2x2", "--area", "90:90:-30:30"],
+    "closed_form": ["--upa", "4x4", "--mode", "closed-form", "--area", "0:180:-90:90"],
+}
+
+
+@pytest.mark.parametrize("argv", UPA_BAND_RUNS.values(), ids=UPA_BAND_RUNS.keys())
+def test_upa_map_bands_leave_the_output_bit_identical(tmp_path, monkeypatch, capsys, argv):
+    bands = []
+
+    def theta_bands(*a):                        # crlb.theta_bands, keeping its bands
+        bands[:] = crlb.theta_bands(*a)
+        return bands
+
+    monkeypatch.setattr(cli, "theta_bands", theta_bands)
+    runs = []
+    for budget in (1, 1 << 40):                 # one row per band; the whole area in one
+        monkeypatch.setattr(crlb, "_BAND_BYTES", budget)
+        out = tmp_path / f"map_{budget}.csv"
+        assert run(["crlb-map", *argv, "--out", out]) == 0
+        runs.append((out.read_bytes(), capsys.readouterr().out, len(bands)))
+    (banded, banded_out, n_banded), (whole, whole_out, n_whole) = runs
+    rows = {b.split(b",")[0] for b in whole.splitlines()[1:]}
+    assert (n_banded, n_whole) == (len(rows), 1)
+    assert banded == whole and banded_out == whole_out
+
+
+@pytest.mark.parametrize("budget", [1, crlb._BAND_BYTES])
+def test_upa_map_at_a_decimal_step(tmp_path, monkeypatch, budget):
+    # window and band edges are summed exactly: in floats, 0.3 - 0.1 is off the 0.1 grid
+    monkeypatch.setattr(crlb, "_BAND_BYTES", budget)
+    out = tmp_path / "map.csv"
+    assert run(["crlb-map", "--upa", "4x4", "--mode", "numeric", "--area", "0.3:0.6:-10:10",
+                "--step-deg", "0.1", "--out", out]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    # the sphere's points and stencils, on its first degree of theta
+    pats = upa_patterns(4, 4, 0.5, AngleGrid(0, 1, -180, 180, 0.1))
+    m = crlb_map(pats, SensingArea(0.3, 0.6, -10, 10), 1.0)
+    np.testing.assert_allclose(table[:, :2], np.column_stack([m.theta_deg, m.phi_deg]),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(table[:, 5], m.objective, rtol=1e-9)
+
+
+@pytest.mark.parametrize("mode, code", [("numeric", 2), ("closed-form", 0)])
+def test_upa_map_of_an_array_without_elements(tmp_path, mode, code):
+    # a 0x4 UPA has no patterns to sweep, and a closed form singular everywhere
+    out = tmp_path / "map.csv"
+    assert run(["crlb-map", "--upa", "0x4", "--mode", mode, "--area", "85:95:-5:5",
+                "--out", out]) == code
+    assert out.exists() == (code == 0)
+
+
+def test_upa_map_memory_is_bounded_by_a_band(tmp_path):
+    # the 4x4 UPA at 0.5 deg: a quarter sphere, then the front hemisphere
+    peaks = []
+    for area in ("0:90:-90:90", "0:180:-90:90"):
+        tracemalloc.start()
+        try:
+            assert run(["crlb-map", "--upa", "4x4", "--mode", "numeric", "--step-deg", "0.5",
+                        "--area", area, "--out", tmp_path / "map.csv"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    window = (2 * 16 * 361 * 363) * 16          # the hemisphere's one-window patterns
+    assert max(peaks) < window / 4, (peaks, window)
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_crlb_map_codebook_mode(tmp_path, ds_file, cb_file):

@@ -16,7 +16,14 @@ from pixelaoa import (
     upa_patterns,
 )
 from pixelaoa import crlb
-from pixelaoa.crlb import MAP_HEADER, fd_stencil, fd_window, write_csv
+from pixelaoa.crlb import (
+    MAP_HEADER,
+    fd_stencil,
+    fd_window,
+    theta_bands,
+    write_csv,
+    write_csv_blocks,
+)
 from pixelaoa.errors import GridError
 
 from oracles import steering_jacobian, steering_row, write_csv_one_pass
@@ -186,6 +193,38 @@ def test_fd_window_margin_inside_the_seam_does_not_wrap(coarse_grid):
 def test_fd_window_rejects_a_step_that_is_not_a_grid_multiple(coarse_grid):
     with pytest.raises(GridError):
         fd_window(SensingArea(80, 100, -10, 10), coarse_grid, 7.0)
+
+
+def test_fd_window_bounds_are_exact_at_a_decimal_step():
+    # in floats, 0.3 - 0.1 is 0.19999999999999998, which is off the grid
+    grid = AngleGrid(step_deg=0.1)
+    assert _bounds(fd_window(SensingArea(0.3, 0.6, -10, 10), grid, None)) == (0.2, 0.7,
+                                                                             -10.1, 10.1)
+    assert _bounds(fd_window(SensingArea(83.9, 84.2, 0.7, 0.9), grid, 0.2)) == (83.7, 84.4,
+                                                                               0.5, 1.1)
+
+
+@pytest.mark.parametrize("rows, want", [
+    (1, [(83.9, 83.9), (84.0, 84.0), (84.1, 84.1), (84.2, 84.2)]),
+    (3, [(83.9, 84.1), (84.2, 84.2)]),
+    (4, [(83.9, 84.2)]),
+    (10, [(83.9, 84.2)]),
+])
+def test_theta_bands_cut_whole_rows_on_exact_grid_lines(rows, want):
+    grid = AngleGrid(step_deg=0.1)
+    area = SensingArea(83.9, 84.2, -3, 3)
+    bands = theta_bands(area, grid, crlb._BAND_BYTES // rows)
+    assert [(b.theta_min_deg, b.theta_max_deg) for b in bands] == want
+    assert all((b.phi_min_deg, b.phi_max_deg) == (-3, 3) for b in bands)
+    # the bands' points are the area's, in its row-major order
+    points = [np.concatenate(ix) for ix in zip(*(b.points(grid) for b in bands))]
+    for got, full in zip(points, area.points(grid)):
+        np.testing.assert_array_equal(got, full)
+
+
+def test_theta_bands_reject_an_area_off_the_grid(coarse_grid):
+    with pytest.raises(GridError):
+        theta_bands(SensingArea(81, 100, -10, 10), coarse_grid, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +499,11 @@ def test_write_csv_blocks_match_one_pass_writer(tmp_path, n):
     write_csv_one_pass(want, "a,b,c,d", columns)
     assert got.read_bytes() == want.read_bytes()
     assert got.read_text().count("\n") == 1 + n
+    # the same rows appended in three blocks, one of them empty
+    cut = n // 3
+    write_csv_blocks(got, "a,b,c,d", [[c[:cut] for c in columns], [c[:0] for c in columns],
+                                      [c[cut:] for c in columns]])
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_crlb_map_memory_does_not_grow_with_the_grid():
