@@ -64,7 +64,7 @@ from .errors import (
     PixelAoAError,
     ScheduleError,
 )
-from .grid import AngleGrid
+from .grid import AngleGrid, line_index
 from .network import FeedNetworkConfig, overall_patterns
 from .optimizer import (
     Codebook,
@@ -90,12 +90,14 @@ EXIT_NUMERICAL = 5
 # small parsers
 # ---------------------------------------------------------------------------
 
-def _parse_pixels(text: str) -> tuple[int, int]:
+def _parse_pixels(text: str, flag: str) -> tuple[int, int]:
     try:
-        r, c = text.lower().split("x")
-        return int(r), int(c)
+        r, c = (int(x) for x in text.lower().split("x"))
     except ValueError as exc:
-        raise ConfigError(f"--pixels expects RxC, got {text!r}") from exc
+        raise ConfigError(f"{flag} expects RxC, got {text!r}") from exc
+    if min(r, c) < 1:
+        raise ConfigError(f"{flag} expects at least 1x1, got {text!r}")
+    return r, c
 
 
 def _parse_area(text: str) -> SensingArea:
@@ -158,7 +160,7 @@ def _write_manifest(args: argparse.Namespace, inputs, outputs, started: float) -
 
 def _upa(args, area: SensingArea, grid: AngleGrid) -> PatternSet:
     """The --upa baseline's patterns on the window of grid that area reads."""
-    return upa_patterns(*_parse_pixels(args.upa), args.spacing,
+    return upa_patterns(*_parse_pixels(args.upa, "--upa"), args.spacing,
                         fd_window(area, grid, args.fd_step_deg), element=args.element)
 
 
@@ -224,7 +226,7 @@ def _leaf_worsts(cb: Codebook, sources, snr: float, fd_step_deg):
 
 def cmd_gen_dataset(args) -> tuple[list, list]:
     _resolve_out(args, "dataset.json")
-    rows, cols = _parse_pixels(args.pixels)
+    rows, cols = _parse_pixels(args.pixels, "--pixels")
     layout = PortLayout(pixel_rows=rows, pixel_cols=cols, pixel_side_mm=args.pixel_mm,
                         substrate_side_mm=args.substrate_mm, height_mm=args.height_mm,
                         frequency_hz=args.freq_hz)
@@ -302,7 +304,7 @@ def cmd_crlb_map(args) -> tuple[list, list]:
     header = MAP_HEADER
 
     if args.upa:
-        ny, nz = _parse_pixels(args.upa)
+        ny, nz = _parse_pixels(args.upa, "--upa")
         if args.mode != "numeric" and args.element != "iso-theta":
             raise ConfigError(f"--mode {args.mode} writes the iso-theta closed form; "
                               f"use --mode numeric with --element {args.element}")
@@ -314,13 +316,11 @@ def cmd_crlb_map(args) -> tuple[list, list]:
         worsts = []
 
         def band_columns(band: SensingArea):
-            if args.mode == "closed-form":
-                it, ip = band.points(sphere)
-                th, ph = sphere.theta_deg[it], sphere.phi_deg[ip]
-                numeric = ()
-            else:
+            it, ip = band.points(sphere)
+            th, ph = sphere.theta_deg[it], sphere.phi_deg[ip]
+            numeric = ()
+            if args.mode != "closed-form":
                 m = crlb_map(_upa(args, band, sphere), band, snr, fd_step_deg=args.fd_step_deg)
-                th, ph = m.theta_deg, m.phi_deg
                 numeric = (m.c_tt, m.c_tp, m.c_pp, m.objective)
             closed = (() if args.mode == "numeric" else
                       upa_crlb_closed_form_map(ny, nz, args.spacing, th, ph, snr)[:4])
@@ -378,12 +378,17 @@ def cmd_compare(args) -> tuple[list, list]:
     return inputs, [args.out]
 
 
-def _search_box(angles, halfwidth_deg: float) -> SensingArea:
-    """The angles' bounding box widened by the search half-width."""
-    return SensingArea(min(a[0] for a in angles) - halfwidth_deg,
-                       max(a[0] for a in angles) + halfwidth_deg,
-                       min(a[1] for a in angles) - halfwidth_deg,
-                       max(a[1] for a in angles) + halfwidth_deg)
+def _search_box(angles, halfwidth_deg: float, grid: AngleGrid) -> SensingArea:
+    """The grid angles' bounding box widened by the search half-width and
+    clipped to grid, by line index: every edge is a line of grid."""
+    h = line_index(halfwidth_deg, grid.step_deg)
+    if h is None or h < 0:
+        raise ConfigError(f"--search-halfwidth-deg {halfwidth_deg} is not a multiple "
+                          f"of the grid step {grid.step_deg}")
+    it, ip = zip(*((grid.theta_index(th), grid.phi_index(ph)) for th, ph in angles))
+    th, ph = grid.theta_deg.tolist(), grid.phi_deg.tolist()
+    return SensingArea(th[max(0, min(it) - h)], th[min(grid.n_theta - 1, max(it) + h)],
+                       ph[max(0, min(ip) - h)], ph[min(grid.n_phi - 1, max(ip) + h)])
 
 
 def cmd_montecarlo(args) -> tuple[list, list]:
@@ -395,7 +400,8 @@ def cmd_montecarlo(args) -> tuple[list, list]:
 
     # one search per geometry: the UPA's angles, or one codebook geometry's, together
     if args.upa:
-        source = _upa(args, _search_box(angles, hw), AngleGrid(step_deg=args.step_deg))
+        sphere = AngleGrid(step_deg=args.step_deg)
+        source = _upa(args, _search_box(angles, hw, sphere), sphere)
     else:
         ds = load_dataset(args.dataset)
         source = (ds, _load_codebook_for(args.codebook, ds),
@@ -405,12 +411,9 @@ def cmd_montecarlo(args) -> tuple[list, list]:
     per_angle = [()] * len(angles)
     for pats, ks in _geometry_groups(source, *zip(*angles)):
         group = [angles[k] for k in ks]
-        # the group's search box, clipped to the grid
-        (t0, t1), (p0, p1) = pats.grid.theta_deg[[0, -1]], pats.grid.phi_deg[[0, -1]]
-        area = SensingArea(*np.clip(_search_box(group, hw).bounds(),
-                                    (t0, t0, p0, p0), (t1, t1, p1, p1)))
         report = monte_carlo_rmse(pats, group, snr_list, trials=args.trials, seed=args.seed,
-                                  search_area=area, refine=not args.no_refine,
+                                  search_area=_search_box(group, hw, pats.grid),
+                                  refine=not args.no_refine,
                                   fd_step_deg=args.fd_step_deg)
         del pats                        # one geometry's patterns held at a time
         for j, k in enumerate(ks):

@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .emdata import PatternSet
 from .errors import GridError
-from .grid import AngleGrid, _step_fraction, exact_deg
+from .grid import AngleGrid, line_index
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +117,8 @@ class CRLBMap:
 def _step_multiple(grid: AngleGrid, fd_step_deg: float | None) -> int:
     if fd_step_deg is None:
         return 1
-    mult = fd_step_deg / grid.step_deg
-    s = int(round(mult))
-    if s < 1 or abs(mult - s) > 1e-9:
+    s = line_index(fd_step_deg, grid.step_deg)
+    if s is None or s < 1:
         raise GridError(
             f"fd step {fd_step_deg} deg must be a positive multiple of the grid step {grid.step_deg}"
         )
@@ -129,16 +128,17 @@ def _step_multiple(grid: AngleGrid, fd_step_deg: float | None) -> int:
 def fd_window(area: SensingArea, grid: AngleGrid, fd_step_deg: float | None) -> AngleGrid:
     """The part of grid that area's finite differences read: the area plus its
     FD margin, with the whole phi circle when a wrapping grid's margin crosses
-    +-180, so every stencil on the window is the grid's own.  The bounds are
-    summed as exact decimals, so they stay on the grid at steps such as 0.1."""
-    m = _step_multiple(grid, fd_step_deg) * _step_fraction(grid.step_deg)
-    t0 = max(exact_deg(grid.theta_start_deg), exact_deg(area.theta_min_deg) - m)
-    t1 = min(exact_deg(grid.theta_stop_deg), exact_deg(area.theta_max_deg) + m)
-    g0, g1 = exact_deg(grid.phi_start_deg), exact_deg(grid.phi_stop_deg)
-    p0, p1 = exact_deg(area.phi_min_deg) - m, exact_deg(area.phi_max_deg) + m
-    if grid.phi_wraps and (p0 < g0 or p1 >= g1):
-        p0, p1 = g0, g1
-    return AngleGrid(*map(float, (t0, t1, max(g0, p0), min(g1, p1))), grid.step_deg)
+    +-180, so every stencil on the window is the grid's own.  Raises GridError
+    when the area is off the grid."""
+    m = _step_multiple(grid, fd_step_deg)
+    t_ids, p_ids = area.indices(grid)
+    t = np.clip([t_ids[0] - m, t_ids[-1] + m], 0, grid.n_theta - 1)
+    p = [p_ids[0] - m, p_ids[-1] + m]
+    if grid.phi_wraps and (p[0] < 0 or p[1] >= grid.n_phi):
+        phi = [grid.phi_start_deg, grid.phi_stop_deg]
+    else:
+        phi = grid.phi_deg[np.clip(p, 0, grid.n_phi - 1)].tolist()
+    return AngleGrid(*grid.theta_deg[t].tolist(), *phi, grid.step_deg)
 
 
 # Most bytes of one theta band's patterns: crlb-map --upa sweeps its area in
@@ -151,16 +151,13 @@ def theta_bands(area: SensingArea, grid: AngleGrid, row_bytes: int) -> list[Sens
 
     row_bytes is what one theta row of a band's patterns takes; a band holds
     max(1, _BAND_BYTES // row_bytes) rows, and its FD window adds the margin
-    rows.  Band edges are grid lines summed as exact decimals, so they stay
-    on the grid at steps such as 0.1.  Raises GridError when the area is off
-    the grid.
+    rows.  Band edges are the grid's own lines.  Raises GridError when the
+    area is off the grid.
     """
-    t_ids = area.indices(grid)[0].tolist()
+    lines = grid.theta_deg[area.indices(grid)[0]].tolist()
     rows = max(1, _BAND_BYTES // max(1, row_bytes))
-    start, step = exact_deg(grid.theta_start_deg), _step_fraction(grid.step_deg)
-    return [SensingArea(float(start + step * band[0]), float(start + step * band[-1]),
-                        area.phi_min_deg, area.phi_max_deg)
-            for band in (t_ids[i:i + rows] for i in range(0, len(t_ids), rows))]
+    return [SensingArea(band[0], band[-1], area.phi_min_deg, area.phi_max_deg)
+            for band in (lines[i:i + rows] for i in range(0, len(lines), rows))]
 
 
 def _axis_stencil(i: np.ndarray, s: int, n: int, h: float, axis: str):
@@ -251,8 +248,7 @@ def crlb_map(patterns: PatternSet, area: SensingArea, snr_linear: float,
     c_tt, c_tp, c_pp, obj, sing = crlb_points(patterns, it, ip, snr_linear, fd_step_deg)
 
     worst_i = int(np.argmax(obj))          # first maximum wins on ties
-    th = grid.theta_start_deg + grid.step_deg * it
-    ph = grid.phi_start_deg + grid.step_deg * ip
+    th, ph = grid.theta_deg[it], grid.phi_deg[ip]
     return CRLBMap(
         area=area, snr_linear=float(snr_linear),
         theta_deg=th, phi_deg=ph,

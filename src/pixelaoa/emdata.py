@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
 
 import numpy as np
@@ -495,13 +495,7 @@ def _read_v2(fh, path) -> EMDataset:
     try:
         layout = PortLayout.from_dict(doc["layout"])
         g = doc["grid"]
-        grid = AngleGrid(
-            theta_start_deg=float(g["theta_start_deg"]),
-            theta_stop_deg=float(g["theta_stop_deg"]),
-            phi_start_deg=float(g["phi_start_deg"]),
-            phi_stop_deg=float(g["phi_stop_deg"]),
-            step_deg=float(g["step_deg"]),
-        )
+        grid = AngleGrid(**{f.name: float(g[f.name]) for f in fields(AngleGrid)})
     except (KeyError, TypeError, ValueError, LayoutError, GridError) as exc:
         raise DatasetFormatError(f"{path}: missing or malformed field ({exc})") from exc
     metadata = doc.get("metadata", {})

@@ -6,12 +6,16 @@ theta as the outer axis.  The quadrature weight of a point is
 sin(theta) * dtheta * dphi in steradians (a flag switches to the literal
 dtheta*dphi measure for power integrals that are defined without the
 solid-angle Jacobian).
+
+Every grid line is a line of its step's lattice (line_deg), so an angle has
+the same bits in every grid that holds it, and lookups need no tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,6 +27,7 @@ PHI_MIN = -180.0
 PHI_MAX = 180.0
 
 
+@lru_cache(maxsize=None)
 def _step_fraction(step_deg: float) -> Fraction:
     """Exact rational value of a grid step.
 
@@ -41,20 +46,20 @@ def _step_fraction(step_deg: float) -> Fraction:
     return frac
 
 
-def exact_deg(value_deg: float) -> Fraction:
-    """Exact decimal value of an angle as its shortest repr reads: sums of
-    these carry none of the float noise of 0.3 - 0.1."""
-    return Fraction(str(float(value_deg)))
+def line_deg(k, step_deg: float):
+    """Line k (an integer or an integer array) of the step's lattice: k * step
+    as one correctly rounded division of exact integers."""
+    step = _step_fraction(step_deg)
+    return k * step.numerator / step.denominator
 
 
-def _exact_count(start_deg: float, stop_deg: float, step: Fraction, what: str) -> int:
-    span = exact_deg(stop_deg) - exact_deg(start_deg)
-    n = span / step
-    if n.denominator != 1:
-        raise GridError(
-            f"step {float(step)} deg does not divide the {what} span "
-            f"[{start_deg}, {stop_deg}] deg")
-    return int(n)
+def line_index(value_deg: float, step_deg: float) -> int | None:
+    """The k whose line_deg is value_deg bit for bit, or None (always for a
+    non-finite value_deg)."""
+    step = _step_fraction(step_deg)
+    x = value_deg * step.denominator / step.numerator
+    k = round(x) if np.isfinite(x) else 0
+    return k if line_deg(k, step_deg) == value_deg else None
 
 
 @dataclass(frozen=True)
@@ -83,9 +88,17 @@ class AngleGrid:
                 f"phi range [{self.phi_start_deg}, {self.phi_stop_deg}] "
                 f"must be increasing and within [{PHI_MIN}, {PHI_MAX}]"
             )
-        step = _step_fraction(self.step_deg)
-        _exact_count(self.theta_start_deg, self.theta_stop_deg, step, "theta")
-        _exact_count(self.phi_start_deg, self.phi_stop_deg, step, "phi")
+        self._lines                                 # raises unless the edges are lines
+
+    @cached_property
+    def _lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lattice indices (line_deg) of the theta lines and of the phi lines."""
+        edges = (self.theta_start_deg, self.theta_stop_deg, self.phi_start_deg, self.phi_stop_deg)
+        k = [line_index(x, self.step_deg) for x in edges]
+        if None in k:
+            raise GridError(f"grid edges {edges} deg are not all lines of the "
+                            f"{self.step_deg} deg step")
+        return np.arange(k[0], k[1] + 1), np.arange(k[2], k[3] if self.phi_wraps else k[3] + 1)
 
     # -- sizes -----------------------------------------------------------
 
@@ -95,14 +108,11 @@ class AngleGrid:
 
     @property
     def n_theta(self) -> int:
-        step = _step_fraction(self.step_deg)
-        return _exact_count(self.theta_start_deg, self.theta_stop_deg, step, "theta") + 1
+        return self._lines[0].size
 
     @property
     def n_phi(self) -> int:
-        step = _step_fraction(self.step_deg)
-        n = _exact_count(self.phi_start_deg, self.phi_stop_deg, step, "phi")
-        return n if self.phi_wraps else n + 1
+        return self._lines[1].size
 
     @property
     def n_points(self) -> int:
@@ -112,11 +122,11 @@ class AngleGrid:
 
     @property
     def theta_deg(self) -> np.ndarray:
-        return self.theta_start_deg + self.step_deg * np.arange(self.n_theta)
+        return line_deg(self._lines[0], self.step_deg)
 
     @property
     def phi_deg(self) -> np.ndarray:
-        return self.phi_start_deg + self.step_deg * np.arange(self.n_phi)
+        return line_deg(self._lines[1], self.step_deg)
 
     def meshgrid_rad(self) -> tuple[np.ndarray, np.ndarray]:
         """(theta, phi) in radians on the (n_theta, n_phi) lattice."""
@@ -126,20 +136,19 @@ class AngleGrid:
 
     # -- index helpers ----------------------------------------------------
 
-    def _index(self, value_deg: float, start: float, count: int, axis: str) -> int:
-        pos = (value_deg - start) / self.step_deg
-        idx = int(round(pos))
-        if abs(pos - idx) > 1e-6:
+    def _index(self, value_deg: float, lines: np.ndarray, axis: str) -> int:
+        k = line_index(value_deg, self.step_deg)
+        if k is None:
             raise GridError(f"{axis} = {value_deg} deg is not on the grid (step {self.step_deg})")
-        if not (0 <= idx < count):
+        if not lines[0] <= k <= lines[-1]:
             raise GridError(f"{axis} = {value_deg} deg is outside the grid")
-        return idx
+        return k - int(lines[0])
 
     def theta_index(self, theta_deg: float) -> int:
-        return self._index(theta_deg, self.theta_start_deg, self.n_theta, "theta")
+        return self._index(theta_deg, self._lines[0], "theta")
 
     def phi_index(self, phi_deg: float) -> int:
-        return self._index(phi_deg, self.phi_start_deg, self.n_phi, "phi")
+        return self._index(phi_deg, self._lines[1], "phi")
 
     # -- quadrature --------------------------------------------------------
 

@@ -34,7 +34,7 @@ from .errors import (
     NumericalError,
     ScheduleError,
 )
-from .grid import exact_deg
+from .grid import line_deg, line_index
 from .network import FeedNetworkConfig, GeometryConfig, solve_network
 
 CODEBOOK_FILE_VERSION = 1
@@ -502,16 +502,16 @@ def default_initial_config(layout: PortLayout, n_active: int) -> GeometryConfig:
 # ---------------------------------------------------------------------------
 
 def _split_span(lo: float, hi: float, k: int, step_deg: float, what: str) -> list[tuple[float, float]]:
+    """[lo, hi] cut into k equal runs of lattice lines of the step."""
     if k == 1:
         return [(lo, hi)]
-    width = exact_deg(hi) - exact_deg(lo)
-    child = width / k
-    if (child / exact_deg(step_deg)).denominator != 1:
+    i0, i1 = line_index(lo, step_deg), line_index(hi, step_deg)
+    if i0 is None or i1 is None or (i1 - i0) % k:
         raise ScheduleError(
             f"cannot split {what} span [{lo}, {hi}] into {k} grid-aligned parts "
             f"at step {step_deg}")
-    edges = [float(exact_deg(lo) + i * child) for i in range(k + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(k)]
+    edges = [line_deg(i0 + i * (i1 - i0) // k, step_deg) for i in range(k + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def stage_areas(schedule: SubdivisionSchedule, step_deg: float) -> list[list[SensingArea]]:
@@ -552,10 +552,8 @@ def build_codebook(
     """
     starts = [default_initial_config(dataset.layout, n_active)]
 
+    schedule.space.indices(dataset.grid)    # on the grid, and with it every child area
     areas_per_stage = stage_areas(schedule, dataset.grid.step_deg)
-    for stage in areas_per_stage:
-        for area in stage:
-            area.indices(dataset.grid)          # alignment check up front
 
     ev = ConfigEvaluator(dataset, snr_linear, feednet, fd_step_deg)
     traces: dict[str, OptimizationTrace] = {}

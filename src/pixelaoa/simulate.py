@@ -103,8 +103,7 @@ class _CandidateGrid:
     def __init__(self, patterns: PatternSet, area: SensingArea):
         grid = patterns.grid
         t_ids, p_ids = area.indices(grid)
-        self.theta_deg = grid.theta_start_deg + grid.step_deg * t_ids
-        self.phi_deg = grid.phi_start_deg + grid.step_deg * p_ids
+        self.theta_deg, self.phi_deg = grid.theta_deg[t_ids], grid.phi_deg[p_ids]
         self.shape = (t_ids.size, p_ids.size)
         self.step_deg = grid.step_deg
 

@@ -364,7 +364,7 @@ def test_upa_map_bands_leave_the_output_bit_identical(tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize("budget", [1, crlb._BAND_BYTES])
 def test_upa_map_at_a_decimal_step(tmp_path, monkeypatch, budget):
-    # window and band edges are summed exactly: in floats, 0.3 - 0.1 is off the 0.1 grid
+    # window and band edges are lattice lines: in floats, 0.3 - 0.1 is off the 0.1 grid
     monkeypatch.setattr(crlb, "_BAND_BYTES", budget)
     out = tmp_path / "map.csv"
     assert run(["crlb-map", "--upa", "4x4", "--mode", "numeric", "--area", "0.3:0.6:-10:10",
@@ -373,18 +373,58 @@ def test_upa_map_at_a_decimal_step(tmp_path, monkeypatch, budget):
     # the sphere's points and stencils, on its first degree of theta
     pats = upa_patterns(4, 4, 0.5, AngleGrid(0, 1, -180, 180, 0.1))
     m = crlb_map(pats, SensingArea(0.3, 0.6, -10, 10), 1.0)
-    np.testing.assert_allclose(table[:, :2], np.column_stack([m.theta_deg, m.phi_deg]),
-                               rtol=1e-12, atol=1e-12)
+    # every coordinate is the float its decimal reads: phi = 0 is 0.0, theta 0.3 is 0.3
+    np.testing.assert_array_equal(table[:, :2], np.column_stack([m.theta_deg, m.phi_deg]))
+    assert sorted(set(table[:, 0])) == [0.3, 0.4, 0.5, 0.6]
+    assert b"\n0.3,0.0," in out.read_bytes()
     np.testing.assert_allclose(table[:, 5], m.objective, rtol=1e-9)
 
 
-@pytest.mark.parametrize("mode, code", [("numeric", 2), ("closed-form", 0)])
+# steps whose lines are not binary fractions: 1/3 deg is one no decimal sum reaches
+@pytest.mark.parametrize("step, rows", [("0.1", 11 * 21), ("0.3333333333333333", 4 * 7)])
+def test_upa_map_bands_are_bit_identical_off_binary_steps(tmp_path, monkeypatch, step, rows):
+    runs = []
+    for budget in (1, 1 << 40):                 # one row per band; the whole area in one
+        monkeypatch.setattr(crlb, "_BAND_BYTES", budget)
+        out = tmp_path / f"map_{budget}.csv"
+        assert run(["crlb-map", "--upa", "4x4", "--area", "80:81:-1:1", "--step-deg", step,
+                    "--out", out]) == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+    assert len(runs[0].splitlines()) == 1 + rows
+
+
+@pytest.mark.parametrize("mode", ["closed-form", "both"])
+def test_upa_map_at_a_third_of_a_degree(tmp_path, mode):
+    out = tmp_path / "map.csv"
+    assert run(["crlb-map", "--upa", "2x2", "--mode", mode, "--step-deg", "0.3333333333333333",
+                "--area", "80:81:0:1", "--out", out]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    lines = [80.0, 241 / 3, 242 / 3, 81.0]      # lines 240-243 of the 1/3-degree lattice
+    np.testing.assert_array_equal(table[:, 0], np.repeat(lines, 4))
+    np.testing.assert_array_equal(table[:, 1], np.tile([0.0, 1 / 3, 2 / 3, 1.0], 4))
+
+
+@pytest.mark.parametrize("mode, code", [("numeric", 2), ("closed-form", 2)])
 def test_upa_map_of_an_array_without_elements(tmp_path, mode, code):
-    # a 0x4 UPA has no patterns to sweep, and a closed form singular everywhere
+    # a 0x4 UPA has no elements: its size is a flag error, whatever the mode
     out = tmp_path / "map.csv"
     assert run(["crlb-map", "--upa", "0x4", "--mode", mode, "--area", "85:95:-5:5",
                 "--out", out]) == code
     assert out.exists() == (code == 0)
+
+
+# below 1x1 a UPA has no elements: every --upa path rejects the size as a flag error
+@pytest.mark.parametrize("size", ["0x4", "-1x4"])
+@pytest.mark.parametrize("command", ["crlb-map", "compare", "montecarlo"])
+def test_upa_size_below_1x1_exits_2(tmp_path, capsys, ds_file, cb_file, command, size):
+    argv = {"crlb-map": ["--mode", "closed-form", "--area", "85:95:-5:5"],
+            "compare": ["--dataset", ds_file, "--codebook", cb_file],
+            "montecarlo": ["--angles", "90,0", "--trials", "100"]}[command]
+    out = tmp_path / "out.csv"
+    assert run([command, f"--upa={size}", *argv, "--out", out]) == 2
+    assert f"--upa expects at least 1x1, got '{size}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_upa_map_memory_is_bounded_by_a_band(tmp_path):

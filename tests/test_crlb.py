@@ -204,6 +204,21 @@ def test_fd_window_bounds_are_exact_at_a_decimal_step():
                                                                                0.5, 1.1)
 
 
+def test_fd_window_at_a_third_of_a_degree():
+    # 79 2/3 deg is line 239 of the 1/3-degree lattice; no decimal sum reaches it
+    grid = AngleGrid(step_deg=1 / 3)
+    win = fd_window(SensingArea(80, 81, 0, 1), grid, None)
+    assert _bounds(win) == (239 / 3, 244 / 3, -1 / 3, 4 / 3)
+    assert win.theta_deg.tolist() == grid.theta_deg[239:245].tolist()
+
+
+def test_fd_step_is_an_exact_multiple_of_the_grid_step():
+    grid = AngleGrid(step_deg=0.1)
+    assert crlb._step_multiple(grid, 0.3) == 3
+    with pytest.raises(GridError, match="positive multiple"):
+        crlb._step_multiple(grid, 0.1 + 0.2)           # 0.30000000000000004
+
+
 @pytest.mark.parametrize("rows, want", [
     (1, [(83.9, 83.9), (84.0, 84.0), (84.1, 84.1), (84.2, 84.2)]),
     (3, [(83.9, 84.1), (84.2, 84.2)]),

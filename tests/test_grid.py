@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from pixelaoa import AngleGrid
 from pixelaoa.errors import GridError
+from pixelaoa.grid import line_deg, line_index
 
 
 def test_default_grid_is_full_sphere_at_one_degree():
@@ -65,5 +68,39 @@ def test_index_roundtrip_and_off_grid_rejection():
     assert g.phi_index(-180.0) == 0
     with pytest.raises(GridError):
         g.theta_index(90.5)
+    with pytest.raises(GridError, match="not on the grid"):
+        g.theta_index(90 + 1e-9)                 # no tolerance: a value is a line or not
     with pytest.raises(GridError):
         g.phi_index(1000.0)
+
+
+@pytest.mark.parametrize("step, exact", [(0.1, Fraction(1, 10)), (0.05, Fraction(1, 20)),
+                                         (1 / 3, Fraction(1, 3)), (2.0, Fraction(2))])
+def test_lattice_lines_are_the_correctly_rounded_multiples_of_the_step(step, exact):
+    k = np.arange(-3600, 3601)
+    lines = line_deg(k, step)
+    assert lines.tolist() == [float(i * exact) for i in k.tolist()]
+    assert [line_index(x, step) for x in lines.tolist()] == k.tolist()
+
+
+def test_grid_edges_must_be_lattice_lines():
+    # the span 4 is two steps, but 1 and 5 are no lines of the 2-degree lattice
+    with pytest.raises(GridError, match="not all lines of the 2.0 deg step"):
+        AngleGrid(1, 5, 0, 10, 2.0)
+    with pytest.raises(GridError):
+        AngleGrid(0.30000000000000004, 1, 0, 1, 0.1)
+
+
+@pytest.mark.parametrize("step", [0.1, 0.05, 1 / 3])
+def test_windows_of_one_sphere_give_every_line_the_same_bits(step):
+    sphere = AngleGrid(step_deg=step)
+    th, ph = sphere.theta_deg, sphere.phi_deg
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        t0, t1 = np.sort(rng.choice(sphere.n_theta, 2, replace=False))
+        p0, p1 = np.sort(rng.choice(sphere.n_phi, 2, replace=False))
+        win = AngleGrid(th[t0], th[t1], ph[p0], ph[p1], step)
+        assert win.theta_deg.tobytes() == th[t0:t1 + 1].tobytes()
+        assert win.phi_deg.tobytes() == ph[p0:p1 + 1].tobytes()
+        t = rng.integers(t0, t1 + 1)
+        assert win.theta_index(th[t]) == t - t0
