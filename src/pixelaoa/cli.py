@@ -7,10 +7,12 @@ returns the files it read and wrote; main times it and, when it wrote any,
 writes one JSON manifest beside the first with the resolved parameters (null
 for other paths' flags) and digests, so the manifest alone reproduces it.
 
-_geometry_groups owns which geometry serves an angle and _upa every --upa
-baseline, built on crlb.fd_window, the part of a grid an area's finite
-differences read; crlb-map --upa builds it one theta band (crlb.theta_bands)
-at a time; compare and --fig area-bars reduce two crlb-map tables per leaf.
+_geometry_groups owns which geometry serves an angle and projects each
+codebook geometry (network.project), _upa builds every --upa baseline, both
+on crlb.fd_window, the part of a grid an area's (or a Monte-Carlo search
+box's) finite differences read; no command projects onto the whole dataset
+grid.  crlb-map --upa builds its window one theta band (crlb.theta_bands) at
+a time; compare and --fig area-bars reduce two crlb-map tables per leaf.
 
 Exit codes: 0 success, 2 flag/parameter validation, 3 file I/O or format,
 4 dataset validation, 5 numerical failure.
@@ -65,7 +67,7 @@ from .errors import (
     ScheduleError,
 )
 from .grid import AngleGrid, line_index
-from .network import FeedNetworkConfig, overall_patterns
+from .network import FeedNetworkConfig, project, solve_network
 from .optimizer import (
     Codebook,
     GAParams,
@@ -181,30 +183,37 @@ def _load_codebook_for(path, ds) -> Codebook:
     return cb
 
 
-def _geometry_groups(source, theta_deg, phi_deg):
+def _geometry_groups(source, theta_deg, phi_deg, window: AngleGrid):
     """Yield (patterns, indices of the points they serve) per geometry, in the
-    order of each geometry's first point: a PatternSet source serves every
-    point, a (dataset, codebook, feednet) source each with its leaf's geometry,
-    solved when its group is reached."""
+    order of each geometry's first point: a PatternSet source (already on
+    window) serves every point, a (dataset, codebook, feednet) source each
+    with its leaf's geometry, solved and projected on window when its group
+    is reached."""
     if isinstance(source, PatternSet):
         yield source, np.arange(len(theta_deg))
         return
     ds, cb, feednet = source
+    e = ds.window(window)
     configs = [cw.config for cw in cb.codewords]
     geom = np.array([configs.index(c) for c in configs])[codebook_leaves(cb, theta_deg, phi_deg)]
     for g in geom[np.sort(np.unique(geom, return_index=True)[1])]:
-        yield overall_patterns(ds, configs[g], feednet).patterns, np.flatnonzero(geom == g)
+        V = solve_network(ds.Z, ds.gram, ds.n_feed, ds.n_loaded, [configs[g]], feednet).V
+        yield PatternSet(window, project(e, V)[0]), np.flatnonzero(geom == g)
 
 
 def _area_table(source, area: SensingArea, snr: float, fd_step_deg):
     """(theta, phi, table) over the area's points on the source's grid, each
-    point under the geometry that serves it; table rows are c_tt, c_tp, c_pp
-    and objective."""
-    grid = source.grid if isinstance(source, PatternSet) else source[0].grid
-    it, ip = area.points(grid)
-    th, ph = grid.theta_deg[it], grid.phi_deg[ip]
+    point under the geometry that serves it; a codebook source's patterns are
+    projected on the area's FD window.  Table rows are c_tt, c_tp, c_pp and
+    objective."""
+    if isinstance(source, PatternSet):
+        window = source.grid
+    else:
+        window = fd_window(area, source[0].grid, fd_step_deg)
+    it, ip = area.points(window)
+    th, ph = window.theta_deg[it], window.phi_deg[ip]
     table = np.empty((4, th.size))
-    for pats, ks in _geometry_groups(source, th, ph):
+    for pats, ks in _geometry_groups(source, th, ph, window):
         table[:, ks] = crlb_points(pats, it[ks], ip[ks], snr, fd_step_deg)[:4]
         del pats                        # one geometry's patterns alive at a time
     return th, ph, table
@@ -402,14 +411,16 @@ def cmd_montecarlo(args) -> tuple[list, list]:
     if args.upa:
         sphere = AngleGrid(step_deg=args.step_deg)
         source = _upa(args, _search_box(angles, hw, sphere), sphere)
+        window = source.grid
     else:
         ds = load_dataset(args.dataset)
         source = (ds, _load_codebook_for(args.codebook, ds),
                   FeedNetworkConfig(source_impedance_ohm=args.z0_ohm))
         inputs = [args.dataset, args.codebook]
+        window = fd_window(_search_box(angles, hw, ds.grid), ds.grid, args.fd_step_deg)
 
     per_angle = [()] * len(angles)
-    for pats, ks in _geometry_groups(source, *zip(*angles)):
+    for pats, ks in _geometry_groups(source, *zip(*angles), window):
         group = [angles[k] for k in ks]
         report = monte_carlo_rmse(pats, group, snr_list, trials=args.trials, seed=args.seed,
                                   search_area=_search_box(group, hw, pats.grid),

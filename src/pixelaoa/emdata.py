@@ -230,6 +230,16 @@ class EMDataset:
     def quadrature(self) -> np.ndarray:
         return self.grid.weights(bool(self.metadata.get("include_sin_theta", True)))
 
+    def window(self, grid: AngleGrid) -> np.ndarray:
+        """Read-only (2, P, Tn, Pn) view of e_oc on grid, a rectangle of the
+        dataset's grid at its step (crlb.fd_window gives one)."""
+        t0 = self.grid.theta_index(grid.theta_start_deg)
+        p0 = self.grid.phi_index(grid.phi_start_deg)
+        e = self.e_oc[:, :, t0:t0 + grid.n_theta, p0:p0 + grid.n_phi]
+        if grid.step_deg != self.grid.step_deg or e.shape[2:] != (grid.n_theta, grid.n_phi):
+            raise GridError(f"{grid} is not a window of the dataset grid {self.grid}")
+        return e
+
     @cached_property
     def gram(self) -> np.ndarray:
         """Read-only (P, P) pattern Gram matrix under the dataset quadrature."""

@@ -6,9 +6,10 @@ in the infinite-impedance limit; switched pixel links are short (0 ohm,
 bit 0) or quasi-open (z_oc, bit 1) loads that are eliminated through a
 Schur complement.  solve_network is the one solver: it returns the
 effective feed impedance matrix, the per-port map V with overall patterns
-E = e_oc . V, and the per-port radiation efficiencies.  Two functions
-project V onto e_oc: overall_patterns onto the whole grid, for one config,
-and the optimizer's ConfigEvaluator onto its area's FD window, for a batch.
+E = e_oc . V, and the per-port radiation efficiencies.  project is the one
+projection E = e_oc . V: a batch of V onto a window of e_oc (EMDataset.window),
+for the optimizer's ConfigEvaluator and the CLI's maps and Monte Carlo alike;
+overall_patterns is solve_network plus project on the whole grid.
 The full-grid quadrature pipeline solve_network is checked against, and the
 single-config Z_F and port-current references, live in tests/oracles.py.
 
@@ -204,13 +205,19 @@ def solve_network(Z: np.ndarray, gram: np.ndarray, n_feed: int, n_loaded: int,
     return NetworkSolution(z_feed, S * np.sqrt(lam)[:, None, :], lam)
 
 
+def project(e: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Patterns E = e_oc . V of a batch, (B, 2, N, Tn, Pn), for e a
+    (2, P, Tn, Pn) window of e_oc and V (B, P, N): one matmul per config and
+    polarization, on a view of e when e is contiguous."""
+    E = np.swapaxes(V, 1, 2)[:, None] @ e.reshape(2, e.shape[1], -1)
+    return E.reshape(*E.shape[:3], *e.shape[2:])
+
+
 def overall_patterns(dataset: EMDataset, config: GeometryConfig,
                      feednet: FeedNetworkConfig = FeedNetworkConfig()) -> ActiveNetwork:
-    """solve_network plus the full-grid projection E = e_oc . V: one matmul
-    on a (2, P, n_theta * n_phi) view of e_oc, which copies no part of it."""
+    """solve_network plus project on the whole grid, which copies no part of
+    e_oc."""
     sol = solve_network(dataset.Z, dataset.gram, dataset.n_feed, dataset.n_loaded,
                         [config], feednet)
-    e = dataset.e_oc
-    pats = (sol.V[0].T @ e.reshape(2, e.shape[1], -1)).reshape(2, -1, *e.shape[2:])
     return ActiveNetwork(z_feed=sol.z_feed[0], efficiencies=sol.efficiencies[0],
-                         patterns=PatternSet(dataset.grid, pats))
+                         patterns=PatternSet(dataset.grid, project(dataset.e_oc, sol.V)[0]))

@@ -35,7 +35,7 @@ from .errors import (
     ScheduleError,
 )
 from .grid import line_deg, line_index
-from .network import FeedNetworkConfig, GeometryConfig, solve_network
+from .network import FeedNetworkConfig, GeometryConfig, project, solve_network
 
 CODEBOOK_FILE_VERSION = 1
 
@@ -180,15 +180,16 @@ class Codebook:
 class ConfigEvaluator:
     """Worst-case CRLB objective of geometries over sensing areas.
 
-    Patterns are computed only on the area's FD window (crlb.fd_window: the
-    area plus its finite-difference margin); radiated power comes from the
+    Patterns are projected (network.project) only on the area's FD window
+    (crlb.fd_window: the area plus its finite-difference margin), held as a
+    contiguous copy of EMDataset.window; radiated power comes from the
     dataset-level pattern Gram matrix, which is algebraically the
     full-sphere quadrature.
-    The evaluator holds one area at a time: its support slab and its
-    objective cache, keyed by (feed_ports, connections), serve the area of
-    the latest call, and a call on another area replaces both.  Uncached
-    configs are scored in stacked passes: one network solve, one projection
-    and one FIM sweep per active-port count and chunk.
+    The evaluator holds one area at a time: its window and its objective
+    cache, keyed by (feed_ports, connections), serve the area of the latest
+    call, and a call on another area replaces both.  Uncached configs are
+    scored in stacked passes: one network solve, one projection and one FIM
+    sweep per active-port count and chunk.
     """
 
     def __init__(self, dataset: EMDataset, snr_linear: float,
@@ -209,16 +210,12 @@ class ConfigEvaluator:
     # -- area support -------------------------------------------------------
 
     def _build_support(self, area: SensingArea):
-        grid = self.dataset.grid
-        win = fd_window(area, grid, self.fd_step_deg)
-        t0, p0 = grid.theta_index(win.theta_start_deg), grid.phi_index(win.phi_start_deg)
-        slab = self.dataset.e_oc[:, :, t0:t0 + win.n_theta, p0:p0 + win.n_phi]  # (2, P, Tn, Pn)
+        win = fd_window(area, self.dataset.grid, self.fd_step_deg)
         it, ip = area.points(win)
         itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(
             win, it, ip, _step_multiple(win, self.fd_step_deg))
         return {
-            "slab": np.moveaxis(slab, 1, 0).reshape(slab.shape[1], -1),   # (P, 2*Tn*Pn)
-            "shape": (win.n_theta, win.n_phi),
+            "e": np.ascontiguousarray(self.dataset.window(win)),    # (2, P, Tn, Pn)
             "it": it, "ip": ip,
             "itp": itp, "itm": itm, "inv_dt": inv_dt,
             "ipp": ipp, "ipm": ipm, "inv_dp": inv_dp,
@@ -234,9 +231,8 @@ class ConfigEvaluator:
         V = solve_network(ds.Z, self._gram, ds.n_feed, ds.n_loaded, configs,
                           self.feednet).V                   # (B, P, N)
         B, _, N = V.shape
-        Tn, Pn = sup["shape"]
-        pats = np.swapaxes(V, 1, 2) @ sup["slab"]           # (B, N, 2*Tn*Pn)
-        e = pats.reshape(B, N, 2, Tn, Pn).transpose(2, 1, 3, 0, 4).reshape(2 * N, Tn, B * Pn)
+        _, _, Tn, Pn = sup["e"].shape
+        e = project(sup["e"], V).transpose(1, 2, 3, 0, 4).reshape(2 * N, Tn, B * Pn)
         shift = Pn * np.arange(B)[:, None]
         _, _, _, obj, _ = kernels.fim_sweep(
             e, np.tile(sup["it"], B), (sup["ip"] + shift).ravel(),
@@ -283,7 +279,7 @@ class ConfigEvaluator:
                 missing[key] = cfg
         for n in sorted({c.n_active for c in missing.values()}):
             todo = [(k, c) for k, c in missing.items() if c.n_active == n]
-            step = max(1, _CHUNK_VALUES // (n * self._sup["slab"].shape[1]))
+            step = max(1, _CHUNK_VALUES // (n * self._sup["e"][:, 0].size))
             for i in range(0, len(todo), step):
                 chunk = todo[i:i + step]
                 vals = self._score_chunk([c for _, c in chunk], self._sup)
@@ -291,6 +287,20 @@ class ConfigEvaluator:
         self.misses += len(missing)
         self.hits += len(keys) - len(missing)
         return [self._cache[k] for k in keys]
+
+
+def _evaluator_for(dataset: EMDataset, snr_linear: float, feednet: FeedNetworkConfig,
+                   evaluator: ConfigEvaluator | None) -> ConfigEvaluator:
+    """evaluator, or a new one when it is None; a passed evaluator must score
+    the dataset (this very one), SNR and feed network beside it."""
+    if evaluator is None:
+        return ConfigEvaluator(dataset, snr_linear, feednet)
+    if (evaluator.dataset is not dataset or evaluator.snr != snr_linear
+            or evaluator.feednet != feednet):
+        raise ConfigError(
+            f"the evaluator scores another dataset, SNR or feed network than asked for "
+            f"(snr {evaluator.snr} against {snr_linear}, {evaluator.feednet} against {feednet})")
+    return evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +344,7 @@ def ga_optimize_connections(
     of every generation scores +inf, the start vector is returned with a
     +inf history.
     """
-    ev = evaluator or ConfigEvaluator(dataset, snr_linear, feednet)
+    ev = _evaluator_for(dataset, snr_linear, feednet, evaluator)
     Q = dataset.n_loaded
     if Q == 0:
         cfg = GeometryConfig(fixed_feed_ports, ())
@@ -394,7 +404,7 @@ def sequential_port_update(
     Ties break toward the smallest port index.  Returns the port set and the
     (objective, ports) after each pass.
     """
-    ev = evaluator or ConfigEvaluator(dataset, snr_linear, feednet)
+    ev = _evaluator_for(dataset, snr_linear, feednet, evaluator)
     M = dataset.n_feed
     F = list(init_feed_ports)
     g = tuple(fixed_g)
@@ -440,7 +450,7 @@ def alternating_optimize(
     """
     if max_outer < 1:
         raise ConfigError("max_outer must be at least 1")
-    ev = evaluator or ConfigEvaluator(dataset, snr_linear, feednet)
+    ev = _evaluator_for(dataset, snr_linear, feednet, evaluator)
     trace = OptimizationTrace()
     label = area_label or area.label()
 

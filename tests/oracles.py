@@ -15,11 +15,14 @@ are the earlier whole-array forms of emdata.upa_patterns and crlb.write_csv,
 which now write into their output one port or one block of rows at a time.
 ml_scores_stacked scores both basis columns of every candidate by one GEMM
 and sums the squares by einsum; kernels.ml_scores must reproduce its bits
-with one GEMM per column that some candidate uses.
+with one GEMM per column that some candidate uses.  exhaustive_optimum
+scores every geometry with a given active-port count, the exact optimum that
+the GA and the alternating loop are measured against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -33,6 +36,7 @@ from pixelaoa.network import (
     load_correction,
     source_currents,
 )
+from pixelaoa.optimizer import ConfigEvaluator
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +265,19 @@ def ml_scores_stacked(basis, rank, y):
     scores = np.einsum("tgk,tgk->tg", parts, parts)
     scores[:, rank == 0] = -1.0
     return scores if y.ndim == 2 else scores[0]
+
+
+# ---------------------------------------------------------------------------
+# exact optimum of the geometry search
+# ---------------------------------------------------------------------------
+
+def exhaustive_optimum(dataset: EMDataset, area, n_active: int, snr_linear: float = 1.0):
+    """(objective, config) of the best geometry over every n_active feed-port
+    set and every connection vector, scored on area one port set at a time;
+    ties go to the smallest (feed ports, connections)."""
+    ev = ConfigEvaluator(dataset, snr_linear)
+    links = list(itertools.product((0, 1), repeat=dataset.n_loaded))
+    best = min(min(zip(ev.objective_many([GeometryConfig(ports, g) for g in links], area),
+                       itertools.repeat(ports), links))
+               for ports in itertools.combinations(range(dataset.n_feed), n_active))
+    return best[0], GeometryConfig(best[1], best[2])

@@ -621,33 +621,43 @@ def _leaf_codebook(path, ds_file, leaf_geoms):
     return path
 
 
-@pytest.mark.parametrize("argv, n_solves", [
-    (["crlb-map", "--codebook", "BOOK", "--area", "80:100:-10:10"], 2),
+# the window is the FD window of the area, or of the Monte-Carlo search box:
+# the angles' 85:95:-5:5 widened by the default 10-degree half-width
+@pytest.mark.parametrize("argv, n_solves, box", [
+    (["crlb-map", "--codebook", "BOOK", "--area", "80:100:-10:10"], 2, "80:100:-10:10"),
     (["export-plots", "--fig", "area-size", "--codebooks", "BOOK",
-      "--eval-area", "80:100:-10:10"], 2),
+      "--eval-area", "80:100:-10:10"], 2, "80:100:-10:10"),
     (["montecarlo", "--codebook", "BOOK", "--angles", "85,-5;85,5;95,-5;95,5",
-      "--snr-db-list", "20", "--trials", "100"], 2),
-    (["compare", "--codebook", "ONE", "--baseline-codebook", "BOOK"], 3),
+      "--snr-db-list", "20", "--trials", "100"], 2, "75:105:-15:15"),
+    (["compare", "--codebook", "ONE", "--baseline-codebook", "BOOK"], 3, "80:100:-10:10"),
 ], ids=["crlb_map", "area_size", "montecarlo", "compare_baseline"])
 def test_codebook_map_holds_one_geometry_at_a_time(tmp_path, monkeypatch, ds_file, argv,
-                                                   n_solves):
+                                                   n_solves, box):
     # four leaves over two geometries, alternating, so each geometry's points
     # span two leaves; compare also solves its one HRPA leaf
     books = {"BOOK": _leaf_codebook(tmp_path / "alt.json", ds_file, GEOMS * 2),
              "ONE": _leaf_codebook(tmp_path / "one.json", ds_file, GEOMS[:1])}
     calls, returned = [], []
+    solve, groups = cli.solve_network, cli._geometry_groups
 
-    def spy(*args, **kwargs):
-        assert all(ref() is None for ref in returned)   # no earlier pattern set alive
-        calls.append(args[1])
-        net = overall_patterns(*args, **kwargs)
-        returned.append(weakref.ref(net.patterns))
-        return net
+    def solve_spy(*args, **kwargs):
+        assert all(ref() is None for ref, _ in returned)   # no earlier pattern set alive
+        calls.extend(args[4])
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "overall_patterns", spy)
+    def groups_spy(*args):
+        for pats, ks in groups(*args):
+            returned.append((weakref.ref(pats), pats.grid))
+            yield pats, ks
+            del pats
+
+    monkeypatch.setattr(cli, "solve_network", solve_spy)
+    monkeypatch.setattr(cli, "_geometry_groups", groups_spy)
     argv = [books.get(a, a) for a in argv]
     assert run(argv + ["--dataset", ds_file, "--out-dir", tmp_path]) == 0
     assert len(calls) == n_solves and set(calls) == set(GEOMS)
+    grid = load_dataset(ds_file).grid
+    assert {g for _, g in returned} == {crlb.fd_window(cli._parse_area(box), grid, None)}
 
 
 def test_compare_self_is_zero_improvement(tmp_path, ds_file, cb_file):
@@ -777,12 +787,17 @@ def test_montecarlo_upa_rejects_a_bad_fd_step_before_any_trial(tmp_path, monkeyp
     def forbidden(*args, **kwargs):
         raise AssertionError("no trial is scored before the fd step is checked")
 
+    ds2 = tmp_path / "ds2.json"
+    assert run(["gen-dataset", "--pixels", "2x2", "--step-deg", "2", "--out", ds2]) == 0
+    book = _leaf_codebook(tmp_path / "cb.json", ds2, GEOMS[:1])
     monkeypatch.setattr(kernels, "ml_scores", forbidden)
     out = tmp_path / "mc.csv"
-    assert run(["montecarlo", "--upa", "4x4", "--step-deg", "0.5", "--fd-step-deg", "0.75",
-                "--out", out]) == 2
-    assert "must be a positive multiple of the grid step" in capsys.readouterr().err
-    assert not out.exists()
+    for flags in (["--upa", "4x4", "--step-deg", "0.5", "--fd-step-deg", "0.75"],
+                  ["--dataset", ds2, "--codebook", book, "--angles", "90,0",
+                   "--fd-step-deg", "3"]):
+        assert run(["montecarlo", *flags, "--out", out]) == 2
+        assert "must be a positive multiple of the grid step" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # a 1-degree half-width puts the fd step of 4 beyond the search box

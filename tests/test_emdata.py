@@ -23,6 +23,7 @@ from pixelaoa.errors import (
     DatasetFormatError,
     DimensionMismatchError,
     FinitenessError,
+    GridError,
     LayoutError,
     PassivityError,
     ReciprocityError,
@@ -79,6 +80,17 @@ def test_single_port_layout(coarse_grid):
     assert ds.Z.shape == (1, 1)
     assert ds.Z[0, 0].real > 0
     assert np.any(np.abs(ds.e_oc) > 0)
+
+
+def test_window_is_a_view_of_e_oc_and_rejects_other_grids(tiny_dataset):
+    ds = tiny_dataset                                   # the 5-degree sphere
+    w = ds.window(AngleGrid(80, 100, 170, 175, 5.0))
+    assert np.shares_memory(w, ds.e_oc)
+    assert np.array_equal(w, ds.e_oc[:, :, 16:21, 70:72])
+    for grid in (AngleGrid(80, 100, -10, 10, 10.0),     # another step
+                 AngleGrid(80, 100, 170, 180, 5.0)):    # phi = 180 is not on the sphere
+        with pytest.raises(GridError):
+            ds.window(grid)
 
 
 def test_mutual_resistance_matches_bruteforce_quadrature(coarse_grid):

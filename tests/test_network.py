@@ -13,9 +13,10 @@ from pixelaoa import (
     generate_synthetic_dataset,
     overall_patterns,
 )
+from pixelaoa.crlb import SensingArea, fd_window
 from pixelaoa.emdata import EMDataset, PatternSet
 from pixelaoa.errors import ConfigError, NumericalError
-from pixelaoa.network import load_correction, solve_network, source_currents
+from pixelaoa.network import load_correction, project, solve_network, source_currents
 
 from conftest import random_symmetric_z
 from oracles import (
@@ -321,6 +322,30 @@ def test_overall_patterns_copies_no_part_of_the_dataset():
         tracemalloc.stop()
     size = pats.data.nbytes
     assert peak <= 1.5 * size, (peak, size)
+
+
+# FD windows of the 5-degree sphere: inside it, clipped at the theta = 0 pole,
+# and the whole phi circle because the margin crosses +-180
+@pytest.mark.parametrize("area, fd_step, bounds", [
+    (SensingArea(80, 100, -10, 10), None, (75, 105, -15, 15)),
+    (SensingArea(0, 20, -30, 0), 10.0, (0, 30, -40, 10)),
+    (SensingArea(150, 175, 170, 175), None, (145, 180, -180, 180)),
+], ids=["interior", "pole", "phi_wrap"])
+def test_project_on_a_window_matches_the_full_grid(small_dataset, area, fd_step, bounds):
+    ds = small_dataset
+    window = fd_window(area, ds.grid, fd_step)
+    assert window == AngleGrid(*bounds, 5.0)
+    cfgs = _random_batch(np.random.default_rng(8), ds.n_feed, ds.n_loaded, 3, 4)
+    got = project(ds.window(window), solve_network(ds.Z, ds.gram, ds.n_feed, ds.n_loaded,
+                                                   cfgs).V)
+    assert got.shape == (4, 2, 3, window.n_theta, window.n_phi)
+    t = [ds.grid.theta_index(x) for x in window.theta_deg]
+    p = [ds.grid.phi_index(x) for x in window.phi_deg]
+    for b, cfg in enumerate(cfgs):
+        # not bitwise: BLAS may block the two matmuls differently by column count
+        want = overall_patterns(ds, cfg).patterns.data[:, :, t][:, :, :, p]
+        np.testing.assert_allclose(got[b], want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_overall_paper_scale_shapes(coarse_grid):

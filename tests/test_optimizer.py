@@ -23,7 +23,7 @@ from pixelaoa.errors import (
     NonPhysicalConfigError,
     ScheduleError,
 )
-from pixelaoa.network import solve_network
+from pixelaoa.network import FeedNetworkConfig, solve_network
 from pixelaoa.optimizer import (
     Codebook,
     ConfigEvaluator,
@@ -42,7 +42,8 @@ from pixelaoa.optimizer import (
     stage_areas,
 )
 
-from oracles import oracle_overall_patterns
+from conftest import with_arrays
+from oracles import exhaustive_optimum, oracle_overall_patterns
 
 AREA = SensingArea(85, 95, -5, 5)
 
@@ -204,6 +205,19 @@ def test_ga_exhaustive_optimum_small_space(ds13):
     assert ev.objective(GeometryConfig(F, best_g), AREA) == brute[0]
 
 
+def test_ga_population_of_2_to_the_q_finds_the_exhaustive_optimum(small_dataset):
+    # Q = 12 on 3x3 pixels: 4096 genomes enumerate every vector, so on the
+    # optimum's ports the GA must return the optimum over ports and links
+    ds, area = small_dataset, SensingArea(80, 100, -10, 10)
+    assert ds.n_loaded == 12
+    objective, best = exhaustive_optimum(ds, area, n_active=2)
+    assert math.isfinite(objective)
+    g, hist = ga_optimize_connections(ds, best.feed_ports, area,
+                                      GAParams(population=1 << 12, generations=2, seed=3),
+                                      (0,) * 12)
+    assert (hist[-1][0], g) == (objective, best.connections)
+
+
 def test_ga_degenerate_returns_best_of_initial_population(ds2):
     ev = ConfigEvaluator(ds2, 1.0)
     F = (0, 3)
@@ -322,6 +336,30 @@ def test_alternating_fixed_point_converges_immediately(ds2):
     cw2, _ = alternating_optimize(ds2, cw.config, AREA, params, snr_linear=1.0, evaluator=ev)
     assert cw2.config == cw.config
     assert cw2.iterations_used == 1
+
+
+def test_a_passed_evaluator_must_score_the_arguments_beside_it(tiny_dataset):
+    ds, area = tiny_dataset, SensingArea(80, 100, -10, 10)
+    init = default_initial_config(ds.layout, 2)
+    params = GAParams(population=8, generations=2)
+    calls = [
+        lambda ev: alternating_optimize(ds, init, area, params, 100.0, evaluator=ev),
+        lambda ev: ga_optimize_connections(ds, init.feed_ports, area, params,
+                                           init.connections, 100.0, evaluator=ev),
+        lambda ev: sequential_port_update(ds, init.connections, init.feed_ports, area, 100.0,
+                                          evaluator=ev),
+    ]
+    for ev in (ConfigEvaluator(ds, 1.0),
+               ConfigEvaluator(ds, 100.0, FeedNetworkConfig(source_impedance_ohm=25.0)),
+               ConfigEvaluator(with_arrays(ds), 100.0)):        # equal arrays, other dataset
+        for call in calls:
+            with pytest.raises(ConfigError, match="evaluator"):
+                call(ev)
+    # the matching evaluator scores what a fresh one scores
+    assert ([c(ConfigEvaluator(ds, 100.0)) for c in calls[1:]]
+            == [c(None) for c in calls[1:]])
+    assert (calls[0](ConfigEvaluator(ds, 100.0))[0].objective
+            == calls[0](None)[0].objective)
 
 
 def test_codeword_objective_recomputes_exactly(ds2):
