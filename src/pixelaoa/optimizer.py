@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,6 +191,10 @@ class ConfigEvaluator:
     call, and a call on another area replaces both.  Uncached configs are
     scored in stacked passes: one network solve, one projection and one FIM
     sweep per active-port count and chunk.
+    Beside the cache's hits and misses it counts the evaluated configs it
+    scored +inf, by cause: inf_nonphysical and inf_numerical (the network
+    solve rejected the config) and inf_singular_fim (the FIM is singular at
+    some point of the area).
     """
 
     def __init__(self, dataset: EMDataset, snr_linear: float,
@@ -203,6 +208,9 @@ class ConfigEvaluator:
         self.fd_step_deg = fd_step_deg
         self.hits = 0
         self.misses = 0
+        self.inf_nonphysical = 0
+        self.inf_numerical = 0
+        self.inf_singular_fim = 0
         self._area = self._sup = None
         self._cache: dict = {}
         self._gram = dataset.gram
@@ -239,18 +247,23 @@ class ConfigEvaluator:
             np.tile(sup["itp"], B), np.tile(sup["itm"], B), np.tile(sup["inv_dt"], B),
             (sup["ipp"] + shift).ravel(), (sup["ipm"] + shift).ravel(),
             np.tile(sup["inv_dp"], B), self.snr)
-        obj = obj.reshape(B, -1)
-        return obj[np.arange(B), np.argmax(obj, axis=1)].tolist()
+        worst = obj.reshape(B, -1).max(axis=1)
+        self.inf_singular_fim += int(np.count_nonzero(np.isinf(worst)))
+        return worst.tolist()
 
     def _score_chunk(self, configs, sup) -> list[float]:
         """_score, falling back to one config at a time when the batch solve
         fails, so only the offending configs score +inf."""
         try:
             return self._score(configs, sup)
-        except (NonPhysicalConfigError, NumericalError):
-            if len(configs) == 1:
-                return [math.inf]
-            return [v for c in configs for v in self._score_chunk([c], sup)]
+        except (NonPhysicalConfigError, NumericalError) as exc:
+            if len(configs) > 1:
+                return [v for c in configs for v in self._score_chunk([c], sup)]
+            if isinstance(exc, NonPhysicalConfigError):
+                self.inf_nonphysical += 1
+            else:
+                self.inf_numerical += 1
+            return [math.inf]
 
     def efficiencies(self, config: GeometryConfig) -> np.ndarray:
         """Per-port radiation efficiencies via the dataset Gram matrix."""
@@ -559,6 +572,8 @@ def build_codebook(
     Children warm-start from the codeword of their parent area (stage_areas
     orders them by parent), so the parent geometry is always a candidate
     and the child's objective on its own area can only improve on it.
+    One RuntimeWarning names the evaluated configs scored +inf, by cause,
+    when there are any.
     """
     starts = [default_initial_config(dataset.layout, n_active)]
 
@@ -580,6 +595,13 @@ def build_codebook(
             stage_cws.append(cw)
         stages.append(tuple(stage_cws))
         starts = [cw.config for cw in stage_cws]
+
+    lost = (ev.inf_nonphysical, ev.inf_numerical, ev.inf_singular_fim)
+    if any(lost):
+        warnings.warn(
+            f"{sum(lost)} evaluated configs scored +inf: {lost[0]} non-physical, "
+            f"{lost[1]} numerical breakdown, {lost[2]} singular FIM on the area",
+            RuntimeWarning, stacklevel=2)
 
     return Codebook(
         schedule=schedule, snr_linear=float(snr_linear),
@@ -658,6 +680,8 @@ def load_codebook(path) -> Codebook:
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DatasetFormatError(f"{path}: not a valid codebook file ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{path}: a codebook file must hold a JSON object")
     if doc.get("version") != CODEBOOK_FILE_VERSION:
         raise DatasetFormatError(f"{path}: unsupported codebook version {doc.get('version')!r}")
     try:

@@ -484,28 +484,33 @@ def test_crlb_map_manifests_record_the_upa_only_flags(tmp_path, ds_file, cb_file
 def _set_first_codeword(key, value):
     def edit(doc):
         doc["codewords"][0][key] = value
+        return doc
     return edit
 
 
+# each edit returns the document to write: the edited one, or a replacement
 @pytest.mark.parametrize("edit", [
     _set_first_codeword("connections", "2000"),
     _set_first_codeword("feed_ports", [0, 2]),
     _set_first_codeword("connections", "000"),
-    lambda doc: doc.update(n_loaded=3),
+    lambda doc: {**doc, "n_loaded": 3},
     _set_first_codeword("area", {"theta_min_deg": 100, "theta_max_deg": 80,
                                  "phi_min_deg": -10, "phi_max_deg": 10}),
-    lambda doc: doc["schedule"].update(factors=[2]),
-    lambda doc: doc.update(codewords=[]),
+    lambda doc: {**doc, "schedule": {**doc["schedule"], "factors": [2]}},
+    lambda doc: {**doc, "codewords": []},
     _set_first_codeword("area", {"theta_min_deg": 80, "theta_max_deg": 90,
                                  "phi_min_deg": -10, "phi_max_deg": 10}),
-    lambda doc: doc["codewords"].append(doc["codewords"][0]),
+    lambda doc: {**doc, "codewords": doc["codewords"] + doc["codewords"][:1]},
     _set_first_codeword("area", {"theta_min_deg": 70, "theta_max_deg": 90,
                                  "phi_min_deg": -10, "phi_max_deg": 10}),
+    lambda doc: [],
+    lambda doc: None,
+    lambda doc: "x",
 ], ids=["bit_2", "port_0", "short_bits", "header_n_loaded", "empty_area", "bad_schedule",
-        "no_codewords", "leaf_cut", "leaf_twice", "leaf_outside"])
+        "no_codewords", "leaf_cut", "leaf_twice", "leaf_outside", "top_list", "top_null",
+        "top_string"])
 def test_crlb_map_bad_codebook_is_format_error(tmp_path, ds_file, cb_file, edit):
-    doc = json.loads(cb_file.read_text())
-    edit(doc)
+    doc = edit(json.loads(cb_file.read_text()))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run(["crlb-map", "--dataset", ds_file, "--codebook", bad,

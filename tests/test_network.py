@@ -16,6 +16,7 @@ from pixelaoa import (
 from pixelaoa.crlb import SensingArea, fd_window
 from pixelaoa.emdata import EMDataset, PatternSet
 from pixelaoa.errors import ConfigError, NumericalError
+from pixelaoa import network
 from pixelaoa.network import load_correction, project, solve_network, source_currents
 
 from conftest import random_symmetric_z
@@ -442,6 +443,90 @@ def test_load_correction_singular_system_raises(tiny_dataset):
     Z[M:, M:] = 0.0                                # shorted links of zero self-impedance
     with pytest.raises(NumericalError):
         load_correction(Z, M, Q, [_config((0,), Q)], FeedNetworkConfig())
+
+
+def _equilibrated(Z, M, cfgs, fn):
+    """D S D per config, D = diag(|S_qq|)^-1/2, built the plain way."""
+    S = np.stack([Z[M:, M:] + np.diag(fn.z_open_ohm * np.array(cfg.connections, float))
+                  for cfg in cfgs])
+    d = 1.0 / np.sqrt(np.abs(np.diagonal(S, axis1=1, axis2=2)))
+    return d[:, :, None] * S * d[:, None, :]
+
+
+def _norm_1(A):
+    return np.abs(A).sum(axis=-2).max(axis=-1)
+
+
+def test_load_correction_is_one_solve_with_two_probe_columns(small_dataset, monkeypatch):
+    ds = small_dataset
+    M, Q = ds.n_feed, ds.n_loaded
+    calls = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        calls.append(b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    cfgs = _random_batch(np.random.default_rng(3), M, Q, 3, 43)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_correction(ds.Z, M, Q, cfgs, FeedNetworkConfig())
+    assert len(calls) == 1
+    assert calls[0][-1] <= 3 + 2                        # N + 2 right-hand columns
+
+
+@pytest.mark.parametrize("fixture, n_active, z_open_ohm", [
+    ("tiny_dataset", 1, 1e9), ("tiny_dataset", 2, 1e6), ("small_dataset", 3, 1e9),
+    ("small_dataset", 4, 1e15), ("jittered_5x5", 4, 1e9), ("jittered_5x5", 8, 1e15),
+])
+def test_load_correction_estimate_is_a_lower_bound(request, monkeypatch, fixture, n_active,
+                                                   z_open_ohm):
+    # the probe estimate never reads above the exact ||(D S D)^-1||_1
+    ds = request.getfixturevalue(fixture)
+    M, Q = ds.n_feed, ds.n_loaded
+    seen = []
+    inverse_norm = network._inverse_norm
+
+    def spy(root, Y, weight):
+        out = inverse_norm(root, Y, weight)
+        seen.append((weight, out))
+        return out
+
+    monkeypatch.setattr(network, "_inverse_norm", spy)
+    fn = FeedNetworkConfig(z_open_ohm=z_open_ohm)
+    cfgs = _random_batch(np.random.default_rng(11), M, Q, n_active, 43)
+    load_correction(ds.Z, M, Q, cfgs, fn)
+    assert [w for w, _ in seen] == [Q]                  # no config needed the exact path
+    exact = _norm_1(np.linalg.inv(_equilibrated(ds.Z, M, cfgs, fn)))
+    estimate = seen[0][1]
+    assert np.all(estimate <= exact * (1 + 1e-9))
+    assert np.all(estimate >= exact / 1e3)              # the screen's 1e4 margin holds
+
+
+@pytest.fixture(scope="module")
+def jittered_5x5(coarse_grid):
+    return generate_synthetic_dataset(PortLayout(), coarse_grid,
+                                      DipoleModelParams(self_reactance_jitter_ohm=1.0), seed=7)
+
+
+def test_load_correction_warning_names_the_exact_condition_number(tiny_dataset):
+    # the shorted-pair fixture of the warning test: the estimate under-reads,
+    # but the warning is decided and printed on the exact kappa_1
+    M, Q = tiny_dataset.n_feed, tiny_dataset.n_loaded
+    Z = tiny_dataset.Z.copy()
+    i, j = M, M + 1
+    Z[j, :] = Z[i, :]
+    Z[:, j] = Z[:, i]
+    Z[j, j] = Z[i, i] * (1 + 1e-14)
+    fn = FeedNetworkConfig()
+    shorted = _config((0,), Q, (0, 0, 1, 1))
+    DSD = _equilibrated(Z, M, [shorted], fn)[0]
+    kappa = _norm_1(DSD) * _norm_1(np.linalg.inv(DSD))
+    with pytest.warns(RuntimeWarning, match=r"condition number \S+ exceeds") as record:
+        load_correction(Z, M, Q, [shorted], fn)
+    printed = float(str(record[0].message).split()[4])
+    assert printed == pytest.approx(kappa, rel=0.05), (printed, kappa)
 
 
 def test_source_currents_stacked_matches_single():

@@ -149,6 +149,35 @@ def test_evaluator_scores_nonphysical_as_inf(ds2, grid):
     assert math.isinf(ev.objective(GeometryConfig((0,), (0, 0, 0, 0)), AREA))
 
 
+def test_evaluator_counts_configs_scored_inf_by_cause(ds2, grid):
+    # port 0 of the sick dataset is non-physical; a shorted link of zero
+    # self-impedance makes the loaded-port system singular (all links open
+    # leaves a single port whose FIM is singular); on the healthy dataset
+    # the single port 3 has a singular FIM on AREA for 10 of the 16 vectors.
+    # Each config counts once, however often it is asked for.
+    Z = np.array(ds2.Z)
+    Z[4:, 4:] = 0.0
+    shorted = EMDataset(layout=ds2.layout, grid=grid, Z=Z, e_oc=np.array(ds2.e_oc),
+                        metadata=dict(ds2.metadata))
+    vectors = list(itertools.product((0, 1), repeat=4))
+    for ds, ports, want in [(_sick_dataset(ds2, grid), (0,), (16, 0, 0)),
+                            (shorted, (1,), (0, 15, 1)),
+                            (ds2, (3,), (0, 0, 10))]:
+        ev = ConfigEvaluator(ds, 1.0)
+        vals = ev.objective_many([GeometryConfig(ports, g) for g in vectors] * 2, AREA)
+        assert sum(map(math.isinf, vals)) == 2 * sum(want)
+        assert (ev.inf_nonphysical, ev.inf_numerical, ev.inf_singular_fim) == want
+
+
+def test_build_codebook_warns_on_configs_scored_inf(ds2):
+    # the port update tries the single port 3, whose FIM is singular on AREA
+    sched = SubdivisionSchedule(AREA, (1,), ("both",))
+    with pytest.warns(RuntimeWarning, match=r"\d+ evaluated configs scored \+inf: "
+                      r"0 non-physical, 0 numerical breakdown, [1-9]\d* singular FIM"):
+        build_codebook(ds2, sched, GAParams(population=8, generations=2, seed=0),
+                       n_active=1)
+
+
 @pytest.mark.parametrize("chunk_values", [None, 1])
 def test_evaluator_batch_isolates_rejected_configs(ds2, grid, monkeypatch, chunk_values):
     # one call mixes healthy and rejected configs with 1 and 2 active ports;
