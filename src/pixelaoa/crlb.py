@@ -344,5 +344,25 @@ def write_csv_blocks(path, header: str, blocks) -> None:
             cols = [np.asarray(c) for c in columns]
             n = min((len(c) for c in cols), default=0)
             for r0 in range(0, n, _CSV_BLOCK_ROWS):
-                block = [c[r0:r0 + _CSV_BLOCK_ROWS].tolist() for c in cols]
+                block = [_values(c[r0:r0 + _CSV_BLOCK_ROWS]) for c in cols]
                 fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*block))
+
+
+def _values(column: np.ndarray) -> list:
+    """The Python values of a column block, whose str are its cells.
+
+    A float64 block with fewer than a quarter as many distinct values as
+    rows comes back as its cells, each distinct value formatted once; values
+    are told apart by bit pattern, so -0.0 and 0.0 keep their own cells.
+    Shortest round-trip formatting is the writer's cost, and a (theta, phi)
+    map repeats its grid lines and any constant column in every row.
+    """
+    if column.dtype == np.float64 and column.size:
+        bits = column.view(np.int64)
+        srt = np.sort(bits)
+        new = np.concatenate(([True], srt[1:] != srt[:-1]))
+        if 4 * np.count_nonzero(new) < column.size:
+            distinct = srt[new]
+            cells = np.array(list(map(str, distinct.view(np.float64).tolist())), dtype=object)
+            return cells[np.searchsorted(distinct, bits)].tolist()
+    return column.tolist()

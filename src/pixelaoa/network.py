@@ -37,7 +37,7 @@ from .errors import ConfigError, NonPhysicalConfigError, NumericalError
 CONDITION_WARN_THRESHOLD = 1e12
 # the exact kappa_1 is computed where the probe estimate, a lower bound,
 # exceeds CONDITION_WARN_THRESHOLD / _SCREEN; on random configs of the 5x5
-# jittered dataset the estimate under-reads by 9x in the median, 64x at worst
+# jittered dataset the estimate under-reads by 9x in the median, 58x at worst
 _SCREEN = 1e4
 _GOLDEN = (5 ** 0.5 - 1) / 2            # phase step of the second probe column
 _BITS = frozenset((0, 1))

@@ -97,6 +97,16 @@ def _orthobases(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols.transpose(0, 2, 1), keep0.astype(np.int64) + keep1
 
 
+# Most bytes of one block of candidates' (N, 2) pattern matrices that
+# _CandidateGrid gathers and orthonormalizes at a time, so its working memory
+# beside the (G, 2, N) bases is one block's, not G candidates'.
+_BASIS_BLOCK_BYTES = 1 << 20
+
+# Most bytes of the complex projections of one kernels.ml_scores call in
+# monte_carlo_rmse, whose blocks are whole kernels.ml_chunk(G) chunks of trials.
+_SCORE_BLOCK_BYTES = 1 << 24
+
+
 class _CandidateGrid:
     """Per-(patterns, area) precomputation for the ML search."""
 
@@ -108,43 +118,55 @@ class _CandidateGrid:
         self.step_deg = grid.step_deg
 
         it, ip = area.points(grid)
-        E = patterns.data[:, :, it, ip]                  # (2, N, G)
-        self.basis, self.rank = _orthobases(np.transpose(E, (2, 1, 0)))
+        G, N = it.size, patterns.data.shape[1]
+        # the (G, N, 2) view of a (G, 2, N) array, the layout _orthobases returns
+        self.basis = np.empty((G, 2, N), dtype=np.complex128).transpose(0, 2, 1)
+        self.rank = np.empty(G, dtype=np.int64)
+        step = max(1, _BASIS_BLOCK_BYTES // (2 * N * 16))
+        for g0 in range(0, G, step):
+            b = slice(g0, g0 + step)
+            E = patterns.data[:, :, it[b], ip[b]]        # (2, N, g)
+            self.basis[b], self.rank[b] = _orthobases(np.transpose(E, (2, 1, 0)))
         skipped = int(np.count_nonzero(self.rank == 0))
         if skipped:
             log.debug("ML search: %d of %d candidate angles rank-deficient, skipped",
                       skipped, self.rank.size)
 
-    def estimate(self, scores: np.ndarray, refine: bool) -> tuple[float, float]:
-        """Angle of the best of one snapshot's (G,) candidate scores.
+    def estimate(self, scores: np.ndarray, refine: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Angles (theta, phi), as (T,) arrays, of the best candidate of each
+        row of a (T, G) score block.
 
         Ties break toward the lowest grid index; with refine, a local
         per-axis quadratic fit interpolates between grid points.
         """
-        best = int(np.argmax(scores))
-        if scores[best] < 0.0:
-            raise EstimationError("all candidate angles are rank-deficient")
         nt, npph = self.shape
-        ti, pi = divmod(best, npph)
-        th = float(self.theta_deg[ti])
-        ph = float(self.phi_deg[pi])
+        rows = np.arange(scores.shape[0])
+        best = np.argmax(scores, axis=1)
+        if np.any(scores[rows, best] < 0.0):
+            raise EstimationError("all candidate angles are rank-deficient")
+        ti, pi = np.divmod(best, npph)
+        th = self.theta_deg[ti]
+        ph = self.phi_deg[pi]
         if refine:
-            smat = scores.reshape(nt, npph)
-            if 0 < ti < nt - 1:
-                th += self.step_deg * _quadratic_offset(
-                    smat[ti - 1, pi], smat[ti, pi], smat[ti + 1, pi])
-            if 0 < pi < npph - 1:
-                ph += self.step_deg * _quadratic_offset(
-                    smat[ti, pi - 1], smat[ti, pi], smat[ti, pi + 1])
+            smat = scores.reshape(-1, nt, npph)
+            r = (0 < ti) & (ti < nt - 1)
+            t, p = ti[r], pi[r]
+            th[r] += self.step_deg * _quadratic_offset(
+                smat[r, t - 1, p], smat[r, t, p], smat[r, t + 1, p])
+            r = (0 < pi) & (pi < npph - 1)
+            t, p = ti[r], pi[r]
+            ph[r] += self.step_deg * _quadratic_offset(
+                smat[r, t, p - 1], smat[r, t, p], smat[r, t, p + 1])
         return th, ph
 
 
-def _quadratic_offset(sm: float, s0: float, sp: float) -> float:
-    den = sm - 2.0 * s0 + sp
-    if den >= 0.0:
-        return 0.0
-    off = 0.5 * (sm - sp) / den
-    return float(min(max(off, -0.5), 0.5))
+def _quadratic_offset(sm: np.ndarray, s0: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    """Vertex offset, in steps and clipped to half a step, of the parabola
+    through each triple of equally spaced scores; 0 where it opens upward."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = sm - 2.0 * s0 + sp
+        off = 0.5 * (sm - sp) / den
+    return np.where(den >= 0.0, 0.0, np.clip(off, -0.5, 0.5))
 
 
 def ml_estimate(y: np.ndarray, patterns: PatternSet, search_area: SensingArea,
@@ -158,7 +180,9 @@ def ml_estimate(y: np.ndarray, patterns: PatternSet, search_area: SensingArea,
     builds the candidate bases anew; monte_carlo_rmse builds them once.
     """
     cand = _CandidateGrid(patterns, search_area)
-    return cand.estimate(kernels.ml_scores(cand.basis, cand.rank, y), refine)
+    scores = kernels.ml_scores(cand.basis, cand.rank, y)
+    th, ph = cand.estimate(scores.reshape(1, -1), refine)
+    return float(th[0]), float(ph[0])
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +225,25 @@ def monte_carlo_rmse(
     its noise is random, seeded from the master seed by its (angle, snr,
     trial) spawn key, so the report is reproducible and independent of
     execution order.  The ML search runs over search_area.  trials must be
-    at least 100.  The candidate bases are built once per call, and the
-    trials of each (angle, snr) cell are scored and estimated
-    kernels.ml_chunk(G) at a time, so no (trials, G) score block is held.
+    at least 100.  The candidate bases are built once per call.  The
+    trials of each (angle, snr) cell are scored and estimated in blocks of
+    whole kernels.ml_chunk(G) chunks, as many chunks as fit
+    _SCORE_BLOCK_BYTES of projections, so no (trials, G) score block is
+    held.  The cell's last trials % ml_chunk(G) trials are scored by a call
+    of their own.  With OpenBLAS a snapshot's scores take the same bits in
+    any GEMM of two or more rows, but a one-row call takes the GEMV path, so
+    this split gives the report of scoring one ml_chunk(G) chunk per call.
     """
     if trials < 100:
         raise ValueError(f"at least 100 trials required, got {trials}")
     cand = _CandidateGrid(patterns, search_area)
+    G = cand.rank.size
     Y = np.empty((trials, cand.basis.shape[1]), dtype=np.complex128)
-    step = kernels.ml_chunk(cand.rank.size)
+    chunk = kernels.ml_chunk(G)
+    step = chunk * max(1, _SCORE_BLOCK_BYTES // (chunk * 2 * G * 16))
+    whole = trials - trials % chunk
+    bounds = [*range(0, whole, step), whole, trials]
+    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
     records = []
     for ai, angle in enumerate(angles_deg):
         angle = (float(angle[0]), float(angle[1]))
@@ -220,11 +254,11 @@ def monte_carlo_rmse(
                 Y[t] = mu + _noise(mu.size, sig2, ss)
             se_th = 0.0
             se_ph = 0.0
-            for t0 in range(0, trials, step):
-                for row in kernels.ml_scores(cand.basis, cand.rank, Y[t0:t0 + step]):
-                    th, ph = cand.estimate(row, refine)
-                    se_th += math.radians(th - angle[0]) ** 2
-                    se_ph += math.radians(ph - angle[1]) ** 2
+            for a, b in spans:
+                th, ph = cand.estimate(kernels.ml_scores(cand.basis, cand.rank, Y[a:b]), refine)
+                for t, p in zip(th.tolist(), ph.tolist()):
+                    se_th += math.radians(t - angle[0]) ** 2
+                    se_ph += math.radians(p - angle[1]) ** 2
             mse_th = se_th / trials
             mse_ph = se_ph / trials
             bound = crlb_matrix(patterns, angle, snr, fd_step_deg=fd_step_deg)

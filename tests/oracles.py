@@ -15,7 +15,9 @@ are the earlier whole-array forms of emdata.upa_patterns and crlb.write_csv,
 which now write into their output one port or one block of rows at a time.
 ml_scores_stacked scores both basis columns of every candidate by one GEMM
 and sums the squares by einsum; kernels.ml_scores must reproduce its bits
-with one GEMM per column that some candidate uses.  exhaustive_optimum
+with one GEMM per column that some candidate uses.  estimate_row is the
+per-snapshot, Python-float form of simulate._CandidateGrid.estimate, which
+now estimates a whole block of score rows at once.  exhaustive_optimum
 scores every geometry with a given active-port count, the exact optimum that
 the GA and the alternating loop are measured against.
 """
@@ -29,7 +31,12 @@ import numpy as np
 
 from pixelaoa.crlb import _stacked, _step_multiple, fd_stencil
 from pixelaoa.emdata import ETA0, EMDataset, PatternSet
-from pixelaoa.errors import ConfigError, NonPhysicalConfigError, NumericalError
+from pixelaoa.errors import (
+    ConfigError,
+    EstimationError,
+    NonPhysicalConfigError,
+    NumericalError,
+)
 from pixelaoa.network import (
     FeedNetworkConfig,
     GeometryConfig,
@@ -265,6 +272,31 @@ def ml_scores_stacked(basis, rank, y):
     scores = np.einsum("tgk,tgk->tg", parts, parts)
     scores[:, rank == 0] = -1.0
     return scores if y.ndim == 2 else scores[0]
+
+
+def estimate_row(cand, scores, refine):
+    """simulate._CandidateGrid.estimate of one (G,) score row: the first
+    argmax, then a per-axis parabola vertex clipped to half a step."""
+    def offset(sm, s0, sp):
+        den = sm - 2.0 * s0 + sp
+        if den >= 0.0:
+            return 0.0
+        return float(min(max(0.5 * (sm - sp) / den, -0.5), 0.5))
+
+    best = int(np.argmax(scores))
+    if scores[best] < 0.0:
+        raise EstimationError("all candidate angles are rank-deficient")
+    nt, npph = cand.shape
+    ti, pi = divmod(best, npph)
+    th = float(cand.theta_deg[ti])
+    ph = float(cand.phi_deg[pi])
+    if refine:
+        s = scores.reshape(nt, npph)
+        if 0 < ti < nt - 1:
+            th += cand.step_deg * offset(s[ti - 1, pi], s[ti, pi], s[ti + 1, pi])
+        if 0 < pi < npph - 1:
+            ph += cand.step_deg * offset(s[ti, pi - 1], s[ti, pi], s[ti, pi + 1])
+    return th, ph
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,6 +17,8 @@ from pixelaoa.simulate import (
     simulate_snapshot,
     export_report,
 )
+
+from oracles import estimate_row
 
 WINDOW = AngleGrid(theta_start_deg=80, theta_stop_deg=100, phi_start_deg=-10,
                    phi_stop_deg=10, step_deg=1.0)
@@ -205,17 +208,104 @@ def test_quadratic_offset_matches_clip_oracle():
     rng = np.random.default_rng(12)
     triples = rng.normal(size=(2000, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(2000, 1))
     special = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0)
-    triples = [tuple(map(np.float64, t)) for t in triples]
-    triples += [tuple(map(np.float64, (a, b, c))) for a in special for b in special
-                for c in special]
+    triples = [tuple(map(float, t)) for t in triples]
+    triples += [(a, b, c) for a in special for b in special for c in special]
+    got = simulate._quadratic_offset(*np.array(triples).T)
+    assert got.dtype == np.float64 and got.shape == (len(triples),)
     with np.errstate(invalid="ignore"):
-        for sm, s0, sp in triples:
+        for (sm, s0, sp), g in zip(triples, got.tolist()):
             den = sm - 2.0 * s0 + sp
             want = 0.0 if den >= 0.0 else float(np.clip(0.5 * (sm - sp) / den, -0.5, 0.5))
-            got = simulate._quadratic_offset(sm, s0, sp)
-            assert type(got) is float
-            assert np.array_equal(got, want, equal_nan=True)
-            assert np.signbit(got) == np.signbit(want)
+            assert np.array_equal(g, want, equal_nan=True)
+            assert np.signbit(g) == np.signbit(want)
+
+
+def _assert_block_estimate_matches_rows(cand, scores, refine):
+    th, ph = cand.estimate(scores, refine)
+    assert th.shape == ph.shape == (scores.shape[0],)
+    want = [estimate_row(cand, row, refine) for row in scores]
+    got = list(zip(th.tolist(), ph.tolist()))
+    assert got == want
+    assert [tuple(map(np.signbit, g)) for g in got] == [tuple(map(np.signbit, w)) for w in want]
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_block_estimate_equals_per_row_estimates(upa, refine):
+    cand = simulate._CandidateGrid(upa, SEARCH)
+    nt, npph = cand.shape
+    rng = np.random.default_rng(5)
+    rows = [rng.random(nt * npph) for _ in range(20)]
+    for ti, pi in [(0, 0), (0, 7), (nt - 1, 3), (4, 0), (9, npph - 1), (nt - 1, npph - 1),
+                   (1, 1), (nt - 2, npph - 2), (10, 10)]:
+        for nbr in (0.5, 1.5, -1.0, 2.0):        # below, tied with, rank-0 and above the peak
+            s = rng.random((nt, npph))
+            s[ti, pi] = 1.5
+            s[max(ti - 1, 0), pi] = s[ti, max(pi - 1, 0)] = nbr
+            rows.append(s.ravel())
+    rows.append(np.ones(nt * npph))                       # all tied: the first candidate
+    tie = np.zeros((nt, npph))
+    tie[3, 5] = tie[3, 6] = tie[12, 2] = 1.0              # equal maxima: the lowest index
+    rows.append(tie.ravel())
+    rank0 = np.full(nt * npph, -1.0)                      # one usable candidate
+    rank0[7 * npph + 8] = 0.25
+    rows.append(rank0)
+    flat = np.zeros((nt, npph))                           # zero curvature and -0.0
+    flat[6, 6:9] = [1.0, 1.0, 1.0]
+    flat[5, 6] = -0.0
+    rows.append(flat.ravel())
+    steep = np.zeros((nt, npph))                          # vertex near half a step
+    steep[8, 8], steep[8, 9], steep[9, 8] = 1.0, 0.999, 0.999
+    rows.append(steep.ravel())
+    scores = np.array(rows)
+    _assert_block_estimate_matches_rows(cand, scores, refine)
+    for i in (0, len(rows) - 1):                          # one-row blocks, as ml_estimate
+        _assert_block_estimate_matches_rows(cand, scores[i:i + 1], refine)
+    # a row whose candidates are all rank-deficient fails the whole block
+    scores[4] = -1.0
+    with pytest.raises(EstimationError):
+        cand.estimate(scores, refine)
+    with pytest.raises(EstimationError):
+        estimate_row(cand, scores[4], refine)
+
+
+@pytest.mark.parametrize("per", [1, 3, 7])
+def test_candidate_bases_built_in_blocks_equal_one_orthobases_call(monkeypatch, per):
+    # 19 x 19 = 361 candidates: blocks of 3 end in a lone candidate, blocks
+    # of 7 in four
+    rng = np.random.default_rng(per)
+    N = 16
+    shape = (2, N, WINDOW.n_theta, WINDOW.n_phi)
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    data[:, :, ::5] *= 1e-150
+    data[1, :, :, ::4] = (2.0 - 1.0j) * data[0, :, :, ::4]     # rank-1 candidates
+    data[:, :, 3, 3] = 0.0                                     # a rank-0 candidate
+    pats = PatternSet(WINDOW, data)
+    area = SensingArea(81, 99, -9, 9)
+    monkeypatch.setattr(simulate, "_BASIS_BLOCK_BYTES", per * 2 * N * 16)
+    cand = simulate._CandidateGrid(pats, area)
+    it, ip = area.points(WINDOW)
+    basis, rank = _orthobases(np.transpose(data[:, :, it, ip], (2, 1, 0)))
+    assert cand.rank.size == 361 and set(rank.tolist()) == {0, 1, 2}
+    np.testing.assert_array_equal(cand.basis, basis, strict=True)
+    np.testing.assert_array_equal(cand.rank, rank, strict=True)
+    # the (G, N, 2) view of a (G, 2, N) array that ml_scores reads in place
+    assert cand.basis.strides == basis.strides
+
+
+def test_candidate_build_memory_is_bounded_by_a_block():
+    # the upa workload's search set: 121 x 141 = 17061 candidates of a 4x4 UPA
+    area = SensingArea(45, 105, -15, 55)
+    pats = upa_patterns(4, 4, 0.5, AngleGrid(*area.bounds(), 0.5))
+    tracemalloc.start()
+    try:
+        cand = simulate._CandidateGrid(pats, area)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cand.rank.size == 17061
+    # beside the 8.7 MB of bases, a few 1 MB blocks' temporaries; the build of
+    # all candidates at once held three times the bases more
+    assert peak - cand.basis.nbytes < 8 << 20, (peak, cand.basis.nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +370,9 @@ def test_monte_carlo_trials_match_ml_estimate(upa, monkeypatch, source):
         seen = got[refine] = []
 
         def spy(self, scores, refine):
-            seen.append(estimate(self, scores, refine))
-            return seen[-1]
+            th, ph = estimate(self, scores, refine)
+            seen.extend(zip(th.tolist(), ph.tolist()))
+            return th, ph
 
         with monkeypatch.context() as m:
             m.setattr(simulate._CandidateGrid, "estimate", spy)
@@ -334,10 +425,12 @@ def test_singular_cell_reports_an_infinite_bound(tmp_path):
     assert row[6:] == ["inf", "inf"]
 
 
-def test_monte_carlo_scores_one_chunk_of_trials_at_a_time(upa, monkeypatch):
+def test_monte_carlo_scores_whole_chunks_of_trials_per_block(upa, monkeypatch):
     G = 21 * 21
-    # 3 snapshots per chunk, so 100 trials end in a partial chunk
-    monkeypatch.setattr(kernels, "_ML_CHUNK_BYTES", 3 * 2 * G * 16)
+    chunk = 3
+    budget = 4 * chunk * 2 * G * 16 + 1        # a block holds 4 chunks of 3 snapshots
+    monkeypatch.setattr(kernels, "_ML_CHUNK_BYTES", chunk * 2 * G * 16)
+    monkeypatch.setattr(simulate, "_SCORE_BLOCK_BYTES", budget)
     calls = []
     real = kernels.ml_scores
 
@@ -346,10 +439,38 @@ def test_monte_carlo_scores_one_chunk_of_trials_at_a_time(upa, monkeypatch):
         return real(basis, rank, y)
 
     monkeypatch.setattr(kernels, "ml_scores", spy)
-    monte_carlo_rmse(upa, [(90.0, 0.0)], [10.0], trials=100, seed=0, search_area=SEARCH)
-    assert [n for _, n in calls] == [3] * 33 + [1]
-    # the traced benchmark reads the (G, N, 2) shape of the basis
-    assert {shape for shape, _ in calls} == {(G, upa.n_ports, 2)}
+    for trials, sizes in [(100, [12] * 8 + [3, 1]), (102, [12] * 8 + [6])]:
+        calls.clear()
+        monte_carlo_rmse(upa, [(90.0, 0.0)], [10.0], trials=trials, seed=0, search_area=SEARCH)
+        got = [n for _, n in calls]
+        assert got == sizes
+        # every call is a whole number of chunks within the budget, but the
+        # trials % chunk left over, which are scored by a call of their own
+        rest = trials % chunk
+        whole = got[:-1] if rest else got
+        assert all(n % chunk == 0 and n * 2 * G * 16 <= budget for n in whole)
+        assert sum(whole) == trials - rest
+        if rest:
+            assert got[-1] == rest
+        # the traced benchmark reads the (G, N, 2) shape of the basis
+        assert {shape for shape, _ in calls} == {(G, upa.n_ports, 2)}
+
+
+def test_monte_carlo_default_block_is_four_chunks_at_the_upa_search_set(monkeypatch):
+    area = SensingArea(45, 105, -15, 55)
+    pats = upa_patterns(4, 4, 0.5, AngleGrid(*area.bounds(), 0.5))
+    calls = []
+    real = kernels.ml_scores
+
+    def spy(basis, rank, y):
+        calls.append(len(y))
+        return real(basis, rank, y)
+
+    monkeypatch.setattr(kernels, "ml_scores", spy)
+    monte_carlo_rmse(pats, [(90.0, 0.0)], [10.0], trials=401, seed=0, search_area=area)
+    assert kernels.ml_chunk(17061) == 7
+    # 401 = 14 blocks of 28, one of 7 and a remainder of 2
+    assert calls == [28] * 14 + [7, 2]
 
 
 @pytest.mark.parametrize("refine", [False, True])
