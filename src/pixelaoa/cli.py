@@ -7,12 +7,13 @@ returns the files it read and wrote; main times it and, when it wrote any,
 writes one JSON manifest beside the first with the resolved parameters (null
 for other paths' flags) and digests, so the manifest alone reproduces it.
 
-_geometry_groups owns which geometry serves an angle and projects each
-codebook geometry (network.project), _upa builds every --upa baseline, both
-on crlb.fd_window, the part of a grid an area's (or a Monte-Carlo search
-box's) finite differences read; no command projects onto the whole dataset
-grid.  crlb-map --upa builds its window one theta band (crlb.theta_bands) at
-a time; compare and --fig area-bars reduce two crlb-map tables per leaf.
+_geometry_groups owns which geometry serves an angle and builds its
+patterns, a codebook geometry's projected (network.project) or the --upa
+baseline's (_upa), on one window rule for every source: crlb.fd_window of
+the area (or Monte-Carlo search box) on the source's grid; no command
+projects onto the whole dataset grid.  crlb-map --upa builds its window one
+theta band (crlb.theta_bands) at a time; compare and --fig area-bars reduce
+two crlb-map tables per leaf.
 
 Exit codes: 0 success, 2 flag/parameter validation, 3 file I/O or format,
 4 dataset validation, 5 numerical failure.
@@ -35,7 +36,6 @@ from . import __version__
 from .crlb import (
     MAP_HEADER,
     SensingArea,
-    _step_multiple,
     crlb_map,
     crlb_points,
     fd_stencil,
@@ -160,10 +160,10 @@ def _write_manifest(args: argparse.Namespace, inputs, outputs, started: float) -
         fh.write("\n")
 
 
-def _upa(args, area: SensingArea, grid: AngleGrid) -> PatternSet:
-    """The --upa baseline's patterns on the window of grid that area reads."""
-    return upa_patterns(*_parse_pixels(args.upa, "--upa"), args.spacing,
-                        fd_window(area, grid, args.fd_step_deg), element=args.element)
+def _upa(args):
+    """The --upa baseline: a function from a window to the UPA's patterns on it."""
+    ny, nz = _parse_pixels(args.upa, "--upa")
+    return lambda window: upa_patterns(ny, nz, args.spacing, window, element=args.element)
 
 
 def _load_codebook_for(path, ds) -> Codebook:
@@ -184,13 +184,13 @@ def _load_codebook_for(path, ds) -> Codebook:
 
 
 def _geometry_groups(source, theta_deg, phi_deg, window: AngleGrid):
-    """Yield (patterns, indices of the points they serve) per geometry, in the
-    order of each geometry's first point: a PatternSet source (already on
-    window) serves every point, a (dataset, codebook, feednet) source each
-    with its leaf's geometry, solved and projected on window when its group
-    is reached."""
-    if isinstance(source, PatternSet):
-        yield source, np.arange(len(theta_deg))
+    """Yield (patterns on window, indices of the points they serve) per
+    geometry, in the order of each geometry's first point: a UPA source (_upa)
+    serves every point, a (dataset, codebook, feednet) source each with its
+    leaf's geometry; a group's patterns are built on window when it is
+    reached."""
+    if callable(source):
+        yield source(window), np.arange(len(theta_deg))
         return
     ds, cb, feednet = source
     e = ds.window(window)
@@ -201,28 +201,24 @@ def _geometry_groups(source, theta_deg, phi_deg, window: AngleGrid):
         yield PatternSet(window, project(e, V)[0]), np.flatnonzero(geom == g)
 
 
-def _area_table(source, area: SensingArea, snr: float, fd_step_deg):
-    """(theta, phi, table) over the area's points on the source's grid, each
-    point under the geometry that serves it; a codebook source's patterns are
-    projected on the area's FD window.  Table rows are c_tt, c_tp, c_pp and
-    objective."""
-    if isinstance(source, PatternSet):
-        window = source.grid
-    else:
-        window = fd_window(area, source[0].grid, fd_step_deg)
+def _area_table(source, area: SensingArea, grid: AngleGrid, snr: float, fd_step_deg):
+    """(theta, phi, table) over the area's points on grid, each point under
+    the geometry that serves it, whose patterns are built on the area's FD
+    window.  Table rows are c_tt, c_tp, c_pp and objective."""
+    window = fd_window(area, grid, fd_step_deg)
     it, ip = area.points(window)
     th, ph = window.theta_deg[it], window.phi_deg[ip]
     table = np.empty((4, th.size))
     for pats, ks in _geometry_groups(source, th, ph, window):
-        table[:, ks] = crlb_points(pats, it[ks], ip[ks], snr, fd_step_deg)[:4]
+        table[:, ks] = crlb_points(pats.data, window, it[ks], ip[ks], snr, fd_step_deg)[:4]
         del pats                        # one geometry's patterns alive at a time
     return th, ph, table
 
 
-def _leaf_worsts(cb: Codebook, sources, snr: float, fd_step_deg):
+def _leaf_worsts(cb: Codebook, sources, grid: AngleGrid, snr: float, fd_step_deg):
     """(leaf area, worst objective of each source) per leaf of cb: each source's
-    table over the codebook space, reduced over every leaf's closed area."""
-    tables = [_area_table(s, cb.space, snr, fd_step_deg) for s in sources]
+    table over the codebook space on grid, reduced over every leaf's closed area."""
+    tables = [_area_table(s, cb.space, grid, snr, fd_step_deg) for s in sources]
     for cw in cb.codewords:
         t0, t1, p0, p1 = cw.area.bounds()
         yield cw.area, *(float(table[3][(t0 <= th) & (th <= t1) & (p0 <= ph) & (ph <= p1)].max())
@@ -322,6 +318,7 @@ def cmd_crlb_map(args) -> tuple[list, list]:
         if args.mode == "both":
             header += ",c_tt_cf,c_tp_cf,c_pp_cf,objective_cf"
         sphere = AngleGrid(step_deg=args.step_deg)
+        upa = _upa(args)
         worsts = []
 
         def band_columns(band: SensingArea):
@@ -329,7 +326,8 @@ def cmd_crlb_map(args) -> tuple[list, list]:
             th, ph = sphere.theta_deg[it], sphere.phi_deg[ip]
             numeric = ()
             if args.mode != "closed-form":
-                m = crlb_map(_upa(args, band, sphere), band, snr, fd_step_deg=args.fd_step_deg)
+                m = crlb_map(upa(fd_window(band, sphere, args.fd_step_deg)), band, snr,
+                             fd_step_deg=args.fd_step_deg)
                 numeric = (m.c_tt, m.c_tp, m.c_pp, m.objective)
             closed = (() if args.mode == "numeric" else
                       upa_crlb_closed_form_map(ny, nz, args.spacing, th, ph, snr)[:4])
@@ -338,8 +336,7 @@ def cmd_crlb_map(args) -> tuple[list, list]:
 
         # every band's stencils are the sphere's, so one that does not fit the
         # sphere is rejected here, before a row is written
-        fd_stencil(sphere, area.indices(sphere)[0], 0,
-                   _step_multiple(sphere, args.fd_step_deg))
+        fd_stencil(sphere, area.indices(sphere)[0], 0, args.fd_step_deg)
         ports = ny * nz * (2 if args.element == "iso-dual" else 1)
         row_bytes = 2 * ports * 16 * fd_window(area, sphere, args.fd_step_deg).n_phi
         blocks = map(band_columns, theta_bands(area, sphere, row_bytes))
@@ -349,7 +346,7 @@ def cmd_crlb_map(args) -> tuple[list, list]:
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-        th, ph, table = _area_table((ds, cb, feednet), area, snr, args.fd_step_deg)
+        th, ph, table = _area_table((ds, cb, feednet), area, ds.grid, snr, args.fd_step_deg)
         blocks = [(th, ph, *table)]
         worsts = [table[3].max()]
     _make_out_dir(args)
@@ -370,10 +367,10 @@ def cmd_compare(args) -> tuple[list, list]:
         baseline = (ds, _load_codebook_for(args.baseline_codebook, ds), feednet)
         inputs.append(args.baseline_codebook)
     else:
-        baseline = _upa(args, cb.space, ds.grid)
+        baseline = _upa(args)
 
     rows = []
-    for area, hrpa, base in _leaf_worsts(cb, [(ds, cb, feednet), baseline],
+    for area, hrpa, base in _leaf_worsts(cb, [(ds, cb, feednet), baseline], ds.grid,
                                          _db_to_linear(args.snr_db), args.fd_step_deg):
         # no improvement is measured against a singular (+inf) side
         singular = " and ".join(s for s, v in (("hrpa", hrpa), ("baseline", base)) if math.isinf(v))
@@ -409,15 +406,13 @@ def cmd_montecarlo(args) -> tuple[list, list]:
 
     # one search per geometry: the UPA's angles, or one codebook geometry's, together
     if args.upa:
-        sphere = AngleGrid(step_deg=args.step_deg)
-        source = _upa(args, _search_box(angles, hw, sphere), sphere)
-        window = source.grid
+        grid, source = AngleGrid(step_deg=args.step_deg), _upa(args)
     else:
         ds = load_dataset(args.dataset)
-        source = (ds, _load_codebook_for(args.codebook, ds),
-                  FeedNetworkConfig(source_impedance_ohm=args.z0_ohm))
+        grid, source = ds.grid, (ds, _load_codebook_for(args.codebook, ds),
+                                 FeedNetworkConfig(source_impedance_ohm=args.z0_ohm))
         inputs = [args.dataset, args.codebook]
-        window = fd_window(_search_box(angles, hw, ds.grid), ds.grid, args.fd_step_deg)
+    window = fd_window(_search_box(angles, hw, grid), grid, args.fd_step_deg)
 
     per_angle = [()] * len(angles)
     for pats, ks in _geometry_groups(source, *zip(*angles), window):
@@ -453,9 +448,9 @@ def cmd_export_plots(args) -> tuple[list, list]:
     if args.fig == "area-bars":
         cb = _load_codebook_for(args.codebook, ds)
         inputs.append(args.codebook)
-        sources = [(ds, cb, feednet), _upa(args, cb.space, ds.grid)]
+        sources = [(ds, cb, feednet), _upa(args)]
         rows = [(i, *a.bounds(), hrpa, base) for i, (a, hrpa, base)
-                in enumerate(_leaf_worsts(cb, sources, snr, args.fd_step_deg), 1)]
+                in enumerate(_leaf_worsts(cb, sources, ds.grid, snr, args.fd_step_deg), 1)]
         path = outdir / "area_bars.csv"
         header = ("area_index,theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
                   "hrpa_worst,upa_worst")
@@ -467,7 +462,7 @@ def cmd_export_plots(args) -> tuple[list, list]:
             cb = _load_codebook_for(p, ds)
             inputs.append(p)
             size = cb.space.theta_max_deg - cb.space.theta_min_deg
-            table = _area_table((ds, cb, feednet), area, snr, args.fd_step_deg)[2]
+            table = _area_table((ds, cb, feednet), area, ds.grid, snr, args.fd_step_deg)[2]
             rows.append((size, float(table[3].max())))
         path, header = outdir / "area_size_sweep.csv", "area_size_deg,worst_objective"
 

@@ -7,6 +7,10 @@ out the steering direction.  The CRLB matrix is C = Re{F}^-1 / (2 SNR).
 Derivatives are central finite differences on the stored grid (one-sided
 at the theta poles, wrapped in phi on full-circle grids).
 
+crlb_points is the one entry to the Fisher sweep (kernels.fim_sweep), for
+one pattern set or a batch of sets; crlb_matrix, crlb_map, the optimizer's
+evaluator and the CLI's area table all go through it.
+
 A closed-form expression for the ideal uniform planar array serves as a
 cross-check oracle and exhibits the characteristic endfire blow-up.
 """
@@ -171,16 +175,17 @@ def _axis_stencil(i: np.ndarray, s: int, n: int, h: float, axis: str):
             np.where(lo | hi, 1.0 / h, 1.0 / (2.0 * h)))
 
 
-def fd_stencil(grid: AngleGrid, theta_idx: np.ndarray, phi_idx: np.ndarray, step_mult: int):
-    """Neighbour indices and inverse denominators (1/rad) for FD derivatives.
+def fd_stencil(grid: AngleGrid, it: np.ndarray, ip: np.ndarray, fd_step_deg: float | None):
+    """Neighbour indices and inverse denominators (1/rad) for FD derivatives
+    with a step of fd_step_deg (None: the grid step).
 
     Central differences in the interior; one-sided at theta = 0/180 and at
     phi edges of partial grids; modular wrap on full-circle phi grids.
     """
-    s = step_mult
+    s = _step_multiple(grid, fd_step_deg)
     h = s * grid.step_rad()
-    it = np.asarray(theta_idx, dtype=np.int64)
-    ip = np.asarray(phi_idx, dtype=np.int64)
+    it = np.asarray(it, dtype=np.int64)
+    ip = np.asarray(ip, dtype=np.int64)
     itp, itm, inv_dt = _axis_stencil(it, s, grid.n_theta, h, "theta")
     if grid.phi_wraps:
         ipp = (ip + s) % grid.n_phi
@@ -197,17 +202,29 @@ def _stacked(patterns: PatternSet) -> np.ndarray:
     return d.reshape(2 * d.shape[1], d.shape[2], d.shape[3])
 
 
-def crlb_points(patterns: PatternSet, it: np.ndarray, ip: np.ndarray, snr: float,
-                fd_step_deg: float | None):
+def crlb_points(data: np.ndarray, grid: AngleGrid, it: np.ndarray, ip: np.ndarray,
+                snr: float, fd_step_deg: float | None):
     """CRLB at grid points (it, ip) by one kernels.fim_sweep.
 
-    Returns per-point arrays (c_tt, c_tp, c_pp, objective, singular).
+    data is one pattern set (2, N, Tn, Pn) on grid, or a batch of B sets
+    (B, 2, N, Tn, Pn) on it.  A batch's sets are laid side by side along
+    phi, set b's phi stencil shifted by b * Pn, so one sweep scores them all.
+    Returns per-point arrays (c_tt, c_tp, c_pp, objective, singular): (S,)
+    for one set, (B, S) for a batch.
     """
     if not (snr > 0):
         raise ValueError(f"snr must be positive, got {snr}")
-    grid = patterns.grid
-    sten = fd_stencil(grid, it, ip, _step_multiple(grid, fd_step_deg))
-    return kernels.fim_sweep(_stacked(patterns), it, ip, *sten, snr)
+    itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(grid, it, ip, fd_step_deg)
+    batch = data.ndim == 5
+    B, _, N, Tn, Pn = data.shape if batch else (1, *data.shape)
+    if batch:
+        shift = Pn * np.arange(B)[:, None]
+        it, itp, itm, inv_dt, inv_dp = (np.tile(x, B) for x in (it, itp, itm, inv_dt, inv_dp))
+        ip, ipp, ipm = ((x + shift).ravel() for x in (ip, ipp, ipm))
+        data = data.transpose(1, 2, 3, 0, 4)
+    out = kernels.fim_sweep(data.reshape(2 * N, Tn, B * Pn), it, ip, itp, itm, inv_dt,
+                            ipp, ipm, inv_dp, snr)
+    return tuple(x.reshape(B, -1) for x in out) if batch else out
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +246,7 @@ def crlb_matrix(patterns: PatternSet, angle_deg: tuple[float, float], snr_linear
     grid = patterns.grid
     it = np.array([grid.theta_index(angle_deg[0])])
     ip = np.array([grid.phi_index(angle_deg[1])])
-    c_tt, c_tp, c_pp, obj, sing = crlb_points(patterns, it, ip, snr_linear, fd_step_deg)
+    c_tt, c_tp, c_pp, obj, sing = crlb_points(patterns.data, grid, it, ip, snr_linear, fd_step_deg)
     C = np.array([[c_tt[0], c_tp[0]], [c_tp[0], c_pp[0]]])
     return CRLBResult(matrix=C, objective=float(obj[0]),
                       angle_deg=(float(angle_deg[0]), float(angle_deg[1])),
@@ -245,7 +262,7 @@ def crlb_map(patterns: PatternSet, area: SensingArea, snr_linear: float,
     """
     grid = patterns.grid
     it, ip = area.points(grid)
-    c_tt, c_tp, c_pp, obj, sing = crlb_points(patterns, it, ip, snr_linear, fd_step_deg)
+    c_tt, c_tp, c_pp, obj, sing = crlb_points(patterns.data, grid, it, ip, snr_linear, fd_step_deg)
 
     worst_i = int(np.argmax(obj))          # first maximum wins on ties
     th, ph = grid.theta_deg[it], grid.phi_deg[ip]

@@ -37,6 +37,16 @@ C0 = 299_792_458.0          # speed of light, m/s
 ETA0 = 120.0 * math.pi      # intrinsic impedance of free space, ohm
 
 
+def json_int(value, name: str) -> int:
+    """value, when it is a JSON integer; the readers of input files take their
+    integer fields through this, so 25.5, true or "25" is an error, never a
+    truncated or coerced count.  Raises TypeError naming the field, which the
+    readers report as a DatasetFormatError."""
+    if type(value) is not int:                      # bool is an int subclass
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # layout
 # ---------------------------------------------------------------------------
@@ -136,8 +146,8 @@ class PortLayout:
     @staticmethod
     def from_dict(d: dict) -> "PortLayout":
         return PortLayout(
-            pixel_rows=int(d["pixel_rows"]),
-            pixel_cols=int(d["pixel_cols"]),
+            pixel_rows=json_int(d["pixel_rows"], "pixel_rows"),
+            pixel_cols=json_int(d["pixel_cols"], "pixel_cols"),
             pixel_side_mm=float(d["pixel_side_mm"]),
             substrate_side_mm=float(d["substrate_side_mm"]),
             height_mm=float(d["height_mm"]),

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .crlb import SensingArea, _step_multiple, fd_stencil, fd_window, write_csv
-from .emdata import EMDataset, PortLayout
+from .crlb import SensingArea, crlb_points, fd_window, write_csv
+from .emdata import EMDataset, PortLayout, json_int
 from .errors import (
     ConfigError,
     CoverageError,
@@ -181,16 +180,16 @@ class Codebook:
 class ConfigEvaluator:
     """Worst-case CRLB objective of geometries over sensing areas.
 
-    Patterns are projected (network.project) only on the area's FD window
-    (crlb.fd_window: the area plus its finite-difference margin), held as a
-    contiguous copy of EMDataset.window; radiated power comes from the
-    dataset-level pattern Gram matrix, which is algebraically the
-    full-sphere quadrature.
-    The evaluator holds one area at a time: its window and its objective
-    cache, keyed by (feed_ports, connections), serve the area of the latest
-    call, and a call on another area replaces both.  Uncached configs are
-    scored in stacked passes: one network solve, one projection and one FIM
-    sweep per active-port count and chunk.
+    The evaluator holds one area at a time: the area's FD window
+    (crlb.fd_window: the area plus its finite-difference margin) as a
+    contiguous copy of EMDataset.window, the area's points on that window,
+    and an objective cache keyed by (feed_ports, connections).  They serve
+    the area of the latest call, and a call on another area replaces them.
+    Uncached configs are scored in batches that share one active-port count:
+    solve_network, then network.project on the window, then one
+    crlb.crlb_points over the whole batch, then the max over the area's
+    points.  Radiated power comes from the dataset-level pattern Gram
+    matrix, which is algebraically the full-sphere quadrature.
     Beside the cache's hits and misses it counts the evaluated configs it
     scored +inf, by cause: inf_nonphysical and inf_numerical (the network
     solve rejected the config) and inf_singular_fim (the FIM is singular at
@@ -211,54 +210,29 @@ class ConfigEvaluator:
         self.inf_nonphysical = 0
         self.inf_numerical = 0
         self.inf_singular_fim = 0
-        self._area = self._sup = None
+        self._area = self._window = None
         self._cache: dict = {}
         self._gram = dataset.gram
 
-    # -- area support -------------------------------------------------------
-
-    def _build_support(self, area: SensingArea):
-        win = fd_window(area, self.dataset.grid, self.fd_step_deg)
-        it, ip = area.points(win)
-        itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(
-            win, it, ip, _step_multiple(win, self.fd_step_deg))
-        return {
-            "e": np.ascontiguousarray(self.dataset.window(win)),    # (2, P, Tn, Pn)
-            "it": it, "ip": ip,
-            "itp": itp, "itm": itm, "inv_dt": inv_dt,
-            "ipp": ipp, "ipm": ipm, "inv_dp": inv_dp,
-        }
-
-    # -- stacked evaluation -------------------------------------------------
-
-    def _score(self, configs, sup) -> list[float]:
-        """Objectives of configs that share one active-port count.  Their
-        patterns sit side by side along phi, so one FIM sweep covers them
-        all: config b's phi stencil indices shift by b * Pn."""
+    def _score(self, configs) -> list[float]:
+        """Objectives of configs that share one active-port count."""
         ds = self.dataset
         V = solve_network(ds.Z, self._gram, ds.n_feed, ds.n_loaded, configs,
                           self.feednet).V                   # (B, P, N)
-        B, _, N = V.shape
-        _, _, Tn, Pn = sup["e"].shape
-        e = project(sup["e"], V).transpose(1, 2, 3, 0, 4).reshape(2 * N, Tn, B * Pn)
-        shift = Pn * np.arange(B)[:, None]
-        _, _, _, obj, _ = kernels.fim_sweep(
-            e, np.tile(sup["it"], B), (sup["ip"] + shift).ravel(),
-            np.tile(sup["itp"], B), np.tile(sup["itm"], B), np.tile(sup["inv_dt"], B),
-            (sup["ipp"] + shift).ravel(), (sup["ipm"] + shift).ravel(),
-            np.tile(sup["inv_dp"], B), self.snr)
-        worst = obj.reshape(B, -1).max(axis=1)
+        grid, e, it, ip = self._window
+        obj = crlb_points(project(e, V), grid, it, ip, self.snr, self.fd_step_deg)[3]
+        worst = obj.max(axis=1)
         self.inf_singular_fim += int(np.count_nonzero(np.isinf(worst)))
         return worst.tolist()
 
-    def _score_chunk(self, configs, sup) -> list[float]:
+    def _score_chunk(self, configs) -> list[float]:
         """_score, falling back to one config at a time when the batch solve
         fails, so only the offending configs score +inf."""
         try:
-            return self._score(configs, sup)
+            return self._score(configs)
         except (NonPhysicalConfigError, NumericalError) as exc:
             if len(configs) > 1:
-                return [v for c in configs for v in self._score_chunk([c], sup)]
+                return [v for c in configs for v in self._score_chunk([c])]
             if isinstance(exc, NonPhysicalConfigError):
                 self.inf_nonphysical += 1
             else:
@@ -283,8 +257,11 @@ class ConfigEvaluator:
         change any value.
         """
         if area.bounds() != self._area:
-            self._area = self._sup = None            # drop the old area before building the new
-            self._sup, self._cache, self._area = self._build_support(area), {}, area.bounds()
+            self._area = self._window = None         # drop the old area before building the new
+            win = fd_window(area, self.dataset.grid, self.fd_step_deg)
+            self._window = (win, np.ascontiguousarray(self.dataset.window(win)),
+                            *area.points(win))
+            self._cache, self._area = {}, area.bounds()
         keys = [(c.feed_ports, c.connections) for c in configs]
         missing: dict = {}
         for cfg, key in zip(configs, keys):
@@ -292,10 +269,10 @@ class ConfigEvaluator:
                 missing[key] = cfg
         for n in sorted({c.n_active for c in missing.values()}):
             todo = [(k, c) for k, c in missing.items() if c.n_active == n]
-            step = max(1, _CHUNK_VALUES // (n * self._sup["e"][:, 0].size))
+            step = max(1, _CHUNK_VALUES // (n * 2 * self._window[0].n_points))
             for i in range(0, len(todo), step):
                 chunk = todo[i:i + step]
-                vals = self._score_chunk([c for _, c in chunk], self._sup)
+                vals = self._score_chunk([c for _, c in chunk])
                 self._cache.update(zip((k for k, _ in chunk), vals))
         self.misses += len(missing)
         self.hits += len(keys) - len(missing)
@@ -682,25 +659,28 @@ def load_codebook(path) -> Codebook:
         raise DatasetFormatError(f"{path}: not a valid codebook file ({exc})") from exc
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path}: a codebook file must hold a JSON object")
-    if doc.get("version") != CODEBOOK_FILE_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != CODEBOOK_FILE_VERSION:
         raise DatasetFormatError(f"{path}: unsupported codebook version {doc.get('version')!r}")
     try:
         schedule = SubdivisionSchedule(
             space=_area_from(doc["space"]),
-            factors=tuple(int(k) for k in doc["schedule"]["factors"]),
+            factors=tuple(json_int(k, "schedule factors") for k in doc["schedule"]["factors"]),
             axes=tuple(str(a) for a in doc["schedule"]["axes"]),
         )
-        n_feed, n_loaded = int(doc["n_feed"]), int(doc["n_loaded"])
+        n_feed, n_loaded = json_int(doc["n_feed"], "n_feed"), json_int(doc["n_loaded"], "n_loaded")
         cws = []
         for rec in doc["codewords"]:
+            if type(rec["connections"]) is not str:
+                raise TypeError(f"connections must be a bitstring, got {rec['connections']!r}")
             cfg = GeometryConfig(
-                feed_ports=tuple(int(i) - 1 for i in rec["feed_ports"]),
+                feed_ports=tuple(json_int(i, "feed_ports") - 1 for i in rec["feed_ports"]),
                 connections=tuple(int(ch) for ch in rec["connections"]),
             )
             cfg.validate_against(n_feed, n_loaded)
             cws.append(Codeword(area=_area_from(rec["area"]), config=cfg,
                                 objective=float(rec["objective_rad"]),
-                                iterations_used=int(rec["iterations_used"])))
+                                iterations_used=json_int(rec["iterations_used"],
+                                                         "iterations_used")))
         if not cws:
             raise DatasetFormatError(f"{path}: codebook has no codewords")
         # the leaves must tile the space: inside it, disjoint interiors, areas summing to its

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from pixelaoa.crlb import _stacked, _step_multiple, fd_stencil
+from pixelaoa.crlb import _stacked, fd_stencil
 from pixelaoa.emdata import ETA0, EMDataset, PatternSet
 from pixelaoa.errors import (
     ConfigError,
@@ -203,8 +203,7 @@ def steering_jacobian(patterns: PatternSet, angle_deg: tuple[float, float],
     grid = patterns.grid
     it = np.array([grid.theta_index(angle_deg[0])])
     ip = np.array([grid.phi_index(angle_deg[1])])
-    s = _step_multiple(grid, fd_step_deg)
-    itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(grid, it, ip, s)
+    itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(grid, it, ip, fd_step_deg)
     e = _stacked(patterns)
     dth = (e[:, itp[0], ip[0]] - e[:, itm[0], ip[0]]) * inv_dt[0]
     dph = (e[:, it[0], ipp[0]] - e[:, it[0], ipm[0]]) * inv_dp[0]

@@ -517,6 +517,39 @@ def test_crlb_map_bad_codebook_is_format_error(tmp_path, ds_file, cb_file, edit)
                 "--area", "85:95:-5:5", "--out", tmp_path / "map.csv"]) == 3
 
 
+def _edit_first_codeword(key, edit):
+    """_set_first_codeword to edit of the key's value."""
+    return lambda doc: _set_first_codeword(key, edit(doc["codewords"][0][key]))(doc)
+
+
+# each edit is one a truncating or coercing reader would take for a valid codebook
+@pytest.mark.parametrize("field, edit", [
+    ("feed_ports", _edit_first_codeword("feed_ports", lambda ports: [p + 0.9 for p in ports])),
+    ("feed_ports", _edit_first_codeword("feed_ports", lambda ports: [float(p) for p in ports])),
+    ("feed_ports", _edit_first_codeword("feed_ports", lambda ports: [str(p) for p in ports])),
+    ("feed_ports", _edit_first_codeword("feed_ports",
+                                        lambda ports: [True] + [p for p in ports if p != 1][:1])),
+    ("n_feed", lambda doc: {**doc, "n_feed": doc["n_feed"] + 0.5}),
+    ("n_loaded", lambda doc: {**doc, "n_loaded": str(doc["n_loaded"])}),
+    ("factors", lambda doc: {**doc, "schedule": {**doc["schedule"], "factors": [1.0]}}),
+    ("iterations_used", _set_first_codeword("iterations_used", 1.5)),
+    ("version", lambda doc: {**doc, "version": True}),
+    ("connections", _edit_first_codeword("connections",
+                                         lambda bits: [int(b) + 0.9 for b in bits])),
+], ids=["port_fraction", "port_float", "port_string", "port_bool", "n_feed_fraction",
+        "n_loaded_string", "factor_float", "iterations_fraction", "version_bool",
+        "connections_list"])
+def test_non_integer_codebook_field_is_format_error(tmp_path, ds_file, cb_file, capsys, field,
+                                                    edit):
+    doc = edit(json.loads(cb_file.read_text()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["crlb-map", "--dataset", ds_file, "--codebook", bad,
+                "--area", "85:95:-5:5", "--out", tmp_path / "map.csv"]) == 3
+    assert field in capsys.readouterr().err
+
+
 def test_export_plots_port_count_empty_codebook_is_format_error(tmp_path, ds_file, cb_file):
     doc = json.loads(cb_file.read_text())
     doc["codewords"] = []

@@ -144,7 +144,7 @@ def test_fd_stencil_one_sided_at_partial_grid_edges():
     grid = AngleGrid(80, 100, -10, 10, 1.0)          # 21 x 21 points, no phi wrap
     h = 2 * grid.step_rad()
     idx = np.array([0, 1, 10, 19, 20])
-    itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(grid, idx, idx, 2)
+    itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(grid, idx, idx, 2.0)
     for plus, minus, inv in ((itp, itm, inv_dt), (ipp, ipm, inv_dp)):
         assert plus.tolist() == [2, 3, 12, 19, 20]
         assert minus.tolist() == [0, 1, 8, 17, 18]
@@ -155,9 +155,36 @@ def test_fd_stencil_rejects_a_point_with_no_room_either_side():
     # 5 points and a 3-step stencil: the middle point fits neither one-sided rule
     grid = AngleGrid(88, 92, -2, 2, 1.0)
     with pytest.raises(GridError):
-        fd_stencil(grid, np.array([2]), np.array([0]), 3)
+        fd_stencil(grid, np.array([2]), np.array([0]), 3.0)
     with pytest.raises(GridError):
-        fd_stencil(grid, np.array([0]), np.array([2]), 3)
+        fd_stencil(grid, np.array([0]), np.array([2]), 3.0)
+
+
+@pytest.mark.parametrize("grid, fd_step_deg", [
+    (AngleGrid(step_deg=10.0), None),                   # full circle: the stencil wraps at the seam
+    (AngleGrid(step_deg=10.0), 20.0),                   # two grid steps, wrapping too
+    (AngleGrid(60, 120, -40, 40, 5.0), None),           # partial window: one-sided phi edges
+    (AngleGrid(60, 120, -40, 40, 5.0), 10.0),
+    (AngleGrid(0, 30, -20, 20, 5.0), 10.0),             # both pole rows' one-sided stencils
+], ids=["circle", "circle_2steps", "window", "window_2steps", "pole_2steps"])
+def test_crlb_points_batch_equals_each_set_alone(grid, fd_step_deg):
+    rng = np.random.default_rng(17)
+    shape = (5, 2, 3, grid.n_theta, grid.n_phi)
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    data[2, :, :, 1, 2] = 0.0                           # one singular point in one set
+    it, ip = (a.ravel() for a in np.meshgrid(np.arange(grid.n_theta), np.arange(grid.n_phi),
+                                             indexing="ij"))
+    batch = crlb.crlb_points(data, grid, it, ip, 2.5, fd_step_deg)
+    assert [a.shape for a in batch] == [(5, it.size)] * 5
+    assert batch[4][2].any() and batch[4].sum() == batch[4][2].sum()
+    for b in range(5):
+        alone = crlb.crlb_points(data[b], grid, it, ip, 2.5, fd_step_deg)
+        for got, want in zip(batch, alone):
+            assert got.dtype == want.dtype and got[b].tobytes() == want.tobytes()
+    one = crlb.crlb_points(data[:1], grid, it, ip, 2.5, fd_step_deg)
+    alone = crlb.crlb_points(data[0], grid, it, ip, 2.5, fd_step_deg)
+    for got, want in zip(one, alone):
+        assert got.shape == (1, it.size) and got[0].tobytes() == want.tobytes()
 
 
 def _bounds(grid):

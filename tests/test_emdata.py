@@ -317,6 +317,21 @@ def _bad_v2(ds, case):
     raise AssertionError(case)
 
 
+@pytest.mark.parametrize("field, value", [("pixel_rows", 2.9), ("pixel_rows", 2.0),
+                                          ("pixel_cols", "2"), ("pixel_cols", [2])])
+def test_non_integer_layout_count_is_format_error(tmp_path, tiny_dataset, capsys, field, value):
+    # a count is a JSON integer: 2.9 is not read as 2 pixel rows
+    header = json.loads(_v2_file(tiny_dataset).split(b"\n")[1])
+    header["layout"][field] = value
+    p = tmp_path / "bad.ds"
+    p.write_bytes(_v2_file(tiny_dataset, header=header))
+    with pytest.raises(DatasetFormatError, match=field):
+        load_dataset(p, strict=False)
+    capsys.readouterr()
+    assert cli_main(["validate", "--dataset", str(p)]) == 3
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case,error,code", [
     ("truncated", DatasetFormatError, 3),
     ("header_dims", DimensionMismatchError, 3),

@@ -57,7 +57,7 @@ def _check_fim_sweep_against_oracle(rng, grid, step_mult):
     ip = np.tile(p_ids, t_ids.size)
     snr = 3.5
     c_tt, c_tp, c_pp, obj, sing = kernels.fim_sweep(
-        _stacked(pats), it, ip, *fd_stencil(grid, it, ip, step_mult), snr)
+        _stacked(pats), it, ip, *fd_stencil(grid, it, ip, step_mult * grid.step_deg), snr)
 
     fd_step = step_mult * grid.step_deg
     for k in range(it.size):
