@@ -353,33 +353,40 @@ def write_csv(path, header: str, columns) -> None:
 def write_csv_blocks(path, header: str, blocks) -> None:
     """write_csv of an iterable of column blocks, one after another, so a
     table made block by block is never held whole.  Rows are formatted
-    _CSV_BLOCK_ROWS at a time.
+    _CSV_BLOCK_ROWS at a time, each by one '%s,...,%s' string, and each
+    block of rows is written as one string.
     """
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for columns in blocks:
             cols = [np.asarray(c) for c in columns]
             n = min((len(c) for c in cols), default=0)
+            fmt = ",".join(["%s"] * len(cols)) + "\n"
             for r0 in range(0, n, _CSV_BLOCK_ROWS):
                 block = [_values(c[r0:r0 + _CSV_BLOCK_ROWS]) for c in cols]
-                fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*block))
+                fh.write("".join([fmt % row for row in zip(*block)]))
 
 
 def _values(column: np.ndarray) -> list:
     """The Python values of a column block, whose str are its cells.
 
-    A float64 block with fewer than a quarter as many distinct values as
-    rows comes back as its cells, each distinct value formatted once; values
-    are told apart by bit pattern, so -0.0 and 0.0 keep their own cells.
-    Shortest round-trip formatting is the writer's cost, and a (theta, phi)
-    map repeats its grid lines and any constant column in every row.
+    A float64 block with fewer than three quarters as many distinct
+    magnitudes as rows comes back as its cells, each distinct magnitude
+    formatted once and a negative value written as '-' and its magnitude's
+    cell; -0.0 and -inf keep their sign, and a NaN's cell is 'nan' whatever
+    its sign bit, as str writes it.  Shortest round-trip formatting is the
+    writer's cost: a (theta, phi) map repeats its grid lines and any constant
+    column in every row, and its closed-form columns mirror each other at
+    +-phi.
     """
     if column.dtype == np.float64 and column.size:
-        bits = column.view(np.int64)
+        bits = np.abs(column).view(np.int64)
         srt = np.sort(bits)
         new = np.concatenate(([True], srt[1:] != srt[:-1]))
-        if 4 * np.count_nonzero(new) < column.size:
+        if 4 * np.count_nonzero(new) < 3 * column.size:
             distinct = srt[new]
-            cells = np.array(list(map(str, distinct.view(np.float64).tolist())), dtype=object)
-            return cells[np.searchsorted(distinct, bits)].tolist()
+            cells = list(map(str, distinct.view(np.float64).tolist()))
+            table = np.array(cells + ["-" + c for c in cells], dtype=object)
+            neg = np.signbit(column) & ~np.isnan(column)
+            return table[np.searchsorted(distinct, bits) + neg * distinct.size].tolist()
     return column.tolist()

@@ -47,6 +47,17 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_float(value, name: str) -> float:
+    """value as a float, when it is a JSON number (Infinity included, which
+    save_codebook writes for an unbounded objective); the readers of input
+    files take their float fields through this, so "80" or true is an error,
+    never a coerced value.  Raises TypeError naming the field, which the
+    readers report as a DatasetFormatError."""
+    if type(value) not in (int, float):             # bool is an int subclass
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # layout
 # ---------------------------------------------------------------------------
@@ -148,10 +159,10 @@ class PortLayout:
         return PortLayout(
             pixel_rows=json_int(d["pixel_rows"], "pixel_rows"),
             pixel_cols=json_int(d["pixel_cols"], "pixel_cols"),
-            pixel_side_mm=float(d["pixel_side_mm"]),
-            substrate_side_mm=float(d["substrate_side_mm"]),
-            height_mm=float(d["height_mm"]),
-            frequency_hz=float(d["frequency_hz"]),
+            pixel_side_mm=json_float(d["pixel_side_mm"], "pixel_side_mm"),
+            substrate_side_mm=json_float(d["substrate_side_mm"], "substrate_side_mm"),
+            height_mm=json_float(d["height_mm"], "height_mm"),
+            frequency_hz=json_float(d["frequency_hz"], "frequency_hz"),
         )
 
 
@@ -515,7 +526,7 @@ def _read_v2(fh, path) -> EMDataset:
     try:
         layout = PortLayout.from_dict(doc["layout"])
         g = doc["grid"]
-        grid = AngleGrid(**{f.name: float(g[f.name]) for f in fields(AngleGrid)})
+        grid = AngleGrid(**{f.name: json_float(g[f.name], f.name) for f in fields(AngleGrid)})
     except (KeyError, TypeError, ValueError, LayoutError, GridError) as exc:
         raise DatasetFormatError(f"{path}: missing or malformed field ({exc})") from exc
     metadata = doc.get("metadata", {})

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crlb import SensingArea, crlb_points, fd_window, write_csv
-from .emdata import EMDataset, PortLayout, json_int
+from .emdata import EMDataset, PortLayout, json_float, json_int
 from .errors import (
     ConfigError,
     CoverageError,
@@ -621,8 +621,8 @@ def _area_dict(a: SensingArea) -> dict:
 
 
 def _area_from(d: dict) -> SensingArea:
-    return SensingArea(float(d["theta_min_deg"]), float(d["theta_max_deg"]),
-                       float(d["phi_min_deg"]), float(d["phi_max_deg"]))
+    return SensingArea(*(json_float(d[k], k) for k in
+                         ("theta_min_deg", "theta_max_deg", "phi_min_deg", "phi_max_deg")))
 
 
 def save_codebook(cb: Codebook, path) -> None:
@@ -678,7 +678,7 @@ def load_codebook(path) -> Codebook:
             )
             cfg.validate_against(n_feed, n_loaded)
             cws.append(Codeword(area=_area_from(rec["area"]), config=cfg,
-                                objective=float(rec["objective_rad"]),
+                                objective=json_float(rec["objective_rad"], "objective_rad"),
                                 iterations_used=json_int(rec["iterations_used"],
                                                          "iterations_used")))
         if not cws:
@@ -694,7 +694,7 @@ def load_codebook(path) -> Codebook:
             raise DatasetFormatError(f"{path}: the leaf areas do not tile the space "
                                      f"{schedule.space.label()}")
         return Codebook(
-            schedule=schedule, snr_linear=float(doc["snr_linear"]),
+            schedule=schedule, snr_linear=json_float(doc["snr_linear"], "snr_linear"),
             n_feed=n_feed, n_loaded=n_loaded, codewords=tuple(cws),
         )
     except (KeyError, TypeError, ValueError, ConfigError, ScheduleError, GridError) as exc:

@@ -550,6 +550,32 @@ def test_non_integer_codebook_field_is_format_error(tmp_path, ds_file, cb_file, 
     assert field in capsys.readouterr().err
 
 
+def _edit_first_area(key, edit):
+    """_edit_first_codeword of one bound of the first leaf's area."""
+    return _edit_first_codeword("area", lambda area: {**area, key: edit(area[key])})
+
+
+# each edit is one a coercing reader would take for a valid codebook
+@pytest.mark.parametrize("field, edit", [
+    ("snr_linear", lambda doc: {**doc, "snr_linear": str(doc["snr_linear"])}),
+    ("objective_rad", _set_first_codeword("objective_rad", True)),
+    ("objective_rad", _edit_first_codeword("objective_rad", str)),
+    ("theta_min_deg", _edit_first_area("theta_min_deg", str)),
+    ("phi_max_deg", lambda doc: {**doc, "space": {**doc["space"],
+                                                  "phi_max_deg": [doc["space"]["phi_max_deg"]]}}),
+], ids=["snr_string", "objective_bool", "objective_string", "leaf_bound_string",
+        "space_bound_list"])
+def test_non_number_codebook_field_is_format_error(tmp_path, ds_file, cb_file, capsys, field,
+                                                   edit):
+    doc = edit(json.loads(cb_file.read_text()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["crlb-map", "--dataset", ds_file, "--codebook", bad,
+                "--area", "85:95:-5:5", "--out", tmp_path / "map.csv"]) == 3
+    assert field in capsys.readouterr().err
+
+
 def test_export_plots_port_count_empty_codebook_is_format_error(tmp_path, ds_file, cb_file):
     doc = json.loads(cb_file.read_text())
     doc["codewords"] = []

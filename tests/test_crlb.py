@@ -535,18 +535,23 @@ def test_write_csv_blocks_match_one_pass_writer(tmp_path, n):
     rng = np.random.default_rng(n)
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     floats[::5] = np.inf
-    # float columns whose values repeat, which are formatted once per distinct value
+    # float columns whose magnitudes repeat, which are formatted once per distinct magnitude
     nan2 = np.array([np.nan]).view(np.int64) + 1           # a NaN of another payload
-    few = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, nan2.view(np.float64)[0],
-                    1.0 / 3.0, 5e-324, -1e300, 0.1])
+    few = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, nan2.view(np.float64)[0],
+                    -nan2.view(np.float64)[0], 1.0 / 3.0, 5e-324, -1e300, 0.1])
     low = few[rng.integers(0, few.size, n)]
     lines = np.tile(np.arange(-90.0, 90.5, 0.5), 12)[:n]    # a map's grid lines
-    edge = (np.arange(n) % max(1, n // 4)).astype(float)    # distinct just at a quarter
+    # signed, with distinct magnitudes at three quarters of the rows: the fold's boundary
+    edge = (np.arange(n) % max(1, 3 * n // 4)).astype(float) * (-1.0) ** np.arange(n)
     strided = np.stack([low, floats], axis=1)[:, 0]         # a float64 view with a stride
+    # +-x at +-phi: half as many magnitudes as rows, with +-0, +-inf and -nan folded in
+    half = rng.standard_normal((n + 1) // 2) * 10.0 ** rng.integers(-300, 300, (n + 1) // 2)
+    half[:8] = [0.0, np.inf, np.nan, -np.nan, 1e-310, 0.5, 2.0 / 3.0, -0.0][:half[:8].size]
+    mirrored = np.stack([half, -half], axis=1).ravel()[:n]
     columns = (floats, np.arange(n), [f"s{i}" for i in range(n)], tuple(floats[::-1].tolist()),
                low, lines, edge, strided, low.tolist(), lines.astype(np.float32),
-               low.astype(">f8"), low > 0)
-    header = ",".join("abcdefghijkl")
+               low.astype(">f8"), low > 0, mirrored, mirrored[::-1])
+    header = ",".join("abcdefghijklmn")
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_csv(got, header, columns)
     write_csv_one_pass(want, header, columns)
@@ -554,7 +559,9 @@ def test_write_csv_blocks_match_one_pass_writer(tmp_path, n):
     text = got.read_text()
     assert text.count("\n") == 1 + n
     if n > 8:
-        assert {"0.0", "-0.0", "inf", "-inf", "nan"} <= set(text.replace("\n", ",").split(","))
+        cells = set(text.replace("\n", ",").split(","))
+        assert {"0.0", "-0.0", "inf", "-inf", "nan"} <= cells
+        assert "-nan" not in cells
     # the same rows appended in three blocks, one of them empty
     cut = n // 3
     write_csv_blocks(got, header, [[c[:cut] for c in columns], [c[:0] for c in columns],

@@ -332,6 +332,24 @@ def test_non_integer_layout_count_is_format_error(tmp_path, tiny_dataset, capsys
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part, field, edit", [
+    ("layout", "height_mm", str), ("layout", "frequency_hz", lambda v: True),
+    ("layout", "pixel_side_mm", lambda v: [v]), ("grid", "step_deg", str),
+    ("grid", "phi_stop_deg", str)])
+def test_non_number_header_field_is_format_error(tmp_path, tiny_dataset, capsys, part, field,
+                                                 edit):
+    # a length, frequency or grid bound is a JSON number: "12.5" is not read as 12.5
+    header = json.loads(_v2_file(tiny_dataset).split(b"\n")[1])
+    header[part][field] = edit(header[part][field])
+    p = tmp_path / "bad.ds"
+    p.write_bytes(_v2_file(tiny_dataset, header=header))
+    with pytest.raises(DatasetFormatError, match=field):
+        load_dataset(p, strict=False)
+    capsys.readouterr()
+    assert cli_main(["validate", "--dataset", str(p)]) == 3
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case,error,code", [
     ("truncated", DatasetFormatError, 3),
     ("header_dims", DimensionMismatchError, 3),

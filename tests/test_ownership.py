@@ -1,8 +1,8 @@
 """Each piece of the bound's math has one owner in src/pixelaoa.
 
 These tests read the package source with ast, so a second caller of the
-Fisher sweep, a second converter of FD steps or a second window rule in the
-CLI fails here, whatever it computes.
+Fisher sweep, a second converter of FD steps, a second window rule in the
+CLI or a second CSV writer fails here, whatever it computes.
 """
 
 import ast
@@ -72,3 +72,46 @@ def test_cli_tells_no_pattern_set_source_apart():
               if isinstance(node, ast.Call) and _callee(node) == "isinstance"
               and "PatternSet" in ast.unparse(node)]
     assert checks == []
+
+
+def test_csv_is_formatted_only_in_crlb():
+    # crlb.write_csv_blocks formats every CSV cell; no other module formats rows itself
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [(name, "import csv") for a in node.names if a.name == "csv"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found.append((name, "from csv import"))
+            elif isinstance(node, ast.Call) and _callee(node) == "savetxt":
+                found.append((name, ast.unparse(node)))
+            elif (isinstance(node, ast.Call) and _callee(node) == "join"
+                  and any(isinstance(a, ast.Call) and _callee(a) == "map" and a.args
+                          and isinstance(a.args[0], ast.Name) and a.args[0].id == "str"
+                          for a in node.args)):
+                found.append((name, ast.unparse(node)))
+    assert [f for f in found if f[0] != "crlb.py"] == []
+
+
+def test_cli_optimizer_simulate_write_csv_through_crlb():
+    # their only text files of their own are JSON: every file they open for
+    # writing is written by json.dump, and each of them calls a crlb writer
+    for name in ("cli.py", "optimizer.py", "simulate.py"):
+        tree = _tree(name)
+        assert {"write_csv", "write_csv_blocks"} & {_callee(node) for node in ast.walk(tree)
+                                                    if isinstance(node, ast.Call)}, name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.With):
+                continue
+            for item in node.items:
+                call = item.context_expr
+                if not (isinstance(call, ast.Call) and _callee(call) == "open"):
+                    continue
+                mode = call.args[1] if len(call.args) > 1 else next(
+                    (k.value for k in call.keywords if k.arg == "mode"), None)
+                if mode is None or "r" in ast.literal_eval(mode):
+                    continue
+                writes = {ast.unparse(c.func) for stmt in node.body for c in ast.walk(stmt)
+                          if isinstance(c, ast.Call) and _callee(c) in ("dump", "write",
+                                                                       "writelines")}
+                assert "json.dump" in writes, (name, node.lineno, writes)
