@@ -388,9 +388,9 @@ def _search_box(angles, halfwidth_deg: float, grid: AngleGrid) -> SensingArea:
     """The grid angles' bounding box widened by the search half-width and
     clipped to grid, by line index: every edge is a line of grid."""
     h = line_index(halfwidth_deg, grid.step_deg)
-    if h is None or h < 0:
-        raise ConfigError(f"--search-halfwidth-deg {halfwidth_deg} is not a multiple "
-                          f"of the grid step {grid.step_deg}")
+    if h is None or h < 1:
+        raise ConfigError(f"--search-halfwidth-deg {halfwidth_deg} must be a positive "
+                          f"multiple of the grid step {grid.step_deg}")
     it, ip = zip(*((grid.theta_index(th), grid.phi_index(ph)) for th, ph in angles))
     th, ph = grid.theta_deg.tolist(), grid.phi_deg.tolist()
     return SensingArea(th[max(0, min(it) - h)], th[min(grid.n_theta - 1, max(it) + h)],

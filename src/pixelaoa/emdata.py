@@ -299,9 +299,10 @@ def _dipole_patterns(layout: PortLayout, grid: AngleGrid) -> np.ndarray:
     sp, cp = np.sin(ph), np.cos(ph)
 
     kx = st * cp                     # propagation direction components
+    front = kx >= 0.0                # fields are evaluated in front only
+    st, ct, sp, cp, kx = (a[front] for a in (st, ct, sp, cp, kx))
     ky = st * sp
     kz = ct
-    front = kx >= 0.0
 
     k = 2.0 * math.pi / layout.wavelength_m
     h = layout.height_mm * 1e-3
@@ -327,8 +328,8 @@ def _dipole_patterns(layout: PortLayout, grid: AngleGrid) -> np.ndarray:
             img = odd
         e_th = d[0] * ct * cp + d[1] * ct * sp - d[2] * st
         e_ph = -d[0] * sp + d[1] * cp
-        out[0, p] = np.where(front, e_th * img * lateral, 0.0)
-        out[1, p] = np.where(front, e_ph * img * lateral, 0.0)
+        out[0, p][front] = e_th * img * lateral
+        out[1, p][front] = e_ph * img * lateral
     return out
 
 

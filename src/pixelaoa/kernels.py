@@ -5,8 +5,7 @@ information sweep behind every CRLB map and (b) the per-candidate subspace
 projection scores of the ML angle search.  The sweep streams its points
 in blocks under a fixed byte budget, so its working memory does not grow
 with the batch; the scores take one block of snapshots per call and run one
-GEMM per basis column that some candidate uses, and ml_chunk gives the unit
-of snapshots that such blocks are made of.
+GEMM per basis column that some candidate uses.
 """
 
 from __future__ import annotations
@@ -15,15 +14,6 @@ import numpy as np
 
 # Re{F} is declared rank deficient when det <= RANK_TOL * scale^2.
 RANK_TOL = 1e-12
-
-# Most bytes of the complex (t x 2G) projections of one ml_scores call on a
-# chunk of ml_chunk(G) snapshots; both columns are budgeted, as a rank-2 set
-# needs both.  With OpenBLAS a snapshot's scores take the same bits in a GEMM
-# of any two or more rows; a one-row call takes the GEMV path and other bits.
-# So the chunk pins the Monte-Carlo reports only through the trials left over
-# after whole chunks, which simulate.monte_carlo_rmse scores by a call of
-# their own.
-_ML_CHUNK_BYTES = 1 << 22
 
 # Most bytes of one complex (2N x points) stencil gather in fim_sweep;
 # larger point batches are swept in blocks of that many points.  The budget
@@ -103,12 +93,6 @@ def _fim_block(e, it, ip, itp, itm, inv_dt, ipp, ipm, inv_dp, snr):
 # ML projection scores
 # ---------------------------------------------------------------------------
 
-def ml_chunk(n_candidates: int) -> int:
-    """Snapshots per ml_scores chunk at n_candidates candidates: the unit of
-    simulate.monte_carlo_rmse's score blocks."""
-    return max(1, _ML_CHUNK_BYTES // (2 * n_candidates * 16))
-
-
 def ml_scores(basis, rank, y):
     """Squared norm of the projection of y onto each candidate subspace.
 
@@ -118,14 +102,11 @@ def ml_scores(basis, rank, y):
     score -1 so they are never selected.  Column 0 is scored by one GEMM;
     column 1 only when some candidate has rank 2, and then it is read for
     every candidate, so the unused columns of a mixed set must be zero.  A
-    call holds its (T x G) projections per column, so callers bound T: the
-    Monte Carlo passes blocks of whole ml_chunk(G) chunks under a 16 MB
-    budget, and its leftover trials alone.  With OpenBLAS a row's scores
-    have the same bits for every T of at least 2; a one-row call runs GEMV
-    and may round otherwise.  |conj(y) b| = |y conj(b)|, so the snapshots
-    are conjugated instead of the candidates: a basis laid out as a
-    transposed (G, 2, N) array, as simulate._orthobases returns it, is read
-    by BLAS in place, never copied.
+    call holds its (T x G) projections per column, so callers bound T.
+    |conj(y) b| = |y conj(b)|, so the snapshots are conjugated instead of
+    the candidates: a basis laid out as a transposed (G, 2, N) array, as
+    simulate._orthobases returns it, is read by BLAS in place, never
+    copied.
     """
     y = np.asarray(y, dtype=np.complex128)
     yc = y.reshape(-1, basis.shape[1]).conj()

@@ -102,8 +102,8 @@ def _orthobases(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # beside the (G, 2, N) bases is one block's, not G candidates'.
 _BASIS_BLOCK_BYTES = 1 << 20
 
-# Most bytes of the complex projections of one kernels.ml_scores call in
-# monte_carlo_rmse, whose blocks are whole kernels.ml_chunk(G) chunks of trials.
+# Most bytes of the complex projections, both columns, of one
+# kernels.ml_scores call in monte_carlo_rmse.
 _SCORE_BLOCK_BYTES = 1 << 24
 
 
@@ -227,23 +227,19 @@ def monte_carlo_rmse(
     execution order.  The ML search runs over search_area.  trials must be
     at least 100.  The candidate bases are built once per call.  The
     trials of each (angle, snr) cell are scored and estimated in blocks of
-    whole kernels.ml_chunk(G) chunks, as many chunks as fit
-    _SCORE_BLOCK_BYTES of projections, so no (trials, G) score block is
-    held.  The cell's last trials % ml_chunk(G) trials are scored by a call
-    of their own.  With OpenBLAS a snapshot's scores take the same bits in
+    as many trials as fit _SCORE_BLOCK_BYTES of projections, so no
+    (trials, G) score block is held.  A last block of one trial joins the
+    block before it: with OpenBLAS a snapshot's scores take the same bits in
     any GEMM of two or more rows, but a one-row call takes the GEMV path, so
-    this split gives the report of scoring one ml_chunk(G) chunk per call.
+    the report does not depend on the block size.
     """
     if trials < 100:
         raise ValueError(f"at least 100 trials required, got {trials}")
     cand = _CandidateGrid(patterns, search_area)
     G = cand.rank.size
     Y = np.empty((trials, cand.basis.shape[1]), dtype=np.complex128)
-    chunk = kernels.ml_chunk(G)
-    step = chunk * max(1, _SCORE_BLOCK_BYTES // (chunk * 2 * G * 16))
-    whole = trials - trials % chunk
-    bounds = [*range(0, whole, step), whole, trials]
-    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    step = max(2, _SCORE_BLOCK_BYTES // (2 * G * 16))
+    bounds = [*range(0, trials - 1, step), trials]
     records = []
     for ai, angle in enumerate(angles_deg):
         angle = (float(angle[0]), float(angle[1]))
@@ -254,7 +250,7 @@ def monte_carlo_rmse(
                 Y[t] = mu + _noise(mu.size, sig2, ss)
             se_th = 0.0
             se_ph = 0.0
-            for a, b in spans:
+            for a, b in zip(bounds, bounds[1:]):
                 th, ph = cand.estimate(kernels.ml_scores(cand.basis, cand.rank, Y[a:b]), refine)
                 for t, p in zip(th.tolist(), ph.tolist()):
                     se_th += math.radians(t - angle[0]) ** 2

@@ -864,6 +864,27 @@ def test_montecarlo_upa_rejects_a_bad_fd_step_before_any_trial(tmp_path, monkeyp
         assert not out.exists()
 
 
+# a zero half-width searches one candidate, the true angle, so every trial
+# would estimate it exactly and report an RMSE of 0 below the CRLB
+@pytest.mark.parametrize("path", ["upa", "codebook"])
+def test_montecarlo_zero_search_halfwidth_is_flag_error(tmp_path, monkeypatch, capsys, ds_file,
+                                                        path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no trial is scored with a zero search half-width")
+
+    source = (["--upa", "2x2", "--step-deg", "5"] if path == "upa" else
+              ["--dataset", ds_file, "--codebook", _leaf_codebook(tmp_path / "cb.json",
+                                                                  ds_file, GEOMS[:1])])
+    monkeypatch.setattr(kernels, "ml_scores", forbidden)
+    out = tmp_path / "mc.csv"
+    assert run(["montecarlo", *source, "--angles", "90,0", "--snr-db-list", "10",
+                "--trials", "101", "--search-halfwidth-deg", "0", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "--search-halfwidth-deg" in err
+    assert "must be a positive multiple of the grid step" in err
+    assert not out.exists()
+
+
 # a 1-degree half-width puts the fd step of 4 beyond the search box
 @pytest.mark.parametrize("angles, halfwidth, fd_step", [("60,40", 10, 3),
                                                         ("60,40;70,46", 1, 4)])

@@ -425,12 +425,8 @@ def test_singular_cell_reports_an_infinite_bound(tmp_path):
     assert row[6:] == ["inf", "inf"]
 
 
-def test_monte_carlo_scores_whole_chunks_of_trials_per_block(upa, monkeypatch):
-    G = 21 * 21
-    chunk = 3
-    budget = 4 * chunk * 2 * G * 16 + 1        # a block holds 4 chunks of 3 snapshots
-    monkeypatch.setattr(kernels, "_ML_CHUNK_BYTES", chunk * 2 * G * 16)
-    monkeypatch.setattr(simulate, "_SCORE_BLOCK_BYTES", budget)
+def _spy_on_ml_scores(monkeypatch):
+    """The (basis shape, rows) of each kernels.ml_scores call, as made."""
     calls = []
     real = kernels.ml_scores
 
@@ -439,49 +435,48 @@ def test_monte_carlo_scores_whole_chunks_of_trials_per_block(upa, monkeypatch):
         return real(basis, rank, y)
 
     monkeypatch.setattr(kernels, "ml_scores", spy)
-    for trials, sizes in [(100, [12] * 8 + [3, 1]), (102, [12] * 8 + [6])]:
-        calls.clear()
-        monte_carlo_rmse(upa, [(90.0, 0.0)], [10.0], trials=trials, seed=0, search_area=SEARCH)
-        got = [n for _, n in calls]
-        assert got == sizes
-        # every call is a whole number of chunks within the budget, but the
-        # trials % chunk left over, which are scored by a call of their own
-        rest = trials % chunk
-        whole = got[:-1] if rest else got
-        assert all(n % chunk == 0 and n * 2 * G * 16 <= budget for n in whole)
-        assert sum(whole) == trials - rest
-        if rest:
-            assert got[-1] == rest
-        # the traced benchmark reads the (G, N, 2) shape of the basis
-        assert {shape for shape, _ in calls} == {(G, upa.n_ports, 2)}
+    return calls
 
 
-def test_monte_carlo_default_block_is_four_chunks_at_the_upa_search_set(monkeypatch):
+@pytest.mark.parametrize("step", [3, 30])
+@pytest.mark.parametrize("trials", [100, 101, 102])
+def test_monte_carlo_scores_blocks_of_two_to_step_plus_one_trials(upa, monkeypatch, step,
+                                                                 trials):
+    G = 21 * 21
+    monkeypatch.setattr(simulate, "_SCORE_BLOCK_BYTES", step * 2 * G * 16)
+    calls = _spy_on_ml_scores(monkeypatch)
+    monte_carlo_rmse(upa, [(90.0, 0.0)], [10.0], trials=trials, seed=0, search_area=SEARCH)
+    got = [n for _, n in calls]
+    assert sum(got) == trials
+    # no call scores one row: a last block of one trial joins the block before it
+    assert all(n == step for n in got[:-1])
+    assert 2 <= got[-1] <= step + 1
+    # the traced benchmark reads the (G, N, 2) shape of the basis
+    assert {shape for shape, _ in calls} == {(G, upa.n_ports, 2)}
+
+
+def test_monte_carlo_default_blocks_at_the_upa_search_set(monkeypatch):
     area = SensingArea(45, 105, -15, 55)
     pats = upa_patterns(4, 4, 0.5, AngleGrid(*area.bounds(), 0.5))
-    calls = []
-    real = kernels.ml_scores
-
-    def spy(basis, rank, y):
-        calls.append(len(y))
-        return real(basis, rank, y)
-
-    monkeypatch.setattr(kernels, "ml_scores", spy)
-    monte_carlo_rmse(pats, [(90.0, 0.0)], [10.0], trials=401, seed=0, search_area=area)
-    assert kernels.ml_chunk(17061) == 7
-    # 401 = 14 blocks of 28, one of 7 and a remainder of 2
-    assert calls == [28] * 14 + [7, 2]
+    calls = _spy_on_ml_scores(monkeypatch)
+    # G = 17061 candidates: 30 trials per 16 MB block
+    for trials, sizes in [(401, [30] * 13 + [11]), (391, [30] * 12 + [31])]:
+        calls.clear()
+        monte_carlo_rmse(pats, [(90.0, 0.0)], [10.0], trials=trials, seed=0, search_area=area)
+        assert [n for _, n in calls] == sizes
 
 
 @pytest.mark.parametrize("refine", [False, True])
-def test_monte_carlo_tiny_score_chunks_match_default(upa, monkeypatch, refine):
-    args = ([(90.0, 0.0), (86.0, 4.0)], [3.0, 100.0], 100, 9)
-    want = monte_carlo_rmse(upa, *args, search_area=SEARCH, refine=refine)
-    monkeypatch.setattr(kernels, "_ML_CHUNK_BYTES", 1)           # one snapshot per chunk
-    got = monte_carlo_rmse(upa, *args, search_area=SEARCH, refine=refine)
-    assert len(got.records) == len(want.records) == 4
-    for a, b in zip(got.records, want.records):
-        assert (a.theta_deg, a.phi_deg, a.snr_linear) == (b.theta_deg, b.phi_deg, b.snr_linear)
-        assert a.mse_theta_rad2 == pytest.approx(b.mse_theta_rad2, rel=1e-9, abs=1e-18)
-        assert a.mse_phi_rad2 == pytest.approx(b.mse_phi_rad2, rel=1e-9, abs=1e-18)
-        assert (a.crlb_theta_rad, a.crlb_phi_rad) == (b.crlb_theta_rad, b.crlb_phi_rad)
+def test_monte_carlo_reports_do_not_depend_on_the_block_size(upa, monkeypatch, refine):
+    G = 21 * 21
+    # the default, 2-row blocks, 3-row blocks and one call per cell
+    budgets = (simulate._SCORE_BLOCK_BYTES, 1, 3 * 2 * G * 16, 1 << 40)
+    for trials in (100, 101):
+        args = ([(90.0, 0.0), (86.0, 4.0)], [3.0, 100.0], trials, 9)
+        reports = []
+        for budget in budgets:
+            monkeypatch.setattr(simulate, "_SCORE_BLOCK_BYTES", budget)
+            reports.append(monte_carlo_rmse(upa, *args, search_area=SEARCH,
+                                            refine=refine).records)
+        assert len(reports[0]) == 4
+        assert all(r == reports[0] for r in reports[1:])
