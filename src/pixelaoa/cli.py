@@ -197,7 +197,7 @@ def _geometry_groups(source, theta_deg, phi_deg, window: AngleGrid):
     configs = [cw.config for cw in cb.codewords]
     geom = np.array([configs.index(c) for c in configs])[codebook_leaves(cb, theta_deg, phi_deg)]
     for g in geom[np.sort(np.unique(geom, return_index=True)[1])]:
-        V = solve_network(ds.Z, ds.gram, ds.n_feed, ds.n_loaded, [configs[g]], feednet).V
+        V = solve_network(ds, [configs[g]], feednet).V
         yield PatternSet(window, project(e, V)[0]), np.flatnonzero(geom == g)
 
 

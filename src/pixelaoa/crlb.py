@@ -196,12 +196,6 @@ def fd_stencil(grid: AngleGrid, it: np.ndarray, ip: np.ndarray, fd_step_deg: flo
     return itp, itm, inv_dt, ipp, ipm, inv_dp
 
 
-def _stacked(patterns: PatternSet) -> np.ndarray:
-    """(2N, n_theta, n_phi) view: theta-pol ports then phi-pol ports."""
-    d = patterns.data
-    return d.reshape(2 * d.shape[1], d.shape[2], d.shape[3])
-
-
 def crlb_points(data: np.ndarray, grid: AngleGrid, it: np.ndarray, ip: np.ndarray,
                 snr: float, fd_step_deg: float | None):
     """CRLB at grid points (it, ip) by one kernels.fim_sweep.

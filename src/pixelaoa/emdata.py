@@ -583,24 +583,16 @@ def upa_patterns(
     if spacing_over_lambda <= 0:
         raise ValueError("element spacing must be positive")
 
+    # (theta, phi) polarization factors of each element kind
+    elements = {"iso-theta": [(1 + 0j, 0j)],
+                "iso-dual": [(1 + 0j, 0j), (0j, 1 + 0j)]}.get(element)
+    if elements is None:
+        raise ValueError(f"unknown element kind {element!r}")
+
     th, ph = grid.meshgrid_rad()
     k = 2.0 * math.pi * spacing_over_lambda
     uy = np.sin(th) * np.sin(ph)
     uz = np.cos(th)
-
-    if element == "iso-theta":
-        elements = [np.stack([np.ones_like(th, dtype=np.complex128),
-                              np.zeros_like(th, dtype=np.complex128)])]
-    elif element == "iso-dual":
-        elements = [
-            np.stack([np.ones_like(th, dtype=np.complex128),
-                      np.zeros_like(th, dtype=np.complex128)]),
-            np.stack([np.zeros_like(th, dtype=np.complex128),
-                      np.ones_like(th, dtype=np.complex128)]),
-        ]
-    else:
-        raise ValueError(f"unknown element kind {element!r}")
-
     N = n_y * n_z
     # element block b holds ports b*N .. b*N + N-1; each array factor is
     # written straight into the output, one port at a time
@@ -611,6 +603,6 @@ def upa_patterns(
         nz = math.ceil(n / n_y)
         af = np.exp(1j * k * ((ny - 1) * uy + (nz - 1) * uz))
         for b, el in enumerate(elements):
-            np.multiply(af, el[0], out=data[0, b * N + n - 1])
-            np.multiply(af, el[1], out=data[1, b * N + n - 1])
+            for pol, f in enumerate(el):
+                np.multiply(af, f, out=data[pol, b * N + n - 1])
     return PatternSet(grid, data)

@@ -211,8 +211,8 @@ class NetworkSolution(NamedTuple):
     efficiencies: np.ndarray          # (B, N) radiation efficiencies
 
 
-def solve_network(Z: np.ndarray, gram: np.ndarray, n_feed: int, n_loaded: int,
-                  configs, feednet: FeedNetworkConfig = FeedNetworkConfig()) -> NetworkSolution:
+def solve_network(dataset: EMDataset, configs,
+                  feednet: FeedNetworkConfig = FeedNetworkConfig()) -> NetworkSolution:
     """Loaded-port network solves of a batch of geometries, stacked along B.
 
     Folds the loaded ports in through the Schur complement, couples in the
@@ -221,6 +221,8 @@ def solve_network(Z: np.ndarray, gram: np.ndarray, n_feed: int, n_loaded: int,
     full-grid quadrature of the radiated power.  The configs share one
     active-port count; one non-physical config fails the whole batch.
     """
+    # gram first: its first read computes it before the batch's temporaries exist
+    Z, gram, n_feed, n_loaded = dataset.Z, dataset.gram, dataset.n_feed, dataset.n_loaded
     W = load_correction(Z, n_feed, n_loaded, configs, feednet)                    # (B, Q, N)
     B, _, N = W.shape
     fp = np.array([config.feed_ports for config in configs], dtype=np.int64)      # (B, N)
@@ -255,9 +257,9 @@ def project(e: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def overall_patterns(dataset: EMDataset, config: GeometryConfig,
                      feednet: FeedNetworkConfig = FeedNetworkConfig()) -> ActiveNetwork:
-    """solve_network plus project on the whole grid, which copies no part of
-    e_oc."""
-    sol = solve_network(dataset.Z, dataset.gram, dataset.n_feed, dataset.n_loaded,
-                        [config], feednet)
+    """solve_network plus project through the whole-grid window, which
+    copies no part of e_oc."""
+    sol = solve_network(dataset, [config], feednet)
+    e = dataset.window(dataset.grid)
     return ActiveNetwork(z_feed=sol.z_feed[0], efficiencies=sol.efficiencies[0],
-                         patterns=PatternSet(dataset.grid, project(dataset.e_oc, sol.V)[0]))
+                         patterns=PatternSet(dataset.grid, project(e, sol.V)[0]))

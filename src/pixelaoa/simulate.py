@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,12 @@ class _CandidateGrid:
         if skipped:
             log.debug("ML search: %d of %d candidate angles rank-deficient, skipped",
                       skipped, self.rank.size)
+        # a basis of rank N spans every snapshot, which then scores ||y||^2 there
+        spanning = int(np.count_nonzero(self.rank == N))
+        if spanning:
+            warnings.warn(f"ML search: {spanning} of {G} candidate angles span all {N} "
+                          "ports, so the search cannot tell them apart",
+                          RuntimeWarning, stacklevel=3)
 
     def estimate(self, scores: np.ndarray, refine: bool) -> tuple[np.ndarray, np.ndarray]:
         """Angles (theta, phi), as (T,) arrays, of the best candidate of each

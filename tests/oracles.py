@@ -10,7 +10,8 @@ every grid point and integrates the radiated power over the grid
 quadrature; network.solve_network must agree with it through the pattern
 Gram matrix.  steering_row and steering_jacobian build the per-point
 finite-difference steering row and Jacobian that the FIM sweep's stacked
-gathers must reproduce.  upa_patterns_factor_list and write_csv_one_pass
+gathers must reproduce; stacked is the (2N, Tn, Pn) pattern view that
+kernels.fim_sweep reads.  upa_patterns_factor_list and write_csv_one_pass
 are the earlier whole-array forms of emdata.upa_patterns and crlb.write_csv,
 which now write into their output one port or one block of rows at a time.
 ml_scores_stacked scores both basis columns of every candidate by one GEMM
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from pixelaoa.crlb import _stacked, fd_stencil
+from pixelaoa.crlb import fd_stencil
 from pixelaoa.emdata import ETA0, EMDataset, PatternSet
 from pixelaoa.errors import (
     ConfigError,
@@ -193,6 +194,12 @@ def oracle_overall_patterns(dataset, config, feednet=FeedNetworkConfig()):
 # per-point steering row and Jacobian
 # ---------------------------------------------------------------------------
 
+def stacked(patterns: PatternSet) -> np.ndarray:
+    """(2N, n_theta, n_phi) view: theta-pol ports then phi-pol ports."""
+    d = patterns.data
+    return d.reshape(2 * d.shape[1], d.shape[2], d.shape[3])
+
+
 def steering_jacobian(patterns: PatternSet, angle_deg: tuple[float, float],
                       fd_step_deg: float | None = None) -> np.ndarray:
     """Finite-difference Jacobian J (2N x 2): columns are d f/d theta, d f/d phi.
@@ -204,7 +211,7 @@ def steering_jacobian(patterns: PatternSet, angle_deg: tuple[float, float],
     it = np.array([grid.theta_index(angle_deg[0])])
     ip = np.array([grid.phi_index(angle_deg[1])])
     itp, itm, inv_dt, ipp, ipm, inv_dp = fd_stencil(grid, it, ip, fd_step_deg)
-    e = _stacked(patterns)
+    e = stacked(patterns)
     dth = (e[:, itp[0], ip[0]] - e[:, itm[0], ip[0]]) * inv_dt[0]
     dph = (e[:, it[0], ipp[0]] - e[:, it[0], ipm[0]]) * inv_dp[0]
     return np.stack([dth, dph], axis=1)

@@ -706,7 +706,7 @@ def test_codebook_map_holds_one_geometry_at_a_time(tmp_path, monkeypatch, ds_fil
 
     def solve_spy(*args, **kwargs):
         assert all(ref() is None for ref, _ in returned)   # no earlier pattern set alive
-        calls.extend(args[4])
+        calls.extend(args[1])
         return solve(*args, **kwargs)
 
     def groups_spy(*args):

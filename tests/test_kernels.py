@@ -12,11 +12,11 @@ from pixelaoa import (
     simulate,
     upa_patterns,
 )
-from pixelaoa.crlb import _stacked, fd_stencil, projection_matrix
+from pixelaoa.crlb import fd_stencil, projection_matrix
 from pixelaoa.emdata import PatternSet
 from pixelaoa.optimizer import ConfigEvaluator
 
-from oracles import ml_scores_stacked, steering_jacobian, steering_row
+from oracles import ml_scores_stacked, stacked, steering_jacobian, steering_row
 
 
 def _random_patterns(rng, n_ports, grid):
@@ -57,7 +57,7 @@ def _check_fim_sweep_against_oracle(rng, grid, step_mult):
     ip = np.tile(p_ids, t_ids.size)
     snr = 3.5
     c_tt, c_tp, c_pp, obj, sing = kernels.fim_sweep(
-        _stacked(pats), it, ip, *fd_stencil(grid, it, ip, step_mult * grid.step_deg), snr)
+        stacked(pats), it, ip, *fd_stencil(grid, it, ip, step_mult * grid.step_deg), snr)
 
     fd_step = step_mult * grid.step_deg
     for k in range(it.size):

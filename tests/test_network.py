@@ -337,8 +337,7 @@ def test_project_on_a_window_matches_the_full_grid(small_dataset, area, fd_step,
     window = fd_window(area, ds.grid, fd_step)
     assert window == AngleGrid(*bounds, 5.0)
     cfgs = _random_batch(np.random.default_rng(8), ds.n_feed, ds.n_loaded, 3, 4)
-    got = project(ds.window(window), solve_network(ds.Z, ds.gram, ds.n_feed, ds.n_loaded,
-                                                   cfgs).V)
+    got = project(ds.window(window), solve_network(ds, cfgs).V)
     assert got.shape == (4, 2, 3, window.n_theta, window.n_phi)
     t = [ds.grid.theta_index(x) for x in window.theta_deg]
     p = [ds.grid.phi_index(x) for x in window.phi_deg]
@@ -367,10 +366,10 @@ def test_solve_network_batch_equals_single_solves(small_dataset):
     M, Q = ds.n_feed, ds.n_loaded
     cfgs = [_config(tuple(int(i) for i in rng.choice(M, size=3, replace=False)), Q,
                     tuple(int(b) for b in rng.integers(0, 2, size=Q))) for _ in range(7)]
-    batch = solve_network(ds.Z, ds.gram, M, Q, cfgs)
+    batch = solve_network(ds, cfgs)
     assert batch.V.shape == (7, ds.n_ports, 3)
     for b, cfg in enumerate(cfgs):
-        one = solve_network(ds.Z, ds.gram, M, Q, [cfg])
+        one = solve_network(ds, [cfg])
         for got, want in zip(batch, one):
             assert np.array_equal(got[b], want[0])
         assert np.array_equal(batch.z_feed[b], feed_impedance_matrix(ds.Z, M, Q, cfg))
@@ -379,7 +378,7 @@ def test_solve_network_batch_equals_single_solves(small_dataset):
 def test_solve_network_batch_needs_one_port_count(tiny_dataset):
     cfgs = [_config((0,), 4), _config((0, 1), 4)]
     with pytest.raises(ConfigError):
-        solve_network(tiny_dataset.Z, tiny_dataset.gram, 4, 4, cfgs)
+        solve_network(tiny_dataset, cfgs)
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_evaluator_batch_isolates_rejected_configs(ds2, grid, monkeypatch, chunk
     rejected = []
     for c in cfgs:
         try:
-            solve_network(sick.Z, sick.gram, sick.n_feed, sick.n_loaded, [c])
+            solve_network(sick, [c])
             rejected.append(False)
         except NonPhysicalConfigError:
             rejected.append(True)
@@ -214,6 +214,40 @@ def test_evaluator_batch_matches_single(ds2):
     batch = ev.objective_many(cfgs, AREA)
     singles = [ConfigEvaluator(ds2, 1.0).objective(c, AREA) for c in cfgs]
     assert batch == singles
+
+
+class _RecordingEvaluator(ConfigEvaluator):
+    """Keeps each objective_many call's objectives and the cache size after it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def objective_many(self, configs, area):
+        objectives = super().objective_many(configs, area)
+        self.calls.append((objectives, len(self._cache)))
+        return objectives
+
+
+def test_evaluator_cache_is_bounded_without_moving_an_objective(small_dataset, monkeypatch):
+    # Q = 12: the GA requests far more distinct genomes than 64 entries hold,
+    # and its first call alone (the initial population) more than that
+    area = SensingArea(80, 100, -10, 10)
+    params = GAParams(population=100, generations=8, seed=4)
+
+    def ga(ev):
+        return ga_optimize_connections(small_dataset, (0, 4), area, params, (0,) * 12,
+                                       evaluator=ev)
+
+    uncapped = _RecordingEvaluator(small_dataset, 1.0)
+    want = ga(uncapped)
+    monkeypatch.setattr(optimizer, "_CACHE_ENTRIES", 64)
+    capped = _RecordingEvaluator(small_dataset, 1.0)
+    assert ga(capped) == want
+    assert [v for v, _ in capped.calls] == [v for v, _ in uncapped.calls]
+    assert sum(len(v) for v, _ in capped.calls) >= 10 * 64
+    assert max(n for _, n in capped.calls) == 64 < max(n for _, n in uncapped.calls)
+    assert capped.misses > uncapped.misses            # evicted genomes were scored again
 
 
 # ---------------------------------------------------------------------------

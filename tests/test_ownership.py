@@ -115,3 +115,20 @@ def test_cli_optimizer_simulate_write_csv_through_crlb():
                           if isinstance(c, ast.Call) and _callee(c) in ("dump", "write",
                                                                        "writelines")}
                 assert "json.dump" in writes, (name, node.lineno, writes)
+
+
+def _scoped(node, scope=None):
+    """(name of the innermost enclosing def or None, node) for every node below node."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        yield from _scoped(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+
+def test_only_solve_network_reads_the_dataset_arrays():
+    # outside emdata.py, e_oc is read through EMDataset.window, and Z and the
+    # Gram matrix by the network solve alone, so the dataset owns their storage
+    found = {(name, scope, node.attr) for name, tree in _trees().items() if name != "emdata.py"
+             for scope, node in _scoped(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("e_oc", "Z", "gram")}
+    assert sorted(found) == [("network.py", "solve_network", "Z"),
+                             ("network.py", "solve_network", "gram")]

@@ -1,14 +1,16 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from pixelaoa import AngleGrid, PatternSet, SensingArea, crlb_matrix, upa_patterns
-from pixelaoa import kernels, simulate
+from pixelaoa import GeometryConfig, kernels, simulate
 from pixelaoa.errors import EstimationError
+from pixelaoa.network import overall_patterns
 from pixelaoa.simulate import (
     RANK_TOL_REL,
     _orthobases,
@@ -306,6 +308,33 @@ def test_candidate_build_memory_is_bounded_by_a_block():
     # beside the 8.7 MB of bases, a few 1 MB blocks' temporaries; the build of
     # all candidates at once held three times the bases more
     assert peak - cand.basis.nbytes < 8 << 20, (peak, cand.basis.nbytes)
+
+
+def _pixel_patterns(dataset, feed_ports):
+    config = GeometryConfig(feed_ports, (0,) * dataset.n_loaded)
+    return overall_patterns(dataset, config).patterns
+
+
+def test_a_search_of_candidates_spanning_every_port_warns(small_dataset):
+    # two ports and two polarizations: every candidate basis spans C^2, so
+    # every snapshot scores ||y||^2 at every candidate
+    pats = _pixel_patterns(small_dataset, (0, 4))
+    with pytest.warns(RuntimeWarning, match=r"25 of 25 candidate angles span all 2 ports"):
+        ml_estimate(np.ones(2, dtype=complex), pats, SEARCH)
+    with pytest.warns(RuntimeWarning, match=r"span all 2 ports"):
+        simulate._CandidateGrid(upa_patterns(1, 1, 0.5, WINDOW, "iso-dual"), SEARCH)
+
+
+@pytest.mark.parametrize("make", [
+    lambda ds: upa_patterns(4, 4, 0.5, WINDOW),                # rank 1 of 16 ports
+    lambda ds: _pixel_patterns(ds, (0, 2, 4, 8)),
+], ids=["upa4x4", "pixel_4_ports"])
+def test_a_search_that_can_tell_angles_apart_does_not_warn(small_dataset, make):
+    pats = make(small_dataset)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cand = simulate._CandidateGrid(pats, SEARCH)
+    assert cand.rank.max() < pats.n_ports
 
 
 # ---------------------------------------------------------------------------
