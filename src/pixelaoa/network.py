@@ -1,25 +1,25 @@
 """Multiport circuit algebra for reconfigurable pixel antennas.
 
 A geometry is a pair (active feed-port set, binary pixel-connection
-vector).  Muted feed ports are open-circuited and drop out of the network
-in the infinite-impedance limit; switched pixel links are short (0 ohm,
-bit 0) or quasi-open (z_oc, bit 1) loads that are eliminated through a
-Schur complement.  solve_network is the one solver: it returns the
-effective feed impedance matrix, the per-port map V with overall patterns
-E = e_oc . V, and the per-port radiation efficiencies.  project is the one
-projection E = e_oc . V: a batch of V onto a window of e_oc (EMDataset.window),
-for the optimizer's ConfigEvaluator and the CLI's maps and Monte Carlo alike;
-overall_patterns is solve_network plus project on the whole grid.
+vector).  Muted feed ports and open pixel links (bit 1) carry no current
+and drop out of the network exactly; shorted links (0 ohm, bit 0) are
+eliminated through a Schur complement.  solve_network is the one solver:
+it returns the effective feed impedance matrix, the per-port map V with
+overall patterns E = e_oc . V, and the per-port radiation efficiencies.
+project is the one projection E = e_oc . V: a batch of V onto a window of
+e_oc (EMDataset.window), for the optimizer's ConfigEvaluator and the CLI's
+maps and Monte Carlo alike; overall_patterns is solve_network plus project
+on the whole grid.
 The full-grid quadrature pipeline solve_network is checked against, and the
 single-config Z_F and port-current references, live in tests/oracles.py.
 
 Conditioning guard: load_correction warns (RuntimeWarning) when the exact
-1-norm condition number of the diagonally equilibrated loaded-port system
-exceeds CONDITION_WARN_THRESHOLD.  Every config gets a lower-bound estimate
-from two probe columns that ride in the one stacked solve beside W (the
-first step of Hager's 1-norm estimator: Hager 1984, Higham 1988); only a
-config whose estimate comes within _SCREEN of the threshold pays a second
-solve for the exact value, which the warning is decided and printed on.
+1-norm condition number of the loaded-port system exceeds
+CONDITION_WARN_THRESHOLD.  Every config gets a lower-bound estimate from two
+probe columns that ride in the one stacked solve beside W (the first step of
+Hager's 1-norm estimator: Hager 1984, Higham 1988); only a config whose
+estimate comes within _SCREEN of the threshold pays a second solve for the
+exact value, which the warning is decided and printed on.
 """
 
 from __future__ import annotations
@@ -33,11 +33,13 @@ import numpy as np
 from .emdata import EMDataset, PatternSet, ETA0
 from .errors import ConfigError, NonPhysicalConfigError, NumericalError
 
-# kappa_1(D S D), D = diag(|S_qq|)^-1/2, above which load_correction warns
+# kappa_1(S) above which load_correction warns
 CONDITION_WARN_THRESHOLD = 1e12
 # the exact kappa_1 is computed where the probe estimate, a lower bound,
-# exceeds CONDITION_WARN_THRESHOLD / _SCREEN; on random configs of the 5x5
-# jittered dataset the estimate under-reads by 9x in the median, 58x at worst
+# exceeds CONDITION_WARN_THRESHOLD / _SCREEN; on 300 random 4-port configs of
+# the 5x5 jittered 2-degree dataset (seed 7), kappa_1 is 432 in the median and
+# 1.48e3 at most, and the estimate under-reads it by 1.9x in the median, 5.9x
+# at worst
 _SCREEN = 1e4
 _GOLDEN = (5 ** 0.5 - 1) / 2            # phase step of the second probe column
 _BITS = frozenset((0, 1))
@@ -89,16 +91,15 @@ class GeometryConfig:
 
 @dataclass(frozen=True)
 class FeedNetworkConfig:
-    """Source impedances of the active RF chains and the quasi-open load value."""
+    """Source impedance of the active RF chains."""
 
     source_impedance_ohm: complex = 50.0 + 0.0j
-    z_open_ohm: float = 1e9
 
     def __post_init__(self):
-        if not (complex(self.source_impedance_ohm).real > 0):
-            raise ConfigError("source impedance must have positive real part")
-        if not (self.z_open_ohm >= 1e6):
-            raise ConfigError("quasi-open load impedance must be at least 1e6 ohm")
+        z0 = complex(self.source_impedance_ohm)
+        if not (np.isfinite(z0) and z0.real > 0):
+            raise ConfigError(f"source impedance must be finite with positive real part, "
+                              f"got {z0}")
 
     def source_matrix(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=np.complex128) * complex(self.source_impedance_ohm)
@@ -125,27 +126,27 @@ def _probes(Q: int) -> np.ndarray:
                      np.exp(2j * np.pi * (np.arange(Q) * _GOLDEN % 1.0))], axis=1)
 
 
-def _inverse_norm(root: np.ndarray, Y: np.ndarray, weight: float) -> np.ndarray:
-    """max_k ||D^-1 Y_k||_1 / weight per config, D^-1 = diag(root).  For
-    Y = S^-1 D^-1 and weight 1 it is ||(D S D)^-1||_1; for Y = S^-1 D^-1 P,
-    P the unit-modulus probes and weight ||p_k||_1 = Q, a lower bound of it."""
-    return np.max(np.abs(root[:, :, None] * Y).sum(axis=1), axis=1) / weight
+def _inverse_norm(Y: np.ndarray, weight: float) -> np.ndarray:
+    """max_k ||Y_k||_1 / weight per config.  For Y = S^-1 and weight 1 it is
+    ||S^-1||_1; for Y = S^-1 P, P the unit-modulus probes and weight
+    ||p_k||_1 = Q, a lower bound of it."""
+    return np.abs(Y).sum(axis=1).max(axis=1) / weight
 
 
-def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs,
-                    feednet: FeedNetworkConfig) -> np.ndarray:
-    """W = (Z_LL + Z_L)^-1 Z_LA per config, stacked as (B, Q, N); the configs
-    share one active-port count N.
+def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs) -> np.ndarray:
+    """W per config, stacked as (B, Q, N): Z_ss^-1 Z_sA in the rows of its
+    shorted links s, and exactly 0 in those of its open links, which carry
+    no current.  The configs share one active-port count N.
 
-    One stacked solve S X = [Z_LA | D^-1 P] gives W and, for the two probe
-    columns P (_probes), D^-1 S^-1 D^-1 P from the same LU per config.  Their
-    largest column 1-norm over ||p||_1 = Q is a lower bound of
-    ||(D S D)^-1||_1, and ||D S D||_1 needs no solve: off its diagonal, S is
-    Z_LL for every config.  Configs whose estimated kappa_1 comes within
-    _SCREEN of CONDITION_WARN_THRESHOLD, or is not finite, get the exact
-    kappa_1 from a second solve, on the Q columns of D^-1, and the warning
-    is decided and printed on that.  Equilibration keeps the quasi-open loads' z_oc / |Z|
-    scale out of the condition number it warns on.
+    Every config keeps the fixed size Q: S is Z_LL with each open link's row
+    and column zeroed and 1 on its diagonal, and the right-hand side Z_LA is
+    0 in the open rows, so X is exactly 0 there.  One stacked solve
+    S X = [Z_LA | P] gives W and, for the two probe columns P (_probes),
+    S^-1 P from the same LU per config.  Their largest column 1-norm over
+    ||p||_1 = Q is a lower bound of ||S^-1||_1.  Configs whose estimated
+    kappa_1 comes within _SCREEN of CONDITION_WARN_THRESHOLD, or is not
+    finite, get the exact kappa_1 from a second solve, on the Q columns of
+    the identity, and the warning is decided and printed on that.
     """
     for config in configs:
         config.validate_against(n_feed, n_loaded)
@@ -156,16 +157,13 @@ def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs,
     Q = n_loaded
     if Q == 0:
         return np.zeros((B, 0, N), dtype=np.complex128)
-    g = np.array([config.connections for config in configs], dtype=np.float64)
-    Z_LL = Z[n_feed:, n_feed:]
-    S = np.empty((B, Q, Q), dtype=np.complex128)
-    S[:] = Z_LL + 0.0                  # + 0.0 turns -0.0 into 0.0, as Z_LL + diag(z_oc g) does
-    diag = np.einsum("bqq->bq", S)             # a writable view of the diagonals
-    diag += feednet.z_open_ohm * g
-    root = np.sqrt(np.abs(diag))                                             # 1 / D, (B, Q)
+    opened = np.array([config.connections for config in configs], dtype=bool)  # (B, Q)
+    S = np.where(opened[:, :, None] | opened[:, None, :], 0.0, Z[n_feed:, n_feed:])
+    np.einsum("bqq->bq", S)[opened] = 1.0             # through a view of the diagonals
     rhs = np.empty((B, Q, N + 2), dtype=np.complex128)
     rhs[:, :, :N] = np.moveaxis(Z[n_feed:][:, fp], 1, 0)                      # Z_LA
-    rhs[:, :, N:] = root[:, :, None] * _probes(Q)
+    rhs[opened, :N] = 0.0
+    rhs[:, :, N:] = _probes(Q)
     try:
         X = np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError as exc:
@@ -173,16 +171,12 @@ def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs,
             f"singular loaded-port system in a batch of {len(configs)} from config "
             f"{configs[0].feed_ports}/{configs[0].connection_bitstring()}"
         ) from exc
-    off = np.abs(Z_LL)
-    np.fill_diagonal(off, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # column j of D |S| D sums to 1 + sum_{i != j} |Z_ij| / (root_i root_j)
-        norm = np.max(1.0 + ((1.0 / root) @ off) / root, axis=1)
-        cond = norm * _inverse_norm(root, X[..., N:], Q)                    # a lower bound
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm = np.abs(S).sum(axis=1).max(axis=1)                             # ||S||_1
+        cond = norm * _inverse_norm(X[..., N:], Q)                          # a lower bound
         near = np.flatnonzero(~(cond <= CONDITION_WARN_THRESHOLD / _SCREEN))   # inf, nan too
         if near.size:
-            Y = np.linalg.solve(S[near], root[near][:, :, None] * np.eye(Q))
-            cond[near] = norm[near] * _inverse_norm(root[near], Y, 1)      # exact
+            cond[near] = norm[near] * _inverse_norm(np.linalg.solve(S[near], np.eye(Q)), 1)
     for b in near[~(cond[near] <= CONDITION_WARN_THRESHOLD)]:
         warnings.warn(
             f"loaded-port system condition number {cond[b]:.3g} exceeds "
@@ -223,7 +217,7 @@ def solve_network(dataset: EMDataset, configs,
     """
     # gram first: its first read computes it before the batch's temporaries exist
     Z, gram, n_feed, n_loaded = dataset.Z, dataset.gram, dataset.n_feed, dataset.n_loaded
-    W = load_correction(Z, n_feed, n_loaded, configs, feednet)                    # (B, Q, N)
+    W = load_correction(Z, n_feed, n_loaded, configs)                             # (B, Q, N)
     B, _, N = W.shape
     fp = np.array([config.feed_ports for config in configs], dtype=np.int64)      # (B, N)
     Z_AA = Z[fp[:, :, None], fp[:, None, :]]

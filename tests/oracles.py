@@ -3,7 +3,8 @@
 feed_impedance_matrix, exact_port_currents_matrix and
 approx_loaded_currents_matrix solve one geometry's network by direct
 index arrays; exact_port_currents_matrix keeps the muted ports at a finite
-impedance, so it checks the open-circuit elimination itself.  The
+impedance and drops the open links by index, so it checks the open-circuit
+elimination and load_correction's fixed-size drop of the open links.  The
 full-grid quadrature pipeline (open_circuit_feed_patterns ->
 coupled_patterns -> radiation_efficiency) composes the network solve on
 every grid point and integrates the radiated power over the grid
@@ -51,28 +52,28 @@ from pixelaoa.optimizer import ConfigEvaluator
 # single-config network references
 # ---------------------------------------------------------------------------
 
-def feed_impedance_matrix(Z: np.ndarray, n_feed: int, n_loaded: int, config: GeometryConfig,
-                          feednet: FeedNetworkConfig = FeedNetworkConfig()) -> np.ndarray:
-    """Z_F = Z_AA - Z_AL (Z_LL + Z_L)^-1 Z_LA among the N active feed ports.
+def feed_impedance_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
+                          config: GeometryConfig) -> np.ndarray:
+    """Z_F = Z_AA - Z_As Z_ss^-1 Z_sA among the N active feed ports.
 
-    Muted feed ports drop out entirely (open-circuit limit); the loaded
-    ports fold in through the Schur complement.
+    Muted feed ports and open links drop out entirely; the shorted links s
+    fold in through the Schur complement.
     """
-    W = load_correction(Z, n_feed, n_loaded, [config], feednet)[0]
+    W = load_correction(Z, n_feed, n_loaded, [config])[0]
     a = list(config.feed_ports)
     return Z[np.ix_(a, a)] - Z[a, n_feed:] @ W
 
 
 def exact_port_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
                                config: GeometryConfig, finite_muted_impedance: float,
-                               i_active: np.ndarray,
-                               feednet: FeedNetworkConfig = FeedNetworkConfig()):
+                               i_active: np.ndarray):
     """Currents at muted and loaded ports for a *finite* muted-port impedance.
 
-    Solves the full block system
-        [Z_MM + zeta I, Z_ML; Z_LM, Z_LL + Z_L] [i_M; i_L] = -[Z_MA; Z_LA] i_A
+    Open links carry no current: i_L is 0 there.  Over the muted ports M and
+    the shorted links s it solves the block system
+        [Z_MM + zeta I, Z_Ms; Z_sM, Z_ss] [i_M; i_s] = -[Z_MA; Z_sA] i_A
     and is the oracle against which the infinite-impedance elimination is
-    checked (for zeta -> inf, i_M -> 0 and i_L -> -(Z_LL + Z_L)^-1 Z_LA i_A).
+    checked (for zeta -> inf, i_M -> 0 and i_s -> -Z_ss^-1 Z_sA i_A).
     """
     if not (finite_muted_impedance > 0):
         raise ConfigError("finite muted impedance must be positive")
@@ -83,24 +84,26 @@ def exact_port_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
 
     a = list(config.feed_ports)
     muted = np.setdiff1d(np.arange(n_feed), a)                   # ascending
-    rest = np.concatenate([muted, np.arange(n_feed, n_feed + n_loaded)])
+    shorted = np.flatnonzero(np.array(config.connections, dtype=int) == 0)
+    rest = np.concatenate([muted, n_feed + shorted])
+    i_L = np.zeros(n_loaded, dtype=np.complex128)
     if rest.size == 0:
-        return np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=np.complex128)
-    loads = np.concatenate([np.full(muted.size, finite_muted_impedance),
-                            feednet.z_open_ohm * np.array(config.connections, dtype=np.float64)])
+        return np.zeros(0, dtype=np.complex128), i_L
+    loads = np.concatenate([np.full(muted.size, finite_muted_impedance), np.zeros(shorted.size)])
     try:
         sol = np.linalg.solve(Z[np.ix_(rest, rest)] + np.diag(loads), -(Z[np.ix_(rest, a)] @ i_A))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("exact_port_currents: singular block system") from exc
-    return sol[:muted.size], sol[muted.size:]
+    i_L[shorted] = sol[muted.size:]
+    return sol[:muted.size], i_L
 
 
 def approx_loaded_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
-                                  config: GeometryConfig, i_active: np.ndarray,
-                                  feednet: FeedNetworkConfig = FeedNetworkConfig()) -> np.ndarray:
-    """i_L = -(Z_LL + Z_L)^-1 Z_LA i_A, the infinite-muted-impedance limit."""
+                                  config: GeometryConfig, i_active: np.ndarray) -> np.ndarray:
+    """i_L = -W i_A, the infinite-muted-impedance limit: -Z_ss^-1 Z_sA i_A on
+    the shorted links s, 0 on the open ones."""
     i_A = np.asarray(i_active, dtype=np.complex128).reshape(-1)
-    W = load_correction(Z, n_feed, n_loaded, [config], feednet)[0]
+    W = load_correction(Z, n_feed, n_loaded, [config])[0]
     return -(W @ i_A)
 
 
@@ -108,18 +111,17 @@ def approx_loaded_currents_matrix(Z: np.ndarray, n_feed: int, n_loaded: int,
 # full-grid network pipeline
 # ---------------------------------------------------------------------------
 
-def open_circuit_feed_patterns(dataset: EMDataset, config: GeometryConfig,
-                               feednet: FeedNetworkConfig = FeedNetworkConfig()) -> PatternSet:
-    """Open-circuit patterns of the active ports with the pixel loads in place.
+def open_circuit_feed_patterns(dataset: EMDataset, config: GeometryConfig) -> PatternSet:
+    """Open-circuit patterns of the active ports with the pixel links in place.
 
-    E_ocF = E_oc (P_A - P_L (Z_LL + Z_L)^-1 Z_LA): the selected feed columns
-    minus the field re-radiated by the loaded-port currents.
+    E_ocF = E_oc (P_A - P_L W), W from load_correction: the selected feed
+    columns minus the field re-radiated by the shorted links' currents.
     """
     config.validate_against(dataset.n_feed, dataset.n_loaded)
     e_active = dataset.e_oc[:, list(config.feed_ports), :, :]
     if dataset.n_loaded == 0:
         return PatternSet(dataset.grid, np.array(e_active))
-    W = load_correction(dataset.Z, dataset.n_feed, dataset.n_loaded, [config], feednet)[0]
+    W = load_correction(dataset.Z, dataset.n_feed, dataset.n_loaded, [config])[0]
     e_loaded = dataset.e_oc[:, dataset.n_feed:, :, :]
     corr = np.tensordot(W.T, e_loaded, axes=([1], [1]))      # (N, 2, nt, np)
     corr = np.moveaxis(corr, 0, 1)
@@ -183,9 +185,8 @@ def oracle_overall_patterns(dataset, config, feednet=FeedNetworkConfig()):
     Returns (patterns, efficiencies): the coupled patterns scaled by
     sqrt(efficiency) as a (2, N, n_theta, n_phi) tensor, and the efficiencies.
     """
-    z_feed = feed_impedance_matrix(dataset.Z, dataset.n_feed, dataset.n_loaded, config, feednet)
-    coupled = coupled_patterns(open_circuit_feed_patterns(dataset, config, feednet),
-                               z_feed, feednet)
+    z_feed = feed_impedance_matrix(dataset.Z, dataset.n_feed, dataset.n_loaded, config)
+    coupled = coupled_patterns(open_circuit_feed_patterns(dataset, config), z_feed, feednet)
     lam = radiation_efficiency(coupled, z_feed, feednet, dataset.quadrature())
     return coupled.data * np.sqrt(lam)[None, :, None, None], lam
 

@@ -947,6 +947,16 @@ def test_bad_list_flag_is_named(tmp_path, capsys, ds_file, argv, flag, text):
     assert flag in err and repr(text) in err
 
 
+@pytest.mark.parametrize("z0", ["inf", "50+nanj"])
+def test_non_finite_source_impedance_exits_2(tmp_path, capsys, ds_file, z0):
+    out = tmp_path / "cb.json"
+    assert run(["optimize", "--dataset", ds_file, "--n-active", "2",
+                "--space", "80:100:-10:10", "--schedule", "1", "--population", "12",
+                "--generations", "3", "--z0-ohm", z0, "--out", out]) == 2
+    assert "source impedance must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # one bad input per command: (argv, exit code); "bad" names a file that is no JSON
 BAD_INPUT_RUNS = {
     "gen_dataset": (["gen-dataset", "--pixels", "5y5"], 2),

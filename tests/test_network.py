@@ -57,11 +57,11 @@ def test_feed_impedance_two_port_schur_by_hand():
 
 
 def test_feed_impedance_open_switch_decouples():
+    # an open link carries no current: Z_F is the feed's own impedance, exactly
     Z = np.array([[20 + 5j, 4 - 2j], [4 - 2j, 11 + 3j]])
     cfg = _config([0], 1, (1,))
-    ZF = feed_impedance_matrix(Z, 1, 1, cfg, FeedNetworkConfig(z_open_ohm=1e9))
-    coupling = abs(Z[0, 1] ** 2 / Z[1, 1])
-    assert abs(ZF[0, 0] - Z[0, 0]) < 1e-6 * coupling
+    ZF = feed_impedance_matrix(Z, 1, 1, cfg)
+    assert ZF[0, 0] == Z[0, 0]
 
 
 def test_feed_impedance_symmetry_random_networks():
@@ -79,15 +79,18 @@ def test_feed_impedance_symmetry_random_networks():
 
 
 def test_feed_impedance_monotone_open_limit():
-    # with every switch open, Z_F -> Z_AA as z_oc grows
+    # a finite load z_oc on the open links tends to the exact open link
+    # monotonically as z_oc grows: the Schur complement of Z_LL + diag(z_oc g)
+    # approaches the exact Z_F of a mixed config
     rng = np.random.default_rng(5)
     Z = random_symmetric_z(rng, 6)
-    cfg = _config([0, 2], 3, (1, 1, 1))
-    Z_AA = Z[np.ix_([0, 2], [0, 2])]
+    a, g = [0, 2], np.array([1, 0, 1])
+    exact = feed_impedance_matrix(Z, 3, 3, _config(a, 3, tuple(g)))
     diffs = []
     for z_oc in (1e6, 1e9, 1e12):
-        ZF = feed_impedance_matrix(Z, 3, 3, cfg, FeedNetworkConfig(z_open_ohm=z_oc))
-        diffs.append(np.max(np.abs(ZF - Z_AA)))
+        ZF = Z[np.ix_(a, a)] - Z[a, 3:] @ np.linalg.solve(Z[3:, 3:] + np.diag(z_oc * g),
+                                                          Z[3:, a])
+        diffs.append(np.max(np.abs(ZF - exact)))
     assert diffs[0] > diffs[1] > diffs[2]
 
 
@@ -131,6 +134,8 @@ def test_muted_currents_vanish_at_large_impedance():
         i_M, i_L = exact_port_currents_matrix(Z, M, Q, cfg, 1e9, i_A)
         assert np.linalg.norm(i_M) < 1e-6 * np.linalg.norm(i_A)
         i_L_approx = approx_loaded_currents_matrix(Z, M, Q, cfg, i_A)
+        opened = np.array(bits, dtype=bool)
+        assert np.all(i_L[opened] == 0) and np.all(i_L_approx[opened] == 0)
         if Q:
             denom = max(np.linalg.norm(i_L), 1e-30)
             assert np.linalg.norm(i_L - i_L_approx) / denom < 1e-6
@@ -138,20 +143,21 @@ def test_muted_currents_vanish_at_large_impedance():
 
 def test_exact_currents_satisfy_port_equations():
     # with i_M in ascending muted-port order, Z i + z i vanishes at every muted
-    # (z = zeta) and loaded (z = z_oc bit or short) port
+    # (z = zeta) and shorted (z = 0) port, and the open links carry no current
     rng = np.random.default_rng(13)
     M, Q = 5, 3
     Z = random_symmetric_z(rng, M + Q)
     cfg = _config([3, 1], Q, (1, 0, 1))
     i_A = rng.normal(size=2) + 1j * rng.normal(size=2)
-    zeta, fn = 75.0, FeedNetworkConfig(z_open_ohm=1e6)
-    i_M, i_L = exact_port_currents_matrix(Z, M, Q, cfg, zeta, i_A, fn)
+    zeta = 75.0
+    i_M, i_L = exact_port_currents_matrix(Z, M, Q, cfg, zeta, i_A)
+    assert i_L[0] == 0 and i_L[2] == 0
     i = np.zeros(M + Q, dtype=complex)
     i[[3, 1]] = i_A
     i[[0, 2, 4]] = i_M
     i[M:] = i_L
-    z = np.array([zeta, 0, zeta, 0, zeta, 1e6, 0, 1e6])
-    passive = [0, 2, 4, 5, 6, 7]
+    z = np.array([zeta, 0, zeta, 0, zeta, 0, 0, 0])
+    passive = [0, 2, 4, 6]
     residual = (Z @ i + z * i)[passive]
     assert np.max(np.abs(residual)) <= 1e-9 * np.max(np.abs(Z)) * np.max(np.abs(i_A))
 
@@ -171,11 +177,10 @@ def test_no_muted_or_loaded_ports_returns_empty():
 def test_oc_feed_patterns_no_loads_selects_columns(coarse_grid):
     ds = generate_synthetic_dataset(PortLayout(pixel_rows=1, pixel_cols=2), coarse_grid)
     assert ds.n_loaded == 1
-    # with the single switch open at huge z_oc the correction is negligible
+    # with the single switch open there is no correction
     cfg = _config([1, 0], 1, (1,))
-    pats = open_circuit_feed_patterns(ds, cfg, FeedNetworkConfig(z_open_ohm=1e12))
-    ref = ds.e_oc[:, [1, 0]]
-    assert np.max(np.abs(pats.data - ref)) <= 1e-6 * np.max(np.abs(ref))
+    pats = open_circuit_feed_patterns(ds, cfg)
+    assert np.array_equal(pats.data, ds.e_oc[:, [1, 0]])
 
 
 def test_oc_feed_patterns_hand_correction(coarse_grid):
@@ -195,8 +200,8 @@ def test_coupled_patterns_single_port_scalar_division(coarse_grid):
     ds = generate_synthetic_dataset(PortLayout(pixel_rows=1, pixel_cols=1), coarse_grid)
     cfg = _config([0], 0)
     fn = FeedNetworkConfig()
-    zf = feed_impedance_matrix(ds.Z, ds.n_feed, ds.n_loaded, cfg, fn)
-    oc = open_circuit_feed_patterns(ds, cfg, fn)
+    zf = feed_impedance_matrix(ds.Z, ds.n_feed, ds.n_loaded, cfg)
+    oc = open_circuit_feed_patterns(ds, cfg)
     cp = coupled_patterns(oc, zf, fn)
     assert np.allclose(cp.data, oc.data / (50.0 + zf[0, 0]))
 
@@ -391,20 +396,35 @@ def _random_batch(rng, M, Q, n_active, size):
 
 
 def test_load_correction_equals_plain_solve(small_dataset):
-    # W from the solve with S^-1 appended is bitwise the solve of Z_LA alone
+    # W from the solve with the probe columns appended is bitwise the solve
+    # of the fixed-size system on Z_LA alone, its open rows zeroed
     ds = small_dataset
     M, Q = ds.n_feed, ds.n_loaded
     rng = np.random.default_rng(17)
     cfgs = _random_batch(rng, M, Q, 3, 43)
     cfgs[:3] = [_config((0, 4, 8), Q), _config((0, 4, 8), Q, (1,) * Q),
                 _config((8, 0, 4), Q, (1, 0) * (Q // 2))]        # all shorted, all open, mixed
-    fn = FeedNetworkConfig()
-    S = np.stack([ds.Z[M:, M:] + np.diag(fn.z_open_ohm * np.array(cfg.connections, float))
-                  for cfg in cfgs])
     Z_LA = np.stack([ds.Z[M:, list(cfg.feed_ports)] for cfg in cfgs])
-    W = load_correction(ds.Z, M, Q, cfgs, fn)
+    Z_LA[np.array([cfg.connections for cfg in cfgs], dtype=bool)] = 0.0
+    W = load_correction(ds.Z, M, Q, cfgs)
     assert W.shape == (43, Q, 3)
-    assert np.array_equal(W, np.linalg.solve(S, Z_LA))
+    assert np.array_equal(W, np.linalg.solve(_plain_S(ds.Z, M, cfgs), Z_LA))
+
+
+def test_load_correction_drops_open_links_exactly(small_dataset):
+    # open rows of W are 0, shorted rows are the solve over the shorted links
+    # alone, and with every link open Z_F is Z_AA bit for bit
+    ds = small_dataset
+    M, Q = ds.n_feed, ds.n_loaded
+    bits = (1, 0, 0) * (Q // 3)                          # Q = 12: 4 open, 8 shorted
+    W = load_correction(ds.Z, M, Q, [_config((5, 0, 8), Q, bits)])[0]
+    opened = np.array(bits, dtype=bool)
+    assert np.all(W[opened] == 0)
+    s = np.flatnonzero(~opened)
+    ref = np.linalg.solve(ds.Z[M:, M:][np.ix_(s, s)], ds.Z[M + s][:, [5, 0, 8]])
+    assert np.max(np.abs(W[s] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    z_feed = solve_network(ds, [_config((5, 0, 8), Q, (1,) * Q)]).z_feed[0]
+    assert np.array_equal(z_feed, ds.Z[np.ix_([5, 0, 8], [5, 0, 8])])
 
 
 def test_load_correction_warns_on_nearly_equal_shorted_links(tiny_dataset):
@@ -418,22 +438,10 @@ def test_load_correction_warns_on_nearly_equal_shorted_links(tiny_dataset):
     Z[j, j] = Z[i, i] * (1 + 1e-14)
     healthy, shorted = _config((1,), Q, (1, 0, 1, 0)), _config((0,), Q, (0, 0, 1, 1))
     with pytest.warns(RuntimeWarning, match=r"condition number .* for config \(0,\)/0011"):
-        load_correction(Z, M, Q, [healthy, shorted], FeedNetworkConfig())
+        load_correction(Z, M, Q, [healthy, shorted])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        load_correction(Z, M, Q, [healthy], FeedNetworkConfig())   # link 1 open: healthy
-
-
-def test_load_correction_quiet_on_healthy_dataset_at_large_open_load(coarse_grid):
-    # the workload's 5x5 jittered model: a legal 1e15-ohm quasi-open load is
-    # no reason to warn, although the raw condition number of S is ~1e14
-    ds = generate_synthetic_dataset(PortLayout(), coarse_grid,
-                                    DipoleModelParams(self_reactance_jitter_ohm=1.0), seed=7)
-    M, Q = ds.n_feed, ds.n_loaded
-    cfgs = _random_batch(np.random.default_rng(7), M, Q, 4, 43)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        load_correction(ds.Z, M, Q, cfgs, FeedNetworkConfig(z_open_ohm=1e15))
+        load_correction(Z, M, Q, [healthy])                # link 0 open: healthy
 
 
 def test_load_correction_singular_system_raises(tiny_dataset):
@@ -441,15 +449,19 @@ def test_load_correction_singular_system_raises(tiny_dataset):
     Z = tiny_dataset.Z.copy()
     Z[M:, M:] = 0.0                                # shorted links of zero self-impedance
     with pytest.raises(NumericalError):
-        load_correction(Z, M, Q, [_config((0,), Q)], FeedNetworkConfig())
+        load_correction(Z, M, Q, [_config((0,), Q)])
 
 
-def _equilibrated(Z, M, cfgs, fn):
-    """D S D per config, D = diag(|S_qq|)^-1/2, built the plain way."""
-    S = np.stack([Z[M:, M:] + np.diag(fn.z_open_ohm * np.array(cfg.connections, float))
-                  for cfg in cfgs])
-    d = 1.0 / np.sqrt(np.abs(np.diagonal(S, axis1=1, axis2=2)))
-    return d[:, :, None] * S * d[:, None, :]
+def _plain_S(Z, M, cfgs):
+    """S per config, built the plain way: Z_LL with each open link's row and
+    column replaced by those of the identity."""
+    out = np.stack([Z[M:, M:]] * len(cfgs))
+    for S, cfg in zip(out, cfgs):
+        q = np.flatnonzero(cfg.connections)
+        S[q, :] = 0.0
+        S[:, q] = 0.0
+        S[q, q] = 1.0
+    return out
 
 
 def _norm_1(A):
@@ -470,34 +482,32 @@ def test_load_correction_is_one_solve_with_two_probe_columns(small_dataset, monk
     cfgs = _random_batch(np.random.default_rng(3), M, Q, 3, 43)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        load_correction(ds.Z, M, Q, cfgs, FeedNetworkConfig())
+        load_correction(ds.Z, M, Q, cfgs)
     assert len(calls) == 1
     assert calls[0][-1] <= 3 + 2                        # N + 2 right-hand columns
 
 
-@pytest.mark.parametrize("fixture, n_active, z_open_ohm", [
-    ("tiny_dataset", 1, 1e9), ("tiny_dataset", 2, 1e6), ("small_dataset", 3, 1e9),
-    ("small_dataset", 4, 1e15), ("jittered_5x5", 4, 1e9), ("jittered_5x5", 8, 1e15),
+@pytest.mark.parametrize("fixture, n_active", [
+    ("tiny_dataset", 1), ("tiny_dataset", 2), ("small_dataset", 3),
+    ("small_dataset", 4), ("jittered_5x5", 4), ("jittered_5x5", 8),
 ])
-def test_load_correction_estimate_is_a_lower_bound(request, monkeypatch, fixture, n_active,
-                                                   z_open_ohm):
-    # the probe estimate never reads above the exact ||(D S D)^-1||_1
+def test_load_correction_estimate_is_a_lower_bound(request, monkeypatch, fixture, n_active):
+    # the probe estimate never reads above the exact ||S^-1||_1
     ds = request.getfixturevalue(fixture)
     M, Q = ds.n_feed, ds.n_loaded
     seen = []
     inverse_norm = network._inverse_norm
 
-    def spy(root, Y, weight):
-        out = inverse_norm(root, Y, weight)
+    def spy(Y, weight):
+        out = inverse_norm(Y, weight)
         seen.append((weight, out))
         return out
 
     monkeypatch.setattr(network, "_inverse_norm", spy)
-    fn = FeedNetworkConfig(z_open_ohm=z_open_ohm)
     cfgs = _random_batch(np.random.default_rng(11), M, Q, n_active, 43)
-    load_correction(ds.Z, M, Q, cfgs, fn)
+    load_correction(ds.Z, M, Q, cfgs)
     assert [w for w, _ in seen] == [Q]                  # no config needed the exact path
-    exact = _norm_1(np.linalg.inv(_equilibrated(ds.Z, M, cfgs, fn)))
+    exact = _norm_1(np.linalg.inv(_plain_S(ds.Z, M, cfgs)))
     estimate = seen[0][1]
     assert np.all(estimate <= exact * (1 + 1e-9))
     assert np.all(estimate >= exact / 1e3)              # the screen's 1e4 margin holds
@@ -518,12 +528,11 @@ def test_load_correction_warning_names_the_exact_condition_number(tiny_dataset):
     Z[j, :] = Z[i, :]
     Z[:, j] = Z[:, i]
     Z[j, j] = Z[i, i] * (1 + 1e-14)
-    fn = FeedNetworkConfig()
     shorted = _config((0,), Q, (0, 0, 1, 1))
-    DSD = _equilibrated(Z, M, [shorted], fn)[0]
-    kappa = _norm_1(DSD) * _norm_1(np.linalg.inv(DSD))
+    S = _plain_S(Z, M, [shorted])[0]
+    kappa = _norm_1(S) * _norm_1(np.linalg.inv(S))
     with pytest.warns(RuntimeWarning, match=r"condition number \S+ exceeds") as record:
-        load_correction(Z, M, Q, [shorted], fn)
+        load_correction(Z, M, Q, [shorted])
     printed = float(str(record[0].message).split()[4])
     assert printed == pytest.approx(kappa, rel=0.05), (printed, kappa)
 
