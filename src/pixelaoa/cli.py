@@ -12,8 +12,8 @@ patterns, a codebook geometry's projected (network.project) or the --upa
 baseline's (_upa), on one window rule for every source: crlb.fd_window of
 the area (or Monte-Carlo search box) on the source's grid; no command
 projects onto the whole dataset grid.  crlb-map --upa builds its window one
-theta band (crlb.theta_bands) at a time; compare and --fig area-bars reduce
-two crlb-map tables per leaf.
+theta band (crlb.theta_bands) at a time; compare reduces two crlb-map
+tables per leaf.
 
 Exit codes: 0 success, 2 flag/parameter validation, 3 file I/O or format,
 4 dataset validation, 5 numerical failure.
@@ -215,16 +215,6 @@ def _area_table(source, area: SensingArea, grid: AngleGrid, snr: float, fd_step_
     return th, ph, table
 
 
-def _leaf_worsts(cb: Codebook, sources, grid: AngleGrid, snr: float, fd_step_deg):
-    """(leaf area, worst objective of each source) per leaf of cb: each source's
-    table over the codebook space on grid, reduced over every leaf's closed area."""
-    tables = [_area_table(s, cb.space, grid, snr, fd_step_deg) for s in sources]
-    for cw in cb.codewords:
-        t0, t1, p0, p1 = cw.area.bounds()
-        yield cw.area, *(float(table[3][(t0 <= th) & (th <= t1) & (p0 <= ph) & (ph <= p1)].max())
-                         for th, ph, table in tables)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -232,9 +222,8 @@ def _leaf_worsts(cb: Codebook, sources, grid: AngleGrid, snr: float, fd_step_deg
 def cmd_gen_dataset(args) -> tuple[list, list]:
     _resolve_out(args, "dataset.json")
     rows, cols = _parse_pixels(args.pixels, "--pixels")
-    layout = PortLayout(pixel_rows=rows, pixel_cols=cols, pixel_side_mm=args.pixel_mm,
-                        substrate_side_mm=args.substrate_mm, height_mm=args.height_mm,
-                        frequency_hz=args.freq_hz)
+    layout = PortLayout(pixel_rows=rows, pixel_cols=cols, substrate_side_mm=args.substrate_mm,
+                        height_mm=args.height_mm, frequency_hz=args.freq_hz)
     grid = AngleGrid(step_deg=args.step_deg)
     params = DipoleModelParams(
         self_reactance_jitter_ohm=args.jitter_ohm,
@@ -369,14 +358,19 @@ def cmd_compare(args) -> tuple[list, list]:
     else:
         baseline = _upa(args)
 
+    # each side's table over the codebook space, reduced over every leaf's closed area
+    tables = [_area_table(s, cb.space, ds.grid, _db_to_linear(args.snr_db), args.fd_step_deg)
+              for s in ((ds, cb, feednet), baseline)]
     rows = []
-    for area, hrpa, base in _leaf_worsts(cb, [(ds, cb, feednet), baseline], ds.grid,
-                                         _db_to_linear(args.snr_db), args.fd_step_deg):
+    for cw in cb.codewords:
+        t0, t1, p0, p1 = bounds = cw.area.bounds()
+        hrpa, base = (float(table[3][(t0 <= th) & (th <= t1) & (p0 <= ph) & (ph <= p1)].max())
+                      for th, ph, table in tables)
         # no improvement is measured against a singular (+inf) side
         singular = " and ".join(s for s, v in (("hrpa", hrpa), ("baseline", base)) if math.isinf(v))
         improvement = math.nan if singular else 0.0 if base == 0.0 else 1.0 - hrpa / base
-        rows.append((*area.bounds(), hrpa, base, improvement))
-        print(f"{area.label()}: hrpa {hrpa:.4g}, baseline {base:.4g}, improvement "
+        rows.append((*bounds, hrpa, base, improvement))
+        print(f"{cw.area.label()}: hrpa {hrpa:.4g}, baseline {base:.4g}, improvement "
               + (f"undefined ({singular} singular)" if singular else f"{improvement:.1%}"))
     _make_out_dir(args)
     write_csv(args.out, "theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
@@ -441,22 +435,10 @@ def cmd_export_plots(args) -> tuple[list, list]:
     outdir = Path(args.out_dir)
     ds = load_dataset(args.dataset)
     inputs = [args.dataset]
-    if args.fig != "port-count":            # the two figures that score CRLBs
+    if args.fig == "area-size":
+        area = _parse_area(args.eval_area)
         snr = _db_to_linear(args.snr_db)
         feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-
-    if args.fig == "area-bars":
-        cb = _load_codebook_for(args.codebook, ds)
-        inputs.append(args.codebook)
-        sources = [(ds, cb, feednet), _upa(args)]
-        rows = [(i, *a.bounds(), hrpa, base) for i, (a, hrpa, base)
-                in enumerate(_leaf_worsts(cb, sources, ds.grid, snr, args.fd_step_deg), 1)]
-        path = outdir / "area_bars.csv"
-        header = ("area_index,theta_min_deg,theta_max_deg,phi_min_deg,phi_max_deg,"
-                  "hrpa_worst,upa_worst")
-
-    elif args.fig == "area-size":
-        area = _parse_area(args.eval_area)
         rows = []
         for p in args.codebooks.split(","):
             cb = _load_codebook_for(p, ds)
@@ -508,7 +490,6 @@ def _make_out_dir(args) -> None:
 NEEDED = object()                   # PATH_FLAGS mark: the path cannot run without the flag
 _UPA = {"upa": NEEDED, "spacing": 0.5, "element": "iso-theta"}
 _BOOK = {"dataset": NEEDED, "codebook": NEEDED, "z0_ohm": 50.0 + 0.0j}
-_SCORED = {"snr_db": 0.0, "z0_ohm": 50.0 + 0.0j, "fd_step_deg": None}
 
 # Per command and path, the flags only some of the command's paths read, with the
 # default the path fills in; they all parse to None.  A path is named by the flag
@@ -517,8 +498,8 @@ PATH_FLAGS = {
     "crlb-map": {"upa": {**_UPA, "step_deg": 1.0, "mode": "both"}, "codebook": _BOOK},
     "montecarlo": {"upa": {**_UPA, "step_deg": 1.0}, "codebook": _BOOK},
     "compare": {"baseline_codebook": {"baseline_codebook": NEEDED}, "upa": _UPA},
-    "export-plots": {"area-bars": {**_UPA, "codebook": NEEDED, **_SCORED},
-                     "area-size": {"codebooks": NEEDED, "eval_area": NEEDED, **_SCORED},
+    "export-plots": {"area-size": {"codebooks": NEEDED, "eval_area": NEEDED, "snr_db": 0.0,
+                                   "z0_ohm": 50.0 + 0.0j, "fd_step_deg": None},
                      "port-count": {"codebooks": NEEDED}},
 }
 
@@ -571,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-dataset", help="generate a synthetic coupled-dipole dataset")
     p.add_argument("--pixels", default="5x5", help="pixel grid RxC (default 5x5)")
-    p.add_argument("--pixel-mm", type=float, default=12.0)
     p.add_argument("--substrate-mm", type=float, default=62.5)
     p.add_argument("--height-mm", type=float, default=12.5)
     p.add_argument("--freq-hz", type=float, default=2.4e9)
@@ -655,13 +635,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_montecarlo)
 
-    p = sub.add_parser("export-plots", help="plot-ready CSV bundles")
-    p.add_argument("--fig", required=True, choices=["area-bars", "area-size", "port-count"])
+    # no abbreviations, so --codebook is rejected instead of read as --codebooks
+    p = sub.add_parser("export-plots", help="plot-ready CSV bundles", allow_abbrev=False)
+    p.add_argument("--fig", required=True, choices=["area-size", "port-count"])
     p.add_argument("--dataset", required=True)
-    p.add_argument("--codebook", default=None)
     p.add_argument("--codebooks", default=None, help="comma-separated codebook files")
     p.add_argument("--eval-area", default=None)
-    _add_upa_flags(p)
     _add_snr_flag(p)
     _add_common(p)
     p.set_defaults(func=cmd_export_plots)

@@ -288,6 +288,8 @@ def upa_crlb_closed_form_map(n_y: int, n_z: int, spacing_over_lambda: float,
     """
     if not (snr_linear > 0):
         raise ValueError(f"snr must be positive, got {snr_linear}")
+    if not 0.0 < spacing_over_lambda < math.inf:          # nan fails too
+        raise ValueError(f"element spacing must be finite and positive, got {spacing_over_lambda}")
     theta_deg = np.asarray(theta_deg, dtype=np.float64)
     phi_deg = np.asarray(phi_deg, dtype=np.float64)
     B_Y = n_y * (n_y**2 - 1) / 12.0

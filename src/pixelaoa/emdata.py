@@ -69,12 +69,13 @@ class PortLayout:
     The array lives in the yz-plane, ground plane at x = 0, radiating
     toward +x (broadside is theta = 90 deg, phi = 0).  One feed port sits at
     each pixel centre (probe normal to the ground), one loaded port on each
-    interior edge between adjacent pixels.
+    interior edge between adjacent pixels; the pixel pitch is the substrate
+    side over the pixel count.  Lengths and the frequency are finite and
+    positive.
     """
 
     pixel_rows: int = 5
     pixel_cols: int = 5
-    pixel_side_mm: float = 12.0
     substrate_side_mm: float = 62.5
     height_mm: float = 12.5
     frequency_hz: float = 2.4e9
@@ -82,12 +83,9 @@ class PortLayout:
     def __post_init__(self):
         if self.pixel_rows < 1 or self.pixel_cols < 1:
             raise LayoutError("pixel grid needs at least one row and one column")
-        if min(self.pixel_side_mm, self.substrate_side_mm, self.height_mm) <= 0:
-            raise LayoutError("pixel/substrate/height dimensions must be positive")
-        if self.frequency_hz <= 0:
-            raise LayoutError("frequency must be positive")
-        if self.pixel_side_mm > self.substrate_side_mm:
-            raise LayoutError("pixels cannot be larger than the substrate")
+        for name in ("substrate_side_mm", "height_mm", "frequency_hz"):
+            if not 0.0 < getattr(self, name) < math.inf:       # nan fails too
+                raise LayoutError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
     @property
     def n_feed(self) -> int:
@@ -159,7 +157,6 @@ class PortLayout:
         return PortLayout(
             pixel_rows=json_int(d["pixel_rows"], "pixel_rows"),
             pixel_cols=json_int(d["pixel_cols"], "pixel_cols"),
-            pixel_side_mm=json_float(d["pixel_side_mm"], "pixel_side_mm"),
             substrate_side_mm=json_float(d["substrate_side_mm"], "substrate_side_mm"),
             height_mm=json_float(d["height_mm"], "height_mm"),
             frequency_hz=json_float(d["frequency_hz"], "frequency_hz"),
@@ -273,7 +270,8 @@ class EMDataset:
 
 @dataclass(frozen=True)
 class DipoleModelParams:
-    """Knobs of the synthetic minimum-scattering dipole model."""
+    """Knobs of the synthetic minimum-scattering dipole model: all finite,
+    the jitter at least 0 and the feed-resistance target, when given, positive."""
 
     self_reactance_ohm: float = -20.0
     reactance_scale_ohm: float = 30.0
@@ -281,6 +279,17 @@ class DipoleModelParams:
     resistance_floor_ohm: float = 0.01
     self_reactance_jitter_ohm: float = 0.0
     include_sin_theta: bool = True
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.self_reactance_jitter_ohm < 0.0:
+            raise ValueError(f"self_reactance_jitter_ohm must be at least 0, "
+                             f"got {self.self_reactance_jitter_ohm}")
+        if self.feed_resistance_target_ohm is not None and self.feed_resistance_target_ohm <= 0.0:
+            raise ValueError(f"feed_resistance_target_ohm must be positive, "
+                             f"got {self.feed_resistance_target_ohm}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -580,8 +589,8 @@ def upa_patterns(
     """
     if n_y < 1 or n_z < 1:
         raise ValueError("n_y and n_z must be at least 1")
-    if spacing_over_lambda <= 0:
-        raise ValueError("element spacing must be positive")
+    if not 0.0 < spacing_over_lambda < math.inf:          # nan fails too
+        raise ValueError(f"element spacing must be finite and positive, got {spacing_over_lambda}")
 
     # (theta, phi) polarization factors of each element kind
     elements = {"iso-theta": [(1 + 0j, 0j)],

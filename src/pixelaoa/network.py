@@ -158,7 +158,8 @@ def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs) -> np.nd
     if Q == 0:
         return np.zeros((B, 0, N), dtype=np.complex128)
     opened = np.array([config.connections for config in configs], dtype=bool)  # (B, Q)
-    S = np.where(opened[:, :, None] | opened[:, None, :], 0.0, Z[n_feed:, n_feed:])
+    Z_LL = Z[n_feed:, n_feed:]
+    S = np.where(opened[:, :, None] | opened[:, None, :], 0.0, Z_LL)
     np.einsum("bqq->bq", S)[opened] = 1.0             # through a view of the diagonals
     rhs = np.empty((B, Q, N + 2), dtype=np.complex128)
     rhs[:, :, :N] = np.moveaxis(Z[n_feed:][:, fp], 1, 0)                      # Z_LA
@@ -172,11 +173,13 @@ def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs) -> np.nd
             f"{configs[0].feed_ports}/{configs[0].connection_bitstring()}"
         ) from exc
     with np.errstate(invalid="ignore", over="ignore"):
-        norm = np.abs(S).sum(axis=1).max(axis=1)                             # ||S||_1
+        # ||S||_1: an open column holds only its 1, a shorted one |Z_LL| in the shorted rows
+        norm = np.where(opened, 1.0, (~opened) @ np.abs(Z_LL)).max(axis=1)
         cond = norm * _inverse_norm(X[..., N:], Q)                          # a lower bound
         near = np.flatnonzero(~(cond <= CONDITION_WARN_THRESHOLD / _SCREEN))   # inf, nan too
         if near.size:
-            cond[near] = norm[near] * _inverse_norm(np.linalg.solve(S[near], np.eye(Q)), 1)
+            eye = np.broadcast_to(np.eye(Q, dtype=np.complex128), (near.size, Q, Q))
+            cond[near] = norm[near] * _inverse_norm(np.linalg.solve(S[near], eye), 1)
     for b in near[~(cond[near] <= CONDITION_WARN_THRESHOLD)]:
         warnings.warn(
             f"loaded-port system condition number {cond[b]:.3g} exceeds "

@@ -83,6 +83,41 @@ def test_gen_dataset_bad_step_rejected(tmp_path):
                 "--out", tmp_path / "x.json"]) == 2
 
 
+# lengths and the frequency are finite and positive, the jitter finite and at least
+# 0, the feed-resistance target finite and positive: any other value exits 2 before
+# a dataset is written that validate rejects or whose patterns are all zero
+@pytest.mark.parametrize("flag, value, field", [
+    ("--freq-hz", "inf", "frequency_hz"), ("--freq-hz", "nan", "frequency_hz"),
+    ("--height-mm", "nan", "height_mm"), ("--substrate-mm", "nan", "substrate_side_mm"),
+    ("--jitter-ohm", "inf", "self_reactance_jitter_ohm"),
+    ("--jitter-ohm", "-3", "self_reactance_jitter_ohm"),
+    ("--target-r-ohm", "inf", "feed_resistance_target_ohm"),
+    ("--target-r-ohm", "0", "feed_resistance_target_ohm")])
+def test_gen_dataset_rejects_non_finite_or_non_positive_inputs(tmp_path, capsys, flag, value,
+                                                               field):
+    out = tmp_path / "x.json"
+    assert run(["gen-dataset", "--pixels", "2x2", "--step-deg", "10", flag, value,
+                "--out", out]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["export-plots", "--fig", "area-bars", "--dataset", "{ds}", "--codebook", "{cb}",
+      "--upa", "2x2"], "invalid choice: 'area-bars'"),
+    (["gen-dataset", "--pixels", "2x2", "--step-deg", "10", "--pixel-mm", "12"],
+     "unrecognized arguments: --pixel-mm 12"),
+], ids=["fig_area_bars", "pixel_mm"])
+def test_unknown_figure_and_pixel_size_flag_exit_2(tmp_path, monkeypatch, capsys, ds_file,
+                                                   cb_file, argv, named):
+    # compare --upa writes the per-leaf HRPA/UPA table; no computation reads a pixel size
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(ds=ds_file, cb=cb_file) for a in argv + ["--out-dir", "out"]]
+    assert exit_code(argv) == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _asymmetric(ds_file):
     """The dataset in ds_file with one off-diagonal Z entry shifted by 1 ohm."""
     ds = load_dataset(ds_file)
@@ -427,6 +462,20 @@ def test_upa_size_below_1x1_exits_2(tmp_path, capsys, ds_file, cb_file, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spacing", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["closed-form", "numeric", "compare", "montecarlo"])
+def test_upa_non_finite_spacing_exits_2(tmp_path, capsys, ds_file, cb_file, command, spacing):
+    argv = {"closed-form": ["crlb-map", "--mode", "closed-form", "--area", "85:95:-5:5"],
+            "numeric": ["crlb-map", "--mode", "numeric", "--area", "85:95:-5:5"],
+            "compare": ["compare", "--dataset", ds_file, "--codebook", cb_file],
+            "montecarlo": ["montecarlo", "--angles", "90,0", "--trials", "100"]}[command]
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--upa", "2x2", "--spacing", spacing, "--out", out]) == 2
+    assert f"element spacing must be finite and positive, got {spacing}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_upa_map_memory_is_bounded_by_a_band(tmp_path):
     # the 4x4 UPA at 0.5 deg: a quarter sphere, then the front hemisphere
     peaks = []
@@ -607,11 +656,9 @@ def cb33_file(tmp_path_factory, ds33_file):
     ["compare", "--codebook", "cb33", "--baseline-codebook", "cb22"],
     ["montecarlo", "--codebook", "cb22", "--angles", "90,0", "--snr-db-list", "20",
      "--trials", "100"],
-    ["export-plots", "--fig", "area-bars", "--codebook", "cb22", "--upa", "2x2"],
     ["export-plots", "--fig", "area-size", "--codebooks", "cb22", "--eval-area", "85:95:-5:5"],
     ["export-plots", "--fig", "port-count", "--codebooks", "cb22"],
-], ids=["crlb_map", "compare", "compare_baseline", "montecarlo", "area_bars", "area_size",
-        "port_count"])
+], ids=["crlb_map", "compare", "compare_baseline", "montecarlo", "area_size", "port_count"])
 def test_codebook_for_another_dataset_is_format_error(tmp_path, ds33_file, cb33_file, cb_file,
                                                       argv):
     # a 2x2-pixel codebook (4 feed + 4 loaded ports) on a 3x3-pixel dataset (9 + 12)
@@ -624,8 +671,7 @@ def test_codebook_for_another_dataset_is_format_error(tmp_path, ds33_file, cb33_
     ["compare", "--upa", "2x2"],
     ["crlb-map", "--area", "85:95:-5:5"],
     ["montecarlo", "--angles", "90,0", "--snr-db-list", "20", "--trials", "100"],
-    ["export-plots", "--fig", "area-bars", "--upa", "2x2"],
-], ids=["compare", "crlb_map", "montecarlo", "area_bars"])
+], ids=["compare", "crlb_map", "montecarlo"])
 def test_codebook_leaf_off_the_dataset_grid_is_format_error(tmp_path, capsys, ds_file, cb_file,
                                                             argv):
     # leaves that tile 80:100 but cut it at 81 and 84, off the dataset's 5-degree grid
@@ -1024,9 +1070,6 @@ FOREIGN_FLAGS = {
        for flag, value in [("--codebook", "{cb}"), ("--upa", "2x2"),
                            ("--eval-area", "80:90:0:10"), ("--snr-db", "10"),
                            ("--fd-step-deg", "2"), ("--z0-ohm", "75")]},
-    "area_bars_area_size_flags": (["export-plots", "--fig", "area-bars", "--dataset", "{ds}",
-                                   "--codebook", "{cb}", "--upa", "2x2"],
-                                  ["--codebooks", "{cb}", "--eval-area", "80:90:0:10"]),
     "area_size_upa": (["export-plots", "--fig", "area-size", "--dataset", "{ds}",
                        "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"], ["--upa", "2x2"]),
 }
@@ -1050,11 +1093,9 @@ def test_flags_of_another_path_exit_2(tmp_path, monkeypatch, capsys, ds_file, cb
      "compare needs --baseline-codebook, or --upa"),
     (["crlb-map", "--codebook", "{cb}", "--area", "85:95:-5:5"],
      "crlb-map --codebook needs --dataset"),
-    (["export-plots", "--fig", "area-bars", "--dataset", "{ds}", "--upa", "2x2"],
-     "export-plots --fig area-bars needs --codebook"),
     (["export-plots", "--fig", "port-count", "--dataset", "{ds}", "--codebooks", ""],
      "export-plots --fig port-count needs --codebooks"),
-], ids=["crlb_map", "montecarlo", "compare", "crlb_map_codebook", "area_bars", "empty_codebooks"])
+], ids=["crlb_map", "montecarlo", "compare", "crlb_map_codebook", "empty_codebooks"])
 def test_missing_path_flags_exit_2(tmp_path, monkeypatch, capsys, ds_file, cb_file, argv, named):
     monkeypatch.chdir(tmp_path)
     argv = [a.format(ds=ds_file, cb=cb_file) for a in argv + ["--out-dir", "out"]]
@@ -1084,16 +1125,10 @@ PATH_RUNS = {
                           "--baseline-codebook", "{cb}"], {}, ["upa", "spacing", "element"]),
     "compare_upa": (["compare", "--dataset", "{ds}", "--codebook", "{cb}", "--upa", "2x2"],
                     UPA_DEFAULTS, ["baseline_codebook"]),
-    "area_bars": (["export-plots", "--fig", "area-bars", "--dataset", "{ds}",
-                   "--codebook", "{cb}", "--upa", "2x2"],
-                  {**UPA_DEFAULTS, **SCORING_DEFAULTS}, ["codebooks", "eval_area"]),
     "area_size": (["export-plots", "--fig", "area-size", "--dataset", "{ds}",
-                   "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"],
-                  SCORING_DEFAULTS, ["upa", "spacing", "element", "codebook"]),
+                   "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"], SCORING_DEFAULTS, []),
     "port_count": (["export-plots", "--fig", "port-count", "--dataset", "{ds}",
-                    "--codebooks", "{cb}"], {},
-                   ["upa", "spacing", "element", "codebook", "eval_area", "snr_db", "z0_ohm",
-                    "fd_step_deg"]),
+                    "--codebooks", "{cb}"], {}, ["eval_area", "snr_db", "z0_ohm", "fd_step_deg"]),
 }
 
 
@@ -1220,9 +1255,12 @@ def test_montecarlo_searches_one_geometrys_angles_together(tmp_path, ds_file):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def _readme_commands() -> list[str]:
     """The pixelaoa lines of the README's "Command line" block, continuations joined."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = README.read_text()
     block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [line for line in lines if line.startswith("pixelaoa ")]
@@ -1235,3 +1273,18 @@ def test_readme_commands_parse():
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command == shlex.split(line)[1]
+
+
+def test_readme_path_table_matches_path_flags():
+    # {(command, path): {flag: needed}}, from the README's "Flags by path" table
+    table = README.read_text().split("Flags by path", 1)[1].split("\n\n")[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        command, path, flags = (cell.strip() for cell in line.split("|")[1:4])
+        path = path.strip("`")
+        path = path.split()[1] if path.startswith("--fig ") else path[2:].replace("-", "_")
+        rows[command.strip("`"), path] = {
+            flag.replace("-", "_"): "*needed*" in item
+            for item in flags.split(",") for flag in re.findall(r"`--([a-z0-9-]+)`", item)}
+    assert rows == {(command, path): {d: v is cli.NEEDED for d, v in own.items()}
+                    for command, paths in cli.PATH_FLAGS.items() for path, own in paths.items()}

@@ -365,6 +365,15 @@ def test_closed_form_endfire_infinite():
     assert upa_crlb_closed_form(2, 2, 0.5, (180.0, 10.0), 1.0).singular
 
 
+@pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -0.5])
+def test_upa_spacing_must_be_finite_and_positive(spacing):
+    # unchecked, nan would give a nan bound and inf a bound of 0 rad
+    with pytest.raises(ValueError, match="element spacing"):
+        upa_crlb_closed_form_map(2, 2, spacing, [90.0], [0.0], 1.0)
+    with pytest.raises(ValueError, match="element spacing"):
+        upa_patterns(2, 2, spacing, AngleGrid(step_deg=10.0))
+
+
 def test_closed_form_worst_at_corner_by_enumeration():
     # over area [85,95]x[-5,5] the closed form peaks at a corner farthest
     # from broadside (enumeration oracle)

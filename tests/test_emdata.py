@@ -64,6 +64,23 @@ def test_degenerate_layout_rejected():
         PortLayout(frequency_hz=0.0)
 
 
+@pytest.mark.parametrize("field", ["substrate_side_mm", "height_mm", "frequency_hz"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_layout_lengths_and_frequency_are_finite_and_positive(field, value):
+    with pytest.raises(LayoutError, match=field):
+        PortLayout(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("self_reactance_ohm", float("nan")), ("reactance_scale_ohm", float("inf")),
+    ("resistance_floor_ohm", float("nan")), ("self_reactance_jitter_ohm", float("inf")),
+    ("self_reactance_jitter_ohm", -3.0), ("feed_resistance_target_ohm", float("inf")),
+    ("feed_resistance_target_ohm", 0.0)])
+def test_dipole_model_params_are_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        DipoleModelParams(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 # ---------------------------------------------------------------------------
@@ -332,9 +349,36 @@ def test_non_integer_layout_count_is_format_error(tmp_path, tiny_dataset, capsys
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["frequency_hz", "height_mm", "substrate_side_mm"])
+def test_nan_layout_field_is_format_error(tmp_path, tiny_dataset, capsys, field):
+    # json reads NaN as a float; the layout rejects it
+    header = json.loads(_v2_file(tiny_dataset).split(b"\n")[1])
+    header["layout"][field] = float("nan")
+    p = tmp_path / "bad.ds"
+    p.write_bytes(_v2_file(tiny_dataset, header=header))
+    with pytest.raises(DatasetFormatError, match=field):
+        load_dataset(p, strict=False)
+    capsys.readouterr()
+    assert cli_main(["validate", "--dataset", str(p)]) == 3
+    assert field in capsys.readouterr().err
+
+
+def test_header_pixel_side_mm_is_ignored(tmp_path, tiny_dataset):
+    # earlier files hold the layout key pixel_side_mm, which no computation read
+    header = json.loads(_v2_file(tiny_dataset).split(b"\n")[1])
+    plain = tmp_path / "plain.ds"
+    plain.write_bytes(_v2_file(tiny_dataset, header=header))
+    header["layout"]["pixel_side_mm"] = 12.0
+    keyed = tmp_path / "keyed.ds"
+    keyed.write_bytes(_v2_file(tiny_dataset, header=header))
+    a, b = load_dataset(plain), load_dataset(keyed)
+    assert _bits_equal(a.Z, b.Z) and _bits_equal(a.e_oc, b.e_oc)
+    assert a.grid == b.grid and a.layout == b.layout
+
+
 @pytest.mark.parametrize("part, field, edit", [
     ("layout", "height_mm", str), ("layout", "frequency_hz", lambda v: True),
-    ("layout", "pixel_side_mm", lambda v: [v]), ("grid", "step_deg", str),
+    ("layout", "substrate_side_mm", lambda v: [v]), ("grid", "step_deg", str),
     ("grid", "phi_stop_deg", str)])
 def test_non_number_header_field_is_format_error(tmp_path, tiny_dataset, capsys, part, field,
                                                  edit):
