@@ -7,6 +7,12 @@ returns the files it read and wrote; main times it and, when it wrote any,
 writes one JSON manifest beside the first with the resolved parameters (null
 for other paths' flags) and digests, so the manifest alone reproduces it.
 
+A codebook records the SNR, source impedance and FD step it was scored under
+and is the one source of the latter two: only optimize takes --z0-ohm, and
+--fd-step-deg only optimize and the --upa paths of crlb-map and montecarlo
+(compare's UPA takes the HRPA codebook's step).  _load_codebook_for rescores
+every leaf under those settings and rejects a stale codebook (exit 3).
+
 _geometry_groups owns which geometry serves an angle and builds its
 patterns, a codebook geometry's projected (network.project) or the --upa
 baseline's (_upa), on one window rule for every source: crlb.fd_window of
@@ -70,6 +76,7 @@ from .grid import AngleGrid, line_index
 from .network import FeedNetworkConfig, project, solve_network
 from .optimizer import (
     Codebook,
+    ConfigEvaluator,
     GAParams,
     OptimizationTrace,
     SubdivisionSchedule,
@@ -168,43 +175,52 @@ def _upa(args):
 
 def _load_codebook_for(path, ds) -> Codebook:
     """load_codebook, rejecting a codebook built for another port count than the
-    dataset's, or with a leaf whose edges are not lines of the dataset's grid."""
+    dataset's, and a stale one: each leaf is scored on the dataset under the
+    codebook's own SNR, feed network and FD step, and must give its
+    objective_rad (rel 1e-9), on a window of the dataset's grid lines."""
     cb = load_codebook(path)
     if (cb.n_feed, cb.n_loaded) != (ds.n_feed, ds.n_loaded):
         raise DatasetFormatError(
             f"{path}: codebook is for {cb.n_feed} feed + {cb.n_loaded} loaded ports, "
             f"the dataset has {ds.n_feed} + {ds.n_loaded}")
+    ev = ConfigEvaluator(ds, cb.snr_linear, cb.feednet, cb.fd_step_deg)
     for cw in cb.codewords:
         try:
-            cw.area.indices(ds.grid)
+            got = ev.objective(cw.config, cw.area)
         except GridError as exc:
             raise DatasetFormatError(
-                f"{path}: leaf {cw.area.label()} is off the dataset grid ({exc})") from exc
+                f"{path}: leaf {cw.area.label()} does not fit the dataset grid ({exc})") from exc
+        if not math.isclose(got, cw.objective, rel_tol=1e-9):    # inf is close to inf
+            raise DatasetFormatError(
+                f"{path}: leaf {cw.area.label()} scores {got:.6g} rad on this dataset, not "
+                f"its objective_rad {cw.objective:.6g}: the codebook is stale; re-run "
+                f"`pixelaoa optimize`")
     return cb
 
 
 def _geometry_groups(source, theta_deg, phi_deg, window: AngleGrid):
     """Yield (patterns on window, indices of the points they serve) per
     geometry, in the order of each geometry's first point: a UPA source (_upa)
-    serves every point, a (dataset, codebook, feednet) source each with its
-    leaf's geometry; a group's patterns are built on window when it is
-    reached."""
+    serves every point, a (dataset, codebook) source each with its leaf's
+    geometry, solved under the codebook's feed network; a group's patterns
+    are built on window when it is reached."""
     if callable(source):
         yield source(window), np.arange(len(theta_deg))
         return
-    ds, cb, feednet = source
+    ds, cb = source
     e = ds.window(window)
     configs = [cw.config for cw in cb.codewords]
     geom = np.array([configs.index(c) for c in configs])[codebook_leaves(cb, theta_deg, phi_deg)]
     for g in geom[np.sort(np.unique(geom, return_index=True)[1])]:
-        V = solve_network(ds, [configs[g]], feednet).V
+        V = solve_network(ds, [configs[g]], cb.feednet).V
         yield PatternSet(window, project(e, V)[0]), np.flatnonzero(geom == g)
 
 
 def _area_table(source, area: SensingArea, grid: AngleGrid, snr: float, fd_step_deg):
     """(theta, phi, table) over the area's points on grid, each point under
     the geometry that serves it, whose patterns are built on the area's FD
-    window.  Table rows are c_tt, c_tp, c_pp and objective."""
+    window.  Table rows are c_tt, c_tp, c_pp and objective; a codebook
+    source's fd_step_deg is the codebook's own."""
     window = fd_window(area, grid, fd_step_deg)
     it, ip = area.points(window)
     th, ph = window.theta_deg[it], window.phi_deg[ip]
@@ -239,11 +255,8 @@ def cmd_gen_dataset(args) -> tuple[list, list]:
 
 
 def cmd_validate(args) -> tuple[list, list]:
-    from .emdata import ValidationTolerances
     ds = load_dataset(args.dataset, strict=False)
-    tol = ValidationTolerances(symmetry_abs_ohm=args.symmetry_tol,
-                               passivity_rel=args.passivity_tol)
-    report = validate_dataset(ds, tol)
+    report = validate_dataset(ds)
     print(report)
     failed = [c.name for c in report.checks if not c.passed]
     if failed:
@@ -334,8 +347,7 @@ def cmd_crlb_map(args) -> tuple[list, list]:
         ds = load_dataset(args.dataset)
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
-        feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-        th, ph, table = _area_table((ds, cb, feednet), area, ds.grid, snr, args.fd_step_deg)
+        th, ph, table = _area_table((ds, cb), area, ds.grid, snr, cb.fd_step_deg)
         blocks = [(th, ph, *table)]
         worsts = [table[3].max()]
     _make_out_dir(args)
@@ -350,17 +362,18 @@ def cmd_compare(args) -> tuple[list, list]:
     ds = load_dataset(args.dataset)
     cb = _load_codebook_for(args.codebook, ds)
     inputs = [args.dataset, args.codebook]
-    feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
 
+    # each side with its FD step: a baseline codebook's own, the UPA the HRPA's
     if args.baseline_codebook:
-        baseline = (ds, _load_codebook_for(args.baseline_codebook, ds), feednet)
+        base = _load_codebook_for(args.baseline_codebook, ds)
+        baseline = ((ds, base), base.fd_step_deg)
         inputs.append(args.baseline_codebook)
     else:
-        baseline = _upa(args)
+        baseline = (_upa(args), cb.fd_step_deg)
 
     # each side's table over the codebook space, reduced over every leaf's closed area
-    tables = [_area_table(s, cb.space, ds.grid, _db_to_linear(args.snr_db), args.fd_step_deg)
-              for s in ((ds, cb, feednet), baseline)]
+    tables = [_area_table(s, cb.space, ds.grid, _db_to_linear(args.snr_db), fd)
+              for s, fd in (((ds, cb), cb.fd_step_deg), baseline)]
     rows = []
     for cw in cb.codewords:
         t0, t1, p0, p1 = bounds = cw.area.bounds()
@@ -400,21 +413,20 @@ def cmd_montecarlo(args) -> tuple[list, list]:
 
     # one search per geometry: the UPA's angles, or one codebook geometry's, together
     if args.upa:
-        grid, source = AngleGrid(step_deg=args.step_deg), _upa(args)
+        grid, source, fd = AngleGrid(step_deg=args.step_deg), _upa(args), args.fd_step_deg
     else:
         ds = load_dataset(args.dataset)
-        grid, source = ds.grid, (ds, _load_codebook_for(args.codebook, ds),
-                                 FeedNetworkConfig(source_impedance_ohm=args.z0_ohm))
+        cb = _load_codebook_for(args.codebook, ds)
+        grid, source, fd = ds.grid, (ds, cb), cb.fd_step_deg
         inputs = [args.dataset, args.codebook]
-    window = fd_window(_search_box(angles, hw, grid), grid, args.fd_step_deg)
+    window = fd_window(_search_box(angles, hw, grid), grid, fd)
 
     per_angle = [()] * len(angles)
     for pats, ks in _geometry_groups(source, *zip(*angles), window):
         group = [angles[k] for k in ks]
         report = monte_carlo_rmse(pats, group, snr_list, trials=args.trials, seed=args.seed,
                                   search_area=_search_box(group, hw, pats.grid),
-                                  refine=not args.no_refine,
-                                  fd_step_deg=args.fd_step_deg)
+                                  refine=not args.no_refine, fd_step_deg=fd)
         del pats                        # one geometry's patterns held at a time
         for j, k in enumerate(ks):
             per_angle[k] = report.records[j * len(snr_list):(j + 1) * len(snr_list)]
@@ -438,13 +450,12 @@ def cmd_export_plots(args) -> tuple[list, list]:
     if args.fig == "area-size":
         area = _parse_area(args.eval_area)
         snr = _db_to_linear(args.snr_db)
-        feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
         rows = []
         for p in args.codebooks.split(","):
             cb = _load_codebook_for(p, ds)
             inputs.append(p)
             size = cb.space.theta_max_deg - cb.space.theta_min_deg
-            table = _area_table((ds, cb, feednet), area, ds.grid, snr, args.fd_step_deg)[2]
+            table = _area_table((ds, cb), area, ds.grid, snr, cb.fd_step_deg)[2]
             rows.append((size, float(table[3].max())))
         path, header = outdir / "area_size_sweep.csv", "area_size_deg,worst_objective"
 
@@ -489,17 +500,17 @@ def _make_out_dir(args) -> None:
 
 NEEDED = object()                   # PATH_FLAGS mark: the path cannot run without the flag
 _UPA = {"upa": NEEDED, "spacing": 0.5, "element": "iso-theta"}
-_BOOK = {"dataset": NEEDED, "codebook": NEEDED, "z0_ohm": 50.0 + 0.0j}
+_BOOK = {"dataset": NEEDED, "codebook": NEEDED}
 
 # Per command and path, the flags only some of the command's paths read, with the
 # default the path fills in; they all parse to None.  A path is named by the flag
 # that selects it (by --fig's value on export-plots); the first one given is taken.
 PATH_FLAGS = {
-    "crlb-map": {"upa": {**_UPA, "step_deg": 1.0, "mode": "both"}, "codebook": _BOOK},
-    "montecarlo": {"upa": {**_UPA, "step_deg": 1.0}, "codebook": _BOOK},
+    "crlb-map": {"upa": {**_UPA, "step_deg": 1.0, "mode": "both", "fd_step_deg": None},
+                 "codebook": _BOOK},
+    "montecarlo": {"upa": {**_UPA, "step_deg": 1.0, "fd_step_deg": None}, "codebook": _BOOK},
     "compare": {"baseline_codebook": {"baseline_codebook": NEEDED}, "upa": _UPA},
-    "export-plots": {"area-size": {"codebooks": NEEDED, "eval_area": NEEDED, "snr_db": 0.0,
-                                   "z0_ohm": 50.0 + 0.0j, "fd_step_deg": None},
+    "export-plots": {"area-size": {"codebooks": NEEDED, "eval_area": NEEDED, "snr_db": 0.0},
                      "port-count": {"codebooks": NEEDED}},
 }
 
@@ -528,14 +539,15 @@ def _add_snr_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snr-db", type=float, default=0.0, help="SNR in dB (default 0)")
 
 
+def _add_fd_step_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fd-step-deg", type=float,
+                   help="finite-difference step (default: grid step)")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
     p.add_argument("--out-dir", default=None, help="directory for outputs")
-    p.add_argument("--z0-ohm", type=complex, default=50.0 + 0.0j,
-                   help="source impedance of each active RF chain (default 50)")
-    p.add_argument("--fd-step-deg", type=float, default=None,
-                   help="finite-difference step (default: grid step)")
 
 
 def _add_upa_flags(p: argparse.ArgumentParser) -> None:
@@ -568,10 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="physical consistency report for a dataset file")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--symmetry-tol", type=float, default=1e-9,
-                   help="max allowed |Z - Z^T| in ohm")
-    p.add_argument("--passivity-tol", type=float, default=1e-10,
-                   help="allowed negative eigenvalue of Re(Z), relative to the largest")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("optimize", help="build a geometry codebook over an angular space")
@@ -591,6 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional trace CSV path, under --out-dir when relative")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
+    p.add_argument("--z0-ohm", type=complex, default=50.0 + 0.0j,
+                   help="source impedance of each active RF chain (default 50)")
+    _add_fd_step_flag(p)
     _add_snr_flag(p)
     _add_common(p)
     p.set_defaults(func=cmd_optimize)
@@ -603,6 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="for --upa: which bound(s) to emit (default both)")
     p.add_argument("--area", required=True)
     p.add_argument("--step-deg", type=float, help="grid step for --upa (default 1)")
+    _add_fd_step_flag(p)
     p.add_argument("--out", default=None)
     _add_snr_flag(p)
     _add_common(p)
@@ -629,6 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--search-halfwidth-deg", type=float, default=10.0)
     p.add_argument("--step-deg", type=float, help="grid step for --upa (default 1)")
+    _add_fd_step_flag(p)
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -451,13 +451,14 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ValidationTolerances:
-    symmetry_abs_ohm: float = 1e-9
-    passivity_rel: float = 1e-10
+# The thresholds of validate_dataset, so of `validate` and of every strict load:
+# the largest |Z - Z^T| in ohm, and the most negative eigenvalue of Re{Z}
+# allowed, relative to the largest.
+SYMMETRY_TOL_OHM = 1e-9
+PASSIVITY_TOL_REL = 1e-10
 
 
-def validate_dataset(ds: EMDataset, tol: ValidationTolerances = ValidationTolerances()) -> ValidationReport:
+def validate_dataset(ds: EMDataset) -> ValidationReport:
     """Report-only physical consistency checks (never raises); each names the
     error a strict load raises when it fails: ReciprocityError for Z
     symmetry, PassivityError for Re{Z}, FinitenessError for Z and patterns."""
@@ -471,10 +472,10 @@ def validate_dataset(ds: EMDataset, tol: ValidationTolerances = ValidationTolera
     finite = bool(np.all(np.isfinite(ds.e_oc.view(np.float64)))
                   and np.all(np.isfinite(Z.view(np.float64))))
     checks = (
-        ValidationCheck("Z symmetry max|Z - Z^T| [ohm]", sym, tol.symmetry_abs_ohm,
-                        sym <= tol.symmetry_abs_ohm, ReciprocityError),
-        ValidationCheck("passivity min eig Re{Z} [ohm]", min_eig, -tol.passivity_rel * max_eig,
-                        min_eig >= -tol.passivity_rel * max_eig, PassivityError),
+        ValidationCheck("Z symmetry max|Z - Z^T| [ohm]", sym, SYMMETRY_TOL_OHM,
+                        sym <= SYMMETRY_TOL_OHM, ReciprocityError),
+        ValidationCheck("passivity min eig Re{Z} [ohm]", min_eig, -PASSIVITY_TOL_REL * max_eig,
+                        min_eig >= -PASSIVITY_TOL_REL * max_eig, PassivityError),
         ValidationCheck("finiteness of Z and patterns", float(finite), 1.0, finite,
                         FinitenessError),
     )

@@ -38,7 +38,7 @@ from .errors import (
 from .grid import line_deg, line_index
 from .network import FeedNetworkConfig, GeometryConfig, project, solve_network
 
-CODEBOOK_FILE_VERSION = 1
+CODEBOOK_FILE_VERSION = 2
 
 # Most pattern values (2N x Tn x Pn per config) one stacked evaluation pass
 # holds; larger batches are scored in chunks.
@@ -161,10 +161,13 @@ def export_trace(trace: OptimizationTrace, path) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """Per-area optimized geometries (leaves of the subdivision)."""
+    """Per-area optimized geometries (leaves of the subdivision), with the
+    SNR, feed network and FD step their objectives were scored under."""
 
     schedule: SubdivisionSchedule
     snr_linear: float
+    feednet: FeedNetworkConfig
+    fd_step_deg: float | None
     n_feed: int
     n_loaded: int
     codewords: tuple[Codeword, ...]
@@ -584,8 +587,8 @@ def build_codebook(
             RuntimeWarning, stacklevel=2)
 
     return Codebook(
-        schedule=schedule, snr_linear=float(snr_linear),
-        n_feed=dataset.n_feed, n_loaded=dataset.n_loaded,
+        schedule=schedule, snr_linear=float(snr_linear), feednet=feednet,
+        fd_step_deg=fd_step_deg, n_feed=dataset.n_feed, n_loaded=dataset.n_loaded,
         codewords=stages[-1], stages=tuple(stages), traces=traces,
     )
 
@@ -630,12 +633,16 @@ def _area_from(d: dict) -> SensingArea:
 
 def save_codebook(cb: Codebook, path) -> None:
     """Versioned structured-text codebook: 1-based port indices, connection
-    bitstring with the first loaded port leftmost."""
+    bitstring with the first loaded port leftmost, and the scoring settings:
+    the source impedance as [re, im] and the FD step (null: the grid step)."""
+    z0 = complex(cb.feednet.source_impedance_ohm)
     doc = {
         "version": CODEBOOK_FILE_VERSION,
         "space": _area_dict(cb.space),
         "schedule": {"factors": list(cb.schedule.factors), "axes": list(cb.schedule.axes)},
         "snr_linear": cb.snr_linear,
+        "source_impedance_ohm": [z0.real, z0.imag],
+        "fd_step_deg": cb.fd_step_deg,
         "n_feed": cb.n_feed,
         "n_loaded": cb.n_loaded,
         "codewords": [
@@ -655,6 +662,9 @@ def save_codebook(cb: Codebook, path) -> None:
 
 
 def load_codebook(path) -> Codebook:
+    """The format-v2 codebook save_codebook writes; a format-v1 file, which
+    records no feed network or FD step, or any malformed one raises
+    DatasetFormatError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -662,9 +672,21 @@ def load_codebook(path) -> Codebook:
         raise DatasetFormatError(f"{path}: not a valid codebook file ({exc})") from exc
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path}: a codebook file must hold a JSON object")
-    if type(doc.get("version")) is not int or doc["version"] != CODEBOOK_FILE_VERSION:
-        raise DatasetFormatError(f"{path}: unsupported codebook version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is int and version == 1:
+        raise DatasetFormatError(
+            f"{path}: codebook format v1 does not record the feed network and FD step its "
+            f"objectives were scored under, and is no longer read; re-run `pixelaoa optimize`")
+    if type(version) is not int or version != CODEBOOK_FILE_VERSION:
+        raise DatasetFormatError(f"{path}: unsupported codebook version {version!r}")
     try:
+        snr = json_float(doc["snr_linear"], "snr_linear")
+        if not snr > 0:
+            raise ValueError(f"snr_linear must be positive, got {snr}")
+        z_re, z_im = (json_float(x, "source_impedance_ohm") for x in doc["source_impedance_ohm"])
+        feednet = FeedNetworkConfig(complex(z_re, z_im))
+        fd = doc["fd_step_deg"]
+        fd_step_deg = None if fd is None else json_float(fd, "fd_step_deg")
         schedule = SubdivisionSchedule(
             space=_area_from(doc["space"]),
             factors=tuple(json_int(k, "schedule factors") for k in doc["schedule"]["factors"]),
@@ -697,7 +719,7 @@ def load_codebook(path) -> Codebook:
             raise DatasetFormatError(f"{path}: the leaf areas do not tile the space "
                                      f"{schedule.space.label()}")
         return Codebook(
-            schedule=schedule, snr_linear=json_float(doc["snr_linear"], "snr_linear"),
+            schedule=schedule, snr_linear=snr, feednet=feednet, fd_step_deg=fd_step_deg,
             n_feed=n_feed, n_loaded=n_loaded, codewords=tuple(cws),
         )
     except (KeyError, TypeError, ValueError, ConfigError, ScheduleError, GridError) as exc:

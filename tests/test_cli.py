@@ -6,6 +6,7 @@ import re
 import shlex
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from pixelaoa.cli import main
 from pixelaoa.optimizer import (
     Codebook,
     Codeword,
+    ConfigEvaluator,
     SubdivisionSchedule,
     codebook_lookup,
     load_codebook,
@@ -162,6 +164,57 @@ def test_validate_reports_a_non_finite_dataset(tmp_path, capsys, ds_file):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 3
     assert out[2].startswith("FAIL  finiteness of Z and patterns")
+
+
+def test_validate_judges_by_the_strict_load_thresholds(tmp_path, capsys, ds_file, cb_file):
+    # |Z - Z^T| = 1e-3 ohm: validate fails it as every command's strict load
+    # does, and no flag loosens its threshold
+    ds = load_dataset(ds_file)
+    Z = np.array(ds.Z)
+    Z[0, 1] += 1e-3
+    bad = tmp_path / "bad.json"
+    save_dataset(with_arrays(ds, Z=Z), bad)
+    capsys.readouterr()
+    assert run(["validate", "--dataset", bad]) == 4
+    assert "FAIL  Z symmetry" in capsys.readouterr().out
+    assert exit_code(["validate", "--dataset", bad, "--symmetry-tol", "1"]) == 2
+    assert "unrecognized arguments: --symmetry-tol 1" in capsys.readouterr().err
+    assert run(["crlb-map", "--dataset", bad, "--codebook", cb_file, "--area", "85:95:-5:5",
+                "--out", tmp_path / "map.csv"]) == 4
+
+
+# flags that no longer exist: a codebook records its feed network and FD step,
+# and validate judges by the thresholds of the strict load
+REMOVED_FLAGS = {
+    "validate_passivity_tol": (["validate", "--dataset", "{ds}"], ["--passivity-tol", "1"]),
+    "crlb_map_codebook_z0": (["crlb-map", "--dataset", "{ds}", "--codebook", "{cb}",
+                              "--area", "85:95:-5:5"], ["--z0-ohm", "75"]),
+    "crlb_map_upa_z0": (["crlb-map", "--upa", "2x2", "--area", "85:95:-5:5"],
+                        ["--z0-ohm", "75"]),
+    "montecarlo_codebook_z0": (["montecarlo", "--dataset", "{ds}", "--codebook", "{cb}",
+                                "--angles", "90,0", "--snr-db-list", "10", "--trials", "100"],
+                               ["--z0-ohm", "75"]),
+    "compare_z0": (["compare", "--dataset", "{ds}", "--codebook", "{cb}", "--upa", "2x2"],
+                   ["--z0-ohm", "75"]),
+    "compare_fd_step": (["compare", "--dataset", "{ds}", "--codebook", "{cb}", "--upa", "2x2"],
+                        ["--fd-step-deg", "10"]),
+    **{f"{name}_{flag[2:].replace('-', '_')}": (base, [flag, value])
+       for name, base in (("area_size", ["export-plots", "--fig", "area-size", "--dataset", "{ds}",
+                                          "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"]),
+                          ("port_count", ["export-plots", "--fig", "port-count",
+                                          "--dataset", "{ds}", "--codebooks", "{cb}"]))
+       for flag, value in (("--z0-ohm", "75"), ("--fd-step-deg", "10"))},
+}
+
+
+@pytest.mark.parametrize("base, removed", REMOVED_FLAGS.values(), ids=REMOVED_FLAGS.keys())
+def test_removed_scoring_flags_exit_2(tmp_path, monkeypatch, capsys, ds_file, cb_file, base,
+                                      removed):
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(ds=ds_file, cb=cb_file) for a in base + removed + ["--out-dir", "out"]]
+    assert exit_code(argv) == 2
+    assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_each_command_writes_one_manifest(tmp_path, monkeypatch, ds_file, cb_file):
@@ -555,9 +608,14 @@ def _set_first_codeword(key, value):
     lambda doc: [],
     lambda doc: None,
     lambda doc: "x",
+    lambda doc: {**doc, "snr_linear": 0.0},
+    lambda doc: {**doc, "source_impedance_ohm": [0.0, 0.0]},
+    lambda doc: {**doc, "source_impedance_ohm": [50.0]},
+    lambda doc: {k: v for k, v in doc.items() if k != "fd_step_deg"},
+    lambda doc: {**doc, "version": 3},
 ], ids=["bit_2", "port_0", "short_bits", "header_n_loaded", "empty_area", "bad_schedule",
         "no_codewords", "leaf_cut", "leaf_twice", "leaf_outside", "top_list", "top_null",
-        "top_string"])
+        "top_string", "snr_0", "z0_0", "z0_one_number", "no_fd_step", "version_3"])
 def test_crlb_map_bad_codebook_is_format_error(tmp_path, ds_file, cb_file, edit):
     doc = edit(json.loads(cb_file.read_text()))
     bad = tmp_path / "bad.json"
@@ -612,8 +670,10 @@ def _edit_first_area(key, edit):
     ("theta_min_deg", _edit_first_area("theta_min_deg", str)),
     ("phi_max_deg", lambda doc: {**doc, "space": {**doc["space"],
                                                   "phi_max_deg": [doc["space"]["phi_max_deg"]]}}),
+    ("source_impedance_ohm", lambda doc: {**doc, "source_impedance_ohm": ["50", "0"]}),
+    ("fd_step_deg", lambda doc: {**doc, "fd_step_deg": "10"}),
 ], ids=["snr_string", "objective_bool", "objective_string", "leaf_bound_string",
-        "space_bound_list"])
+        "space_bound_list", "z0_strings", "fd_step_string"])
 def test_non_number_codebook_field_is_format_error(tmp_path, ds_file, cb_file, capsys, field,
                                                    edit):
     doc = edit(json.loads(cb_file.read_text()))
@@ -623,6 +683,80 @@ def test_non_number_codebook_field_is_format_error(tmp_path, ds_file, cb_file, c
     assert run(["crlb-map", "--dataset", ds_file, "--codebook", bad,
                 "--area", "85:95:-5:5", "--out", tmp_path / "map.csv"]) == 3
     assert field in capsys.readouterr().err
+
+
+def test_codebook_v1_exits_3_with_a_hint(tmp_path, capsys, ds_file, cb_file):
+    # format v1 recorded no feed network or FD step, so its objectives cannot be checked
+    doc = json.loads(cb_file.read_text())
+    del doc["source_impedance_ohm"], doc["fd_step_deg"]
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps({**doc, "version": 1}))
+    out = tmp_path / "map.csv"
+    capsys.readouterr()
+    assert run(["crlb-map", "--dataset", ds_file, "--codebook", old, "--area", "85:95:-5:5",
+                "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "codebook format v1" in err and "re-run `pixelaoa optimize`" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def jitter_files(tmp_path_factory):
+    """Two jittered 2x2-pixel datasets (seeds 7 and 8) and a codebook of the first."""
+    work = tmp_path_factory.mktemp("jitter")
+    for seed in (7, 8):
+        assert run(["gen-dataset", "--pixels", "2x2", "--step-deg", "5", "--jitter-ohm", "1",
+                    "--seed", seed, "--out", work / f"ds{seed}.json"]) == 0
+    assert run(["optimize", "--dataset", work / "ds7.json", "--n-active", "2",
+                "--space", "80:100:-10:10", "--population", "8", "--generations", "2",
+                "--out", work / "cb7.json"]) == 0
+    return work
+
+
+def _edited_codebook(edit):
+    """A case of test_stale_codebook_exits_3: the seed-7 codebook with edit
+    applied to its document, on the seed-7 dataset."""
+    def case(tmp_path, work):
+        doc = edit(json.loads((work / "cb7.json").read_text()))
+        (tmp_path / "cb.json").write_text(json.dumps(doc))
+        return work / "ds7.json", tmp_path / "cb.json"
+    return case
+
+
+STALE = "the codebook is stale"
+# (dataset and codebook of the case, what the error says)
+STALE_CODEBOOKS = {
+    "another_jitter_seed": (lambda tmp_path, work: (work / "ds8.json", work / "cb7.json"), STALE),
+    "objective_rad": (_edited_codebook(
+        _edit_first_codeword("objective_rad", lambda v: v * (1 + 1e-6))), STALE),
+    "snr_linear": (_edited_codebook(lambda doc: {**doc, "snr_linear": 10.0}), STALE),
+    "fd_step_off_the_grid": (_edited_codebook(lambda doc: {**doc, "fd_step_deg": 3.0}),
+                             "must be a positive multiple of the grid step 5.0"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["crlb-map", "--area", "85:95:-5:5"],
+    ["compare", "--upa", "2x2"],
+    ["montecarlo", "--angles", "90,0", "--snr-db-list", "10", "--trials", "100"],
+    ["export-plots", "--fig", "port-count"],
+], ids=["crlb_map", "compare", "montecarlo", "port_count"])
+@pytest.mark.parametrize("case, named", STALE_CODEBOOKS.values(), ids=STALE_CODEBOOKS.keys())
+def test_stale_codebook_exits_3(tmp_path, monkeypatch, capsys, jitter_files, argv, case, named):
+    # every leaf is scored under the codebook's own settings when it is loaded,
+    # before any trial, row or output directory
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no trial is scored with a stale codebook")
+
+    monkeypatch.setattr(kernels, "ml_scores", forbidden)
+    ds, cb = case(tmp_path, jitter_files)
+    book = "--codebooks" if argv[0] == "export-plots" else "--codebook"
+    capsys.readouterr()
+    assert run(argv + ["--dataset", ds, book, cb, "--out-dir", tmp_path / "out"]) == 3
+    captured = capsys.readouterr()
+    assert "leaf theta[80:100]_phi[-10:10]" in captured.err and named in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_export_plots_port_count_empty_codebook_is_format_error(tmp_path, ds_file, cb_file):
@@ -719,14 +853,17 @@ GEOMS = (GeometryConfig((0, 1), (0, 1, 0, 1)), GeometryConfig((2, 3), (1, 0, 0, 
 
 def _leaf_codebook(path, ds_file, leaf_geoms):
     """Save a codebook over 80:100:-10:10 with one leaf, or four by the 1,4
-    schedule, holding leaf_geoms in leaf order; return its path."""
+    schedule, holding leaf_geoms in leaf order, each with the objective it
+    scores on its leaf; return its path."""
     ds = load_dataset(ds_file)
     factors = (1,) if len(leaf_geoms) == 1 else (1, 4)
     schedule = SubdivisionSchedule(SensingArea(80, 100, -10, 10), factors,
                                    ("both",) * len(factors))
     areas = stage_areas(schedule, ds.grid.step_deg)[-1]
-    save_codebook(Codebook(schedule, 1.0, ds.n_feed, ds.n_loaded,
-                           tuple(Codeword(a, g, 0.0, 1) for a, g in zip(areas, leaf_geoms))),
+    ev = ConfigEvaluator(ds, 1.0)
+    save_codebook(Codebook(schedule, 1.0, FeedNetworkConfig(), None, ds.n_feed, ds.n_loaded,
+                           tuple(Codeword(a, g, ev.objective(g, a), 1)
+                                 for a, g in zip(areas, leaf_geoms))),
                   path)
     return path
 
@@ -779,14 +916,16 @@ def test_compare_self_is_zero_improvement(tmp_path, ds_file, cb_file):
     assert improvement == 0.0
 
 
-def _one_leaf_over(tmp_path, cb_file, bounds):
-    """cb_file's one-leaf codebook moved to the area tmin:tmax:pmin:pmax."""
-    area = dict(zip(("theta_min_deg", "theta_max_deg", "phi_min_deg", "phi_max_deg"),
-                    (float(b) for b in bounds.split(":"))))
-    doc = json.loads(cb_file.read_text())
-    doc["space"] = doc["codewords"][0]["area"] = area
+def _one_leaf_over(tmp_path, ds_file, cb_file, bounds):
+    """cb_file's one-leaf codebook moved to the area tmin:tmax:pmin:pmax, with
+    the objective its geometry scores there."""
+    cb, area = load_codebook(cb_file), cli._parse_area(bounds)
+    cw = cb.codewords[0]
+    ev = ConfigEvaluator(load_dataset(ds_file), cb.snr_linear, cb.feednet, cb.fd_step_deg)
+    moved = replace(cw, area=area, objective=ev.objective(cw.config, area))
     path = tmp_path / f"cb_{bounds}.json"
-    path.write_text(json.dumps(doc))
+    save_codebook(replace(cb, schedule=replace(cb.schedule, space=area), codewords=(moved,)),
+                  path)
     return path
 
 
@@ -794,7 +933,7 @@ def test_compare_singular_side_gives_no_improvement(tmp_path, capsys, ds_file, c
     # the 2x2 UPA is singular at endfire, phi = 90
     out = tmp_path / "cmp.csv"
     assert run(["compare", "--dataset", ds_file, "--codebook",
-                _one_leaf_over(tmp_path, cb_file, "80:100:70:90"), "--upa", "2x2",
+                _one_leaf_over(tmp_path, ds_file, cb_file, "80:100:70:90"), "--upa", "2x2",
                 "--out", out]) == 0
     row = out.read_text().splitlines()[1].split(",")
     assert math.isfinite(float(row[4])) and row[5:] == ["inf", "nan"]
@@ -804,7 +943,7 @@ def test_compare_singular_side_gives_no_improvement(tmp_path, capsys, ds_file, c
 def test_compare_baseline_must_cover_each_leaf(tmp_path, capsys, ds_file, cb_file):
     out = tmp_path / "cmp.csv"
     assert run(["compare", "--dataset", ds_file, "--codebook", cb_file, "--baseline-codebook",
-                _one_leaf_over(tmp_path, cb_file, "85:95:-5:5"), "--out", out]) == 2
+                _one_leaf_over(tmp_path, ds_file, cb_file, "85:95:-5:5"), "--out", out]) == 2
     assert "angle (80.0, -10.0) not covered" in capsys.readouterr().err
     assert not out.exists()
 
@@ -869,6 +1008,54 @@ def test_compare_dual_pol_upa_not_worse(tmp_path, ds_file, cb_file):
     assert w_dual <= w_single + 1e-12
 
 
+@pytest.fixture(scope="module")
+def scored_cb_file(tmp_path_factory, ds_file):
+    """A one-leaf codebook over 80:100:-10:10 scored under a 75-ohm source and
+    a 10-degree FD step (two steps of the dataset's grid)."""
+    path = tmp_path_factory.mktemp("cli") / "cb_scored.json"
+    assert run(["optimize", "--dataset", ds_file, "--n-active", "2",
+                "--space", "80:100:-10:10", "--population", "12", "--generations", "3",
+                "--seed", "1", "--z0-ohm", "75", "--fd-step-deg", "10", "--out", path]) == 0
+    return path
+
+
+def test_codebook_consumers_score_under_the_codebooks_settings(tmp_path, capsys, ds_file,
+                                                                scored_cb_file):
+    # no consumer takes a scoring flag, and each reproduces objective_rad
+    ds, cw = load_dataset(ds_file), load_codebook(scored_cb_file).codewords[0]
+    # the default settings score the leaf otherwise, so a dropped setting shows
+    assert ConfigEvaluator(ds, 1.0).objective(cw.config, cw.area) \
+        != pytest.approx(cw.objective, rel=1e-6)
+    out = tmp_path / "map.csv"
+    capsys.readouterr()
+    assert run(["crlb-map", "--dataset", ds_file, "--codebook", scored_cb_file,
+                "--area", "80:100:-10:10", "--out", out]) == 0
+    printed = re.search(r"worst objective over \S+: (\S+) rad", capsys.readouterr().out)
+    assert printed.group(1) == f"{cw.objective:.6g}"
+    worst = max(float(r.split(",")[5]) for r in out.read_text().splitlines()[1:])
+    assert worst == pytest.approx(cw.objective, rel=1e-12)
+
+    # compare's HRPA side is that map; its UPA is differenced at the codebook's step
+    cmp_out = tmp_path / "cmp.csv"
+    assert run(["compare", "--dataset", ds_file, "--codebook", scored_cb_file, "--upa", "2x2",
+                "--out", cmp_out]) == 0
+    row = cmp_out.read_text().splitlines()[1].split(",")
+    assert float(row[4]) == worst
+    upa = ["crlb-map", "--upa", "2x2", "--mode", "numeric", "--step-deg", "5"]
+    assert float(row[5]) == _leaf_map_worst(tmp_path, upa + ["--fd-step-deg", "10"], row)
+
+    # montecarlo's bound columns are crlb_matrix's under the same settings
+    mc_out = tmp_path / "mc.csv"
+    assert run(["montecarlo", "--dataset", ds_file, "--codebook", scored_cb_file,
+                "--angles", "85,-5", "--snr-db-list", "10", "--trials", "100",
+                "--out", mc_out]) == 0
+    crlbs = [float(v) for v in mc_out.read_text().splitlines()[1].split(",")[6:8]]
+    pats = overall_patterns(ds, cw.config, FeedNetworkConfig(75.0)).patterns
+    bound = crlb_matrix(pats, (85.0, -5.0), 10.0, fd_step_deg=10)
+    assert crlbs == pytest.approx([math.sqrt(bound.c_theta_theta),
+                                   math.sqrt(bound.c_phi_phi)], rel=1e-12)
+
+
 def test_montecarlo_rows_and_reproducibility(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -894,20 +1081,16 @@ def test_montecarlo_bad_angles_is_flag_error(tmp_path, capsys, angles):
 
 
 def test_montecarlo_upa_rejects_a_bad_fd_step_before_any_trial(tmp_path, monkeypatch, capsys):
+    # a codebook's FD step is checked when it is loaded (test_stale_codebook_exits_3)
     def forbidden(*args, **kwargs):
         raise AssertionError("no trial is scored before the fd step is checked")
 
-    ds2 = tmp_path / "ds2.json"
-    assert run(["gen-dataset", "--pixels", "2x2", "--step-deg", "2", "--out", ds2]) == 0
-    book = _leaf_codebook(tmp_path / "cb.json", ds2, GEOMS[:1])
     monkeypatch.setattr(kernels, "ml_scores", forbidden)
     out = tmp_path / "mc.csv"
-    for flags in (["--upa", "4x4", "--step-deg", "0.5", "--fd-step-deg", "0.75"],
-                  ["--dataset", ds2, "--codebook", book, "--angles", "90,0",
-                   "--fd-step-deg", "3"]):
-        assert run(["montecarlo", *flags, "--out", out]) == 2
-        assert "must be a positive multiple of the grid step" in capsys.readouterr().err
-        assert not out.exists()
+    assert run(["montecarlo", "--upa", "4x4", "--step-deg", "0.5", "--fd-step-deg", "0.75",
+                "--out", out]) == 2
+    assert "must be a positive multiple of the grid step" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # a zero half-width searches one candidate, the true angle, so every trial
@@ -1048,8 +1231,11 @@ def test_manifest_replay_reproduces_codebook(tmp_path, ds_file, cb_file):
 FOREIGN_FLAGS = {
     "crlb_map_upa_codebook": (["crlb-map", "--upa", "2x2", "--area", "85:95:-5:5"],
                               ["--dataset", "{ds}", "--codebook", "{cb}"]),
-    "crlb_map_upa_z0": (["crlb-map", "--upa", "2x2", "--area", "85:95:-5:5"],
-                        ["--z0-ohm", "75"]),
+    "crlb_map_codebook_fd_step": (["crlb-map", "--dataset", "{ds}", "--codebook", "{cb}",
+                                   "--area", "85:95:-5:5"], ["--fd-step-deg", "10"]),
+    "montecarlo_codebook_fd_step": (["montecarlo", "--dataset", "{ds}", "--codebook", "{cb}",
+                                     "--angles", "90,0", "--snr-db-list", "10",
+                                     "--trials", "100"], ["--fd-step-deg", "10"]),
     "crlb_map_seed": (["crlb-map", "--upa", "2x2", "--area", "85:95:-5:5"], ["--seed", "9"]),
     "montecarlo_upa_codebook": (["montecarlo", "--upa", "2x2", "--angles", "90,0",
                                  "--snr-db-list", "10", "--trials", "100"],
@@ -1068,8 +1254,7 @@ FOREIGN_FLAGS = {
        (["export-plots", "--fig", "port-count", "--dataset", "{ds}", "--codebooks", "{cb}"],
         [flag, value])
        for flag, value in [("--codebook", "{cb}"), ("--upa", "2x2"),
-                           ("--eval-area", "80:90:0:10"), ("--snr-db", "10"),
-                           ("--fd-step-deg", "2"), ("--z0-ohm", "75")]},
+                           ("--eval-area", "80:90:0:10"), ("--snr-db", "10")]},
     "area_size_upa": (["export-plots", "--fig", "area-size", "--dataset", "{ds}",
                        "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"], ["--upa", "2x2"]),
 }
@@ -1105,30 +1290,29 @@ def test_missing_path_flags_exit_2(tmp_path, monkeypatch, capsys, ds_file, cb_fi
 
 
 # one run of each path: (argv, the path's resolved flags, flags of other paths)
-Z0 = str(50.0 + 0.0j)
+# a codebook path reads its feed network and FD step from the codebook file
 UPA_DEFAULTS = {"spacing": 0.5, "element": "iso-theta"}
-SCORING_DEFAULTS = {"snr_db": 0.0, "z0_ohm": Z0, "fd_step_deg": None}
 PATH_RUNS = {
     "crlb_map_upa": (["crlb-map", "--upa", "2x2", "--area", "85:95:-5:5"],
-                     {**UPA_DEFAULTS, "step_deg": 1.0, "mode": "both"},
-                     ["dataset", "codebook", "z0_ohm"]),
+                     {**UPA_DEFAULTS, "step_deg": 1.0, "mode": "both", "fd_step_deg": None},
+                     ["dataset", "codebook"]),
     "crlb_map_codebook": (["crlb-map", "--dataset", "{ds}", "--codebook", "{cb}",
-                           "--area", "85:95:-5:5"], {"z0_ohm": Z0},
-                          ["upa", "spacing", "element", "step_deg", "mode"]),
+                           "--area", "85:95:-5:5"], {},
+                          ["upa", "spacing", "element", "step_deg", "mode", "fd_step_deg"]),
     "montecarlo_upa": (["montecarlo", "--upa", "2x2", "--angles", "90,0", "--snr-db-list", "20",
-                        "--trials", "100"], {**UPA_DEFAULTS, "step_deg": 1.0},
-                       ["dataset", "codebook", "z0_ohm"]),
+                        "--trials", "100"], {**UPA_DEFAULTS, "step_deg": 1.0, "fd_step_deg": None},
+                       ["dataset", "codebook"]),
     "montecarlo_codebook": (["montecarlo", "--dataset", "{ds}", "--codebook", "{cb}",
                              "--angles", "90,0", "--snr-db-list", "20", "--trials", "100"],
-                            {"z0_ohm": Z0}, ["upa", "spacing", "element", "step_deg"]),
+                            {}, ["upa", "spacing", "element", "step_deg", "fd_step_deg"]),
     "compare_baseline": (["compare", "--dataset", "{ds}", "--codebook", "{cb}",
                           "--baseline-codebook", "{cb}"], {}, ["upa", "spacing", "element"]),
     "compare_upa": (["compare", "--dataset", "{ds}", "--codebook", "{cb}", "--upa", "2x2"],
                     UPA_DEFAULTS, ["baseline_codebook"]),
     "area_size": (["export-plots", "--fig", "area-size", "--dataset", "{ds}",
-                   "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"], SCORING_DEFAULTS, []),
+                   "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"], {"snr_db": 0.0}, []),
     "port_count": (["export-plots", "--fig", "port-count", "--dataset", "{ds}",
-                    "--codebooks", "{cb}"], {}, ["eval_area", "snr_db", "z0_ohm", "fd_step_deg"]),
+                    "--codebooks", "{cb}"], {}, ["eval_area", "snr_db"]),
 }
 
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import weakref
 
@@ -561,15 +562,22 @@ def test_codebook_lookup_conventions(ds2):
 
 
 def test_codebook_roundtrip(tmp_path, ds2):
+    # the file records the feed network and FD step the objectives were scored under
     sched = SubdivisionSchedule(AREA, (1,), ("both",))
+    feednet = FeedNetworkConfig(75.0 - 5.0j)
     cb = build_codebook(ds2, sched, GAParams(population=8, generations=2, seed=0),
-                        snr_linear=1.0, n_active=2)
+                        snr_linear=1.0, n_active=2, feednet=feednet, fd_step_deg=2.0)
+    assert (cb.feednet, cb.fd_step_deg) == (feednet, 2.0)
     path = tmp_path / "cb.json"
     save_codebook(cb, path)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    assert (doc["source_impedance_ohm"], doc["fd_step_deg"]) == ([75.0, -5.0], 2.0)
     back = load_codebook(path)
     assert back.codewords == cb.codewords
     assert back.space == cb.space
     assert back.snr_linear == cb.snr_linear
+    assert (back.feednet, back.fd_step_deg) == (cb.feednet, cb.fd_step_deg)
 
 
 def test_codebook_malformed_file(tmp_path):
