@@ -8,10 +8,12 @@ writes one JSON manifest beside the first with the resolved parameters (null
 for other paths' flags) and digests, so the manifest alone reproduces it.
 
 A codebook records the SNR, source impedance and FD step it was scored under
-and is the one source of the latter two: only optimize takes --z0-ohm, and
---fd-step-deg only optimize and the --upa paths of crlb-map and montecarlo
-(compare's UPA takes the HRPA codebook's step).  _load_codebook_for rescores
-every leaf under those settings and rejects a stale codebook (exit 3).
+and is the one source of all three: only optimize takes --z0-ohm, and
+--snr-db and --fd-step-deg only optimize and the --upa paths of crlb-map (and
+of montecarlo, for the step); compare's UPA takes the HRPA codebook's SNR and
+step.  _load_codebook_for rescores every leaf under those settings and
+rejects a stale codebook (exit 3); _load_codebooks_for also rejects codebooks
+of one command that record different SNRs.
 
 _geometry_groups owns which geometry serves an angle and builds its
 patterns, a codebook geometry's projected (network.project) or the --upa
@@ -198,6 +200,19 @@ def _load_codebook_for(path, ds) -> Codebook:
     return cb
 
 
+def _load_codebooks_for(paths, ds) -> list[Codebook]:
+    """_load_codebook_for of each path, rejecting one that records another SNR
+    than the first, so every table of one command is at one SNR."""
+    cbs = []
+    for path in paths:
+        cbs.append(_load_codebook_for(path, ds))
+        if cbs[-1].snr_linear != cbs[0].snr_linear:
+            raise DatasetFormatError(
+                f"{path}: codebook records SNR {10 * math.log10(cbs[-1].snr_linear):.6g} dB, "
+                f"not the {10 * math.log10(cbs[0].snr_linear):.6g} dB of {paths[0]}")
+    return cbs
+
+
 def _geometry_groups(source, theta_deg, phi_deg, window: AngleGrid):
     """Yield (patterns on window, indices of the points they serve) per
     geometry, in the order of each geometry's first point: a UPA source (_upa)
@@ -216,17 +231,19 @@ def _geometry_groups(source, theta_deg, phi_deg, window: AngleGrid):
         yield PatternSet(window, project(e, V)[0]), np.flatnonzero(geom == g)
 
 
-def _area_table(source, area: SensingArea, grid: AngleGrid, snr: float, fd_step_deg):
+def _area_table(source, area: SensingArea, grid: AngleGrid, book: Codebook):
     """(theta, phi, table) over the area's points on grid, each point under
     the geometry that serves it, whose patterns are built on the area's FD
-    window.  Table rows are c_tt, c_tp, c_pp and objective; a codebook
-    source's fd_step_deg is the codebook's own."""
-    window = fd_window(area, grid, fd_step_deg)
+    window, at the SNR and FD step that book records: a codebook source's
+    own, and for a UPA source the codebook it is compared with.  Table rows
+    are c_tt, c_tp, c_pp and objective."""
+    window = fd_window(area, grid, book.fd_step_deg)
     it, ip = area.points(window)
     th, ph = window.theta_deg[it], window.phi_deg[ip]
     table = np.empty((4, th.size))
     for pats, ks in _geometry_groups(source, th, ph, window):
-        table[:, ks] = crlb_points(pats.data, window, it[ks], ip[ks], snr, fd_step_deg)[:4]
+        table[:, ks] = crlb_points(pats.data, window, it[ks], ip[ks], book.snr_linear,
+                                   book.fd_step_deg)[:4]
         del pats                        # one geometry's patterns alive at a time
     return th, ph, table
 
@@ -306,7 +323,6 @@ def cmd_crlb_map(args) -> tuple[list, list]:
     """
     _resolve_out(args, "crlb_map.csv")
     area = _parse_area(args.area)
-    snr = _db_to_linear(args.snr_db)
     inputs = []
     header = MAP_HEADER
 
@@ -321,6 +337,7 @@ def cmd_crlb_map(args) -> tuple[list, list]:
             header += ",c_tt_cf,c_tp_cf,c_pp_cf,objective_cf"
         sphere = AngleGrid(step_deg=args.step_deg)
         upa = _upa(args)
+        snr = _db_to_linear(args.snr_db)
         worsts = []
 
         def band_columns(band: SensingArea):
@@ -347,7 +364,7 @@ def cmd_crlb_map(args) -> tuple[list, list]:
         ds = load_dataset(args.dataset)
         cb = _load_codebook_for(args.codebook, ds)
         inputs = [args.dataset, args.codebook]
-        th, ph, table = _area_table((ds, cb), area, ds.grid, snr, cb.fd_step_deg)
+        th, ph, table = _area_table((ds, cb), area, ds.grid, cb)
         blocks = [(th, ph, *table)]
         worsts = [table[3].max()]
     _make_out_dir(args)
@@ -360,20 +377,15 @@ def cmd_crlb_map(args) -> tuple[list, list]:
 def cmd_compare(args) -> tuple[list, list]:
     _resolve_out(args, "compare.csv")
     ds = load_dataset(args.dataset)
-    cb = _load_codebook_for(args.codebook, ds)
-    inputs = [args.dataset, args.codebook]
+    books = [p for p in (args.codebook, args.baseline_codebook) if p]
+    cb, *other = _load_codebooks_for(books, ds)
+    inputs = [args.dataset, *books]
 
-    # each side with its FD step: a baseline codebook's own, the UPA the HRPA's
-    if args.baseline_codebook:
-        base = _load_codebook_for(args.baseline_codebook, ds)
-        baseline = ((ds, base), base.fd_step_deg)
-        inputs.append(args.baseline_codebook)
-    else:
-        baseline = (_upa(args), cb.fd_step_deg)
-
-    # each side's table over the codebook space, reduced over every leaf's closed area
-    tables = [_area_table(s, cb.space, ds.grid, _db_to_linear(args.snr_db), fd)
-              for s, fd in (((ds, cb), cb.fd_step_deg), baseline)]
+    # each side's table over the codebook space, reduced over every leaf's closed
+    # area; a baseline codebook at its own FD step, the UPA at the HRPA's, both
+    # at the HRPA's SNR (which a baseline codebook records too)
+    baseline = ((ds, other[0]), other[0]) if other else (_upa(args), cb)
+    tables = [_area_table(s, cb.space, ds.grid, book) for s, book in (((ds, cb), cb), baseline)]
     rows = []
     for cw in cb.codewords:
         t0, t1, p0, p1 = bounds = cw.area.bounds()
@@ -393,13 +405,22 @@ def cmd_compare(args) -> tuple[list, list]:
 
 def _search_box(angles, halfwidth_deg: float, grid: AngleGrid) -> SensingArea:
     """The grid angles' bounding box widened by the search half-width and
-    clipped to grid, by line index: every edge is a line of grid."""
+    clipped to grid, by line index: every edge is a line of grid.  The search
+    does not wrap, so a box that would cross the phi = +-180 seam of a
+    wrapping grid is a flag error: clipping it there would cut off the phi
+    errors on one side and read an RMSE below the bound."""
     h = line_index(halfwidth_deg, grid.step_deg)
     if h is None or h < 1:
         raise ConfigError(f"--search-halfwidth-deg {halfwidth_deg} must be a positive "
                           f"multiple of the grid step {grid.step_deg}")
     it, ip = zip(*((grid.theta_index(th), grid.phi_index(ph)) for th, ph in angles))
     th, ph = grid.theta_deg.tolist(), grid.phi_deg.tolist()
+    if grid.phi_wraps:
+        for (t, p), k in zip(angles, ip):
+            if not h <= k < grid.n_phi - h:
+                raise ConfigError(
+                    f"angle ({t:g}, {p:g}): its search box (phi +-{halfwidth_deg:g} deg) "
+                    f"crosses the phi = +-180 deg seam, where the search does not wrap")
     return SensingArea(th[max(0, min(it) - h)], th[min(grid.n_theta - 1, max(it) + h)],
                        ph[max(0, min(ip) - h)], ph[min(grid.n_phi - 1, max(ip) + h)])
 
@@ -446,26 +467,18 @@ def cmd_export_plots(args) -> tuple[list, list]:
         raise ConfigError("export-plots needs --out-dir")
     outdir = Path(args.out_dir)
     ds = load_dataset(args.dataset)
-    inputs = [args.dataset]
-    if args.fig == "area-size":
-        area = _parse_area(args.eval_area)
-        snr = _db_to_linear(args.snr_db)
-        rows = []
-        for p in args.codebooks.split(","):
-            cb = _load_codebook_for(p, ds)
-            inputs.append(p)
-            size = cb.space.theta_max_deg - cb.space.theta_min_deg
-            table = _area_table((ds, cb), area, ds.grid, snr, cb.fd_step_deg)[2]
-            rows.append((size, float(table[3].max())))
+    area = _parse_area(args.eval_area) if args.fig == "area-size" else None
+    books = args.codebooks.split(",")
+    cbs = _load_codebooks_for(books, ds)     # every row at one SNR
+    inputs = [args.dataset, *books]
+    if area is not None:                     # area-size
+        rows = [(cb.space.theta_max_deg - cb.space.theta_min_deg,
+                 float(_area_table((ds, cb), area, ds.grid, cb)[2][3].max())) for cb in cbs]
         path, header = outdir / "area_size_sweep.csv", "area_size_deg,worst_objective"
 
     else:                                   # port-count
-        rows = []
-        for p in args.codebooks.split(","):
-            cb = _load_codebook_for(p, ds)
-            inputs.append(p)
-            rows.append((len(cb.codewords[0].config.feed_ports),
-                         max(cw.objective for cw in cb.codewords)))
+        rows = [(len(cb.codewords[0].config.feed_ports), max(cw.objective for cw in cb.codewords))
+                for cb in cbs]
         path, header = outdir / "port_count_tradeoff.csv", "n_active,worst_objective"
 
     _make_out_dir(args)
@@ -506,11 +519,12 @@ _BOOK = {"dataset": NEEDED, "codebook": NEEDED}
 # default the path fills in; they all parse to None.  A path is named by the flag
 # that selects it (by --fig's value on export-plots); the first one given is taken.
 PATH_FLAGS = {
-    "crlb-map": {"upa": {**_UPA, "step_deg": 1.0, "mode": "both", "fd_step_deg": None},
+    "crlb-map": {"upa": {**_UPA, "step_deg": 1.0, "mode": "both", "fd_step_deg": None,
+                         "snr_db": 0.0},
                  "codebook": _BOOK},
     "montecarlo": {"upa": {**_UPA, "step_deg": 1.0, "fd_step_deg": None}, "codebook": _BOOK},
     "compare": {"baseline_codebook": {"baseline_codebook": NEEDED}, "upa": _UPA},
-    "export-plots": {"area-size": {"codebooks": NEEDED, "eval_area": NEEDED, "snr_db": 0.0},
+    "export-plots": {"area-size": {"codebooks": NEEDED, "eval_area": NEEDED},
                      "port-count": {"codebooks": NEEDED}},
 }
 
@@ -533,10 +547,6 @@ def apply_path_flags(args) -> None:
     if missing:
         raise ConfigError(f"{label} needs {', '.join(missing)}")
     vars(args).update({d: v for d, v in own.items() if getattr(args, d) is None})
-
-
-def _add_snr_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--snr-db", type=float, default=0.0, help="SNR in dB (default 0)")
 
 
 def _add_fd_step_flag(p: argparse.ArgumentParser) -> None:
@@ -602,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0-ohm", type=complex, default=50.0 + 0.0j,
                    help="source impedance of each active RF chain (default 50)")
     _add_fd_step_flag(p)
-    _add_snr_flag(p)
+    p.add_argument("--snr-db", type=float, default=0.0,
+                   help="SNR in dB the codebook is built at and records (default 0)")
     _add_common(p)
     p.set_defaults(func=cmd_optimize)
 
@@ -616,7 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-deg", type=float, help="grid step for --upa (default 1)")
     _add_fd_step_flag(p)
     p.add_argument("--out", default=None)
-    _add_snr_flag(p)
+    p.add_argument("--snr-db", type=float,
+                   help="for --upa: SNR in dB (default 0; a codebook's is the one it records)")
     _add_common(p)
     p.set_defaults(func=cmd_crlb_map)
 
@@ -626,7 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline-codebook", default=None)
     _add_upa_flags(p)
     p.add_argument("--out", default=None)
-    _add_snr_flag(p)
     _add_common(p)
     p.set_defaults(func=cmd_compare)
 
@@ -654,7 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--codebooks", default=None, help="comma-separated codebook files")
     p.add_argument("--eval-area", default=None)
-    _add_snr_flag(p)
     _add_common(p)
     p.set_defaults(func=cmd_export_plots)
 

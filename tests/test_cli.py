@@ -183,8 +183,8 @@ def test_validate_judges_by_the_strict_load_thresholds(tmp_path, capsys, ds_file
                 "--out", tmp_path / "map.csv"]) == 4
 
 
-# flags that no longer exist: a codebook records its feed network and FD step,
-# and validate judges by the thresholds of the strict load
+# flags that no longer exist: a codebook records its SNR, feed network and FD
+# step, and validate judges by the thresholds of the strict load
 REMOVED_FLAGS = {
     "validate_passivity_tol": (["validate", "--dataset", "{ds}"], ["--passivity-tol", "1"]),
     "crlb_map_codebook_z0": (["crlb-map", "--dataset", "{ds}", "--codebook", "{cb}",
@@ -198,12 +198,14 @@ REMOVED_FLAGS = {
                    ["--z0-ohm", "75"]),
     "compare_fd_step": (["compare", "--dataset", "{ds}", "--codebook", "{cb}", "--upa", "2x2"],
                         ["--fd-step-deg", "10"]),
+    "compare_snr_db": (["compare", "--dataset", "{ds}", "--codebook", "{cb}", "--upa", "2x2"],
+                       ["--snr-db", "10"]),
     **{f"{name}_{flag[2:].replace('-', '_')}": (base, [flag, value])
        for name, base in (("area_size", ["export-plots", "--fig", "area-size", "--dataset", "{ds}",
                                           "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"]),
                           ("port_count", ["export-plots", "--fig", "port-count",
                                           "--dataset", "{ds}", "--codebooks", "{cb}"]))
-       for flag, value in (("--z0-ohm", "75"), ("--fd-step-deg", "10"))},
+       for flag, value in (("--z0-ohm", "75"), ("--fd-step-deg", "10"), ("--snr-db", "10"))},
 }
 
 
@@ -1010,12 +1012,13 @@ def test_compare_dual_pol_upa_not_worse(tmp_path, ds_file, cb_file):
 
 @pytest.fixture(scope="module")
 def scored_cb_file(tmp_path_factory, ds_file):
-    """A one-leaf codebook over 80:100:-10:10 scored under a 75-ohm source and
-    a 10-degree FD step (two steps of the dataset's grid)."""
+    """A one-leaf codebook over 80:100:-10:10 scored at 10 dB under a 75-ohm
+    source and a 10-degree FD step (two steps of the dataset's grid)."""
     path = tmp_path_factory.mktemp("cli") / "cb_scored.json"
     assert run(["optimize", "--dataset", ds_file, "--n-active", "2",
                 "--space", "80:100:-10:10", "--population", "12", "--generations", "3",
-                "--seed", "1", "--z0-ohm", "75", "--fd-step-deg", "10", "--out", path]) == 0
+                "--seed", "1", "--snr-db", "10", "--z0-ohm", "75", "--fd-step-deg", "10",
+                "--out", path]) == 0
     return path
 
 
@@ -1035,14 +1038,22 @@ def test_codebook_consumers_score_under_the_codebooks_settings(tmp_path, capsys,
     worst = max(float(r.split(",")[5]) for r in out.read_text().splitlines()[1:])
     assert worst == pytest.approx(cw.objective, rel=1e-12)
 
-    # compare's HRPA side is that map; its UPA is differenced at the codebook's step
+    # compare's HRPA side is that map; its UPA is scored at the codebook's SNR and step
     cmp_out = tmp_path / "cmp.csv"
     assert run(["compare", "--dataset", ds_file, "--codebook", scored_cb_file, "--upa", "2x2",
                 "--out", cmp_out]) == 0
     row = cmp_out.read_text().splitlines()[1].split(",")
     assert float(row[4]) == worst
     upa = ["crlb-map", "--upa", "2x2", "--mode", "numeric", "--step-deg", "5"]
-    assert float(row[5]) == _leaf_map_worst(tmp_path, upa + ["--fd-step-deg", "10"], row)
+    assert float(row[5]) == _leaf_map_worst(tmp_path, upa + ["--fd-step-deg", "10",
+                                                             "--snr-db", "10"], row)
+
+    # export-plots --fig area-size over the space writes that map's worst
+    assert run(["export-plots", "--fig", "area-size", "--dataset", ds_file,
+                "--codebooks", scored_cb_file, "--eval-area", "80:100:-10:10",
+                "--out-dir", tmp_path]) == 0
+    assert float((tmp_path / "area_size_sweep.csv").read_text().splitlines()[1]
+                 .split(",")[1]) == worst
 
     # montecarlo's bound columns are crlb_matrix's under the same settings
     mc_out = tmp_path / "mc.csv"
@@ -1054,6 +1065,50 @@ def test_codebook_consumers_score_under_the_codebooks_settings(tmp_path, capsys,
     bound = crlb_matrix(pats, (85.0, -5.0), 10.0, fd_step_deg=10)
     assert crlbs == pytest.approx([math.sqrt(bound.c_theta_theta),
                                    math.sqrt(bound.c_phi_phi)], rel=1e-12)
+
+
+# the second codebook of one command records 10 dB, the first 0 dB
+@pytest.mark.parametrize("argv", [
+    ["export-plots", "--fig", "area-size", "--codebooks", "{cb},{cb10}",
+     "--eval-area", "85:95:-5:5"],
+    ["export-plots", "--fig", "port-count", "--codebooks", "{cb},{cb10}"],
+    ["compare", "--codebook", "{cb}", "--baseline-codebook", "{cb10}"],
+], ids=["area_size", "port_count", "compare_baseline"])
+def test_codebooks_of_one_command_at_two_snrs_exit_3(tmp_path, monkeypatch, capsys, ds_file,
+                                                    cb_file, scored_cb_file, argv):
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(cb=cb_file, cb10=scored_cb_file) for a in argv]
+    assert run(argv + ["--dataset", ds_file, "--out-dir", "out"]) == 3
+    err = capsys.readouterr().err
+    assert f"{scored_cb_file}: codebook records SNR 10 dB, not the 0 dB of {cb_file}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# the search does not wrap, so a box clipped at phi = +-180 would cut off the
+# phi errors on one side and read an RMSE below the bound
+@pytest.mark.parametrize("angles, named", [("90,179", "(90, 179)"), ("90,-180", "(90, -180)"),
+                                           ("90,0;90,175", "(90, 175)")],
+                         ids=["phi_179", "phi_minus_180", "second_angle_175"])
+def test_montecarlo_search_box_across_phi_180_exits_2(tmp_path, monkeypatch, capsys, angles,
+                                                      named):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no trial is scored for a box across the seam")
+
+    monkeypatch.setattr(kernels, "ml_scores", forbidden)
+    monkeypatch.chdir(tmp_path)
+    assert run(["montecarlo", "--upa", "2x2", "--angles", angles, "--snr-db-list", "10",
+                "--trials", "100", "--out-dir", "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"angle {named}" in err and "crosses the phi = +-180 deg seam" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_montecarlo_search_box_to_the_seam_runs(tmp_path):
+    # the box of (90, 169) ends on phi = 179, the last line before the seam
+    out = tmp_path / "mc.csv"
+    assert run(["montecarlo", "--upa", "2x2", "--angles", "90,169", "--snr-db-list", "10",
+                "--trials", "100", "--out", out]) == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_montecarlo_rows_and_reproducibility(tmp_path):
@@ -1233,6 +1288,8 @@ FOREIGN_FLAGS = {
                               ["--dataset", "{ds}", "--codebook", "{cb}"]),
     "crlb_map_codebook_fd_step": (["crlb-map", "--dataset", "{ds}", "--codebook", "{cb}",
                                    "--area", "85:95:-5:5"], ["--fd-step-deg", "10"]),
+    "crlb_map_codebook_snr_db": (["crlb-map", "--dataset", "{ds}", "--codebook", "{cb}",
+                                  "--area", "85:95:-5:5"], ["--snr-db", "10"]),
     "montecarlo_codebook_fd_step": (["montecarlo", "--dataset", "{ds}", "--codebook", "{cb}",
                                      "--angles", "90,0", "--snr-db-list", "10",
                                      "--trials", "100"], ["--fd-step-deg", "10"]),
@@ -1254,7 +1311,7 @@ FOREIGN_FLAGS = {
        (["export-plots", "--fig", "port-count", "--dataset", "{ds}", "--codebooks", "{cb}"],
         [flag, value])
        for flag, value in [("--codebook", "{cb}"), ("--upa", "2x2"),
-                           ("--eval-area", "80:90:0:10"), ("--snr-db", "10")]},
+                           ("--eval-area", "80:90:0:10")]},
     "area_size_upa": (["export-plots", "--fig", "area-size", "--dataset", "{ds}",
                        "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"], ["--upa", "2x2"]),
 }
@@ -1290,15 +1347,16 @@ def test_missing_path_flags_exit_2(tmp_path, monkeypatch, capsys, ds_file, cb_fi
 
 
 # one run of each path: (argv, the path's resolved flags, flags of other paths)
-# a codebook path reads its feed network and FD step from the codebook file
+# a codebook path reads its SNR, feed network and FD step from the codebook file
 UPA_DEFAULTS = {"spacing": 0.5, "element": "iso-theta"}
 PATH_RUNS = {
     "crlb_map_upa": (["crlb-map", "--upa", "2x2", "--area", "85:95:-5:5"],
-                     {**UPA_DEFAULTS, "step_deg": 1.0, "mode": "both", "fd_step_deg": None},
-                     ["dataset", "codebook"]),
+                     {**UPA_DEFAULTS, "step_deg": 1.0, "mode": "both", "fd_step_deg": None,
+                      "snr_db": 0.0}, ["dataset", "codebook"]),
     "crlb_map_codebook": (["crlb-map", "--dataset", "{ds}", "--codebook", "{cb}",
                            "--area", "85:95:-5:5"], {},
-                          ["upa", "spacing", "element", "step_deg", "mode", "fd_step_deg"]),
+                          ["upa", "spacing", "element", "step_deg", "mode", "fd_step_deg",
+                           "snr_db"]),
     "montecarlo_upa": (["montecarlo", "--upa", "2x2", "--angles", "90,0", "--snr-db-list", "20",
                         "--trials", "100"], {**UPA_DEFAULTS, "step_deg": 1.0, "fd_step_deg": None},
                        ["dataset", "codebook"]),
@@ -1310,9 +1368,9 @@ PATH_RUNS = {
     "compare_upa": (["compare", "--dataset", "{ds}", "--codebook", "{cb}", "--upa", "2x2"],
                     UPA_DEFAULTS, ["baseline_codebook"]),
     "area_size": (["export-plots", "--fig", "area-size", "--dataset", "{ds}",
-                   "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"], {"snr_db": 0.0}, []),
+                   "--codebooks", "{cb}", "--eval-area", "85:95:-5:5"], {}, []),
     "port_count": (["export-plots", "--fig", "port-count", "--dataset", "{ds}",
-                    "--codebooks", "{cb}"], {}, ["eval_area", "snr_db"]),
+                    "--codebooks", "{cb}"], {}, ["eval_area"]),
 }
 
 
