@@ -63,19 +63,22 @@ def _fim_block(e, it, ip, itp, itm, inv_dt, ipp, ipm, inv_dp, snr):
     dth = (e[:, itp, ip] - e[:, itm, ip]) * inv_dt    # (2N, S)
     dph = (e[:, it, ipp] - e[:, it, ipm]) * inv_dp
 
-    nf2 = np.sum(np.abs(f) ** 2, axis=0)
+    # |x|^2 and Re(conj(x) y) sums as real dot products over each point's
+    # (re, im) pairs: the (S, 4N) views x.T.view(float64) are contiguous
+    fr, tr, pr = (x.T.view(np.float64) for x in (f, dth, dph))
+    nf2 = np.einsum("jk,jk->j", fr, fr)
     a = np.sum(f * dth, axis=0)                       # f row-vector times J, no conjugation
     b = np.sum(f * dph, axis=0)
 
-    g00 = np.sum(dth.conj() * dth, axis=0).real
-    g11 = np.sum(dph.conj() * dph, axis=0).real
-    g01 = np.sum(dth.conj() * dph, axis=0)
+    g00 = np.einsum("jk,jk->j", tr, tr)
+    g11 = np.einsum("jk,jk->j", pr, pr)
+    g01 = np.einsum("jk,jk->j", tr, pr)               # Re sum conj(dth) dph
 
     with np.errstate(invalid="ignore", divide="ignore"):
         inv_nf2 = np.where(nf2 > 0, 1.0 / np.where(nf2 > 0, nf2, 1.0), 0.0)
     r00 = g00 - (a.conj() * a).real * inv_nf2
     r11 = g11 - (b.conj() * b).real * inv_nf2
-    r01 = (g01 - a.conj() * b * inv_nf2).real
+    r01 = g01 - (a.conj() * b * inv_nf2).real
 
     det = r00 * r11 - r01 * r01
     scale = np.maximum(np.maximum(np.abs(r00), np.abs(r11)), np.abs(r01))

@@ -6,17 +6,20 @@ and drop out of the network exactly; shorted links (0 ohm, bit 0) are
 eliminated through a Schur complement.  solve_network is the one solver:
 it returns the effective feed impedance matrix, the per-port map V with
 overall patterns E = e_oc . V, and the per-port radiation efficiencies.
-project is the one projection E = e_oc . V: a batch of V onto a window of
-e_oc (EMDataset.window), for the optimizer's ConfigEvaluator and the CLI's
-maps and Monte Carlo alike; overall_patterns is solve_network plus project
-on the whole grid.
+load_correction solves each config's loaded-port system on its shorted
+links, padded with its own open links to a size that depends on the config
+alone, so a config's solution never depends on its batch.  project is the
+one projection E = e_oc . V: a batch of V onto a window of e_oc
+(EMDataset.window) by one GEMM per polarization, for the optimizer's
+ConfigEvaluator and the CLI's maps and Monte Carlo alike; overall_patterns
+is solve_network plus project on the whole grid.
 The full-grid quadrature pipeline solve_network is checked against, and the
 single-config Z_F and port-current references, live in tests/oracles.py.
 
 Conditioning guard: load_correction warns (RuntimeWarning) when the exact
 1-norm condition number of the loaded-port system exceeds
 CONDITION_WARN_THRESHOLD.  Every config gets a lower-bound estimate from two
-probe columns that ride in the one stacked solve beside W (the first step of
+probe columns that ride in the stacked solves beside W (the first step of
 Hager's 1-norm estimator: Hager 1984, Higham 1988); only a config whose
 estimate comes within _SCREEN of the threshold pays a second solve for the
 exact value, which the warning is decided and printed on.
@@ -36,11 +39,20 @@ from .errors import ConfigError, NonPhysicalConfigError, NumericalError
 # kappa_1(S) above which load_correction warns
 CONDITION_WARN_THRESHOLD = 1e12
 # the exact kappa_1 is computed where the probe estimate, a lower bound,
-# exceeds CONDITION_WARN_THRESHOLD / _SCREEN; on 300 random 4-port configs of
-# the 5x5 jittered 2-degree dataset (seed 7), kappa_1 is 432 in the median and
-# 1.48e3 at most, and the estimate under-reads it by 1.9x in the median, 5.9x
-# at worst
+# exceeds CONDITION_WARN_THRESHOLD / _SCREEN; on 300 random 4-port configs
+# (default_rng(7), uniform bits) of the 5x5 jittered 2-degree dataset (seed 7),
+# kappa_1 is 441 in the median and 3.51e3 at most, and the estimate under-reads
+# it by 1.9x in the median, 11.7x at worst
 _SCREEN = 1e4
+# a config's loaded-port system is solved at its shorted-link count rounded up
+# to a multiple of _PAD (at most Q), one solve per size a batch holds.  Over
+# the 153 batches of the seed-7 codebook optimize (5x5 pixels, 2 degrees; 18
+# shorted links in the median, 15-23 at 5-95%), load_correction took, median
+# of 9 runs on one CPU, 0.21 s at _PAD = 1 (8.9 sizes per batch), 0.17 s at 4
+# (3.2), 0.18 s at 8 (2.2), 0.23 s at 16 and 0.34 s at Q = 40 (one), and the
+# 227 seed-11 batches read alike: finer pads pay per call, coarser ones for LU
+# work on padding.  4 and 8 are within noise; 8 makes fewer calls
+_PAD = 8
 _GOLDEN = (5 ** 0.5 - 1) / 2            # phase step of the second probe column
 _BITS = frozenset((0, 1))
 
@@ -138,15 +150,22 @@ def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs) -> np.nd
     shorted links s, and exactly 0 in those of its open links, which carry
     no current.  The configs share one active-port count N.
 
-    Every config keeps the fixed size Q: S is Z_LL with each open link's row
-    and column zeroed and 1 on its diagonal, and the right-hand side Z_LA is
-    0 in the open rows, so X is exactly 0 there.  One stacked solve
-    S X = [Z_LA | P] gives W and, for the two probe columns P (_probes),
-    S^-1 P from the same LU per config.  Their largest column 1-norm over
-    ||p||_1 = Q is a lower bound of ||S^-1||_1.  Configs whose estimated
-    kappa_1 comes within _SCREEN of CONDITION_WARN_THRESHOLD, or is not
-    finite, get the exact kappa_1 from a second solve, on the Q columns of
-    the identity, and the warning is decided and printed on that.
+    Each config is solved on K links of its own: its shorted links, then its
+    first open links, K its shorted count rounded up to a multiple of _PAD
+    (at most Q).  K depends on the config alone, so W never depends on the
+    batch mates.  S is Z_LL on those links with each open link's row and
+    column those of the identity, and the right-hand side Z_LA is 0 in the
+    open rows, so X is exactly 0 there.  The batch takes one stacked solve
+    per K present, S X = [Z_LA | P]: W and, for the two probe columns P
+    (_probes), S^-1 P from the same LU per config.  Both are scattered back
+    to the Q rows, S^-1 P with the probes in the open rows outside K, as the
+    identity rows of the Q-link system leave them; its largest column 1-norm
+    over ||p||_1 = Q is a lower bound of ||S^-1||_1.  Configs whose
+    estimated kappa_1 comes within _SCREEN of CONDITION_WARN_THRESHOLD, or
+    is not finite, get the exact kappa_1 from a second solve, on the K
+    columns of the identity, its inverse norm floored at 1 (the identity
+    block) when the config has open links, and the warning is decided and
+    printed on that.
     """
     for config in configs:
         config.validate_against(n_feed, n_loaded)
@@ -155,31 +174,49 @@ def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs) -> np.nd
     fp = np.array([config.feed_ports for config in configs], dtype=np.int64)   # (B, N)
     B, N = fp.shape
     Q = n_loaded
+    W = np.zeros((B, Q, N), dtype=np.complex128)
     if Q == 0:
-        return np.zeros((B, 0, N), dtype=np.complex128)
+        return W
     opened = np.array([config.connections for config in configs], dtype=bool)  # (B, Q)
     Z_LL = Z[n_feed:, n_feed:]
-    S = np.where(opened[:, :, None] | opened[:, None, :], 0.0, Z_LL)
-    np.einsum("bqq->bq", S)[opened] = 1.0             # through a view of the diagonals
-    rhs = np.empty((B, Q, N + 2), dtype=np.complex128)
-    rhs[:, :, :N] = np.moveaxis(Z[n_feed:][:, fp], 1, 0)                      # Z_LA
-    rhs[opened, :N] = 0.0
-    rhs[:, :, N:] = _probes(Q)
-    try:
-        X = np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular loaded-port system in a batch of {len(configs)} from config "
-            f"{configs[0].feed_ports}/{configs[0].connection_bitstring()}"
-        ) from exc
+    probes = _probes(Q)
+    Y = np.repeat(probes[None], B, axis=0)                 # S^-1 P, (B, Q, 2)
+    links = np.argsort(opened, axis=1, kind="stable")       # shorted links first
+    size = np.minimum(-(-np.count_nonzero(~opened, axis=1) // _PAD) * _PAD, Q)
+    systems = []
+    for K in np.unique(size):
+        g = np.flatnonzero(size == K)
+        q = links[g, :K]                                                   # (G, K)
+        shut = opened[g[:, None], q]                        # the padding open links
+        S = np.where(shut[:, :, None] | shut[:, None, :], 0.0, Z_LL[q[:, :, None], q[:, None, :]])
+        np.einsum("bqq->bq", S)[shut] = 1.0             # through a view of the diagonals
+        rhs = np.empty((len(g), K, N + 2), dtype=np.complex128)
+        rhs[:, :, :N] = Z[n_feed + q[:, :, None], fp[g][:, None, :]]           # Z_LA
+        rhs[shut, :N] = 0.0
+        rhs[:, :, N:] = probes[q]
+        try:
+            X = np.linalg.solve(S, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"singular loaded-port system in a batch of {len(configs)} from config "
+                f"{configs[g[0]].feed_ports}/{configs[g[0]].connection_bitstring()}"
+            ) from exc
+        W[g[:, None], q] = X[..., :N]
+        Y[g[:, None], q] = X[..., N:]
+        systems.append((g, S))
     with np.errstate(invalid="ignore", over="ignore"):
         # ||S||_1: an open column holds only its 1, a shorted one |Z_LL| in the shorted rows
         norm = np.where(opened, 1.0, (~opened) @ np.abs(Z_LL)).max(axis=1)
-        cond = norm * _inverse_norm(X[..., N:], Q)                          # a lower bound
-        near = np.flatnonzero(~(cond <= CONDITION_WARN_THRESHOLD / _SCREEN))   # inf, nan too
-        if near.size:
-            eye = np.broadcast_to(np.eye(Q, dtype=np.complex128), (near.size, Q, Q))
-            cond[near] = norm[near] * _inverse_norm(np.linalg.solve(S[near], eye), 1)
+        cond = norm * _inverse_norm(Y, Q)                                   # a lower bound
+        near = ~(cond <= CONDITION_WARN_THRESHOLD / _SCREEN)                # inf, nan too
+        for g, S in systems:
+            hit = near[g]
+            if hit.any():
+                b, K = g[hit], S.shape[1]
+                eye = np.broadcast_to(np.eye(K, dtype=np.complex128), (b.size, K, K))
+                inverse = _inverse_norm(np.linalg.solve(S[hit], eye), 1)
+                cond[b] = norm[b] * np.maximum(inverse, opened[b].any(axis=1))
+    near = np.flatnonzero(near)
     for b in near[~(cond[near] <= CONDITION_WARN_THRESHOLD)]:
         warnings.warn(
             f"loaded-port system condition number {cond[b]:.3g} exceeds "
@@ -187,7 +224,7 @@ def load_correction(Z: np.ndarray, n_feed: int, n_loaded: int, configs) -> np.nd
             f"{configs[b].connection_bitstring()}",
             RuntimeWarning, stacklevel=2,
         )
-    return X[..., :N]
+    return W
 
 
 def source_currents(z_feed: np.ndarray, feednet: FeedNetworkConfig) -> np.ndarray:
@@ -246,10 +283,18 @@ def solve_network(dataset: EMDataset, configs,
 
 def project(e: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Patterns E = e_oc . V of a batch, (B, 2, N, Tn, Pn), for e a
-    (2, P, Tn, Pn) window of e_oc and V (B, P, N): one matmul per config and
-    polarization, on a view of e when e is contiguous."""
-    E = np.swapaxes(V, 1, 2)[:, None] @ e.reshape(2, e.shape[1], -1)
-    return E.reshape(*E.shape[:3], *e.shape[2:])
+    (2, P, Tn, Pn) window of e_oc and V (B, P, N): one GEMM per polarization,
+    (B N, P) @ e[pol], reading e[pol] in place when e is contiguous.  A lone
+    row is padded to two: a one-row matmul takes the GEMV path, which rounds
+    otherwise, so a config's patterns do not depend on its batch."""
+    B, P, N = V.shape
+    rows = np.swapaxes(V, 1, 2).reshape(B * N, P)
+    if B * N == 1:
+        rows = np.concatenate([rows, np.zeros_like(rows)])
+    E = np.empty((2, len(rows), e[0, 0].size), dtype=np.complex128)
+    for pol in range(2):
+        np.matmul(rows, e[pol].reshape(P, -1), out=E[pol])
+    return E[:, :B * N].reshape(2, B, N, *e.shape[2:]).swapaxes(0, 1)
 
 
 def overall_patterns(dataset: EMDataset, config: GeometryConfig,

@@ -4,7 +4,7 @@ feed_impedance_matrix, exact_port_currents_matrix and
 approx_loaded_currents_matrix solve one geometry's network by direct
 index arrays; exact_port_currents_matrix keeps the muted ports at a finite
 impedance and drops the open links by index, so it checks the open-circuit
-elimination and load_correction's fixed-size drop of the open links.  The
+elimination and load_correction's padded drop of the open links.  The
 full-grid quadrature pipeline (open_circuit_feed_patterns ->
 coupled_patterns -> radiation_efficiency) composes the network solve on
 every grid point and integrates the radiated power over the grid

@@ -353,6 +353,21 @@ def test_project_on_a_window_matches_the_full_grid(small_dataset, area, fd_step,
                                    atol=1e-12 * np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("n_active", [1, 2, 4])
+def test_project_is_batch_pure(small_dataset, n_active):
+    # one GEMM per polarization over the whole batch, never a one-row one,
+    # gives each config its one-config patterns bit for bit
+    ds = small_dataset
+    e = ds.window(fd_window(SensingArea(80, 100, -10, 10), ds.grid, None))
+    rng = np.random.default_rng(n_active)
+    V = rng.normal(size=(33, ds.n_ports, n_active, 2)) @ np.array([1.0, 1j])
+    for B in (1, 2, 7, 33):
+        got = project(e, V[:B])
+        assert got.shape == (B, 2, n_active, *e.shape[2:])
+        for b in range(B):
+            assert np.array_equal(got[b], project(e, V[b:b + 1])[0])
+
+
 def test_overall_paper_scale_shapes(coarse_grid):
     ds = generate_synthetic_dataset(PortLayout(), coarse_grid)
     cfg = _config([0, 4, 12, 20, 24, 2, 10, 14], 40)
@@ -395,20 +410,54 @@ def _random_batch(rng, M, Q, n_active, size):
                     tuple(int(b) for b in rng.integers(0, 2, size=Q))) for _ in range(size)]
 
 
+def _config_with_shorted(rng, feed_ports, Q, n_shorted):
+    bits = np.ones(Q, dtype=int)
+    bits[rng.choice(Q, size=n_shorted, replace=False)] = 0
+    return _config(feed_ports, Q, tuple(int(b) for b in bits))
+
+
+def _padded_links(cfg):
+    """The links a config is solved on: its shorted links, then its first
+    open links, up to its shorted count rounded up to a multiple of
+    network._PAD and at most Q."""
+    bits = np.array(cfg.connections)
+    shorted, opened = np.flatnonzero(bits == 0), np.flatnonzero(bits == 1)
+    K = min(-(-shorted.size // network._PAD) * network._PAD, bits.size)
+    return np.concatenate([shorted, opened[:K - shorted.size]])
+
+
+def _padded_plain_solve(Z, M, cfg):
+    """W of one config from its own padded system, built the plain way: Z_LL
+    on its padded links with each open link's row and column replaced by
+    those of the identity, Z_LA with its open rows zeroed, and every other
+    row of W 0."""
+    q = _padded_links(cfg)
+    shut = np.flatnonzero(np.array(cfg.connections)[q])
+    S = Z[M:, M:][np.ix_(q, q)]
+    S[shut, :] = 0.0
+    S[:, shut] = 0.0
+    S[shut, shut] = 1.0
+    rhs = Z[M + q][:, list(cfg.feed_ports)]
+    rhs[shut] = 0.0
+    W = np.zeros((Z.shape[0] - M, cfg.n_active), dtype=np.complex128)
+    W[q] = np.linalg.solve(S, rhs)
+    return W
+
+
 def test_load_correction_equals_plain_solve(small_dataset):
     # W from the solve with the probe columns appended is bitwise the solve
-    # of the fixed-size system on Z_LA alone, its open rows zeroed
+    # of each config's own padded system on Z_LA alone, its open rows zeroed
     ds = small_dataset
     M, Q = ds.n_feed, ds.n_loaded
     rng = np.random.default_rng(17)
     cfgs = _random_batch(rng, M, Q, 3, 43)
     cfgs[:3] = [_config((0, 4, 8), Q), _config((0, 4, 8), Q, (1,) * Q),
                 _config((8, 0, 4), Q, (1, 0) * (Q // 2))]        # all shorted, all open, mixed
-    Z_LA = np.stack([ds.Z[M:, list(cfg.feed_ports)] for cfg in cfgs])
-    Z_LA[np.array([cfg.connections for cfg in cfgs], dtype=bool)] = 0.0
     W = load_correction(ds.Z, M, Q, cfgs)
     assert W.shape == (43, Q, 3)
-    assert np.array_equal(W, np.linalg.solve(_plain_S(ds.Z, M, cfgs), Z_LA))
+    assert {len(_padded_links(cfg)) for cfg in cfgs} == {0, 8, Q}
+    for b, cfg in enumerate(cfgs):
+        assert np.array_equal(W[b], _padded_plain_solve(ds.Z, M, cfg))
 
 
 def test_load_correction_drops_open_links_exactly(small_dataset):
@@ -468,23 +517,43 @@ def _norm_1(A):
     return np.abs(A).sum(axis=-2).max(axis=-1)
 
 
-def test_load_correction_is_one_solve_with_two_probe_columns(small_dataset, monkeypatch):
+def test_load_correction_is_one_solve_per_padded_size_with_two_probe_columns(
+        small_dataset, monkeypatch):
     ds = small_dataset
     M, Q = ds.n_feed, ds.n_loaded
     calls = []
     solve = np.linalg.solve
 
     def spy(a, b):
-        calls.append(b.shape)
+        calls.append((a.shape, b.shape))
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
     cfgs = _random_batch(np.random.default_rng(3), M, Q, 3, 43)
+    sizes = sorted({len(_padded_links(cfg)) for cfg in cfgs})
+    assert len(sizes) > 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         load_correction(ds.Z, M, Q, cfgs)
-    assert len(calls) == 1
-    assert calls[0][-1] <= 3 + 2                        # N + 2 right-hand columns
+    assert sorted(a[-1] for a, _ in calls) == sizes
+    assert sum(a[0] for a, _ in calls) == len(cfgs)
+    assert all(b[-1] == 3 + 2 for _, b in calls)         # N + 2 right-hand columns
+
+
+def test_load_correction_is_batch_pure(jittered_5x5):
+    # a config's padded size is its own, so its W and V are its one-config
+    # solve bit for bit, whatever shorted counts share its batch
+    ds = jittered_5x5
+    M, Q = ds.n_feed, ds.n_loaded
+    rng = np.random.default_rng(23)
+    cfgs = [_config_with_shorted(rng, tuple(int(i) for i in rng.choice(M, size=4, replace=False)),
+                                 Q, n_shorted) for n_shorted in (0, 3, 9, 17, 31, 40) * 2]
+    rng.shuffle(cfgs)
+    W = load_correction(ds.Z, M, Q, cfgs)
+    V = solve_network(ds, cfgs).V
+    for b, cfg in enumerate(cfgs):
+        assert np.array_equal(W[b], load_correction(ds.Z, M, Q, [cfg])[0])
+        assert np.array_equal(V[b], solve_network(ds, [cfg]).V[0])
 
 
 @pytest.mark.parametrize("fixture, n_active", [
@@ -535,6 +604,27 @@ def test_load_correction_warning_names_the_exact_condition_number(tiny_dataset):
         load_correction(Z, M, Q, [shorted])
     printed = float(str(record[0].message).split()[4])
     assert printed == pytest.approx(kappa, rel=0.05), (printed, kappa)
+
+
+def test_load_correction_exact_condition_number_is_the_q_link_systems(small_dataset,
+                                                                    monkeypatch):
+    # every config sent down the exact path: kappa_1 of its padded system,
+    # the inverse norm floored at 1 for the identity block, is that of its
+    # Q-link system, also where open links lie outside the padding
+    ds = small_dataset
+    M, Q = ds.n_feed, ds.n_loaded
+    monkeypatch.setattr(network, "CONDITION_WARN_THRESHOLD", 1.0)
+    monkeypatch.setattr(network, "_SCREEN", 1.0)
+    rng = np.random.default_rng(29)
+    cfgs = [_config_with_shorted(rng, (0, 4), Q, n_shorted) for n_shorted in (3, 8, 10, Q)]
+    assert [len(_padded_links(cfg)) for cfg in cfgs] == [8, 8, Q, Q]
+    shorted = np.flatnonzero(np.array(cfgs[1].connections) == 0)
+    assert _norm_1(np.linalg.inv(ds.Z[M:, M:][np.ix_(shorted, shorted)])) < 1   # floored
+    S = _plain_S(ds.Z, M, cfgs)
+    with pytest.warns(RuntimeWarning) as record:
+        load_correction(ds.Z, M, Q, cfgs)
+    printed = [float(str(r.message).split()[4]) for r in record]
+    assert printed == pytest.approx(_norm_1(S) * _norm_1(np.linalg.inv(S)), rel=5e-3)
 
 
 def test_source_currents_stacked_matches_single():
