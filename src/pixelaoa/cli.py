@@ -140,8 +140,15 @@ def _parse_list(text: str, flag: str, kind) -> list:
                           f"got {text!r}") from exc
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def _db_to_linear(db: float, flag: str) -> float:
+    """The linear SNR of db, which must be finite and positive."""
+    try:
+        snr = 10.0 ** (db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not (math.isfinite(snr) and snr > 0):
+        raise ConfigError(f"{flag} {db:g} dB is not a finite positive SNR")
+    return snr
 
 
 def _sha256(path: Path) -> str:
@@ -293,11 +300,9 @@ def cmd_optimize(args) -> tuple[list, list]:
     ga = GAParams(population=args.population, generations=args.generations,
                   crossover_prob=args.crossover_prob, mutation_prob=args.mutation_prob,
                   tournament_size=args.tournament, elite_count=args.elite, seed=args.seed)
-    feednet = FeedNetworkConfig(source_impedance_ohm=args.z0_ohm)
-    cb = build_codebook(
-        ds, schedule, ga, snr_linear=_db_to_linear(args.snr_db),
-        n_active=args.n_active, max_outer=args.max_outer, feednet=feednet,
-        fd_step_deg=args.fd_step_deg)
+    ev = ConfigEvaluator(ds, _db_to_linear(args.snr_db, "--snr-db"),
+                         FeedNetworkConfig(source_impedance_ohm=args.z0_ohm), args.fd_step_deg)
+    cb = build_codebook(ev, schedule, ga, n_active=args.n_active, max_outer=args.max_outer)
     _make_out_dir(args)
     save_codebook(cb, args.out)
     outputs = [args.out]
@@ -337,7 +342,7 @@ def cmd_crlb_map(args) -> tuple[list, list]:
             header += ",c_tt_cf,c_tp_cf,c_pp_cf,objective_cf"
         sphere = AngleGrid(step_deg=args.step_deg)
         upa = _upa(args)
-        snr = _db_to_linear(args.snr_db)
+        snr = _db_to_linear(args.snr_db, "--snr-db")
         worsts = []
 
         def band_columns(band: SensingArea):
@@ -428,7 +433,8 @@ def _search_box(angles, halfwidth_deg: float, grid: AngleGrid) -> SensingArea:
 def cmd_montecarlo(args) -> tuple[list, list]:
     _resolve_out(args, "montecarlo.csv")
     angles = _parse_angles(args.angles)
-    snr_list = [_db_to_linear(x) for x in _parse_list(args.snr_db_list, "--snr-db-list", float)]
+    snr_list = [_db_to_linear(x, "--snr-db-list")
+                for x in _parse_list(args.snr_db_list, "--snr-db-list", float)]
     inputs = []
     hw = args.search_halfwidth_deg
 

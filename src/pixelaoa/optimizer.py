@@ -6,6 +6,8 @@ the feed-port set (connections fixed) until neither changes.  A codebook
 covering an angular space is built by recursive subdivision: each child
 area's optimization warm-starts from the codeword of the parent area that
 contains it, so child objectives never exceed the parent's on their area.
+Every search scores with the ConfigEvaluator it is given, the one holder of
+the dataset, SNR, feed network and FD step it scores under.
 
 The GA holds its population as one (population, Q) uint8 array and draws
 each generation's tournaments, crossovers and mutations from one generator
@@ -207,8 +209,8 @@ class ConfigEvaluator:
     def __init__(self, dataset: EMDataset, snr_linear: float,
                  feednet: FeedNetworkConfig = FeedNetworkConfig(),
                  fd_step_deg: float | None = None):
-        if not (snr_linear > 0):
-            raise ConfigError("snr must be positive")
+        if not (math.isfinite(snr_linear) and snr_linear > 0):
+            raise ConfigError(f"snr must be finite and positive, got {snr_linear}")
         self.dataset = dataset
         self.snr = float(snr_linear)
         self.feednet = feednet
@@ -285,20 +287,6 @@ class ConfigEvaluator:
         return objectives
 
 
-def _evaluator_for(dataset: EMDataset, snr_linear: float, feednet: FeedNetworkConfig,
-                   evaluator: ConfigEvaluator | None) -> ConfigEvaluator:
-    """evaluator, or a new one when it is None; a passed evaluator must score
-    the dataset (this very one), SNR and feed network beside it."""
-    if evaluator is None:
-        return ConfigEvaluator(dataset, snr_linear, feednet)
-    if (evaluator.dataset is not dataset or evaluator.snr != snr_linear
-            or evaluator.feednet != feednet):
-        raise ConfigError(
-            f"the evaluator scores another dataset, SNR or feed network than asked for "
-            f"(snr {evaluator.snr} against {snr_linear}, {evaluator.feednet} against {feednet})")
-    return evaluator
-
-
 # ---------------------------------------------------------------------------
 # genetic algorithm over pixel connections
 # ---------------------------------------------------------------------------
@@ -318,18 +306,15 @@ def _initial_population(params: GAParams, Q: int, init_g: tuple[int, ...]) -> np
 
 
 def ga_optimize_connections(
-    dataset: EMDataset,
+    evaluator: ConfigEvaluator,
     fixed_feed_ports: tuple[int, ...],
     area: SensingArea,
     params: GAParams,
     init_g: tuple[int, ...],
-    snr_linear: float = 1.0,
-    feednet: FeedNetworkConfig = FeedNetworkConfig(),
-    evaluator: ConfigEvaluator | None = None,
 ) -> tuple[tuple[int, ...], list[tuple[float, tuple[int, ...]]]]:
-    """Best connection vector found for fixed feed ports, plus the
-    best-so-far (objective, vector) per generation (non-increasing by
-    construction).
+    """Best connection vector found for fixed feed ports, as the evaluator
+    scores them, plus the best-so-far (objective, vector) per generation
+    (non-increasing by construction).
 
     The start vector is injected into the initial population; when 2^Q fits
     in the population the initial population enumerates every vector, which
@@ -340,11 +325,10 @@ def ga_optimize_connections(
     of every generation scores +inf, the start vector is returned with a
     +inf history.
     """
-    ev = _evaluator_for(dataset, snr_linear, feednet, evaluator)
-    Q = dataset.n_loaded
+    Q = evaluator.dataset.n_loaded
     if Q == 0:
         cfg = GeometryConfig(fixed_feed_ports, ())
-        return (), [(ev.objective(cfg, area), ())]
+        return (), [(evaluator.objective(cfg, area), ())]
 
     mut = params.mutation_prob if params.mutation_prob is not None else 1.0 / Q
     F = tuple(fixed_feed_ports)
@@ -356,7 +340,7 @@ def ga_optimize_connections(
     history: list[tuple[float, tuple[int, ...]]] = []
 
     for gen in range(params.generations):
-        fitness = np.asarray(ev.objective_many(
+        fitness = np.asarray(evaluator.objective_many(
             [GeometryConfig(F, g) for g in pop.tolist()], area))
         order = np.lexsort((*pop.T[::-1], fitness))
         if fitness[order[0]] < best_obj:
@@ -385,23 +369,20 @@ def ga_optimize_connections(
 # ---------------------------------------------------------------------------
 
 def sequential_port_update(
-    dataset: EMDataset,
+    evaluator: ConfigEvaluator,
     fixed_g: tuple[int, ...],
     init_feed_ports: tuple[int, ...],
     area: SensingArea,
-    snr_linear: float = 1.0,
-    feednet: FeedNetworkConfig = FeedNetworkConfig(),
-    evaluator: ConfigEvaluator | None = None,
 ) -> tuple[tuple[int, ...], list[tuple[float, tuple[int, ...]]]]:
-    """Best-replacement sweep over feed-port slots until a full pass is quiet.
+    """Best-replacement sweep over feed-port slots until a full pass is
+    quiet, scored by the evaluator.
 
     Slot n is re-selected from the unused ports plus its incumbent; the
     incumbent is always a candidate, so the objective never increases.
     Ties break toward the smallest port index.  Returns the port set and the
     (objective, ports) after each pass.
     """
-    ev = _evaluator_for(dataset, snr_linear, feednet, evaluator)
-    M = dataset.n_feed
+    M = evaluator.dataset.n_feed
     F = list(init_feed_ports)
     g = tuple(fixed_g)
     passes: list[tuple[float, tuple[int, ...]]] = []
@@ -413,12 +394,12 @@ def sequential_port_update(
             candidates = sorted(set(range(M)) - in_use)
             trials = [GeometryConfig(tuple(F[:slot] + [c] + F[slot + 1:]), g)
                       for c in candidates]
-            objs = ev.objective_many(trials, area)
+            objs = evaluator.objective_many(trials, area)
             best = int(np.argmin(objs))          # first minimum: smallest port index
             if candidates[best] != F[slot]:
                 F[slot] = candidates[best]
                 changed = True
-        passes.append((ev.objective(GeometryConfig(tuple(F), g), area), tuple(F)))
+        passes.append((evaluator.objective(GeometryConfig(tuple(F), g), area), tuple(F)))
         if not changed:
             break
     return tuple(F), passes
@@ -436,17 +417,27 @@ def alternating_optimize(
     snr_linear: float = 1.0,
     max_outer: int = 20,
     feednet: FeedNetworkConfig = FeedNetworkConfig(),
-    evaluator: ConfigEvaluator | None = None,
+    *,
+    evaluator: ConfigEvaluator,
     area_label: str | None = None,
 ) -> tuple[Codeword, OptimizationTrace]:
     """Alternate connection GA and port updates until the geometry is stable.
 
     Every phase starts from the incumbent, so the objective sequence is
     non-increasing; non-convergence at max_outer returns the best-so-far.
+    The evaluator scores every phase.  The dataset, SNR and feed network
+    stay among the seven positional parameters because perfbench's checks
+    pass all seven by position; they are only checked against the
+    evaluator, which must score this very dataset at this SNR through this
+    feed network.
     """
     if max_outer < 1:
         raise ConfigError("max_outer must be at least 1")
-    ev = _evaluator_for(dataset, snr_linear, feednet, evaluator)
+    ev = evaluator
+    if ev.dataset is not dataset or ev.snr != snr_linear or ev.feednet != feednet:
+        raise ConfigError(
+            f"the evaluator scores another dataset, SNR or feed network than asked for "
+            f"(snr {ev.snr} against {snr_linear}, {ev.feednet} against {feednet})")
     trace = OptimizationTrace()
     label = area_label or area.label()
 
@@ -459,14 +450,12 @@ def alternating_optimize(
     for outer in range(1, max_outer + 1):
         F_before, g_before = F, g
 
-        g, ga_hist = ga_optimize_connections(
-            dataset, F, area, ga_params, g, snr_linear, feednet, evaluator=ev)
+        g, ga_hist = ga_optimize_connections(ev, F, area, ga_params, g)
         for obj, _ in ga_hist:
             trace.add(label, step, "connections", obj)
             step += 1
 
-        F, pass_hist = sequential_port_update(
-            dataset, g, F, area, snr_linear, feednet, evaluator=ev)
+        F, pass_hist = sequential_port_update(ev, g, F, area)
         for obj, _ in pass_hist:
             trace.add(label, step, "ports", obj)
             step += 1
@@ -540,30 +529,30 @@ def stage_areas(schedule: SubdivisionSchedule, step_deg: float) -> list[list[Sen
 
 
 def build_codebook(
-    dataset: EMDataset,
+    evaluator: ConfigEvaluator,
     schedule: SubdivisionSchedule,
     ga_params: GAParams = GAParams(),
-    snr_linear: float = 1.0,
     *,
     n_active: int,
     max_outer: int = 20,
-    feednet: FeedNetworkConfig = FeedNetworkConfig(),
-    fd_step_deg: float | None = None,
 ) -> Codebook:
     """Optimize one codeword per area, subdividing stage by stage.
 
+    Every area is optimized by the one evaluator, and the codebook records
+    its SNR, feed network and FD step as the settings it was scored under.
     Children warm-start from the codeword of their parent area (stage_areas
     orders them by parent), so the parent geometry is always a candidate
     and the child's objective on its own area can only improve on it.
-    One RuntimeWarning names the evaluated configs scored +inf, by cause,
-    when there are any.
+    One RuntimeWarning names the configs the evaluator has scored +inf, by
+    cause, when there are any; its counters run from its construction, so a
+    fresh evaluator counts this build alone.
     """
+    ev, dataset = evaluator, evaluator.dataset
     starts = [default_initial_config(dataset.layout, n_active)]
 
     schedule.space.indices(dataset.grid)    # on the grid, and with it every child area
     areas_per_stage = stage_areas(schedule, dataset.grid.step_deg)
 
-    ev = ConfigEvaluator(dataset, snr_linear, feednet, fd_step_deg)
     traces: dict[str, OptimizationTrace] = {}
     stages: list[tuple[Codeword, ...]] = []
 
@@ -573,8 +562,8 @@ def build_codebook(
         for k, area in enumerate(areas):
             label = f"stage{t + 1}_area{k + 1}_{area.label()}"
             cw, traces[label] = alternating_optimize(
-                dataset, starts[k // per_parent], area, ga_params, snr_linear, max_outer,
-                feednet, evaluator=ev, area_label=label)
+                dataset, starts[k // per_parent], area, ga_params, ev.snr, max_outer,
+                ev.feednet, evaluator=ev, area_label=label)
             stage_cws.append(cw)
         stages.append(tuple(stage_cws))
         starts = [cw.config for cw in stage_cws]
@@ -587,8 +576,8 @@ def build_codebook(
             RuntimeWarning, stacklevel=2)
 
     return Codebook(
-        schedule=schedule, snr_linear=float(snr_linear), feednet=feednet,
-        fd_step_deg=fd_step_deg, n_feed=dataset.n_feed, n_loaded=dataset.n_loaded,
+        schedule=schedule, snr_linear=ev.snr, feednet=ev.feednet,
+        fd_step_deg=ev.fd_step_deg, n_feed=dataset.n_feed, n_loaded=dataset.n_loaded,
         codewords=stages[-1], stages=tuple(stages), traces=traces,
     )
 
@@ -681,8 +670,8 @@ def load_codebook(path) -> Codebook:
         raise DatasetFormatError(f"{path}: unsupported codebook version {version!r}")
     try:
         snr = json_float(doc["snr_linear"], "snr_linear")
-        if not snr > 0:
-            raise ValueError(f"snr_linear must be positive, got {snr}")
+        if not (math.isfinite(snr) and snr > 0):
+            raise ValueError(f"snr_linear must be finite and positive, got {snr}")
         z_re, z_im = (json_float(x, "source_impedance_ohm") for x in doc["source_impedance_ohm"])
         feednet = FeedNetworkConfig(complex(z_re, z_im))
         fd = doc["fd_step_deg"]

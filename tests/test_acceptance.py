@@ -258,9 +258,8 @@ def test_criterion_6_desk_scale_optimality(desk_dataset):
 
     # exact connection optimum for the fixed optimal port pair
     F = argbest[0]
-    best_g, _ = ga_optimize_connections(ds, F, area, GAParams(population=16, generations=4,
-                                                              seed=1), (0, 0, 0, 0),
-                                        evaluator=ev)
+    best_g, _ = ga_optimize_connections(ev, F, area, GAParams(population=16, generations=4,
+                                                              seed=1), (0, 0, 0, 0))
     brute_g = min(itertools.product((0, 1), repeat=4),
                   key=lambda g: (ev.objective(GeometryConfig(F, g), area), g))
     ga_ok = ev.objective(GeometryConfig(F, best_g), area) == \
@@ -282,7 +281,7 @@ def test_criterion_7_monotone_traces(mid_dataset):
     space = SensingArea(80, 100, -10, 10)
     sched = SubdivisionSchedule(space, (1, 4), ("both", "both"))
     params = GAParams(population=50, generations=30, seed=0)
-    cb = build_codebook(ds, sched, params, snr_linear=1.0, n_active=3)
+    cb = build_codebook(ConfigEvaluator(ds, 1.0), sched, params, n_active=3)
 
     violations = []
     for label, trace in cb.traces.items():
@@ -351,7 +350,7 @@ def test_criterion_9_nested_area_sizes(paper_dataset):
     space = SensingArea(80, 100, -10, 10)
     sched = SubdivisionSchedule(space, (1, 4, 4), ("both", "both", "both"))
     params = GAParams(population=30, generations=15, seed=0)
-    cb = build_codebook(ds, sched, params, snr_linear=1.0, n_active=4, max_outer=8)
+    cb = build_codebook(ConfigEvaluator(ds, 1.0), sched, params, n_active=4, max_outer=8)
 
     # innermost 5-degree leaf (contains the broadside point)
     leaf = next(cw for cw in cb.codewords if cw.area.contains(90.0, 0.0)

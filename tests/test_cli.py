@@ -611,13 +611,16 @@ def _set_first_codeword(key, value):
     lambda doc: None,
     lambda doc: "x",
     lambda doc: {**doc, "snr_linear": 0.0},
+    lambda doc: {**doc, "snr_linear": math.inf},        # json writes Infinity
+    lambda doc: {**doc, "snr_linear": math.nan},
     lambda doc: {**doc, "source_impedance_ohm": [0.0, 0.0]},
     lambda doc: {**doc, "source_impedance_ohm": [50.0]},
     lambda doc: {k: v for k, v in doc.items() if k != "fd_step_deg"},
     lambda doc: {**doc, "version": 3},
 ], ids=["bit_2", "port_0", "short_bits", "header_n_loaded", "empty_area", "bad_schedule",
         "no_codewords", "leaf_cut", "leaf_twice", "leaf_outside", "top_list", "top_null",
-        "top_string", "snr_0", "z0_0", "z0_one_number", "no_fd_step", "version_3"])
+        "top_string", "snr_0", "snr_inf", "snr_nan", "z0_0", "z0_one_number", "no_fd_step",
+        "version_3"])
 def test_crlb_map_bad_codebook_is_format_error(tmp_path, ds_file, cb_file, edit):
     doc = edit(json.loads(cb_file.read_text()))
     bad = tmp_path / "bad.json"
@@ -1238,6 +1241,47 @@ def test_non_finite_source_impedance_exits_2(tmp_path, capsys, ds_file, z0):
                 "--space", "80:100:-10:10", "--schedule", "1", "--population", "12",
                 "--generations", "3", "--z0-ohm", z0, "--out", out]) == 2
     assert "source impedance must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_OPTIMIZE = ["optimize", "--dataset", "{ds}", "--n-active", "2", "--space", "80:100:-10:10",
+             "--population", "4", "--generations", "2"]
+_UPA_MAP = ["crlb-map", "--upa", "2x2", "--area", "80:100:-10:10", "--step-deg", "5"]
+_UPA_MC = ["montecarlo", "--upa", "2x2", "--trials", "100"]
+
+
+# 4000 dB overflows a float, -4000 dB underflows to 0 and inf dB scores every
+# objective 0 rad: each exits 2 naming its flag, and nothing is written
+@pytest.mark.parametrize("argv, flag", [
+    (_OPTIMIZE + ["--snr-db", "4000"], "--snr-db 4000"),
+    (_OPTIMIZE + ["--snr-db", "inf"], "--snr-db inf"),
+    (_OPTIMIZE + ["--snr-db", "-4000"], "--snr-db -4000"),
+    (_UPA_MAP + ["--snr-db", "4000"], "--snr-db 4000"),
+    (_UPA_MAP + ["--snr-db", "inf"], "--snr-db inf"),
+    (_UPA_MC + ["--snr-db-list", "0,4000"], "--snr-db-list 4000"),
+    (_UPA_MC + ["--snr-db-list", "inf"], "--snr-db-list inf"),
+], ids=["optimize_4000", "optimize_inf", "optimize_minus_4000", "crlb_map_4000", "crlb_map_inf",
+        "montecarlo_4000", "montecarlo_inf"])
+def test_snr_that_is_not_finite_and_positive_exits_2(tmp_path, monkeypatch, capsys, ds_file,
+                                                     argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert run([a.format(ds=ds_file) for a in argv] + ["--out-dir", "out"]) == 2
+    assert f"error: {flag} dB is not a finite positive SNR" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numerical_failure_exits_5(tmp_path, capsys, ds_file):
+    # every candidate basis in a box behind the ground plane is rank-deficient
+    book, out = tmp_path / "behind.json", tmp_path / "mc.csv"
+    with pytest.warns(RuntimeWarning, match="singular FIM"):
+        assert run(["optimize", "--dataset", ds_file, "--n-active", "2",
+                    "--space", "80:100:140:160", "--population", "4", "--generations", "2",
+                    "--out", book]) == 0
+    capsys.readouterr()
+    assert run(["montecarlo", "--dataset", ds_file, "--codebook", book, "--angles", "90,150",
+                "--trials", "100", "--search-halfwidth-deg", "5", "--out", out]) == 5
+    assert ("numerical error: all candidate angles are rank-deficient"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -15,7 +15,8 @@ from pixelaoa import (
     crlb_map,
     generate_synthetic_dataset,
 )
-from pixelaoa.emdata import EMDataset, PatternSet
+from pixelaoa.cli import main
+from pixelaoa.emdata import EMDataset, PatternSet, save_dataset
 from pixelaoa import optimizer
 from pixelaoa.errors import (
     ConfigError,
@@ -175,8 +176,8 @@ def test_build_codebook_warns_on_configs_scored_inf(ds2):
     sched = SubdivisionSchedule(AREA, (1,), ("both",))
     with pytest.warns(RuntimeWarning, match=r"\d+ evaluated configs scored \+inf: "
                       r"0 non-physical, 0 numerical breakdown, [1-9]\d* singular FIM"):
-        build_codebook(ds2, sched, GAParams(population=8, generations=2, seed=0),
-                       n_active=1)
+        build_codebook(ConfigEvaluator(ds2, 1.0), sched,
+                       GAParams(population=8, generations=2, seed=0), n_active=1)
 
 
 @pytest.mark.parametrize("chunk_values", [None, 1])
@@ -237,8 +238,7 @@ def test_evaluator_cache_is_bounded_without_moving_an_objective(small_dataset, m
     params = GAParams(population=100, generations=8, seed=4)
 
     def ga(ev):
-        return ga_optimize_connections(small_dataset, (0, 4), area, params, (0,) * 12,
-                                       evaluator=ev)
+        return ga_optimize_connections(ev, (0, 4), area, params, (0,) * 12)
 
     uncapped = _RecordingEvaluator(small_dataset, 1.0)
     want = ga(uncapped)
@@ -261,7 +261,7 @@ def test_ga_exhaustive_optimum_small_space(ds13):
     ev = ConfigEvaluator(ds13, 1.0)
     F = (0, 2)
     params = GAParams(population=6, generations=3, seed=5)
-    best_g, hist = ga_optimize_connections(ds13, F, AREA, params, (0, 0), evaluator=ev)
+    best_g, hist = ga_optimize_connections(ev, F, AREA, params, (0, 0))
     brute = min(
         (ev.objective(GeometryConfig(F, g), AREA), g)
         for g in itertools.product((0, 1), repeat=2)
@@ -276,7 +276,7 @@ def test_ga_population_of_2_to_the_q_finds_the_exhaustive_optimum(small_dataset)
     assert ds.n_loaded == 12
     objective, best = exhaustive_optimum(ds, area, n_active=2)
     assert math.isfinite(objective)
-    g, hist = ga_optimize_connections(ds, best.feed_ports, area,
+    g, hist = ga_optimize_connections(ConfigEvaluator(ds, 1.0), best.feed_ports, area,
                                       GAParams(population=1 << 12, generations=2, seed=3),
                                       (0,) * 12)
     assert (hist[-1][0], g) == (objective, best.connections)
@@ -287,7 +287,7 @@ def test_ga_degenerate_returns_best_of_initial_population(ds2):
     F = (0, 3)
     params = GAParams(population=8, generations=4, crossover_prob=0.0,
                       mutation_prob=0.0, seed=9)
-    best_g, _ = ga_optimize_connections(ds2, F, AREA, params, (1, 1, 1, 1), evaluator=ev)
+    best_g, _ = ga_optimize_connections(ev, F, AREA, params, (1, 1, 1, 1))
     from pixelaoa.optimizer import _initial_population
     init = _initial_population(params, 4, (1, 1, 1, 1))
     init_best = min((ev.objective(GeometryConfig(F, g), AREA), g) for g in map(tuple, init.tolist()))
@@ -301,16 +301,40 @@ def test_ga_all_inf_returns_start_vector(ds2, grid):
     assert all(math.isinf(ev.objective(GeometryConfig((0,), g), AREA))
                for g in itertools.product((0, 1), repeat=4))
     params = GAParams(population=4, generations=2)
-    best_g, hist = ga_optimize_connections(sick, (0,), AREA, params, (0, 1, 0, 1), evaluator=ev)
+    best_g, hist = ga_optimize_connections(ev, (0,), AREA, params, (0, 1, 0, 1))
     assert best_g == (0, 1, 0, 1)
     assert hist == [(math.inf, (0, 1, 0, 1))] * 2
+
+
+def test_ga_on_a_pixel_without_links_scores_the_lone_config(tmp_path, capsys):
+    # 1x1 pixels: one feed port and no pixel link, so the GA has one config to score
+    grid = AngleGrid(step_deg=5.0)
+    ds = generate_synthetic_dataset(PortLayout(pixel_rows=1, pixel_cols=1), grid)
+    assert (ds.n_feed, ds.n_loaded) == (1, 0)
+    ev = ConfigEvaluator(ds, 1.0)
+    params = GAParams(population=4, generations=2)
+    assert (ga_optimize_connections(ev, (0,), AREA, params, ())
+            == ((), [(ConfigEvaluator(ds, 1.0).objective(GeometryConfig((0,), ()), AREA), ())]))
+    path = tmp_path / "ds.json"
+    save_dataset(ds, path)
+    with pytest.warns(RuntimeWarning, match="1 singular FIM"):
+        assert main(["optimize", "--dataset", str(path), "--n-active", "1",
+                     "--space", "80:100:-10:10", "--population", "4", "--generations", "2",
+                     "--out", str(tmp_path / "cb.json")]) == 0
+    assert "ports [1]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("snr", [0.0, -1.0, math.inf, math.nan])
+def test_evaluator_needs_a_finite_positive_snr(tiny_dataset, snr):
+    with pytest.raises(ConfigError, match="snr must be finite and positive"):
+        ConfigEvaluator(tiny_dataset, snr)
 
 
 def test_ga_independent_of_cache_and_chunking(ds2, monkeypatch):
     params = GAParams(population=10, generations=5, seed=3)
 
     def ga(ev):
-        return ga_optimize_connections(ds2, (0, 1), AREA, params, (0, 0, 0, 0), evaluator=ev)
+        return ga_optimize_connections(ev, (0, 1), AREA, params, (0, 0, 0, 0))
 
     fresh = ga(ConfigEvaluator(ds2, 1.0))
     warm = ConfigEvaluator(ds2, 1.0)
@@ -323,15 +347,16 @@ def test_ga_independent_of_cache_and_chunking(ds2, monkeypatch):
 
 def test_ga_best_so_far_monotone(ds2):
     params = GAParams(population=10, generations=8, seed=2)
-    _, hist = ga_optimize_connections(ds2, (0, 1), AREA, params, (0, 0, 0, 0))
+    _, hist = ga_optimize_connections(ConfigEvaluator(ds2, 1.0), (0, 1), AREA, params,
+                                      (0, 0, 0, 0))
     objs = [h[0] for h in hist]
     assert all(b <= a + 1e-15 for a, b in zip(objs, objs[1:]))
 
 
 def test_ga_seed_reproducible(ds2):
     params = GAParams(population=10, generations=5, seed=123)
-    a = ga_optimize_connections(ds2, (0, 1), AREA, params, (0, 0, 0, 0))
-    b = ga_optimize_connections(ds2, (0, 1), AREA, params, (0, 0, 0, 0))
+    a = ga_optimize_connections(ConfigEvaluator(ds2, 1.0), (0, 1), AREA, params, (0, 0, 0, 0))
+    b = ga_optimize_connections(ConfigEvaluator(ds2, 1.0), (0, 1), AREA, params, (0, 0, 0, 0))
     assert a[0] == b[0]
     assert [x[0] for x in a[1]] == [x[0] for x in b[1]]
 
@@ -350,7 +375,7 @@ def test_ga_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_port_update_all_ports_active_is_identity(ds2):
-    F, passes = sequential_port_update(ds2, (0,) * 4, (0, 1, 2, 3), AREA)
+    F, passes = sequential_port_update(ConfigEvaluator(ds2, 1.0), (0,) * 4, (0, 1, 2, 3), AREA)
     assert F == (0, 1, 2, 3)
     assert len(passes) == 1
 
@@ -359,7 +384,7 @@ def test_port_update_never_worse_and_matches_exhaustive(ds2):
     ev = ConfigEvaluator(ds2, 1.0)
     g = (0, 0, 0, 0)
     init = (0, 1)
-    F, passes = sequential_port_update(ds2, g, init, AREA, evaluator=ev)
+    F, passes = sequential_port_update(ev, g, init, AREA)
     init_obj = ev.objective(GeometryConfig(init, g), AREA)
     final_obj = ev.objective(GeometryConfig(F, g), AREA)
     assert final_obj <= init_obj + 1e-15
@@ -403,33 +428,29 @@ def test_alternating_fixed_point_converges_immediately(ds2):
 
 
 def test_a_passed_evaluator_must_score_the_arguments_beside_it(tiny_dataset):
+    # alternating_optimize keeps its dataset, SNR and feed network parameters,
+    # and the evaluator must score exactly them
     ds, area = tiny_dataset, SensingArea(80, 100, -10, 10)
     init = default_initial_config(ds.layout, 2)
     params = GAParams(population=8, generations=2)
-    calls = [
-        lambda ev: alternating_optimize(ds, init, area, params, 100.0, evaluator=ev),
-        lambda ev: ga_optimize_connections(ds, init.feed_ports, area, params,
-                                           init.connections, 100.0, evaluator=ev),
-        lambda ev: sequential_port_update(ds, init.connections, init.feed_ports, area, 100.0,
-                                          evaluator=ev),
-    ]
+
+    def call(ev):
+        return alternating_optimize(ds, init, area, params, 100.0, evaluator=ev)
+
     for ev in (ConfigEvaluator(ds, 1.0),
                ConfigEvaluator(ds, 100.0, FeedNetworkConfig(source_impedance_ohm=25.0)),
                ConfigEvaluator(with_arrays(ds), 100.0)):        # equal arrays, other dataset
-        for call in calls:
-            with pytest.raises(ConfigError, match="evaluator"):
-                call(ev)
+        with pytest.raises(ConfigError, match="evaluator"):
+            call(ev)
     # the matching evaluator scores what a fresh one scores
-    assert ([c(ConfigEvaluator(ds, 100.0)) for c in calls[1:]]
-            == [c(None) for c in calls[1:]])
-    assert (calls[0](ConfigEvaluator(ds, 100.0))[0].objective
-            == calls[0](None)[0].objective)
+    cw, _ = call(ConfigEvaluator(ds, 100.0))
+    assert cw.objective == ConfigEvaluator(ds, 100.0).objective(cw.config, area)
 
 
 def test_codeword_objective_recomputes_exactly(ds2):
     params = GAParams(population=12, generations=4, seed=1)
     cw, _ = alternating_optimize(ds2, default_initial_config(ds2.layout, 2), AREA,
-                                 params, snr_linear=1.0)
+                                 params, snr_linear=1.0, evaluator=ConfigEvaluator(ds2, 1.0))
     fresh = ConfigEvaluator(ds2, 1.0)
     assert fresh.objective(cw.config, cw.area) == pytest.approx(cw.objective, abs=1e-12)
 
@@ -437,7 +458,7 @@ def test_codeword_objective_recomputes_exactly(ds2):
 def test_trace_export(tmp_path, ds2):
     params = GAParams(population=8, generations=3, seed=4)
     _, trace = alternating_optimize(ds2, default_initial_config(ds2.layout, 2), AREA,
-                                    params, snr_linear=1.0)
+                                    params, snr_linear=1.0, evaluator=ConfigEvaluator(ds2, 1.0))
     path = tmp_path / "trace.csv"
     export_trace(trace, path)
     lines = path.read_text().strip().splitlines()
@@ -508,8 +529,8 @@ def test_stage_areas_misaligned_split_rejected():
 
 def test_build_codebook_single_stage(ds2):
     sched = SubdivisionSchedule(AREA, (1,), ("both",))
-    cb = build_codebook(ds2, sched, GAParams(population=8, generations=3, seed=0),
-                        snr_linear=1.0, n_active=2)
+    cb = build_codebook(ConfigEvaluator(ds2, 1.0), sched,
+                        GAParams(population=8, generations=3, seed=0), n_active=2)
     assert len(cb.codewords) == 1
     assert cb.codewords[0].area == AREA
 
@@ -517,8 +538,8 @@ def test_build_codebook_single_stage(ds2):
 def test_build_codebook_warm_start_dominance(ds2):
     space = SensingArea(80, 100, -10, 10)
     sched = SubdivisionSchedule(space, (1, 4), ("both", "both"))
-    cb = build_codebook(ds2, sched, GAParams(population=10, generations=3, seed=0),
-                        snr_linear=1.0, n_active=2)
+    cb = build_codebook(ConfigEvaluator(ds2, 1.0), sched,
+                        GAParams(population=10, generations=3, seed=0), n_active=2)
     assert len(cb.codewords) == 4
     parent = cb.stages[0][0]
     ev = ConfigEvaluator(ds2, 1.0)
@@ -530,8 +551,8 @@ def test_build_codebook_warm_start_dominance(ds2):
 def test_codebook_lookup_conventions(ds2):
     space = SensingArea(80, 100, -10, 10)
     sched = SubdivisionSchedule(space, (1, 4), ("both", "both"))
-    cb = build_codebook(ds2, sched, GAParams(population=8, generations=2, seed=0),
-                        snr_linear=1.0, n_active=2)
+    cb = build_codebook(ConfigEvaluator(ds2, 1.0), sched,
+                        GAParams(population=8, generations=2, seed=0), n_active=2)
     inner = codebook_lookup(cb, (85.0, -5.0))
     assert inner.area.contains(85.0, -5.0)
     # shared boundary theta=90 belongs to the upper tile (lower-inclusive)
@@ -565,8 +586,8 @@ def test_codebook_roundtrip(tmp_path, ds2):
     # the file records the feed network and FD step the objectives were scored under
     sched = SubdivisionSchedule(AREA, (1,), ("both",))
     feednet = FeedNetworkConfig(75.0 - 5.0j)
-    cb = build_codebook(ds2, sched, GAParams(population=8, generations=2, seed=0),
-                        snr_linear=1.0, n_active=2, feednet=feednet, fd_step_deg=2.0)
+    cb = build_codebook(ConfigEvaluator(ds2, 1.0, feednet, fd_step_deg=2.0), sched,
+                        GAParams(population=8, generations=2, seed=0), n_active=2)
     assert (cb.feednet, cb.fd_step_deg) == (feednet, 2.0)
     path = tmp_path / "cb.json"
     save_codebook(cb, path)

@@ -132,3 +132,12 @@ def test_only_solve_network_reads_the_dataset_arrays():
              if isinstance(node, ast.Attribute) and node.attr in ("e_oc", "Z", "gram")}
     assert sorted(found) == [("network.py", "solve_network", "Z"),
                              ("network.py", "solve_network", "gram")]
+
+
+def test_only_the_cli_builds_an_evaluator():
+    # a search scores with the ConfigEvaluator it is handed, so the dataset,
+    # SNR, feed network and FD step it scores under have one holder
+    calls = sorted((name, node.lineno) for name, tree in _trees().items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and _callee(node) == "ConfigEvaluator")
+    assert calls and {name for name, _ in calls} == {"cli.py"}, calls
